@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -452,22 +451,6 @@ def cmd_voxelize(args) -> int:
     return 0
 
 
-def _render_chunked(grid, pose, cam, bg, step, min_t, threads: int) -> np.ndarray:
-    """Row-parallel render; rays are independent, so any split is exact."""
-    dense_a, dense_pm = grid.dense()
-    if step is None:
-        step = grid.voxel_size
-    dirs = frustum.camera_rays(cam, pose)
-    chunks = np.array_split(dirs, threads)
-
-    def run(block):
-        return frustum._march(grid, dense_a, dense_pm, pose.translation, block, bg, step, min_t)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunks))
-    return np.concatenate(parts).reshape(cam.h, cam.w, 3)
-
-
 def cmd_render(args) -> int:
     grid = frustum.load_voxel_grid(args.grid)
     cam = _camera_for(args, args.height, args.width)
@@ -490,12 +473,10 @@ def cmd_render(args) -> int:
         pose = frustum.orbit_pose(
             target, radius, np.deg2rad(args.azimuth), np.deg2rad(args.elevation)
         )
-    if args.threads > 1:
-        img = _render_chunked(grid, pose, cam, bg, args.step, args.min_transmittance, args.threads)
-    else:
-        img = frustum.render(
-            grid, pose, cam, background=bg, step=args.step, min_transmittance=args.min_transmittance
-        )
+    img = frustum.render(
+        grid, pose, cam, background=bg, step=args.step,
+        min_transmittance=args.min_transmittance, threads=args.threads,
+    )
     write_ppm(args.out, cam.w, cam.h, img)
     print(f"wrote {args.out} ({cam.w}x{cam.h})")
     return 0

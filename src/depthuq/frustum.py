@@ -10,11 +10,14 @@ emission-absorption compositing.
 Voxel bounds are padded by half a cell around the sample cloud, so
 every sample keeps its full 8-neighbor stencil in-grid and splat mass
 is conserved exactly; samples on the cloud hull land exactly on voxel
-centers.
+centers.  The splat and the ray march share one trilinear corner
+stencil over flat voxel indices: the splat scatters through it, the
+march gathers through it.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,6 +209,33 @@ def _frame_bounds(points: np.ndarray, res: np.ndarray):
     return lo, hi
 
 
+def _stencil(g: np.ndarray, res: np.ndarray):
+    """Clamp-to-edge trilinear corner stencil of center-lattice points.
+
+    Returns the flat voxel index (i*ny + j)*nz + k of each point's low
+    corner and an iterator over the 8 corners, each a flat offset and a
+    per-point weight (wx * wy) * wz whose per-axis factors are frac or
+    1 - frac.  Corners come one at a time, so temporaries stay one point
+    count in size.
+    """
+    g = np.clip(g, 0.0, res - 1.0)  # guards float spill at the hull
+    i0 = np.floor(g).astype(np.int64)
+    i0 = np.minimum(i0, np.asarray(res, dtype=np.int64) - 2)  # keep the +1 corner addressable
+    frac = g - i0
+    _, ny, nz = (int(n) for n in res)
+    base = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
+    wx, wy, wz = ((1.0 - frac[:, ax], frac[:, ax]) for ax in range(3))
+
+    def corners():
+        for ox in (0, 1):
+            for oy in (0, 1):
+                wxy = wx[ox] * wy[oy]
+                for oz in (0, 1):
+                    yield (ox * ny + oy) * nz + oz, wxy * wz[oz]
+
+    return base, corners()
+
+
 def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) -> SparseVoxelGrid:
     """Trilinear 8-neighbor scatter of sample mass into a fresh grid."""
     res = np.array(
@@ -219,25 +249,22 @@ def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) ->
     cell = (hi - lo) / res
 
     g = (points - lo) / cell - 0.5  # continuous center-lattice coordinate
-    g = np.clip(g, 0.0, res - 1.0)  # guards float spill at the hull
-    i0 = np.floor(g).astype(np.int64)
-    i0 = np.minimum(i0, res - 2)  # keep the +1 corner addressable
-    frac = g - i0
-
-    acc_a = np.zeros(tuple(res))
-    acc_c = np.zeros(tuple(res) + (3,))
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        wgt = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1) * mass
-        ix, iy, iz = (i0 + off).T
-        np.add.at(acc_a, (ix, iy, iz), wgt)
-        np.add.at(acc_c, (ix, iy, iz), wgt[:, None] * rgb)
+    n = int(np.prod(res))
+    base, corners = _stencil(g, res)
+    acc_a = np.zeros(n)
+    acc_c = np.zeros((3, n))  # channel-major: one bincount per row
+    for off, wgt in corners:
+        key = base + off
+        wgt *= mass
+        acc_a += np.bincount(key, weights=wgt, minlength=n)
+        for ch in range(3):
+            acc_c[ch] += np.bincount(key, weights=wgt * rgb[:, ch], minlength=n)
 
     deposited = float(acc_a.sum())
-    keep = acc_a > ALPHA_EPSILON
-    idx = np.argwhere(keep)
+    keep = np.flatnonzero(acc_a > ALPHA_EPSILON)
+    idx = np.stack(np.unravel_index(keep, tuple(res)), axis=1)
     raw = acc_a[keep]
-    color = acc_c[keep] / raw[:, None]
+    color = acc_c[:, keep].T / raw[:, None]
     return SparseVoxelGrid(
         lo=lo,
         hi=hi,
@@ -323,19 +350,15 @@ def voxelize_ground_truth(
     return _splat(pts[nonzero], mass[nonzero], cols[nonzero], resolution), skipped
 
 
-def _trilerp(dense_a, dense_pm, res, g):
-    """Clamp-to-edge trilinear read of alpha and premultiplied color."""
-    g = np.clip(g, 0.0, res - 1.0)
-    i0 = np.minimum(np.floor(g).astype(np.int64), (res - 2).astype(np.int64))
-    frac = g - i0
+def _trilerp(flat_a, flat_pm, res, g):
+    """Clamp-to-edge trilinear read of raveled alpha and premultiplied color."""
+    base, corners = _stencil(g, res)
     a = np.zeros(g.shape[0])
     pm = np.zeros((g.shape[0], 3))
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        wgt = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
-        ix, iy, iz = (i0 + off).T
-        a += wgt * dense_a[ix, iy, iz]
-        pm += wgt[:, None] * dense_pm[ix, iy, iz]
+    for off, wgt in corners:
+        key = base + off
+        a += wgt * flat_a[key]
+        pm += wgt[:, None] * flat_pm[key]
     return a, pm
 
 
@@ -346,6 +369,7 @@ def render(
     background=(0.0, 0.0, 0.0),
     step: float | None = None,
     min_transmittance: float = DEFAULT_MIN_TRANSMITTANCE,
+    threads: int = 1,
 ) -> np.ndarray:
     """Front-to-back emission-absorption march through the grid.
 
@@ -354,7 +378,9 @@ def render(
     trilinear alpha via 1 - (1 - a)^(step / voxel_size) so the result
     is step-size independent, composites C += T * a_s * c_s,
     T *= (1 - a_s), and stops once T < ``min_transmittance``.  The
-    leftover transmittance lets the background through.
+    leftover transmittance lets the background through.  With
+    ``threads`` > 1 the rays are split into that many chunks marched in
+    parallel; rays are independent, so the image does not depend on it.
     """
     bg = np.asarray(background, dtype=np.float64).reshape(3)
     if np.any(bg < 0.0) or np.any(bg > 1.0):
@@ -367,10 +393,17 @@ def render(
         raise ValueError("termination threshold must lie in (0, 1)")
 
     dense_a, dense_pm = grid.dense()
+    flat_a, flat_pm = dense_a.reshape(-1), dense_pm.reshape(-1, 3)
     dirs = camera_rays(cam, pose)
-    out_c = _march(
-        grid, dense_a, dense_pm, pose.translation, dirs, bg, step, min_transmittance
-    )
+
+    def march(block):
+        return _march(grid, flat_a, flat_pm, pose.translation, block, bg, step, min_transmittance)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            out_c = np.concatenate(list(pool.map(march, np.array_split(dirs, threads))))
+    else:
+        out_c = march(dirs)
     return out_c.reshape(cam.h, cam.w, 3)
 
 
@@ -384,7 +417,7 @@ def camera_rays(cam: Pinhole, pose: CameraPose) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _march(grid, dense_a, dense_pm, origin, dirs, bg, step, min_transmittance):
+def _march(grid, flat_a, flat_pm, origin, dirs, bg, step, min_transmittance):
     """Composite a batch of rays; independent per ray (chunk-safe)."""
     res = np.array(grid.resolution, dtype=np.float64)
     cell = grid.cell
@@ -409,7 +442,7 @@ def _march(grid, dense_a, dense_pm, origin, dirs, bg, step, min_transmittance):
         ai = np.nonzero(active)[0]
         pos = origin[None, :] + t[ai, None] * dirs[ai]
         g = (pos - grid.lo[None, :]) / cell[None, :] - 0.5
-        a, pm = _trilerp(dense_a, dense_pm, res, g)
+        a, pm = _trilerp(flat_a, flat_pm, res, g)
         a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
         contrib = a > 0
         if np.any(contrib):

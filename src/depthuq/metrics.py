@@ -117,6 +117,21 @@ def _flat_valid(pred, gt, mask):
     return pred[mask], gt[mask]
 
 
+def _valid_uncertainty(unc, gt, mask) -> np.ndarray:
+    """Uncertainty on the valid pixels; a non-finite value there is a user error."""
+    gt = np.asarray(gt)
+    u = np.asarray(unc, dtype=np.float64)
+    if u.shape != gt.shape:
+        raise ValueError(f"uncertainty shape {u.shape} != {gt.shape}")
+    if mask is None:
+        mask = valid_mask(gt)
+    uv = u[np.asarray(mask, bool)]
+    bad = uv.size - int(np.count_nonzero(np.isfinite(uv)))
+    if bad:
+        raise ValueError(f"uncertainty is non-finite on {bad} valid pixel(s)")
+    return uv
+
+
 def delta_outliers(pred, gt) -> np.ndarray:
     """True where max(d/d̂, d̂/d) fails the first threshold.
 
@@ -222,12 +237,7 @@ def sparsification(
     if steps < 2:
         raise ValueError(f"need >= 2 removal steps, got {steps}")
     p, g = _flat_valid(pred, gt, mask)
-    u = np.asarray(unc, dtype=np.float64)
-    if u.shape != np.asarray(gt).shape:
-        raise ValueError(f"uncertainty shape {u.shape} != {np.asarray(gt).shape}")
-    if mask is None:
-        mask = valid_mask(gt)
-    uv = u[np.asarray(mask, bool)]
+    uv = _valid_uncertainty(unc, gt, mask)
     pixel_err = _per_pixel_error(err_metric, p, g)
     return _sparsify_curve(err_metric, pixel_err, uv, steps)
 
@@ -463,12 +473,12 @@ def evaluate_uncertainty(
 
     Degenerate pieces (perfect predictions, single-class outliers,
     all-tied ranks) come back as None rather than fabricated numbers.
-    NLL needs the probability volume and hypotheses; omitted otherwise.
+    Non-finite uncertainty on a valid pixel is an input error and
+    raises ValueError.  NLL needs the probability volume and
+    hypotheses; omitted otherwise.
     """
     p, g = _flat_valid(pred, gt, mask)
-    if mask is None:
-        mask = valid_mask(gt)
-    uv = np.asarray(unc, dtype=np.float64)[np.asarray(mask, bool)]
+    uv = _valid_uncertainty(unc, gt, mask)
 
     areas = {}
     for base in BASE_METRICS:

@@ -225,6 +225,19 @@ def test_render_threads_match_single(data_dir, tmp_path):
     assert (tmp_path / "t1.ppm").read_bytes() == (tmp_path / "t3.ppm").read_bytes()
 
 
+@pytest.mark.parametrize("bad", [["--step", "0"], ["--step", "-0.1"], ["--min-transmittance", "2"]])
+def test_threaded_render_rejects_bad_march_settings(data_dir, tmp_path, bad):
+    base = tmp_path / "g"
+    assert cli.main([
+        "voxelize", "--mode", "gt", "--gt", str(data_dir / "gt.duv"),
+        "--bins", "4", "--resolution", "6", "--out", str(base),
+    ]) == 0
+    argv = ["render", "--grid", str(base), "--height", "8", "--width", "8",
+            "--threads", "2", "--out", str(tmp_path / "bad.ppm"), *bad]
+    assert cli.main(argv) == 1
+    assert not (tmp_path / "bad.ppm").exists()
+
+
 def test_demo_ause_runs_on_tiny_model(tmp_path, capsys):
     rc = cli.main([
         "demo-ause", "--transform", "square", "--epochs", "1", "--train-scenes", "2",

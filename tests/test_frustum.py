@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from depthuq import frustum
 from depthuq.discretize import DepthHypotheses, linear_hypotheses
 from depthuq.frustum import (
+    ALPHA_EPSILON,
     CameraPose,
     Pinhole,
     SparseVoxelGrid,
+    _frame_bounds,
     _splat,
     _trilerp,
     camera_rays,
@@ -19,6 +22,51 @@ from depthuq.frustum import (
     voxelize_ground_truth,
     voxelize_prediction,
 )
+from depthuq.gridio import write_ppm
+
+
+def _splat_oracle(points, mass, rgb, resolution):
+    # reference splat: per-corner np.add.at into 3-D accumulators
+    res = np.array(
+        [resolution] * 3 if np.isscalar(resolution) else list(resolution), dtype=np.int64
+    )
+    lo, hi = _frame_bounds(points, res)
+    cell = (hi - lo) / res
+    g = (points - lo) / cell - 0.5
+    g = np.clip(g, 0.0, res - 1.0)
+    i0 = np.minimum(np.floor(g).astype(np.int64), res - 2)
+    frac = g - i0
+    acc_a = np.zeros(tuple(res))
+    acc_c = np.zeros(tuple(res) + (3,))
+    for corner in range(8):
+        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+        wgt = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1) * mass
+        ix, iy, iz = (i0 + off).T
+        np.add.at(acc_a, (ix, iy, iz), wgt)
+        np.add.at(acc_c, (ix, iy, iz), wgt[:, None] * rgb)
+    keep = acc_a > ALPHA_EPSILON
+    raw = acc_a[keep]
+    return SparseVoxelGrid(
+        lo=lo, hi=hi, resolution=tuple(int(n) for n in res), indices=np.argwhere(keep),
+        alpha=np.clip(raw, None, 1.0), color=np.clip(acc_c[keep] / raw[:, None], 0.0, 1.0),
+        deposited_mass=float(acc_a.sum()),
+    )
+
+
+def _trilerp_oracle(dense_a, dense_pm, res, g):
+    # reference read: np.where/np.prod weights, three-axis fancy indexing
+    g = np.clip(g, 0.0, res - 1.0)
+    i0 = np.minimum(np.floor(g).astype(np.int64), (res - 2).astype(np.int64))
+    frac = g - i0
+    a = np.zeros(g.shape[0])
+    pm = np.zeros((g.shape[0], 3))
+    for corner in range(8):
+        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+        wgt = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
+        ix, iy, iz = (i0 + off).T
+        a += wgt * dense_a[ix, iy, iz]
+        pm += wgt[:, None] * dense_pm[ix, iy, iz]
+    return a, pm
 
 
 def _empty_grid():
@@ -164,6 +212,82 @@ def test_splat_conserves_mass():
         assert abs(grid.deposited_mass - mass.sum()) < 1e-9
 
 
+STENCIL_RESOLUTIONS = [(6, 5, 4), (2, 2, 2), 3, 7]
+
+
+def _cloud(rng, n):
+    # random interior points plus the 8 hull corners, which land on voxel centers
+    pts = rng.uniform(-2.0, 2.0, size=(n, 3))
+    corners = np.array([[x, y, z] for x in (-2.5, 2.5) for y in (-1.5, 3.0) for z in (0.5, 4.0)])
+    pts = np.concatenate([pts, corners])
+    return pts, rng.uniform(0.0, 0.9, size=len(pts)), rng.uniform(size=(len(pts), 3))
+
+
+@pytest.mark.parametrize("resolution", STENCIL_RESOLUTIONS)
+@pytest.mark.parametrize("n", [1, 40, 3000])
+def test_splat_matches_add_at_oracle(resolution, n):
+    # n=3000 puts several (7^3 grid) to thousands (2^3 grid) of samples per voxel
+    rng = np.random.default_rng([n, np.prod(resolution)])
+    pts, mass, rgb = _cloud(rng, n)
+    got = _splat(pts, mass, rgb, resolution)
+    ref = _splat_oracle(pts, mass, rgb, resolution)
+    assert got.resolution == ref.resolution
+    np.testing.assert_array_equal(got.lo, ref.lo)
+    np.testing.assert_array_equal(got.hi, ref.hi)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_allclose(got.alpha, ref.alpha, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.color, ref.color, rtol=1e-12, atol=0)
+    assert abs(got.deposited_mass - ref.deposited_mass) <= 1e-12 * ref.deposited_mass
+
+
+@pytest.mark.parametrize("resolution", STENCIL_RESOLUTIONS)
+def test_trilerp_matches_oracle_bitwise(resolution):
+    res = (resolution,) * 3 if np.isscalar(resolution) else resolution
+    rng = np.random.default_rng(list(res))
+    dense_a = rng.uniform(size=res)
+    dense_pm = rng.uniform(size=res + (3,))
+    resf = np.array(res, dtype=np.float64)
+    # in-lattice, lattice-exact and out-of-range (clamped) coordinates
+    g = np.concatenate([
+        rng.uniform(-1.0, resf, size=(500, 3)),
+        rng.integers(0, res, size=(50, 3)).astype(np.float64),
+        np.array([[0.0, 0.0, 0.0], resf - 1.0, -resf, 2.0 * resf]),
+    ])
+    a, pm = _trilerp(dense_a.reshape(-1), dense_pm.reshape(-1, 3), resf, g)
+    ref_a, ref_pm = _trilerp_oracle(dense_a, dense_pm, resf, g)
+    np.testing.assert_array_equal(a, ref_a)
+    np.testing.assert_array_equal(pm, ref_pm)
+
+
+def test_orbit_renders_match_oracle_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    cam = centered_pinhole(12, 16, 14.0)
+    hyp = linear_hypotheses(1.0, 6.0, 6)
+    vol = rng.dirichlet(np.ones(hyp.m), size=(cam.h, cam.w))
+    rgb = rng.uniform(size=(cam.h, cam.w, 3))
+    grid = voxelize_prediction(vol, hyp, cam, rgb, resolution=(9, 8, 7))
+
+    def oracle_trilerp(flat_a, flat_pm, res, g):
+        shape = tuple(int(n) for n in res)
+        return _trilerp_oracle(flat_a.reshape(shape), flat_pm.reshape(shape + (3,)), res, g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frustum, "_splat", _splat_oracle)
+        patch.setattr(frustum, "_trilerp", oracle_trilerp)
+        ref_grid = voxelize_prediction(vol, hyp, cam, rgb, resolution=(9, 8, 7))
+        target = (ref_grid.lo + ref_grid.hi) / 2.0
+        radius = 1.5 * float(np.linalg.norm(ref_grid.hi - ref_grid.lo))
+        poses = [orbit_pose(target, radius, np.deg2rad(az), 0.2) for az in (0.0, 70.0, 200.0)]
+        refs = [render(ref_grid, pose, cam, background=(0.1, 0.2, 0.3)) for pose in poses]
+
+    assert grid.n_voxels == ref_grid.n_voxels
+    for k, (pose, ref) in enumerate(zip(poses, refs)):
+        img = render(grid, pose, cam, background=(0.1, 0.2, 0.3))
+        write_ppm(tmp_path / f"got{k}.ppm", cam.w, cam.h, img)
+        write_ppm(tmp_path / f"ref{k}.ppm", cam.w, cam.h, ref)
+        assert (tmp_path / f"got{k}.ppm").read_bytes() == (tmp_path / f"ref{k}.ppm").read_bytes()
+
+
 def test_voxelize_prediction_single_pixel():
     cam = Pinhole(f=5.0, cx=0.0, cy=0.0, h=1, w=1)
     hyp = DepthHypotheses(np.array([1.0, 2.0]))
@@ -295,7 +419,7 @@ def test_render_matches_back_to_front_reference():
             for t in ts[::-1]:
                 pos = origin + t * d
                 g = (pos - grid.lo) / grid.cell - 0.5
-                a, pm = _trilerp(dense_a, dense_pm, resf, g.reshape(1, 3))
+                a, pm = _trilerp_oracle(dense_a, dense_pm, resf, g.reshape(1, 3))
                 if a[0] <= 0:
                     continue
                 a_s = 1.0 - (1.0 - min(a[0], 1.0)) ** expo

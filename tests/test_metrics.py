@@ -359,6 +359,23 @@ def test_evaluate_uncertainty_full_report():
     }
 
 
+def test_nonfinite_uncertainty_is_rejected():
+    rng = np.random.default_rng(4)
+    gt = rng.uniform(1.5, 9.5, size=(20, 20))
+    pred = gt + rng.normal(scale=1.0, size=gt.shape)
+    unc = np.abs(pred - gt)
+    unc[3, 3] = np.nan
+    unc[5, 7] = np.inf
+    with pytest.raises(ValueError, match="non-finite on 2 valid"):
+        evaluate_uncertainty(pred, gt, unc)
+    with pytest.raises(ValueError, match="non-finite on 2 valid"):
+        sparsification("rmse", pred, gt, unc)
+    # only valid pixels count: NaN uncertainty under invalid GT is ignored
+    gt[3, 3] = gt[5, 7] = np.nan
+    assert evaluate_uncertainty(pred, gt, unc).scc is not None
+    sparsification("rmse", pred, gt, unc)
+
+
 def test_evaluate_uncertainty_degenerate_pieces_are_none():
     gt = np.array([[2.0, 3.0], [4.0, 5.0]])
     rep = evaluate_uncertainty(gt.copy(), gt, np.ones_like(gt))
