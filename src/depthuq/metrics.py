@@ -8,9 +8,16 @@ negative log-likelihood.  ``ause_flaw_demo`` packages the constructive
 counterexample showing AUSE moves under accuracy-preserving error
 transforms while SCC does not.
 
-Per-image metrics; dataset values are unweighted means across images,
-with undefined entries (single-class AUROC, all-tied SCC) reported as
-missing, never as 0.
+Every rank metric is a sweep over one stable descending sort per
+ordering: average ranks come from its tie groups, AUROC from those
+ranks, FPR95 from cumulative outlier counts at tie-group ends (the ROC
+sweep of Fawcett 2006), and each sparsification curve from tail sums of
+the sorted per-pixel errors (Ilg et al. 2018).  Plain NumPy at run time.
+Rank metrics need finite input and raise ValueError with the count of
+non-finite entries otherwise.
+
+Per-image metrics; undefined entries (single-class AUROC, all-tied SCC)
+are reported as None, never as 0.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .discretize import DepthHypotheses, bilinear_bin_weights
 from .gridio import valid_mask
@@ -125,24 +131,32 @@ def _valid_uncertainty(unc, gt, mask) -> np.ndarray:
         raise ValueError(f"uncertainty shape {u.shape} != {gt.shape}")
     if mask is None:
         mask = valid_mask(gt)
-    uv = u[np.asarray(mask, bool)]
-    bad = uv.size - int(np.count_nonzero(np.isfinite(uv)))
+    return _require_finite(u[np.asarray(mask, bool)], "uncertainty", "valid pixel(s)")
+
+
+def _require_finite(v: np.ndarray, name: str, where: str = "entry(ies)") -> np.ndarray:
+    bad = v.size - int(np.count_nonzero(np.isfinite(v)))
     if bad:
-        raise ValueError(f"uncertainty is non-finite on {bad} valid pixel(s)")
-    return uv
+        raise ValueError(f"{name} is non-finite on {bad} {where}")
+    return v
+
+
+def _delta_ratio(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """max(d/d̂, d̂/d) per pixel; inf where the prediction is non-positive.
+
+    Non-positive predictions cannot satisfy a ratio test against a
+    positive GT, so they fail every threshold.
+    """
+    ok = pred > 0
+    safe = np.where(ok, pred, 1.0)
+    return np.where(ok, np.maximum(gt / safe, safe / gt), np.inf)
 
 
 def delta_outliers(pred, gt) -> np.ndarray:
-    """True where max(d/d̂, d̂/d) fails the first threshold.
-
-    Non-positive predictions cannot satisfy a ratio test against a
-    positive GT and count as outliers.
-    """
+    """True where max(d/d̂, d̂/d) fails the first threshold."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    ok = pred > 0
-    ratio = np.where(ok, np.maximum(gt / np.where(ok, pred, 1.0), np.where(ok, pred, 1.0) / gt), np.inf)
-    return ratio >= DELTA_RATIO
+    return _delta_ratio(pred, gt) >= DELTA_RATIO
 
 
 def accuracy_metrics(pred, gt, mask=None) -> AccuracyReport:
@@ -168,7 +182,7 @@ def accuracy_metrics(pred, gt, mask=None) -> AccuracyReport:
         log10 = float("nan")
         log_rms = float("nan")
 
-    ratio = np.where(pos, np.maximum(g / np.where(pos, p, 1.0), np.where(pos, p, 1.0) / g), np.inf)
+    ratio = _delta_ratio(p, g)
     deltas = [float(np.mean(ratio < DELTA_RATIO**k)) for k in (1, 2, 3)]
     return AccuracyReport(
         rmse=rmse,
@@ -195,32 +209,39 @@ def _per_pixel_error(err_metric: str, p: np.ndarray, g: np.ndarray) -> np.ndarra
     raise ValueError(f"unknown base metric {err_metric!r}, want one of {BASE_METRICS}")
 
 
-def _subset_value(err_metric: str, pixel_err: np.ndarray) -> float:
-    if err_metric == "rmse":
-        return float(np.sqrt(np.mean(pixel_err**2)))
-    # rel and delta1err both reduce to plain means of their pixel values
-    return float(np.mean(pixel_err))
+def _descending(score: np.ndarray) -> np.ndarray:
+    # stable sort leaves ties in ascending pixel index
+    return np.argsort(-score, kind="stable")
 
 
-def _sparsify_curve(err_metric, pixel_err, rank_unc, steps):
-    """Shared removal loop for both orderings and the flaw demo."""
+def _sparsify_curve(err_metric, pixel_err, by_unc, steps):
+    """Shared removal sweep for both orderings and the flaw demo.
+
+    ``by_unc`` is the pixel order by uncertainty, highest first.  Each
+    ordering's kept-pixel sums are the tail sums of its sorted errors (or
+    squared errors for RMSE), summed from the low end so that short tails
+    do not cancel; each curve is normalized by its own full-set value.
+    """
     n = pixel_err.size
-    full = _subset_value(err_metric, pixel_err)
-    if full == 0.0:
-        raise DegenerateMetricError("full-set base metric is 0; nothing to normalize by")
-    # descending by score; stable sort leaves ties in ascending pixel index
-    by_unc = np.argsort(-rank_unc, kind="stable")
-    by_err = np.argsort(-pixel_err, kind="stable")
+    x = pixel_err**2 if err_metric == "rmse" else pixel_err
     fractions = np.arange(steps, dtype=np.float64) / steps
-    spars = np.empty(steps)
-    oracle = np.empty(steps)
-    for k in range(steps):
-        drop = int(np.ceil(fractions[k] * n))
-        drop = min(drop, n - 1)  # keep at least one pixel (tiny-N guard)
-        spars[k] = _subset_value(err_metric, pixel_err[by_unc[drop:]]) / full
-        oracle[k] = _subset_value(err_metric, pixel_err[by_err[drop:]]) / full
+    # keep at least one pixel (tiny-N guard)
+    drop = np.minimum(np.ceil(fractions * n).astype(np.int64), n - 1)
+
+    def removal(order):
+        tail = np.cumsum(x[order][::-1])[::-1]
+        value = tail[drop] / (n - drop)
+        return np.sqrt(value) if err_metric == "rmse" else value
+
+    spars = removal(by_unc)
+    oracle = removal(_descending(pixel_err))
+    if spars[0] == 0.0:
+        raise DegenerateMetricError("full-set base metric is 0; nothing to normalize by")
     return SparsificationCurve(
-        fractions=fractions, spars=spars, oracle=oracle, random_level=np.ones(steps)
+        fractions=fractions,
+        spars=spars / spars[0],
+        oracle=oracle / oracle[0],
+        random_level=np.ones(steps),
     )
 
 
@@ -239,7 +260,7 @@ def sparsification(
     p, g = _flat_valid(pred, gt, mask)
     uv = _valid_uncertainty(unc, gt, mask)
     pixel_err = _per_pixel_error(err_metric, p, g)
-    return _sparsify_curve(err_metric, pixel_err, uv, steps)
+    return _sparsify_curve(err_metric, pixel_err, _descending(uv), steps)
 
 
 def ause_aurg(curve: SparsificationCurve):
@@ -249,47 +270,50 @@ def ause_aurg(curve: SparsificationCurve):
     return ause, aurg
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    # ties get the mean of the rank span they cover
-    return stats.rankdata(values, method="average")
+@dataclass(frozen=True)
+class _Ranking:
+    """One stable descending sort of a finite score vector.
+
+    ``spearman`` and ``auroc_fpr95`` take one in place of a score vector,
+    so that one image's uncertainty is sorted once for all rank metrics.
+    """
+
+    order: np.ndarray  # pixel indices, highest score first
+    ends: np.ndarray  # exclusive end of each tie group within ``order``
+    ranks: np.ndarray  # 1-based average ascending ranks, per pixel
+
+
+def _ranking(values, name: str) -> _Ranking:
+    if isinstance(values, _Ranking):
+        return values
+    v = _require_finite(np.asarray(values, dtype=np.float64).ravel(), name)
+    order = _descending(v)
+    s = v[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+    counts = np.diff(ends, prepend=0)
+    # a tie group at descending positions [a, a + c) spans ascending ranks
+    # n - a - c + 1 .. n - a; the mean is an exact half-integer
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(v.size - (ends - counts) - (counts - 1) / 2.0, counts)
+    return _Ranking(order=order, ends=ends, ranks=ranks)
 
 
 def spearman(err, unc) -> float | None:
     """Rank correlation between two pixel vectors; None when undefined.
 
     Average ranks on both sides, then Pearson.  Returns None when either
-    input is completely tied (zero rank variance).
+    input is completely tied (zero rank variance).  Non-finite values
+    raise ValueError.
     """
-    a = np.asarray(err, dtype=np.float64).ravel()
-    b = np.asarray(unc, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch {a.size} vs {b.size}")
-    if a.size < 2:
+    a = _ranking(err, "err")
+    b = _ranking(unc, "unc")
+    if a.ranks.size != b.ranks.size:
+        raise ValueError(f"length mismatch {a.ranks.size} vs {b.ranks.size}")
+    if a.ranks.size < 2:
         raise ValueError("need >= 2 pixels")
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
-    if np.all(ra == ra[0]) or np.all(rb == rb[0]):
+    if a.ends.size == 1 or b.ends.size == 1:
         return None
-    return float(np.corrcoef(ra, rb)[0, 1])
-
-
-def dataset_spearman(pairs):
-    """Unweighted mean of per-image SCCs; counts undefined images.
-
-    ``pairs`` yields (err, unc) per image.  Returns (mean or None,
-    n_missing).
-    """
-    values = []
-    missing = 0
-    for err, unc in pairs:
-        s = spearman(err, unc)
-        if s is None:
-            missing += 1
-        else:
-            values.append(s)
-    if not values:
-        return None, missing
-    return float(np.mean(values)), missing
+    return float(np.corrcoef(a.ranks, b.ranks)[0, 1])
 
 
 def auroc_fpr95(scores, outlier):
@@ -299,24 +323,21 @@ def auroc_fpr95(scores, outlier):
     inlier, ties counting half (computed via average ranks).  FPR95 is
     the false-positive rate at the first threshold, sweeping from strict
     to loose, whose TPR reaches 0.95 (classifier: score >= threshold).
+    Non-finite scores raise ValueError.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
+    r = _ranking(scores, "scores")
     y = np.asarray(outlier).astype(bool).ravel()
-    if s.size != y.size:
-        raise ValueError(f"length mismatch {s.size} vs {y.size}")
+    if r.ranks.size != y.size:
+        raise ValueError(f"length mismatch {r.ranks.size} vs {y.size}")
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         return None, None
-    ranks = _average_ranks(s)
-    auroc = float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-    pos = s[y]
-    neg = s[~y]
-    fpr95 = None
-    for t in np.unique(s)[::-1]:
-        if np.mean(pos >= t) >= 0.95:
-            fpr95 = float(np.mean(neg >= t))
-            break
+    auroc = float((r.ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # outliers scoring >= each tie group's score; the last group reaches TPR 1
+    tp = np.cumsum(y[r.order])[r.ends - 1]
+    first = int(np.argmax(tp / n_pos >= 0.95))
+    fpr95 = float((r.ends[first] - tp[first]) / n_neg)
     return auroc, fpr95
 
 
@@ -350,37 +371,6 @@ def nll(vol, gt, hyp: DepthHypotheses, mask=None):
     mass = w_lo * pv[idx, lo] + (1.0 - w_lo) * pv[idx, lo + 1]
     value = float(np.mean(-np.log(np.clip(mass, NLL_FLOOR, None))))
     return value, excluded
-
-
-def joint_histogram(err, unc, bins: int):
-    """Equal-width 2-D histogram; counts sum to the sample count.
-
-    Degenerate ranges (all values equal) collapse into bin 0 on that
-    axis.  Returns (counts[err_bin, unc_bin], err_edges, unc_edges).
-    """
-    bins = int(bins)
-    if bins < 2:
-        raise ValueError(f"need >= 2 bins, got {bins}")
-    a = np.asarray(err, dtype=np.float64).ravel()
-    b = np.asarray(unc, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch {a.size} vs {b.size}")
-    if a.size == 0:
-        raise ValueError("no samples")
-
-    def bin_of(v):
-        lo, hi = float(v.min()), float(v.max())
-        edges = np.linspace(lo, hi, bins + 1)
-        if hi == lo:
-            return np.zeros(v.size, dtype=np.int64), edges
-        idx = np.floor((v - lo) / (hi - lo) * bins).astype(np.int64)
-        return np.clip(idx, 0, bins - 1), edges
-
-    ia, err_edges = bin_of(a)
-    ib, unc_edges = bin_of(b)
-    counts = np.zeros((bins, bins), dtype=np.int64)
-    np.add.at(counts, (ia, ib), 1)
-    return counts, err_edges, unc_edges
 
 
 BUILTIN_TRANSFORMS = ("square", "sqrt", "affine")
@@ -454,8 +444,9 @@ def ause_flaw_demo(
         raise ValueError(f"transform {name} not strictly increasing on the error range")
     e_b = np.asarray(fn(e), dtype=np.float64)
 
-    curve_a = _sparsify_curve("rmse", e, u, steps)
-    curve_b = _sparsify_curve("rmse", e_b, u, steps)
+    by_unc = _descending(u)
+    curve_a = _sparsify_curve("rmse", e, by_unc, steps)
+    curve_b = _sparsify_curve("rmse", e_b, by_unc, steps)
     return TransformComparison(
         transform=name,
         scc_a=spearman(e, u),
@@ -478,18 +469,18 @@ def evaluate_uncertainty(
     hypotheses; omitted otherwise.
     """
     p, g = _flat_valid(pred, gt, mask)
-    uv = _valid_uncertainty(unc, gt, mask)
+    by_unc = _ranking(_valid_uncertainty(unc, gt, mask), "uncertainty")
 
     areas = {}
     for base in BASE_METRICS:
         try:
-            curve = _sparsify_curve(base, _per_pixel_error(base, p, g), uv, steps)
+            curve = _sparsify_curve(base, _per_pixel_error(base, p, g), by_unc.order, steps)
             areas[base] = ause_aurg(curve)
         except DegenerateMetricError:
             areas[base] = (None, None)
 
-    scc = spearman(np.abs(p - g), uv)
-    auroc, fpr95 = auroc_fpr95(uv, delta_outliers(p, g))
+    scc = spearman(np.abs(p - g), by_unc)
+    auroc, fpr95 = auroc_fpr95(by_unc, delta_outliers(p, g))
 
     nll_value = None
     nll_excluded = 0

@@ -1,19 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+import depthuq
 from depthuq.discretize import DepthHypotheses, linear_hypotheses
 from depthuq.metrics import (
+    BASE_METRICS,
     DegenerateMetricError,
+    _descending,
+    _ranking,
+    _sparsify_curve,
     accuracy_metrics,
     auroc_fpr95,
     ause_aurg,
     ause_flaw_demo,
-    dataset_spearman,
     delta_outliers,
     evaluate_uncertainty,
-    joint_histogram,
     nll,
     sparsification,
     spearman,
@@ -191,18 +200,6 @@ def test_spearman_monotone_transform_invariance(seed):
     assert abs(s0 - s1) < 1e-12
 
 
-def test_dataset_spearman_counts_missing():
-    pairs = [
-        (np.array([1.0, 2.0]), np.array([1.0, 2.0])),
-        (np.array([1.0, 1.0]), np.array([1.0, 2.0])),
-    ]
-    mean, missing = dataset_spearman(pairs)
-    assert abs(mean - 1.0) < 1e-15
-    assert missing == 1
-    mean, missing = dataset_spearman([(np.array([1.0, 1.0]), np.array([1.0, 2.0]))])
-    assert mean is None and missing == 1
-
-
 def test_auroc_perfect_separation():
     auroc, fpr95 = auroc_fpr95([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
     assert auroc == 1.0 and fpr95 == 0.0
@@ -242,6 +239,137 @@ def test_auroc_matches_pairwise_count(seed):
     assert abs(auroc - wins / (pos.size * neg.size)) < 1e-12
 
 
+def test_rank_metrics_reject_nonfinite():
+    with pytest.raises(ValueError, match="err is non-finite on 1 "):
+        spearman([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="unc is non-finite on 2 "):
+        spearman([1.0, 2.0, 3.0], [np.inf, -np.inf, 0.0])
+    with pytest.raises(ValueError, match="scores is non-finite on 1 "):
+        auroc_fpr95([0.1, np.nan, 0.3], [1, 0, 1])
+
+
+# Brute-force oracles: the implementations the one-sort sweeps replaced.
+
+
+def _rankdata_auroc(scores, labels):
+    ranks = stats.rankdata(scores, method="average")
+    n_pos = int(labels.sum())
+    n_neg = int(labels.size - n_pos)
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _fpr95_loop(scores, labels):
+    pos = scores[labels]
+    neg = scores[~labels]
+    for t in np.unique(scores)[::-1]:
+        if np.mean(pos >= t) >= 0.95:
+            return float(np.mean(neg >= t))
+    return None
+
+
+def _sparsify_loop(err_metric, pixel_err, unc, steps):
+    def subset(e):
+        return float(np.sqrt(np.mean(e**2))) if err_metric == "rmse" else float(np.mean(e))
+
+    n = pixel_err.size
+    full = subset(pixel_err)
+    by_unc = np.argsort(-unc, kind="stable")
+    by_err = np.argsort(-pixel_err, kind="stable")
+    spars = np.empty(steps)
+    oracle = np.empty(steps)
+    for k in range(steps):
+        drop = min(int(np.ceil(k / steps * n)), n - 1)
+        spars[k] = subset(pixel_err[by_unc[drop:]]) / full
+        oracle[k] = subset(pixel_err[by_err[drop:]]) / full
+    return spars, oracle
+
+
+@st.composite
+def _tied_values(draw, n):
+    """n values over at most a handful of levels, so ties are heavy."""
+    levels = draw(st.integers(1, 6))
+    codes = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    return np.asarray(codes, dtype=np.float64) * draw(st.sampled_from([0.3, 1.0, -2.5]))
+
+
+@st.composite
+def _scored_labels(draw):
+    n = draw(st.integers(2, 40))
+    scores = draw(_tied_values(n))
+    labels = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return scores, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scored_labels())
+@example((np.array([1.0, 2.0]), np.array([True, False])))
+@example((np.full(5, 0.7), np.array([True, False, True, True, False])))
+@example((np.array([0.3, 0.3, 0.9, 0.0, 0.3]), np.array([False, False, True, False, False])))
+@example((np.array([0.3, 0.3, 0.9, 0.0, 0.3]), np.array([True, True, False, True, True])))
+# TPR is exactly 0.95 after the top group
+@example((np.r_[np.ones(19), 0.5, 0.0, 0.0], np.r_[np.ones(19, bool), False, True, False]))
+def test_rank_sweeps_match_oracles_bitwise(case):
+    scores, labels = case
+    np.testing.assert_array_equal(
+        _ranking(scores, "scores").ranks, stats.rankdata(scores, method="average")
+    )
+    auroc, fpr95 = auroc_fpr95(scores, labels)
+    if labels.all() or not labels.any():
+        assert (auroc, fpr95) == (None, None)
+        return
+    assert auroc == _rankdata_auroc(scores, labels)
+    assert fpr95 == _fpr95_loop(scores, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(_tied_values(n), _tied_values(n))))
+@example((np.array([1.0, 2.0]), np.array([2.0, 1.0])))
+@example((np.full(4, 3.0), np.array([1.0, 2.0, 3.0, 4.0])))
+def test_spearman_matches_rankdata_bitwise(case):
+    a, b = case
+    ra = stats.rankdata(a, method="average")
+    rb = stats.rankdata(b, method="average")
+    s = spearman(a, b)
+    if np.all(ra == ra[0]) or np.all(rb == rb[0]):
+        assert s is None
+    else:
+        assert s == float(np.corrcoef(ra, rb)[0, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.tuples(_tied_values(n), _tied_values(n))),
+    st.sampled_from(BASE_METRICS),
+    st.integers(2, 60),
+)
+@example((np.array([0.0, 1.0]), np.array([5.0, 5.0])), "rmse", 50)
+@example((np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 1.0])), "rel", 3)
+def test_sparsify_curve_matches_loop(case, err_metric, steps):
+    err, unc = case
+    err = np.abs(err)
+    if err_metric == "delta1err":
+        err = (err > err.min()).astype(np.float64)
+    if not err.any():
+        with pytest.raises(DegenerateMetricError):
+            _sparsify_curve(err_metric, err, _descending(unc), steps)
+        return
+    curve = _sparsify_curve(err_metric, err, _descending(unc), steps)
+    spars, oracle = _sparsify_loop(err_metric, err, unc, steps)
+    assert curve.spars[0] == 1.0 and curve.oracle[0] == 1.0
+    np.testing.assert_allclose(curve.spars, spars, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve.oracle, oracle, rtol=0, atol=1e-12)
+    # the error itself as uncertainty is the oracle ordering, exactly
+    assert ause_aurg(_sparsify_curve(err_metric, err, _descending(err), steps))[0] == 0.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(depthuq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, depthuq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_nll_on_plane_certainty():
     hyp = DepthHypotheses(np.array([1.0, 2.0, 3.0]))
     value, excluded = nll(np.array([[0.0, 1.0, 0.0]]), np.array([2.0]), hyp)
@@ -274,31 +402,6 @@ def test_nll_floor_keeps_value_finite():
     hyp = DepthHypotheses(np.array([1.0, 2.0]))
     value, _ = nll(np.array([[1.0, 0.0]]), np.array([2.0]), hyp)
     assert abs(value - (-np.log(1e-12))) < 1e-9
-
-
-def test_joint_histogram_conserves_mass():
-    rng = np.random.default_rng(2)
-    err = rng.uniform(size=1000)
-    unc = rng.normal(size=1000)
-    counts, err_edges, unc_edges = joint_histogram(err, unc, bins=8)
-    assert counts.sum() == 1000
-    assert err_edges.size == 9 and unc_edges.size == 9
-
-
-def test_joint_histogram_two_by_two():
-    counts, _, _ = joint_histogram([0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0], bins=2)
-    np.testing.assert_array_equal(counts, [[1, 1], [1, 1]])
-
-
-def test_joint_histogram_degenerate_axis():
-    counts, _, _ = joint_histogram([5.0, 5.0, 5.0], [1.0, 2.0, 3.0], bins=2)
-    assert counts[0].sum() == 3
-    assert counts[1].sum() == 0
-
-
-def test_joint_histogram_rejects_bad_bins():
-    with pytest.raises(ValueError):
-        joint_histogram([1.0], [1.0], bins=1)
 
 
 def _correlated_instance(seed, n=400):
