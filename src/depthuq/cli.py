@@ -306,7 +306,8 @@ def cmd_scc(args) -> int:
     return 0
 
 
-def cmd_train_toy(args) -> int:
+def _train_toy_model(args):
+    """Build the seeded scenes, train one model; return it, its logs, the eval scenes."""
     config = _train_config(args)
     train_scenes, eval_scenes = toytrain.make_dataset(
         args.train_scenes,
@@ -322,6 +323,11 @@ def cmd_train_toy(args) -> int:
     )
     model = toytrain.init_model(config, n_features=args.features)
     model, logs = toytrain.train(model, train_scenes, config)
+    return model, logs, eval_scenes
+
+
+def cmd_train_toy(args) -> int:
+    model, logs, eval_scenes = _train_toy_model(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     toytrain.save_model(model, out_dir / "model")
@@ -362,21 +368,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_demo_ause(args) -> int:
-    config = _train_config(args)
-    train_scenes, eval_scenes = toytrain.make_dataset(
-        args.train_scenes,
-        args.eval_scenes,
-        args.height,
-        args.width,
-        args.features,
-        seed=args.seed,
-        eta_lo=args.eta_lo,
-        eta_hi=args.eta_hi,
-        d_min=args.d_min,
-        d_max=args.d_max,
-    )
-    model = toytrain.init_model(config, n_features=args.features)
-    model, _ = toytrain.train(model, train_scenes, config)
+    model, _, eval_scenes = _train_toy_model(args)
     err, unc = toytrain.pooled_errors(model, eval_scenes)
     comp = ause_flaw_demo(err, unc, args.transform, scale=args.scale, offset=args.offset, steps=args.steps)
     print(f"SCC_A={comp.scc_a!r}")
@@ -488,7 +480,7 @@ def cmd_gradcheck(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         # timing to stderr: stdout stays rerun-identical
         print(
-            f"{status} {r.name:26s} trials={r.trials} "
+            f"{status} {r.name:28s} trials={r.trials} "
             f"max_scaled={r.max_scaled:.3e} tol={r.tol:g}"
         )
         print(f"  {r.name}: {r.elapsed_s:.2f}s", file=sys.stderr)

@@ -229,6 +229,63 @@ def _check_total_sigma(rng, h):
     return report.grad_sigma, numeric
 
 
+def _regression_forward(z, w_out, a, sigma, gt, perm, mask, frozen_err):
+    """Regression-head total (depth and ranking terms) from the public ops.
+
+    Depth is the latent readout z @ w_out; the uncertainty is the
+    scaled entropy of softmax(z).  ``frozen_err`` pins the ranking error
+    branch as in ``_total_forward``.
+    """
+    v_r = depth_l1(z @ w_out, gt, mask=mask).value
+    ent, _ = clamped_entropy_parts(softmax_volume(z))
+    unc = float(softplus(np.float64(a))) * ent
+    v_u = ranking_loss_variants(frozen_err, unc, perm, "hinge", mask=mask).value
+    values = np.array([v_r, v_u])
+    sig = np.asarray(sigma, dtype=np.float64)[[0, 2]]
+    return float((values * np.exp(-sig) + sig).sum())
+
+
+def _regression_instance(rng):
+    shape = (2, 2)
+    latent = 4
+    for _ in range(MAX_REDRAWS):
+        mask = _mask_with_min(rng, shape, 3)
+        gt = rng.uniform(1.2, 9.8, shape)
+        # readout depths near the GT range, so residuals take both signs
+        z = rng.normal(loc=1.5, size=shape + (latent,))
+        w_out = rng.uniform(0.2, 1.5, size=latent)
+        a = float(rng.normal())
+        sigma = rng.normal(scale=0.5, size=3)
+        perm = draw_permutation(int(mask.sum()), int(rng.integers(1 << 30)))
+
+        resid = (z @ w_out - gt)[mask]
+        ent, _ = clamped_entropy_parts(softmax_volume(z[mask]))
+        u = float(softplus(np.float64(a))) * ent
+        m = _margins(np.abs(resid), u, perm.perm)
+        if np.min(np.abs(resid)) > KINK_CLEARANCE and np.min(np.abs(m)) > KINK_CLEARANCE:
+            break
+    frozen = np.zeros(shape)
+    frozen[mask] = np.abs(resid)
+    return mask, gt, z, w_out, a, sigma, perm, frozen
+
+
+def _check_regression(rng, h, wrt):
+    mask, gt, z, w_out, a, sigma, perm, frozen = _regression_instance(rng)
+    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+    report = full_backward(
+        z, a, sigma, hyp, gt, perm, include_soft=False, mask=mask, readout=w_out
+    )
+    if wrt == "latent":
+        numeric = central_difference(
+            lambda x: _regression_forward(x, w_out, a, sigma, gt, perm, mask, frozen), z, h
+        )
+        return report.grad_z, numeric
+    numeric = central_difference(
+        lambda x: _regression_forward(z, x, a, sigma, gt, perm, mask, frozen), w_out, h
+    )
+    return report.grad_readout, numeric
+
+
 def _check_auto_total(rng, h):
     values = np.abs(rng.normal(size=3)) + 0.1
     sigma = rng.normal(scale=0.8, size=3)
@@ -248,6 +305,8 @@ _CHECKS = (
     ("total_wrt_logits", _check_total_z),
     ("total_wrt_entropy_scale", _check_total_a),
     ("total_wrt_sigma", _check_total_sigma),
+    ("regression_total_wrt_latent", lambda rng, h: _check_regression(rng, h, "latent")),
+    ("regression_total_wrt_readout", lambda rng, h: _check_regression(rng, h, "readout")),
     ("auto_total_wrt_sigma", _check_auto_total),
 )
 

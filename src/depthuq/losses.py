@@ -2,18 +2,19 @@
 
 Three terms drive training:
 
-* depth_l1        — L1 on the decoded depth.
-* soft_label_l1   — L1 between the predicted distribution and the
-                    distance-shaped soft target.
-* ranking_loss    — hinge on pairs of pixels: the uncertainty gap must
-                    cover the (gradient-detached) error gap.  Variants:
-                    ``no-max`` drops the hinge, ``l1-direct`` matches
-                    uncertainty to error by value.
+* depth_l1              — L1 on the decoded depth.
+* soft_label_l1         — L1 between the predicted distribution and the
+                          distance-shaped soft target.
+* ranking_loss_variants — hinge on pairs of pixels: the uncertainty gap
+                          must cover the (gradient-detached) error gap.
+                          ``no-max`` drops the hinge, ``l1-direct``
+                          matches uncertainty to error by value.
 
 The total is the auto-weighted sum  sum_i L_i * exp(-sigma_i) + sigma_i
 with learned sigma_i.  ``full_backward`` runs the whole chain from
-logits z, raw scale a and the sigmas to the total, and returns exact
-gradients for all of them (softmax Jacobian applied in closed form).
+either head's output z, raw scale a and the sigmas to the total, and
+returns exact gradients for all of them (softmax Jacobian applied in
+closed form).
 Gradients here are the reference the trainer consumes; every one is
 checked against central finite differences in the test suite.
 
@@ -75,10 +76,6 @@ def draw_permutation(n_valid: int, seed: int) -> PairPermutation:
     """Seeded random bijection over ``n_valid`` pixels."""
     rng = np.random.default_rng(seed)
     return PairPermutation(rng.permutation(int(n_valid)), seed=int(seed))
-
-
-def identity_permutation(n_valid: int) -> PairPermutation:
-    return PairPermutation(np.arange(int(n_valid), dtype=np.int64))
 
 
 @dataclass
@@ -216,11 +213,6 @@ def ranking_loss_variants(
     return LossValue(value=value, grad=grad, terms=terms)
 
 
-def ranking_loss(err, unc, perm: PairPermutation, mask=None, reduction: str = "mean") -> LossValue:
-    """Hinge ranking loss (the default variant)."""
-    return ranking_loss_variants(err, unc, perm, "hinge", mask=mask, reduction=reduction)
-
-
 def auto_weighted_total(values, weights: LossWeights):
     """Auto-weighted total and its sigma gradients.
 
@@ -276,6 +268,7 @@ class LossReport:
     alpha: float
     active: tuple[bool, bool, bool]
     n_valid: int
+    grad_readout: np.ndarray | None = None  # latent readout, regression only
 
     def values(self) -> np.ndarray:
         return np.array([self.value_r, self.value_p, self.value_u], dtype=np.float64)
@@ -303,21 +296,31 @@ def full_backward(
     ranking: str | None = "hinge",
     mask=None,
     reduction: str = "mean",
+    readout=None,
 ) -> LossReport:
-    """Forward + exact backward for the whole classification-head loss.
+    """Forward + exact backward for the whole loss of either head.
 
-    z -> softmax -> (expected depth, entropy) feed the three loss terms;
-    the auto-weighted total then yields gradients wrt z (through the
-    softmax Jacobian), the raw scale a (through softplus), and the
-    sigmas.  ``include_soft=False`` or ``ranking=None`` drop terms from
-    the total entirely (their sigma stops moving too).
+    Depth is softmax(z) @ hyp.values for classification logits, or
+    z @ readout for a regression latent (whose gradient is reported);
+    the uncertainty is the scaled entropy of softmax(z) either way.  The
+    auto-weighted total yields gradients wrt z (through the softmax
+    Jacobian), the raw scale a (through softplus), and the sigmas.
+    ``include_soft=False`` or ``ranking=None`` drop terms from the
+    total entirely (their sigma stops moving too).
     """
     z = np.asarray(z, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if z.shape[:-1] != gt.shape:
         raise ValueError(f"logit pixels {z.shape[:-1]} vs gt {gt.shape}")
-    if z.shape[-1] != hyp.m:
-        raise ValueError(f"logit bins {z.shape[-1]} vs hypotheses {hyp.m}")
+    if readout is None:
+        if z.shape[-1] != hyp.m:
+            raise ValueError(f"logit bins {z.shape[-1]} vs hypotheses {hyp.m}")
+    else:
+        readout = np.asarray(readout, dtype=np.float64)
+        if readout.shape != z.shape[-1:]:
+            raise ValueError(f"latent size {z.shape[-1]} vs readout {readout.shape}")
+        if include_soft:
+            raise ValueError("the soft-label term needs the classification head")
     sig = sigma.as_array() if isinstance(sigma, LossWeights) else np.asarray(sigma, dtype=np.float64)
     if sig.shape != (3,):
         raise ValueError("sigma must hold 3 weights")
@@ -336,10 +339,14 @@ def full_backward(
     w = _reduction_weight(n, reduction)
     alpha = float(softplus(a))
 
-    p = softmax_volume(z)
-    pv = p[mask]
-    s = hyp.values
-    depth = pv @ s
+    if readout is None:
+        pv = softmax_volume(z)[mask]
+        depth = pv @ hyp.values
+    else:
+        zv = z[mask]
+        depth = zv @ readout
+        # softmax(z) feeds only the entropy of the ranking term
+        pv = softmax_volume(z)[mask] if ranking is not None else None
     gv = gt[mask]
     resid = depth - gv
     value_r = float(np.abs(resid).sum() * w)
@@ -347,9 +354,11 @@ def full_backward(
     active = [True, include_soft, ranking is not None]
     ew = np.exp(-sig)
 
-    # gradient wrt p accumulates all active terms, each already carrying
-    # its exp(-sigma) weight; one softmax pullback at the end
-    grad_p = (np.sign(resid) * w * ew[0])[:, None] * s[None, :]
+    # d(weighted depth term)/d(depth); the probability-space gradient
+    # accumulates every term that flows through p, each already carrying
+    # its exp(-sigma) weight, for one softmax pullback at the end
+    grad_depth = np.sign(resid) * (w * ew[0])
+    grad_p = grad_depth[:, None] * hyp.values if readout is None else None
 
     value_p = 0.0
     if include_soft:
@@ -366,10 +375,23 @@ def full_backward(
         u = alpha * h
         _, value_u, gu = _ranking_core(r, u, perm.perm if perm is not None else None, ranking, w)
         gu_eff = gu * ew[2]
-        grad_p += (alpha * gu_eff)[:, None] * dh_dp
+        grad_p_u = (alpha * gu_eff)[:, None] * dh_dp
+        # add in place: one more (n, M) temporary per training step
+        # roughly triples the page faults of a 1024 x 16 step
+        if grad_p is None:
+            grad_p = grad_p_u
+        else:
+            grad_p += grad_p_u
         grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
 
-    gz_valid = softmax_backward(pv, grad_p)
+    grad_readout = None
+    if readout is None:
+        gz_valid = softmax_backward(pv, grad_p)
+    else:
+        gz_valid = grad_depth[:, None] * readout
+        grad_readout = grad_depth @ zv
+        if grad_p is not None:
+            gz_valid += softmax_backward(pv, grad_p)
     grad_z = np.zeros_like(z)
     grad_z[mask] = gz_valid
 
@@ -389,4 +411,5 @@ def full_backward(
         alpha=alpha,
         active=tuple(active),
         n_valid=n,
+        grad_readout=grad_readout,
     )

@@ -109,6 +109,7 @@ class UncertaintyReport:
 
 
 def _flat_valid(pred, gt, mask):
+    """Prediction and GT on the valid pixels; a non-finite prediction there is a user error."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -120,7 +121,7 @@ def _flat_valid(pred, gt, mask):
         raise ValueError(f"mask shape {mask.shape} != {gt.shape}")
     if not mask.any():
         raise ValueError("no valid pixels")
-    return pred[mask], gt[mask]
+    return _require_finite(pred[mask], "prediction", "valid pixel(s)"), gt[mask]
 
 
 def _valid_uncertainty(unc, gt, mask) -> np.ndarray:

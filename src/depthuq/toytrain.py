@@ -30,21 +30,13 @@ from .discretize import (
     softmax_volume,
 )
 from .gridio import read_grid, write_grid
-from .losses import (
-    LossReport,
-    PairPermutation,
-    _ranking_core,
-    clamped_entropy_parts,
-    draw_permutation,
-    full_backward,
-    softmax_backward,
-)
+from .losses import clamped_entropy_parts, draw_permutation, full_backward
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
     spearman,
 )
-from .uncertainty import UncertaintyScale, sigmoid, softplus
+from .uncertainty import UncertaintyScale
 
 HEAD_KINDS = ("classification", "regression")
 DEFAULT_EXTENT = 32
@@ -309,77 +301,13 @@ def forward(model: ToyModel, scene: SyntheticScene):
     return depth, alpha * h, z
 
 
-def _regression_backward(
-    z: np.ndarray,
-    w_out: np.ndarray,
-    a: float,
-    sigma: np.ndarray,
-    gt: np.ndarray,
-    perm: PairPermutation | None,
-    ranking: str | None,
-):
-    """Depth-plus-ranking backward for the latent head.
-
-    Mirrors the classification path: L1 depth on the readout, ranking on
-    the scaled entropy of softmax(z); returns the report plus the
-    readout gradient (which has no slot in the shared report).
-    """
-    n = gt.size
-    w = 1.0 / n
-    zf = z.reshape(n, -1)
-    gv = gt.ravel()
-    depth = zf @ w_out
-    resid = depth - gv
-    value_r = float(np.abs(resid).sum() * w)
-
-    ew = np.exp(-sigma)
-    sgn = np.sign(resid) * (w * ew[0])
-    grad_z_flat = sgn[:, None] * w_out[None, :]
-    grad_wout = sgn @ zf
-
-    value_u = 0.0
-    grad_a = 0.0
-    alpha = float(softplus(a))
-    if ranking is not None:
-        if ranking in ("hinge", "no-max") and (perm is None or perm.n != n):
-            raise ValueError("ranking variant needs a permutation over all pixels")
-        p = softmax_volume(zf)
-        h, dh_dp = clamped_entropy_parts(p)
-        r = np.abs(resid)
-        u = alpha * h
-        _, value_u, gu = _ranking_core(
-            r, u, perm.perm if perm is not None else None, ranking, w
-        )
-        gu_eff = gu * ew[2]
-        grad_p = (alpha * gu_eff)[:, None] * dh_dp
-        grad_z_flat = grad_z_flat + softmax_backward(p, grad_p)
-        grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
-
-    active = np.array([True, False, ranking is not None])
-    values = np.array([value_r, 0.0, value_u])
-    total = float(((values * ew + sigma) * active).sum())
-    grad_sigma = np.where(active, -values * ew + 1.0, 0.0)
-    report = LossReport(
-        value_r=value_r,
-        value_p=0.0,
-        value_u=value_u,
-        total=total,
-        grad_z=grad_z_flat.reshape(z.shape),
-        grad_a=grad_a,
-        grad_sigma=grad_sigma,
-        alpha=alpha,
-        active=tuple(bool(x) for x in active),
-        n_valid=n,
-    )
-    return report, grad_wout
-
-
 def scene_gradients(model: ToyModel, scene: SyntheticScene, config: TrainConfig, step_seed: int):
     """One scene's loss report and parameter gradients.
 
-    The exact backward of the losses module supplies d(total)/d(logits);
-    the chain rule through the two-layer net does the rest.  Training
-    and the finite-difference spot checks share this code path.
+    The exact backward of the losses module supplies d(total)/d(z) for
+    either head (plus the readout gradient of the regression head); the
+    chain rule through the two-layer net does the rest.  Training and
+    the finite-difference spot checks share this code path.
     """
     feats = scene.features
     hid = _hidden(model, feats)
@@ -390,23 +318,18 @@ def scene_gradients(model: ToyModel, scene: SyntheticScene, config: TrainConfig,
     if config.ranking in ("hinge", "no-max"):
         perm = draw_permutation(n, step_seed)
 
-    grad_wout = None
-    if model.head == "classification":
-        report = full_backward(
-            z,
-            model.raw_scale,
-            model.sigma,
-            model.hypotheses,
-            scene.gt,
-            perm,
-            gamma=config.gamma,
-            include_soft=config.include_soft,
-            ranking=config.ranking,
-        )
-    else:
-        report, grad_wout = _regression_backward(
-            z, model.w_out, model.raw_scale, model.sigma, scene.gt, perm, config.ranking
-        )
+    report = full_backward(
+        z,
+        model.raw_scale,
+        model.sigma,
+        model.hypotheses,
+        scene.gt,
+        perm,
+        gamma=config.gamma,
+        include_soft=config.include_soft,
+        ranking=config.ranking,
+        readout=model.w_out,
+    )
 
     gz = report.grad_z.reshape(n, -1)
     h2 = hid.reshape(n, -1)
@@ -421,8 +344,8 @@ def scene_gradients(model: ToyModel, scene: SyntheticScene, config: TrainConfig,
         "a": report.grad_a,
         "sigma": report.grad_sigma,
     }
-    if grad_wout is not None:
-        grads["w_out"] = grad_wout
+    if report.grad_readout is not None:
+        grads["w_out"] = report.grad_readout
     return report, grads
 
 

@@ -2,8 +2,10 @@
 
 u = -alpha * sum_m p_m ln p_m, with alpha = softplus(a) so the learned
 raw scalar a can roam the whole real line while the scale stays
-positive.  The same entropy read-out applies to a regression head via
-the pseudo-probability softmax(z).
+positive.  The regression head reads its uncertainty the same way,
+from the pseudo distribution softmax(z) of its latent (see
+``toytrain.forward``); training uses the floor-clamped entropy of
+``losses.clamped_entropy_parts``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .discretize import softmax_volume
 
 # probabilities below this are clamped before ln; keeps gradients finite
 # and costs at most ~1e-10 in the value
@@ -55,16 +55,6 @@ def raw_entropy(vol) -> np.ndarray:
     p = np.clip(p, 0.0, None)
     # p=0 entries contribute 0 * ln(PROB_FLOOR) = 0, the required convention
     return -(p * np.log(np.clip(p, PROB_FLOOR, None))).sum(axis=-1)
-
-
-def entropy_uncertainty(vol, scale: UncertaintyScale) -> np.ndarray:
-    """Scaled entropy of a probability volume; bounded by alpha*ln(M)."""
-    return scale.alpha * raw_entropy(vol)
-
-
-def pseudo_uncertainty(z, scale: UncertaintyScale) -> np.ndarray:
-    """Entropy of softmax(z): the regression head's uncertainty."""
-    return entropy_uncertainty(softmax_volume(z), scale)
 
 
 def combine_mean(vols) -> np.ndarray:

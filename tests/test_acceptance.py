@@ -46,8 +46,8 @@ def test_criterion_01_gradient_suite():
     started = time.perf_counter()
     results = run_gradient_suite(trials=100, seed=0)
     elapsed = time.perf_counter() - started
-    ok = len(results) == 9 and suite_passed(results) and elapsed < 10.0
-    _report(ok, f"criterion 1: gradient suite 9/9 over 100 trials in {elapsed:.1f}s (< 10s)")
+    ok = len(results) == 11 and suite_passed(results) and elapsed < 10.0
+    _report(ok, f"criterion 1: gradient suite 11/11 over 100 trials in {elapsed:.1f}s (< 10s)")
 
 
 def test_criterion_02_uncertainty_bounds():

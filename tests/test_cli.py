@@ -118,6 +118,19 @@ def test_sparsify_curve_file(data_dir, tmp_path, capsys):
     assert "ause=" in printed and "aurg=" in printed
 
 
+def test_nonfinite_prediction_exits_one(data_dir, tmp_path, capsys):
+    pred = read_grid(data_dir / "pred.duv").values.copy()
+    pred[2, 2] = np.nan
+    write_grid(tmp_path / "pred_nan.duv", pred)
+    common = ["--pred", str(tmp_path / "pred_nan.duv"), "--gt", str(data_dir / "gt.duv"),
+              "--unc", str(data_dir / "unc.duv")]
+    for argv in (["eval", *common, "--out", str(tmp_path / "e.csv")],
+                 ["sparsify", *common, "--out", str(tmp_path / "s.csv")]):
+        assert cli.main(argv) == 1
+        assert "prediction is non-finite on 1 valid pixel(s)" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 def test_config_file_preloads_and_flags_win(data_dir, tmp_path):
     cfg = tmp_path / "sparsify.cfg"
     cfg.write_text("# curve defaults\nmetric=rel\nsteps=25\n")

@@ -12,8 +12,6 @@ from depthuq.losses import (
     depth_l1,
     draw_permutation,
     full_backward,
-    identity_permutation,
-    ranking_loss,
     ranking_loss_variants,
     soft_label_l1,
     softmax_backward,
@@ -99,7 +97,7 @@ def test_hinge_identity_perm_is_zero():
     rng = np.random.default_rng(3)
     err = rng.uniform(size=9)
     unc = rng.uniform(size=9)
-    lv = ranking_loss(err, unc, identity_permutation(9))
+    lv = ranking_loss_variants(err, unc, PairPermutation(np.arange(9)), "hinge")
     assert lv.value == 0.0
     np.testing.assert_array_equal(lv.grad, 0.0)
 
@@ -129,36 +127,25 @@ def test_no_max_always_cancels(seed, n):
 def test_l1_direct_matches_residual():
     err = np.array([1.0, 2.0])
     unc = np.array([1.5, 2.0])
-    lv = ranking_loss_variants(err, unc, identity_permutation(2), "l1-direct")
+    lv = ranking_loss_variants(err, unc, PairPermutation(np.arange(2)), "l1-direct")
     assert abs(lv.value - 0.25) < 1e-15
     np.testing.assert_allclose(lv.grad, [0.5, 0.0])
 
 
 def test_l1_direct_perfect_calibration():
     err = np.array([0.3, 0.7, 0.1])
-    lv = ranking_loss_variants(err, err.copy(), identity_permutation(3), "l1-direct")
+    lv = ranking_loss_variants(err, err.copy(), PairPermutation(np.arange(3)), "l1-direct")
     assert lv.value == 0.0
-
-
-def test_ranking_loss_is_hinge_alias():
-    rng = np.random.default_rng(11)
-    err = rng.uniform(size=7)
-    unc = rng.uniform(size=7)
-    perm = draw_permutation(7, 5)
-    a = ranking_loss(err, unc, perm)
-    b = ranking_loss_variants(err, unc, perm, "hinge")
-    assert a.value == b.value
-    np.testing.assert_array_equal(a.grad, b.grad)
 
 
 def test_ranking_rejects_unknown_variant():
     with pytest.raises(ValueError):
-        ranking_loss_variants(np.ones(2), np.ones(2), identity_permutation(2), "square")
+        ranking_loss_variants(np.ones(2), np.ones(2), PairPermutation(np.arange(2)), "square")
 
 
 def test_ranking_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        ranking_loss(np.ones(3), np.ones(3), identity_permutation(2))
+        ranking_loss_variants(np.ones(3), np.ones(3), PairPermutation(np.arange(2)), "hinge")
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,9 +156,9 @@ def test_hinge_nonnegative_and_shift_invariant(seed):
     err = rng.uniform(size=n)
     unc = rng.normal(size=n)
     perm = draw_permutation(n, seed + 1)
-    lv = ranking_loss(err, unc, perm)
+    lv = ranking_loss_variants(err, unc, perm, "hinge")
     assert lv.value >= 0.0
-    shifted = ranking_loss(err, unc + 7.0, perm)
+    shifted = ranking_loss_variants(err, unc + 7.0, perm, "hinge")
     assert abs(lv.value - shifted.value) < 1e-12
 
 
@@ -290,7 +277,7 @@ def test_full_backward_terms_match_single_ops():
     h, _ = clamped_entropy_parts(p.reshape(-1, 5))
     u = rep.alpha * h
     r = np.abs(d - gt).reshape(-1)
-    assert abs(rep.value_u - ranking_loss(r, u, perm).value) < 1e-12
+    assert abs(rep.value_u - ranking_loss_variants(r, u, perm, "hinge").value) < 1e-12
 
 
 def test_full_backward_exact_global_fit():
@@ -300,7 +287,7 @@ def test_full_backward_exact_global_fit():
     hyp = DepthHypotheses(np.array([1.0, 2.0, 3.0]))
     z = np.tile(np.array([-800.0, 0.0, -800.0]), (2, 2, 1))
     gt = np.full((2, 2), 2.0)
-    rep = full_backward(z, 0.0, LossWeights(), hyp, gt, identity_permutation(4), gamma=800.0)
+    rep = full_backward(z, 0.0, LossWeights(), hyp, gt, PairPermutation(np.arange(4)), gamma=800.0)
     assert rep.value_r == 0.0 and rep.value_p == 0.0 and rep.value_u == 0.0
     assert rep.total == 0.0
     np.testing.assert_array_equal(rep.grad_z, 0.0)
@@ -328,13 +315,23 @@ def test_full_backward_requires_perm_for_pairs():
     with pytest.raises(ValueError):
         full_backward(z, 0.0, LossWeights(), hyp, gt, None, ranking="hinge")
     with pytest.raises(ValueError):
-        full_backward(z, 0.0, LossWeights(), hyp, gt, identity_permutation(3))
+        full_backward(z, 0.0, LossWeights(), hyp, gt, PairPermutation(np.arange(3)))
 
 
 def test_full_backward_rejects_shape_mismatch():
     hyp = linear_hypotheses(1, 10, 4)
     with pytest.raises(ValueError):
-        full_backward(np.zeros((2, 5)), 0.0, LossWeights(), hyp, np.full(2, 5.0), identity_permutation(2))
+        full_backward(np.zeros((2, 5)), 0.0, LossWeights(), hyp, np.full(2, 5.0), PairPermutation(np.arange(2)))
+
+
+def test_full_backward_rejects_readout_length_mismatch():
+    hyp = linear_hypotheses(1, 10, 4)
+    z = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="readout"):
+        full_backward(
+            z, 0.0, LossWeights(), hyp, np.full(2, 5.0), None,
+            include_soft=False, ranking=None, readout=np.ones(3),
+        )
 
 
 def test_full_backward_sigma_grad_matches_fd():

@@ -479,6 +479,39 @@ def test_nonfinite_uncertainty_is_rejected():
     sparsification("rmse", pred, gt, unc)
 
 
+def _nan_prediction_map():
+    # 10x10 map with one NaN prediction on a valid pixel
+    rng = np.random.default_rng(6)
+    gt = rng.uniform(1.5, 9.5, size=(10, 10))
+    pred = gt + rng.normal(scale=0.5, size=gt.shape)
+    unc = np.abs(pred - gt)
+    pred[2, 2] = np.nan
+    return pred, gt, unc
+
+
+def test_nonfinite_prediction_rejected_by_accuracy_metrics():
+    pred, gt, _ = _nan_prediction_map()
+    pred[4, 4] = np.inf
+    with pytest.raises(ValueError, match="prediction is non-finite on 2 valid pixel"):
+        accuracy_metrics(pred, gt)
+
+
+def test_nonfinite_prediction_rejected_by_sparsification():
+    pred, gt, unc = _nan_prediction_map()
+    with pytest.raises(ValueError, match="prediction is non-finite on 1 valid pixel"):
+        sparsification("rmse", pred, gt, unc)
+
+
+def test_nonfinite_prediction_rejected_by_evaluate_uncertainty():
+    pred, gt, unc = _nan_prediction_map()
+    with pytest.raises(ValueError, match="prediction is non-finite on 1 valid pixel"):
+        evaluate_uncertainty(pred, gt, unc)
+    # only valid pixels count: a NaN prediction under invalid GT is ignored
+    gt[2, 2] = np.nan
+    assert evaluate_uncertainty(pred, gt, unc).scc is not None
+    assert np.isfinite(accuracy_metrics(pred, gt).rmse)
+
+
 def test_evaluate_uncertainty_degenerate_pieces_are_none():
     gt = np.array([[2.0, 3.0], [4.0, 5.0]])
     rep = evaluate_uncertainty(gt.copy(), gt, np.ones_like(gt))

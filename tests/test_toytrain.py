@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from depthuq.discretize import DepthHypotheses, linear_hypotheses
+from depthuq.discretize import DepthHypotheses, linear_hypotheses, softmax_volume
+from depthuq.losses import (
+    LossReport,
+    PairPermutation,
+    _ranking_core,
+    clamped_entropy_parts,
+    draw_permutation,
+    full_backward,
+    softmax_backward,
+)
 from depthuq.toytrain import (
     ABLATION_ROWS,
     SyntheticScene,
@@ -22,6 +31,7 @@ from depthuq.toytrain import (
     scene_gradients,
     train,
 )
+from depthuq.uncertainty import sigmoid, softplus
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +252,123 @@ def test_network_gradients_match_fd(tiny_data):
         fd = (total_with(param, idx, h) - total_with(param, idx, -h)) / (2 * h)
         got = grads[param][idx]
         assert abs(got - fd) <= max(1e-7, 1e-4 * abs(fd)), (param, idx, got, fd)
+
+
+# The regression head's former private backward pass, kept verbatim as
+# the oracle that the unified ``full_backward(..., readout=...)`` must
+# reproduce bit for bit on fully valid scenes.
+def _regression_backward(
+    z: np.ndarray,
+    w_out: np.ndarray,
+    a: float,
+    sigma: np.ndarray,
+    gt: np.ndarray,
+    perm: PairPermutation | None,
+    ranking: str | None,
+):
+    """Depth-plus-ranking backward for the latent head.
+
+    Mirrors the classification path: L1 depth on the readout, ranking on
+    the scaled entropy of softmax(z); returns the report plus the
+    readout gradient (which has no slot in the shared report).
+    """
+    n = gt.size
+    w = 1.0 / n
+    zf = z.reshape(n, -1)
+    gv = gt.ravel()
+    depth = zf @ w_out
+    resid = depth - gv
+    value_r = float(np.abs(resid).sum() * w)
+
+    ew = np.exp(-sigma)
+    sgn = np.sign(resid) * (w * ew[0])
+    grad_z_flat = sgn[:, None] * w_out[None, :]
+    grad_wout = sgn @ zf
+
+    value_u = 0.0
+    grad_a = 0.0
+    alpha = float(softplus(a))
+    if ranking is not None:
+        if ranking in ("hinge", "no-max") and (perm is None or perm.n != n):
+            raise ValueError("ranking variant needs a permutation over all pixels")
+        p = softmax_volume(zf)
+        h, dh_dp = clamped_entropy_parts(p)
+        r = np.abs(resid)
+        u = alpha * h
+        _, value_u, gu = _ranking_core(
+            r, u, perm.perm if perm is not None else None, ranking, w
+        )
+        gu_eff = gu * ew[2]
+        grad_p = (alpha * gu_eff)[:, None] * dh_dp
+        grad_z_flat = grad_z_flat + softmax_backward(p, grad_p)
+        grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
+
+    active = np.array([True, False, ranking is not None])
+    values = np.array([value_r, 0.0, value_u])
+    total = float(((values * ew + sigma) * active).sum())
+    grad_sigma = np.where(active, -values * ew + 1.0, 0.0)
+    report = LossReport(
+        value_r=value_r,
+        value_p=0.0,
+        value_u=value_u,
+        total=total,
+        grad_z=grad_z_flat.reshape(z.shape),
+        grad_a=grad_a,
+        grad_sigma=grad_sigma,
+        alpha=alpha,
+        active=tuple(bool(x) for x in active),
+        n_valid=n,
+    )
+    return report, grad_wout
+
+
+def _regression_instance(seed, shape=(5, 6), latent=7):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=1.5, size=shape + (latent,))
+    w_out = rng.normal(size=latent)
+    gt = rng.uniform(1.0, 10.0, size=shape)
+    a = float(rng.normal())
+    sigma = rng.normal(scale=0.5, size=3)
+    perm = draw_permutation(gt.size, seed + 17)
+    return z, w_out, a, sigma, gt, perm
+
+
+@pytest.mark.parametrize("ranking", ["hinge", "no-max", "l1-direct", None])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_readout_backward_matches_regression_oracle(ranking, seed):
+    z, w_out, a, sigma, gt, perm = _regression_instance(seed)
+    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+    want, want_wout = _regression_backward(z, w_out, a, sigma, gt, perm, ranking)
+    got = full_backward(
+        z, a, sigma, hyp, gt, perm, include_soft=False, ranking=ranking, readout=w_out
+    )
+    assert got.value_r == want.value_r
+    assert got.value_u == want.value_u
+    assert got.total == want.total
+    assert got.grad_a == want.grad_a
+    assert got.active == want.active
+    np.testing.assert_array_equal(got.grad_z, want.grad_z)
+    np.testing.assert_array_equal(got.grad_readout, want_wout)
+    np.testing.assert_array_equal(got.grad_sigma, want.grad_sigma)
+
+
+def test_readout_rejects_soft_term():
+    z, w_out, a, sigma, gt, perm = _regression_instance(0)
+    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+    with pytest.raises(ValueError, match="soft-label term needs the classification head"):
+        full_backward(z, a, sigma, hyp, gt, perm, include_soft=True, readout=w_out)
+
+
+def test_readout_masks_invalid_gt():
+    z, w_out, a, sigma, gt, _ = _regression_instance(5)
+    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+    gt[1, 2] = np.nan
+    perm = draw_permutation(gt.size - 1, 3)
+    rep = full_backward(z, a, sigma, hyp, gt, perm, include_soft=False, readout=w_out)
+    assert rep.n_valid == gt.size - 1
+    assert np.isfinite(rep.total)
+    np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
+    assert np.all(np.isfinite(rep.grad_readout))
 
 
 def test_regression_head_diverges_at_huge_lr(tiny_data):

@@ -3,15 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthuq.discretize import softmax_volume
+from depthuq.losses import clamped_entropy_parts
 from depthuq.uncertainty import (
     UncertaintyScale,
     combine_mean,
-    entropy_uncertainty,
-    pseudo_uncertainty,
     raw_entropy,
     sigmoid,
     softplus,
 )
+
+
+def _pseudo_uncertainty(z, scale):
+    # the regression head's uncertainty, as toytrain.forward computes it
+    return scale.alpha * clamped_entropy_parts(softmax_volume(z))[0]
 
 
 def test_raw_entropy_fair_coin():
@@ -44,7 +49,7 @@ def test_entropy_bounds(seed, m):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.full(m, 0.3), size=8)
     scale = UncertaintyScale(float(rng.normal()))
-    u = entropy_uncertainty(p, scale)
+    u = scale.alpha * raw_entropy(p)
     assert np.all(u >= 0.0)
     assert np.all(u <= scale.alpha * np.log(m) + 1e-12)
 
@@ -66,20 +71,20 @@ def test_sigmoid_is_softplus_slope():
 
 
 def test_pseudo_uncertainty_constant_logits():
-    u = pseudo_uncertainty(np.zeros(5), UncertaintyScale(10.0))
+    u = _pseudo_uncertainty(np.zeros(5), UncertaintyScale(10.0))
     alpha = UncertaintyScale(10.0).alpha
     assert abs(u - alpha * np.log(5.0)) < 1e-12
 
 
 def test_pseudo_uncertainty_dominant_logit():
-    u = pseudo_uncertainty(np.array([100.0, 0.0, 0.0]), UncertaintyScale(0.0))
+    u = _pseudo_uncertainty(np.array([100.0, 0.0, 0.0]), UncertaintyScale(0.0))
     assert u < 1e-12
 
 
 def test_pseudo_uncertainty_closed_form():
     # softmax([0, ln3]) = [1/4, 3/4]; alpha chosen so softplus(a) = 1
     a = float(np.log(np.e - 1.0))
-    u = pseudo_uncertainty(np.array([0.0, np.log(3.0)]), UncertaintyScale(a))
+    u = _pseudo_uncertainty(np.array([0.0, np.log(3.0)]), UncertaintyScale(a))
     expect = -(0.25 * np.log(0.25) + 0.75 * np.log(0.75))
     assert abs(float(u) - expect) < 1e-12
     assert abs(float(u) - 0.5623351446188083) < 1e-12
@@ -88,7 +93,7 @@ def test_pseudo_uncertainty_closed_form():
 def test_pseudo_uncertainty_shift_invariance():
     z = np.array([0.4, -2.0, 1.1])
     s = UncertaintyScale(0.7)
-    assert abs(pseudo_uncertainty(z, s) - pseudo_uncertainty(z + 55.0, s)) < 1e-12
+    assert abs(_pseudo_uncertainty(z, s) - _pseudo_uncertainty(z + 55.0, s)) < 1e-12
 
 
 def test_combine_single_is_identity():
