@@ -23,7 +23,7 @@ import numpy as np
 from . import frustum, toytrain
 from .discretize import linear_hypotheses
 from .gradcheck import run_gradient_suite, suite_passed
-from .gridio import _format_float, read_grid, valid_mask, write_csv_curve, write_grid, write_ppm
+from .gridio import read_grid, read_keyvalue, valid_mask, write_csv, write_grid, write_ppm
 from .metrics import (
     BUILTIN_TRANSFORMS,
     accuracy_metrics,
@@ -66,24 +66,10 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_tokens(path) -> list[str]:
     """Turn a key=value file into argv tokens (one --key value pair each)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        pairs = read_keyvalue(path)
     except OSError as exc:
         raise CLIError(f"cannot read config file {path}: {exc}") from exc
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CLIError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("_", "-")
-        value = value.strip()
-        if not key or not value:
-            raise CLIError(f"{path}:{lineno}: empty key or value")
-        tokens.append(f"--{key}")
-        tokens.append(value)
-    return tokens
+    return [tok for key, value in pairs.items() for tok in (f"--{key.replace('_', '-')}", value)]
 
 
 def _inject_config(argv: list[str]) -> list[str]:
@@ -117,30 +103,6 @@ def _print_config(args) -> None:
         if k != "func" and not k.startswith("_")
     ]
     print("resolved config:", " ".join(pairs))
-
-
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _format_float(float(v))
-
-
-def _write_rows(path, rows, drop=()) -> None:
-    """Mixed-type CSV: repr floats, empty cell for undefined values."""
-    if not rows:
-        raise CLIError("nothing to write")
-    cols = [k for k in rows[0] if k not in drop]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(k)) for k in cols))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _load_rank(path, rank: int, what: str) -> np.ndarray:
@@ -218,17 +180,17 @@ def _add_data_flags(p) -> None:
 def _add_train_flags(p, with_seed: bool = True) -> None:
     if with_seed:
         p.add_argument("--seed", type=int, required=True, help="run seed (required; no wall-clock seeding)")
-    p.add_argument("--epochs", type=int, default=10, help="training epochs (default %(default)s)")
-    p.add_argument("--lr", type=float, default=0.2, help="step size (default %(default)s)")
-    p.add_argument("--lr-decay", type=float, default=0.8, help="decay factor (default %(default)s)")
-    p.add_argument("--decay-every", type=int, default=2, help="epochs between decays (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=toytrain.TrainConfig.epochs, help="training epochs (default %(default)s)")
+    p.add_argument("--lr", type=float, default=toytrain.TrainConfig.lr, help="step size (default %(default)s)")
+    p.add_argument("--lr-decay", type=float, default=toytrain.TrainConfig.lr_decay, help="decay factor (default %(default)s)")
+    p.add_argument("--decay-every", type=int, default=toytrain.TrainConfig.decay_every, help="epochs between decays (default %(default)s)")
     p.add_argument("--head", choices=toytrain.HEAD_KINDS, default="classification", help="model head (default %(default)s)")
     p.add_argument("--soft", choices=("on", "off"), default=None, help="soft-label term (default: on for the classification head)")
     p.add_argument("--ranking", choices=("hinge", "no-max", "l1-direct", "none"), default="hinge", help="uncertainty ranking term (default %(default)s)")
     p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="depth hypotheses (default %(default)s)")
     p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
     p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
-    p.add_argument("--gamma", type=float, default=10.0, help="soft-label sharpness (default %(default)s)")
+    p.add_argument("--gamma", type=float, default=toytrain.TrainConfig.gamma, help="soft-label sharpness (default %(default)s)")
     p.add_argument("--hidden", type=int, default=toytrain.DEFAULT_HIDDEN, help="hidden width (default %(default)s)")
     _add_data_flags(p)
 
@@ -248,7 +210,7 @@ def cmd_eval(args) -> int:
     unc_report = evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp)
     row = dict(acc.row())
     row.update(unc_report.row())
-    _write_rows(args.out, [row])
+    write_csv(args.out, row, [row])
     print(f"wrote {args.out}")
     print(
         f"rmse={acc.rmse:.6f} rel={acc.rel:.6f} scc={unc_report.scc} "
@@ -262,14 +224,10 @@ def cmd_sparsify(args) -> int:
     gt = _load_rank(args.gt, 2, "ground truth")
     unc = _load_rank(args.unc, 2, "uncertainty")
     curve = sparsification(args.metric, pred, gt, unc, steps=args.steps)
-    write_csv_curve(
+    write_csv(
         args.out,
-        {
-            "fraction": curve.fractions,
-            "spars": curve.spars,
-            "oracle": curve.oracle,
-            "random": curve.random_level,
-        },
+        ("fraction", "spars", "oracle", "random"),
+        np.column_stack([curve.fractions, curve.spars, curve.oracle, curve.random_level]),
     )
     ause, aurg = ause_aurg(curve)
     print(f"wrote {args.out}")
@@ -301,7 +259,7 @@ def cmd_scc(args) -> int:
     else:
         print(f"scc={rho!r}")
     if args.out is not None:
-        _write_rows(args.out, [{"scc": rho, "n": int(e.size)}])
+        write_csv(args.out, ("scc", "n"), [(rho, int(e.size))])
         print(f"wrote {args.out}")
     return 0
 
@@ -331,9 +289,9 @@ def cmd_train_toy(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     toytrain.save_model(model, out_dir / "model")
-    _write_rows(out_dir / "train_log.csv", [log.row() for log in logs])
+    write_csv(out_dir / "train_log.csv", logs[0].row(), [log.row() for log in logs])
     summary = toytrain.evaluate_model(model, eval_scenes)
-    _write_rows(out_dir / "eval.csv", [summary.row()])
+    write_csv(out_dir / "eval.csv", summary.row(), [summary.row()])
     print(f"wrote {out_dir}/model, train_log.csv, eval.csv")
     print(
         f"final total={logs[-1].mean_total:.6f} scc={summary.scc} "
@@ -358,7 +316,7 @@ def cmd_ablate(args) -> int:
         threads=args.threads,
     )
     # timings vary run to run; keep them off disk so reruns match bytewise
-    _write_rows(args.out, rows, drop=("train_s",))
+    write_csv(args.out, [k for k in rows[0] if k != "train_s"], rows)
     medians = toytrain.ablation_medians(rows)
     print(f"wrote {args.out}")
     for name, value in medians.items():
@@ -377,17 +335,10 @@ def cmd_demo_ause(args) -> int:
     print(f"AUSE_B={comp.ause_b!r}")
     print(comp.verdict())
     if args.out is not None:
-        _write_rows(
+        write_csv(
             args.out,
-            [
-                {
-                    "transform": comp.transform,
-                    "scc_a": comp.scc_a,
-                    "scc_b": comp.scc_b,
-                    "ause_a": comp.ause_a,
-                    "ause_b": comp.ause_b,
-                }
-            ],
+            ("transform", "scc_a", "scc_b", "ause_a", "ause_b"),
+            [(comp.transform, comp.scc_a, comp.scc_b, comp.ause_a, comp.ause_b)],
         )
         print(f"wrote {args.out}")
     return 0
@@ -487,7 +438,7 @@ def cmd_gradcheck(args) -> int:
     ok = suite_passed(results)
     print(f"{'all checks passed' if ok else 'FAILED checks present'}")
     if args.out is not None:
-        _write_rows(args.out, [r.row() for r in results])
+        write_csv(args.out, results[0].row(), [r.row() for r in results])
         print(f"wrote {args.out}")
     return 0 if ok else 1
 

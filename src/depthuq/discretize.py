@@ -8,7 +8,7 @@ the probability loss, and the shared stable softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .discretize import DepthHypotheses, bilinear_bin_weights
-from .gridio import read_grid, valid_mask, write_grid
+from .gridio import read_grid, read_keyvalue, valid_mask, write_grid, write_keyvalue
 
 ALPHA_EPSILON = 1e-4
 DEFAULT_RESOLUTION = 96
@@ -461,34 +461,31 @@ def save_voxel_grid(grid: SparseVoxelGrid, basepath) -> Path:
     """Index grid + value grid + key=value header next to each other."""
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
-    write_grid(base.parent / (base.name + ".idx.duv"), grid.indices.astype(np.float64))
-    write_grid(
-        base.parent / (base.name + ".val.duv"),
-        np.concatenate([grid.alpha[:, None], grid.color], axis=1),
-    )
-    lines = [
-        "lo=" + ",".join(repr(float(v)) for v in grid.lo),
-        "hi=" + ",".join(repr(float(v)) for v in grid.hi),
-        "resolution=" + ",".join(str(n) for n in grid.resolution),
-        f"deposited_mass={grid.deposited_mass!r}",
-        f"voxels={grid.n_voxels}",
-    ]
-    (base.parent / (base.name + ".meta.txt")).write_text(
-        "\n".join(lines) + "\n", encoding="ascii"
+    write_grid(f"{base}.idx.duv", grid.indices.astype(np.float64))
+    write_grid(f"{base}.val.duv", np.concatenate([grid.alpha[:, None], grid.color], axis=1))
+    write_keyvalue(
+        f"{base}.meta.txt",
+        {
+            "lo": grid.lo,
+            "hi": grid.hi,
+            "resolution": grid.resolution,
+            "deposited_mass": grid.deposited_mass,
+            "voxels": grid.n_voxels,
+        },
     )
     return base
 
 
 def load_voxel_grid(basepath) -> SparseVoxelGrid:
+    """Read a bundle from ``save_voxel_grid``; ValueError if it is malformed."""
     base = Path(basepath)
-    meta = {}
-    meta_path = base.parent / (base.name + ".meta.txt")
-    for line in meta_path.read_text(encoding="ascii").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            meta[key] = value
-    vals = read_grid(base.parent / (base.name + ".val.duv")).values.reshape(-1, 4)
-    idx = read_grid(base.parent / (base.name + ".idx.duv")).values.reshape(-1, 3)
+    meta = read_keyvalue(f"{base}.meta.txt", required=("lo", "hi", "resolution", "deposited_mass", "voxels"))
+    vals = read_grid(f"{base}.val.duv").values.reshape(-1, 4)
+    idx = read_grid(f"{base}.idx.duv").values.reshape(-1, 3)
+    if not idx.shape[0] == vals.shape[0] == int(meta["voxels"]):
+        raise ValueError(
+            f"{base}: {idx.shape[0]} index rows, {vals.shape[0]} value rows, voxels={meta['voxels']}"
+        )
     alpha = np.clip(vals[:, 0].astype(np.float64), None, 1.0)
     keep = alpha > ALPHA_EPSILON  # float32 storage can nudge threshold stragglers
     return SparseVoxelGrid(

@@ -1,14 +1,18 @@
-"""Flat binary grids, CSV curves, and PPM images.
-
-Everything the pipeline persists moves through three small formats:
+"""Every on-disk format of the package; the only module that opens files.
 
 * ``.duv`` grid: 4-byte magic ``DUV1``, uint32 ndim (1..4), one uint32
   extent per axis, then float32 little-endian values in row-major order
   (last axis fastest).  A write/read round trip is bit exact for finite
   payloads; NaN is legal and marks invalid pixels in ground-truth depth.
-* CSV: comma separated, ``.`` decimal, LF line endings.  Floats are
-  written with their shortest exact decimal form, so a reparse recovers
-  the value bit for bit.
+* CSV: ASCII, comma separated, LF line endings, a header row.  Floats
+  are written in their shortest exact decimal form, so a reparse
+  recovers the value bit for bit; integers and booleans as integers;
+  ``None`` (an undefined metric) as an empty cell.
+* key=value sidecar (model manifest, voxel-grid metadata, ``--config``
+  file): one pair per line, a value being a CSV cell or comma-joined
+  cells.  On read ``#`` starts a comment, blank lines are skipped and a
+  repeated key keeps its last value; a malformed line or a missing
+  required key is a ``ValueError`` naming the file.
 * PPM: binary P6, 8 bits per channel, values clamped to [0, 1] and
   rounded half-up.
 
@@ -123,33 +127,84 @@ def valid_mask(gt) -> np.ndarray:
         return np.isfinite(arr) & (arr > 0.0)
 
 
-def _format_float(v: float) -> str:
+def _format_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
+        return str(int(v))
     # repr gives the shortest decimal that parses back to the same
     # float64, so no precision is lost in the file
     return repr(float(v))
 
 
-def write_csv_curve(path, columns: dict) -> None:
-    """Write named, equal-length numeric columns as CSV.
+def _check_text(text: str, forbidden: str, what: str) -> None:
+    if not text or any(c in text for c in forbidden):
+        raise ValueError(f"illegal {what} {text!r}")
 
-    Header row of names, one row per index, LF endings.  Column names
-    must not contain commas or line breaks.
+
+def write_csv(path, names, rows) -> None:
+    """Write a header of ``names``, then one line per row.
+
+    A row is a sequence of cells or a mapping read by name (other keys
+    are left out).  Zero rows give a header-only file.
     """
-    if not columns:
+    names = list(names)
+    if not names:
         raise ValueError("no columns to write")
-    names = list(columns.keys())
     for name in names:
-        if "," in name or "\n" in name or "\r" in name:
-            raise ValueError(f"illegal column name {name!r}")
-    cols = [np.asarray(columns[n], dtype=np.float64).ravel() for n in names]
-    n = cols[0].size
-    if any(c.size != n for c in cols):
-        raise ValueError("ragged columns: " + ", ".join(f"{m}={c.size}" for m, c in zip(names, cols)))
+        _check_text(name, ",\n\r", "column name")
     lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_format_float(c[i]) for c in cols))
-    with open(path, "w", newline="") as fh:
+    for i, row in enumerate(rows):
+        cells = [row[n] for n in names] if hasattr(row, "keys") else list(row)
+        if len(cells) != len(names):
+            raise ValueError(f"ragged row {i}: {len(cells)} cells for {len(names)} columns")
+        lines.append(",".join(map(_format_cell, cells)))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_keyvalue(path, pairs) -> None:
+    """Write a mapping as ``key=value`` lines; a sequence value as comma-joined cells."""
+    lines = []
+    for key, value in pairs.items():
+        text = ",".join(map(_format_cell, np.atleast_1d(value)))
+        _check_text(key, "=#\n\r", "key")
+        _check_text(text, "#\n\r", f"value for key {key!r}:")
+        lines.append(f"{key}={text}")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_keyvalue(path, required=()) -> dict[str, str]:
+    """Parse a ``key=value`` file into stripped strings.
+
+    Keys are ordered by their last occurrence, whose value they keep.
+    Raises ValueError with ``path:line`` for a line without ``=`` or with
+    an empty key or value, and naming each ``required`` key that is
+    missing.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    pairs = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ValueError(f"{path}:{lineno}: empty key or value")
+        # re-insert so a repeated key also moves last: --config maps "_"
+        # to "-" afterwards, and the line read last must still win
+        pairs.pop(key, None)
+        pairs[key] = value
+    missing = [key for key in required if key not in pairs]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    return pairs
 
 
 def write_ppm(path, width: int, height: int, rgb) -> None:

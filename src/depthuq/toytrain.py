@@ -23,13 +23,12 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .discretize import (
-    DEFAULT_GAMMA,
     DepthHypotheses,
     expectation_depth,
     linear_hypotheses,
     softmax_volume,
 )
-from .gridio import read_grid, write_grid
+from .gridio import read_grid, read_keyvalue, write_grid, write_keyvalue
 from .losses import clamped_entropy_parts, draw_permutation, full_backward
 from .metrics import (
     accuracy_metrics,
@@ -579,48 +578,46 @@ def ablation_medians(rows, key: str = "scc"):
     return out
 
 
+# parameter arrays stored one .duv each; w_out only for the regression head
+_MODEL_GRIDS = ("w1", "b1", "w2", "sigma", "w_out")
+
+
 def save_model(model: ToyModel, directory) -> Path:
     """Grid bundle plus a key=value manifest; round-trips exactly."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_grid(directory / "w1.duv", model.w1)
-    write_grid(directory / "b1.duv", model.b1)
-    write_grid(directory / "w2.duv", model.w2)
-    write_grid(directory / "sigma.duv", model.sigma)
-    if model.w_out is not None:
-        write_grid(directory / "w_out.duv", model.w_out)
-    lines = [
-        f"head={model.head}",
-        f"raw_scale={model.raw_scale!r}",
-        f"d_min={model.hypotheses.d_min!r}",
-        f"d_max={model.hypotheses.d_max!r}",
-        f"m={model.hypotheses.m}",
-    ]
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    for name in _MODEL_GRIDS:
+        if getattr(model, name) is not None:
+            write_grid(directory / f"{name}.duv", getattr(model, name))
+    write_keyvalue(
+        directory / "manifest.txt",
+        {
+            "head": model.head,
+            "raw_scale": model.raw_scale,
+            "d_min": model.hypotheses.d_min,
+            "d_max": model.hypotheses.d_max,
+            "m": model.hypotheses.m,
+        },
+    )
     return directory
 
 
 def load_model(directory) -> ToyModel:
     directory = Path(directory)
-    manifest = {}
-    for line in (directory / "manifest.txt").read_text(encoding="ascii").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            manifest[key] = value
-    head = manifest["head"]
-    hyp = linear_hypotheses(
-        float(manifest["d_min"]), float(manifest["d_max"]), int(manifest["m"])
+    manifest = read_keyvalue(
+        directory / "manifest.txt", required=("head", "raw_scale", "d_min", "d_max", "m")
     )
-    w_out = None
-    if head == "regression":
-        w_out = read_grid(directory / "w_out.duv").values
+    head = manifest["head"]
+    grids = {
+        name: read_grid(directory / f"{name}.duv").values
+        for name in _MODEL_GRIDS
+        if name != "w_out" or head == "regression"
+    }
     return ToyModel(
         head=head,
-        hypotheses=hyp,
-        w1=read_grid(directory / "w1.duv").values,
-        b1=read_grid(directory / "b1.duv").values,
-        w2=read_grid(directory / "w2.duv").values,
-        w_out=w_out,
+        hypotheses=linear_hypotheses(
+            float(manifest["d_min"]), float(manifest["d_max"]), int(manifest["m"])
+        ),
         raw_scale=float(manifest["raw_scale"]),
-        sigma=read_grid(directory / "sigma.duv").values,
+        **grids,
     )

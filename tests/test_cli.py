@@ -156,6 +156,20 @@ def test_config_file_syntax_error(data_dir, tmp_path, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
+def test_config_file_last_line_wins(data_dir, tmp_path, capsys):
+    # d-min and d_min name one flag: the line read last decides, as the
+    # last of repeated flags does on the command line
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("d-min=1\nd_min=2\nd-min=3\n")
+    rc = cli.main([
+        "eval", "--config", str(cfg), "--pred", str(data_dir / "pred.duv"),
+        "--gt", str(data_dir / "gt.duv"), "--unc", str(data_dir / "unc.duv"),
+        "--out", str(tmp_path / "e.csv"),
+    ])
+    assert rc == 0
+    assert " d_min=3.0 " in capsys.readouterr().out.splitlines()[0]
+
+
 def test_train_toy_writes_artifacts(tmp_path):
     out_dir = tmp_path / "run"
     rc = cli.main([
@@ -223,6 +237,45 @@ def test_voxelize_and_render_round_trip(data_dir, tmp_path, capsys):
     payload = img.read_bytes()
     assert payload.startswith(b"P6\n12 12\n255\n")
     assert len(payload) == len(b"P6\n12 12\n255\n") + 12 * 12 * 3
+
+
+def _drop_meta_key(base, key):
+    meta = base.with_name(base.name + ".meta.txt")
+    meta.write_text("".join(ln + "\n" for ln in meta.read_text().splitlines() if not ln.startswith(key + "=")))
+
+
+def _add_meta_line(base, line):
+    meta = base.with_name(base.name + ".meta.txt")
+    meta.write_text(meta.read_text() + line + "\n")
+
+
+def _drop_value_row(base):
+    val = base.with_name(base.name + ".val.duv")
+    write_grid(val, read_grid(val).values[1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(lambda b: _drop_meta_key(b, "lo"), "missing key(s) lo"),
+     (lambda b: _add_meta_line(b, "lo 0,0,0"), "expected key=value"),
+     (_drop_value_row, "index rows")],
+    ids=["missing-lo", "no-equals", "row-mismatch"],
+)
+def test_render_malformed_grid_exits_one(data_dir, tmp_path, capsys, corrupt, message):
+    base = tmp_path / "g"
+    assert cli.main([
+        "voxelize", "--mode", "gt", "--gt", str(data_dir / "gt.duv"),
+        "--bins", "4", "--resolution", "6", "--out", str(base),
+    ]) == 0
+    corrupt(base)
+    capsys.readouterr()
+    rc = cli.main(["render", "--grid", str(base), "--height", "8", "--width", "8",
+                   "--out", str(tmp_path / "bad.ppm")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad.ppm").exists()
 
 
 def test_render_threads_match_single(data_dir, tmp_path):

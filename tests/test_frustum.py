@@ -485,3 +485,15 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(
         loaded.alpha, grid.alpha.astype(np.float32).astype(np.float64)
     )
+
+
+def test_load_rejects_voxel_count_mismatch(tmp_path):
+    grid = SparseVoxelGrid(
+        lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
+        indices=[[0, 0, 0], [1, 1, 1]], alpha=[0.5, 0.25], color=np.full((2, 3), 0.5),
+    )
+    save_voxel_grid(grid, tmp_path / "g")
+    meta = tmp_path / "g.meta.txt"
+    meta.write_text(meta.read_text().replace("voxels=2", "voxels=3"))
+    with pytest.raises(ValueError, match="2 index rows, 2 value rows, voxels=3"):
+        load_voxel_grid(tmp_path / "g")

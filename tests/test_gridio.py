@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,11 @@ from hypothesis import strategies as st
 from depthuq.gridio import (
     GridFormatError,
     read_grid,
+    read_keyvalue,
     valid_mask,
-    write_csv_curve,
+    write_csv,
     write_grid,
+    write_keyvalue,
     write_ppm,
 )
 
@@ -106,7 +111,7 @@ def test_valid_mask_convention():
 
 def test_csv_two_columns(tmp_path):
     path = tmp_path / "c.csv"
-    write_csv_curve(path, {"f": [0.0, 0.5], "e": [1.0, 0.8]})
+    write_csv(path, ["f", "e"], [(0.0, 1.0), (0.5, 0.8)])
     lines = path.read_text().splitlines()
     assert lines[0] == "f,e"
     assert len(lines) == 3
@@ -114,14 +119,14 @@ def test_csv_two_columns(tmp_path):
 
 def test_csv_empty_columns(tmp_path):
     path = tmp_path / "c.csv"
-    write_csv_curve(path, {"f": [], "e": []})
+    write_csv(path, ["f", "e"], [])
     assert path.read_text() == "f,e\n"
 
 
 def test_csv_reparse_exact(tmp_path):
     path = tmp_path / "c.csv"
     cols = {"a": [1 / 3, 2e-17, -5.25], "b": [0.1, 0.2, 0.30000000000000004]}
-    write_csv_curve(path, cols)
+    write_csv(path, cols, zip(cols["a"], cols["b"]))
     lines = path.read_text().splitlines()[1:]
     parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines])
     # repr round-trips float64 exactly, not merely to 1e-9
@@ -130,13 +135,80 @@ def test_csv_reparse_exact(tmp_path):
 
 
 def test_csv_ragged_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv_curve(tmp_path / "c.csv", {"a": [1.0], "b": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="ragged"):
+        write_csv(tmp_path / "c.csv", ["a", "b"], [(1.0, 1.0), (2.0,)])
+    with pytest.raises(KeyError):
+        write_csv(tmp_path / "c.csv", ["a", "b"], [{"a": 1.0}])
 
 
 def test_csv_bad_name_rejected(tmp_path):
     with pytest.raises(ValueError):
-        write_csv_curve(tmp_path / "c.csv", {"a,b": [1.0]})
+        write_csv(tmp_path / "c.csv", ["a,b"], [(1.0,)])
+
+
+def test_csv_cell_rules(tmp_path):
+    path = tmp_path / "c.csv"
+    row = {"s": "full", "none": None, "flag": np.bool_(True), "n": np.int64(7),
+           "x": np.float64(0.1), "extra": 1.0}
+    write_csv(path, ["s", "none", "flag", "n", "x"], [row, ("b", 2.5, False, 3, 1e-300)])
+    assert path.read_bytes() == b"s,none,flag,n,x\nfull,,1,7,0.1\nb,2.5,0,3,1e-300\n"
+
+
+def test_keyvalue_round_trip(tmp_path):
+    path = tmp_path / "m.txt"
+    write_keyvalue(path, {"head": "regression", "scale": 1 / 3, "m": 16,
+                          "lo": np.array([-0.5, 2.0]), "res": (4, 5, 6)})
+    assert path.read_text() == "head=regression\nscale=0.3333333333333333\nm=16\nlo=-0.5,2.0\nres=4,5,6\n"
+    assert read_keyvalue(path, required=("m", "lo")) == {
+        "head": "regression", "scale": "0.3333333333333333", "m": "16", "lo": "-0.5,2.0", "res": "4,5,6",
+    }
+
+
+def test_keyvalue_comments_blanks_and_last_wins(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("# header\n\n a = 1 # note\nb=2\na=3\n")
+    pairs = read_keyvalue(path)
+    assert pairs == {"b": "2", "a": "3"}
+    assert list(pairs) == ["b", "a"]  # ordered by each key's last occurrence
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a=1\nno equals\n", "m.txt:2: expected key=value"),
+     ("=1\n", "m.txt:1: empty key or value"),
+     ("a=  # nothing\n", "m.txt:1: empty key or value"),
+     ("a=1\n", "missing key\\(s\\) b, c")],
+)
+def test_keyvalue_malformed_rejected(tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_keyvalue(path, required=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("pairs", [{"a=b": 1}, {"": 1}, {"a": ""}, {"a": None}, {"a": "x#y"}, {"a": "1\n2"}])
+def test_keyvalue_write_rejects_unreadable_pairs(tmp_path, pairs):
+    with pytest.raises(ValueError):
+        write_keyvalue(tmp_path / "m.txt", pairs)
+
+
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_gridio_touches_files():
+    # every on-disk format lives in gridio; other modules go through it
+    src = Path(__file__).resolve().parents[1] / "src" / "depthuq"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gridio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in FILE_CALLS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
 
 
 def test_ppm_single_pixel(tmp_path):

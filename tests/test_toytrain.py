@@ -444,6 +444,16 @@ def test_save_load_regression_keeps_readout(tmp_path):
     )
 
 
+def test_load_model_names_missing_manifest_key(tmp_path):
+    save_model(init_model(TrainConfig(seed=2)), tmp_path / "m")
+    manifest = tmp_path / "m" / "manifest.txt"
+    manifest.write_text("".join(
+        ln + "\n" for ln in manifest.read_text().splitlines() if not ln.startswith("m=")
+    ))
+    with pytest.raises(ValueError, match=r"missing key\(s\) m$"):
+        load_model(tmp_path / "m")
+
+
 def test_ablate_rows_and_thread_equivalence():
     base = TrainConfig(epochs=2)
     kwargs = dict(base=base, n_train=3, n_eval=2, h=8, w=8)
