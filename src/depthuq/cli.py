@@ -557,13 +557,7 @@ def main(argv=None) -> int:
             raise CLIError("a subcommand is required; see --help")
         _print_config(args)
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except toytrain.TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CLIError, toytrain.TrainingDivergedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - anything else is an internal failure

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .discretize import DepthHypotheses, bilinear_bin_weights
-from .gridio import read_grid, read_keyvalue, valid_mask, write_grid, write_keyvalue
+from .gridio import keyvalue_numbers, read_grid, read_keyvalue, valid_mask, write_grid, write_keyvalue
 
 ALPHA_EPSILON = 1e-4
 DEFAULT_RESOLUTION = 96
@@ -479,21 +479,23 @@ def save_voxel_grid(grid: SparseVoxelGrid, basepath) -> Path:
 def load_voxel_grid(basepath) -> SparseVoxelGrid:
     """Read a bundle from ``save_voxel_grid``; ValueError if it is malformed."""
     base = Path(basepath)
-    meta = read_keyvalue(f"{base}.meta.txt", required=("lo", "hi", "resolution", "deposited_mass", "voxels"))
+    path = f"{base}.meta.txt"
+    meta = read_keyvalue(path, required=("lo", "hi", "resolution", "deposited_mass", "voxels"))
+    voxels = keyvalue_numbers(path, meta, "voxels", int)
     vals = read_grid(f"{base}.val.duv").values.reshape(-1, 4)
     idx = read_grid(f"{base}.idx.duv").values.reshape(-1, 3)
-    if not idx.shape[0] == vals.shape[0] == int(meta["voxels"]):
+    if not idx.shape[0] == vals.shape[0] == voxels:
         raise ValueError(
-            f"{base}: {idx.shape[0]} index rows, {vals.shape[0]} value rows, voxels={meta['voxels']}"
+            f"{base}: {idx.shape[0]} index rows, {vals.shape[0]} value rows, voxels={voxels}"
         )
     alpha = np.clip(vals[:, 0].astype(np.float64), None, 1.0)
     keep = alpha > ALPHA_EPSILON  # float32 storage can nudge threshold stragglers
     return SparseVoxelGrid(
-        lo=np.array([float(v) for v in meta["lo"].split(",")]),
-        hi=np.array([float(v) for v in meta["hi"].split(",")]),
-        resolution=tuple(int(v) for v in meta["resolution"].split(",")),
+        lo=np.array(keyvalue_numbers(path, meta, "lo", float, 3)),
+        hi=np.array(keyvalue_numbers(path, meta, "hi", float, 3)),
+        resolution=keyvalue_numbers(path, meta, "resolution", int, 3),
         indices=idx[keep].astype(np.int64),
         alpha=alpha[keep],
         color=np.clip(vals[keep, 1:].astype(np.float64), 0.0, 1.0),
-        deposited_mass=float(meta["deposited_mass"]),
+        deposited_mass=keyvalue_numbers(path, meta, "deposited_mass"),
     )

@@ -11,6 +11,11 @@ code, so the numeric oracle freezes that branch at the base point
 before perturbing; otherwise the two sides legitimately disagree.
 Instances are redrawn when any absolute-value or hinge kink sits too
 close to the evaluation point, where a finite difference is invalid.
+
+The numeric side of every total check is composed from the same term
+functions and ``auto_weighted_total`` that ``full_backward`` runs, on
+the masked valid-pixel vectors, so each check covers code the trainer
+uses.
 """
 
 from __future__ import annotations
@@ -110,8 +115,9 @@ def _check_depth_l1(rng, h):
         pred = gt + rng.uniform(-2.0, 2.0, shape)
         if np.min(np.abs((pred - gt)[mask])) > KINK_CLEARANCE:
             break
-    analytic = depth_l1(pred, gt, mask=mask).grad
-    numeric = central_difference(lambda x: depth_l1(x, gt, mask=mask).value, pred, h)
+    pred, gt = pred[mask], gt[mask]
+    analytic = depth_l1(pred, gt).grad
+    numeric = central_difference(lambda x: depth_l1(x, gt).value, pred, h)
     return analytic, numeric
 
 
@@ -125,11 +131,9 @@ def _check_soft_label_l1(rng, h):
         y = soft_labels(hyp, gt).values
         if np.min(np.abs((y - vol)[mask])) > KINK_CLEARANCE:
             break
-    labels = soft_labels(hyp, gt)
-    analytic = soft_label_l1(vol, labels, mask=mask).grad
-    numeric = central_difference(
-        lambda x: soft_label_l1(x, labels, mask=mask).value, vol, h
-    )
+    vol, y = vol[mask], y[mask]
+    analytic = soft_label_l1(vol, y).grad
+    numeric = central_difference(lambda x: soft_label_l1(x, y).value, vol, h)
     return analytic, numeric
 
 
@@ -153,21 +157,19 @@ def _check_ranking(rng, h, variant):
 
 
 def _total_forward(z, a, sigma, hyp, gt, perm, mask, frozen_err):
-    """Weighted total recomposed from the public single-term ops.
+    """Weighted total recomposed from the term functions.
 
-    ``frozen_err`` pins the ranking error branch so the difference
-    quotient respects the stop-gradient.
+    ``frozen_err`` pins the ranking error branch (valid pixels only) so
+    the difference quotient respects the stop-gradient.
     """
     p = softmax_volume(z)
     depth = expectation_depth(hyp, p)
-    v_r = depth_l1(depth, gt, mask=mask).value
-    v_p = soft_label_l1(p, soft_labels(hyp, gt), mask=mask).value
+    v_r = depth_l1(depth[mask], gt[mask]).value
+    v_p = soft_label_l1(p[mask], soft_labels(hyp, gt).values[mask]).value
     ent, _ = clamped_entropy_parts(p)
     unc = float(softplus(np.float64(a))) * ent
-    v_u = ranking_loss_variants(frozen_err, unc, perm, "hinge", mask=mask).value
-    values = np.array([v_r, v_p, v_u])
-    sig = np.asarray(sigma, dtype=np.float64)
-    return float((values * np.exp(-sig) + sig).sum())
+    v_u = ranking_loss_variants(frozen_err, unc[mask], perm, "hinge").value
+    return auto_weighted_total([v_r, v_p, v_u], sigma)[0]
 
 
 def _full_instance(rng):
@@ -195,9 +197,7 @@ def _full_instance(rng):
         )
         if clear:
             break
-    frozen = np.zeros(shape)
-    frozen[mask] = np.abs(resid)
-    return hyp, mask, gt, z, a, sigma, perm, frozen
+    return hyp, mask, gt, z, a, sigma, perm, np.abs(resid)
 
 
 def _check_total_z(rng, h):
@@ -230,19 +230,17 @@ def _check_total_sigma(rng, h):
 
 
 def _regression_forward(z, w_out, a, sigma, gt, perm, mask, frozen_err):
-    """Regression-head total (depth and ranking terms) from the public ops.
+    """Regression-head total (depth and ranking terms) from the term functions.
 
     Depth is the latent readout z @ w_out; the uncertainty is the
     scaled entropy of softmax(z).  ``frozen_err`` pins the ranking error
-    branch as in ``_total_forward``.
+    branch as in ``_total_forward``; the soft-label term is inactive.
     """
-    v_r = depth_l1(z @ w_out, gt, mask=mask).value
+    v_r = depth_l1((z @ w_out)[mask], gt[mask]).value
     ent, _ = clamped_entropy_parts(softmax_volume(z))
     unc = float(softplus(np.float64(a))) * ent
-    v_u = ranking_loss_variants(frozen_err, unc, perm, "hinge", mask=mask).value
-    values = np.array([v_r, v_u])
-    sig = np.asarray(sigma, dtype=np.float64)[[0, 2]]
-    return float((values * np.exp(-sig) + sig).sum())
+    v_u = ranking_loss_variants(frozen_err, unc[mask], perm, "hinge").value
+    return auto_weighted_total([v_r, 0.0, v_u], sigma, (True, False, True))[0]
 
 
 def _regression_instance(rng):
@@ -264,9 +262,7 @@ def _regression_instance(rng):
         m = _margins(np.abs(resid), u, perm.perm)
         if np.min(np.abs(resid)) > KINK_CLEARANCE and np.min(np.abs(m)) > KINK_CLEARANCE:
             break
-    frozen = np.zeros(shape)
-    frozen[mask] = np.abs(resid)
-    return mask, gt, z, w_out, a, sigma, perm, frozen
+    return mask, gt, z, w_out, a, sigma, perm, np.abs(resid)
 
 
 def _check_regression(rng, h, wrt):

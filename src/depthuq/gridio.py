@@ -12,7 +12,9 @@
   file): one pair per line, a value being a CSV cell or comma-joined
   cells.  On read ``#`` starts a comment, blank lines are skipped and a
   repeated key keeps its last value; a malformed line or a missing
-  required key is a ``ValueError`` naming the file.
+  required key is a ``ValueError`` naming the file.  ``keyvalue_numbers``
+  parses a numeric value, and a bad one is a ``ValueError`` naming the
+  file and the key.
 * PPM: binary P6, 8 bits per channel, values clamped to [0, 1] and
   rounded half-up.
 
@@ -205,6 +207,25 @@ def read_keyvalue(path, required=()) -> dict[str, str]:
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     return pairs
+
+
+def keyvalue_numbers(path, pairs, key: str, kind=float, count: int = 1):
+    """Parse ``pairs[key]``, read from ``path``, as ``count`` numbers of ``kind``.
+
+    One number comes back as a scalar, several as a tuple.  A wrong
+    count or a cell ``kind`` cannot parse is a ValueError naming the
+    file and the key.
+    """
+    text = pairs[key]
+    cells = text.split(",")
+    want = f"{count} comma-separated {kind.__name__} value(s)"
+    if len(cells) != count:
+        raise ValueError(f"{path}: key {key!r} wants {want}, got {text!r}")
+    try:
+        numbers = tuple(kind(cell) for cell in cells)
+    except ValueError:
+        raise ValueError(f"{path}: key {key!r} wants {want}, got {text!r}") from None
+    return numbers[0] if count == 1 else numbers
 
 
 def write_ppm(path, width: int, height: int, rgb) -> None:

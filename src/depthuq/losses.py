@@ -10,16 +10,18 @@ Three terms drive training:
                           ``no-max`` drops the hinge, ``l1-direct``
                           matches uncertainty to error by value.
 
-The total is the auto-weighted sum  sum_i L_i * exp(-sigma_i) + sigma_i
-with learned sigma_i.  ``full_backward`` runs the whole chain from
-either head's output z, raw scale a and the sigmas to the total, and
-returns exact gradients for all of them (softmax Jacobian applied in
-closed form).
-Gradients here are the reference the trainer consumes; every one is
-checked against central finite differences in the test suite.
+``auto_weighted_total`` combines them as  sum_i L_i * exp(-sigma_i) + sigma_i
+with learned sigma_i.  Each term function takes valid-pixel vectors the
+caller has already masked and returns its mean over those pixels with
+the exact gradient, so each term's math exists once.  ``full_backward``
+composes the four: it resolves the mask once, scales each term's
+gradient by its exp(-sigma) weight, and pulls the probability-space
+gradient back through the softmax in closed form, giving exact
+gradients wrt either head's output z, the raw scale a and the sigmas.
+Every gradient is checked against central finite differences by
+``gradcheck``.
 
-Reduction is ``mean`` over valid pixels by default; ``sum`` is kept as
-a flag.  L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
+L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
 """
 
 from __future__ import annotations
@@ -28,28 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DEFAULT_GAMMA, DepthHypotheses, SoftLabelVolume, soft_labels, softmax_volume
+from .discretize import DEFAULT_GAMMA, DepthHypotheses, soft_labels, softmax_volume
 from .gridio import valid_mask
 from .uncertainty import PROB_FLOOR, sigmoid, softplus
 
 RANKING_VARIANTS = ("hinge", "no-max", "l1-direct")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Learned log-variance weights of the three loss terms."""
-
-    sigma_r: float = 0.0
-    sigma_p: float = 0.0
-    sigma_u: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.sigma_r, self.sigma_p, self.sigma_u], dtype=np.float64)
-
-    @staticmethod
-    def from_array(arr) -> "LossWeights":
-        r, p, u = (float(v) for v in arr)
-        return LossWeights(r, p, u)
+class NonFiniteLossError(ValueError):
+    """The auto-weighted total is inf or NaN; in training, a divergence."""
 
 
 @dataclass(frozen=True)
@@ -80,155 +69,105 @@ def draw_permutation(n_valid: int, seed: int) -> PairPermutation:
 
 @dataclass
 class LossValue:
-    """A single loss term: scalar value, gradient, pre-reduction terms."""
+    """A single loss term: its mean over valid pixels and the gradient."""
 
     value: float
     grad: np.ndarray
-    terms: np.ndarray
 
 
-def _reduction_weight(n_valid: int, reduction: str) -> float:
-    if reduction == "mean":
-        return 1.0 / n_valid
-    if reduction == "sum":
-        return 1.0
-    raise ValueError(f"unknown reduction {reduction!r}")
+def _mean_weight(n_valid: int) -> float:
+    if n_valid == 0:
+        raise ValueError("no valid pixels")
+    return 1.0 / n_valid
 
 
-def _resolve_mask(shape, gt, mask):
-    if mask is None:
-        mask = valid_mask(gt)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != shape:
-        raise ValueError(f"mask shape {mask.shape} != {shape}")
-    return mask
+def depth_l1(pred, gt) -> LossValue:
+    """Mean L1 between decoded and true depth on valid-pixel vectors.
 
-
-def depth_l1(pred, gt, mask=None, reduction: str = "mean") -> LossValue:
-    """L1 between decoded and true depth over valid pixels.
-
-    Gradient wrt pred is sign(pred-gt) scaled by the reduction weight.
+    Gradient wrt pred is sign(pred-gt) / n.
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    mask = _resolve_mask(pred.shape, gt, mask)
-    n = int(mask.sum())
-    if n == 0:
-        raise ValueError("no valid pixels")
-    w = _reduction_weight(n, reduction)
-    diff = np.where(mask, pred - gt, 0.0)
-    terms = np.abs(diff[mask])
-    grad = np.sign(diff) * w
-    return LossValue(value=float(terms.sum() * w), grad=grad, terms=terms)
+    w = _mean_weight(pred.size)
+    resid = pred - gt
+    return LossValue(value=float(np.abs(resid).sum() * w), grad=np.sign(resid) * w)
 
 
-def soft_label_l1(vol, labels, mask=None, reduction: str = "mean") -> LossValue:
-    """Per-pixel L1 between probability rows and soft-label rows.
+def soft_label_l1(probs, labels) -> LossValue:
+    """Mean per-pixel L1 between (n, M) probability and soft-label rows.
 
-    ``labels`` may be a SoftLabelVolume (its validity mask is used when
-    ``mask`` is None) or a plain array.  Gradient is wrt the probability
-    volume.
+    Gradient is wrt the probability rows.
     """
-    p = np.asarray(vol, dtype=np.float64)
-    if isinstance(labels, SoftLabelVolume):
-        y = labels.values
-        if mask is None:
-            mask = labels.valid
-    else:
-        y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {y.shape}")
-    if mask is None:
-        mask = np.ones(p.shape[:-1], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != p.shape[:-1]:
-        raise ValueError(f"mask shape {mask.shape} != {p.shape[:-1]}")
-    n = int(mask.sum())
-    if n == 0:
-        raise ValueError("no valid pixels")
-    w = _reduction_weight(n, reduction)
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if p.ndim != 2 or p.shape != y.shape:
+        raise ValueError(f"want matching (n, M) rows, got {p.shape} vs {y.shape}")
+    w = _mean_weight(p.shape[0])
     diff = y - p
-    terms = np.abs(diff[mask]).sum(axis=-1)
-    grad = np.where(mask[..., None], -np.sign(diff) * w, 0.0)
-    return LossValue(value=float(terms.sum() * w), grad=grad, terms=terms)
+    value = float(np.abs(diff).sum() * w)
+    # the gradient reuses diff's buffer: a training step allocates one
+    # (n, M) array fewer
+    grad = np.sign(diff, out=diff)
+    grad *= -w
+    return LossValue(value=value, grad=grad)
 
 
-def _ranking_core(r: np.ndarray, u: np.ndarray, perm: np.ndarray, variant: str, w: float):
-    """Value, per-pair terms and du-gradient on the valid-pixel vectors.
+def ranking_loss_variants(err, unc, perm: PairPermutation | None, variant: str = "hinge") -> LossValue:
+    """Mean pairwise uncertainty-ordering loss on valid-pixel vectors.
 
-    The error branch is a constant (stop-gradient): only u and its
-    shuffled partner receive gradient.
+    The gradient is wrt ``unc``; the error branch is a constant
+    (stop-gradient).  ``l1-direct`` uses no pairs, so ``perm`` may be None.
     """
+    r = np.asarray(err, dtype=np.float64)
+    u = np.asarray(unc, dtype=np.float64)
+    if r.shape != u.shape:
+        raise ValueError(f"shape mismatch {r.shape} vs {u.shape}")
+    w = _mean_weight(r.size)
     if variant == "l1-direct":
         # pairs unused: match uncertainty to error by value
         diff = r - u
-        terms = np.abs(diff)
-        gu = -np.sign(diff) * w
-        return terms, float(terms.sum() * w), gu
+        return LossValue(value=float(np.abs(diff).sum() * w), grad=-np.sign(diff) * w)
+    if variant not in RANKING_VARIANTS:
+        raise ValueError(f"unknown ranking variant {variant!r}, want one of {RANKING_VARIANTS}")
+    if perm is None:
+        raise ValueError("ranking variant needs a pair permutation")
+    if perm.n != r.size:
+        raise ValueError(f"permutation covers {perm.n} pixels, the vectors {r.size}")
+    perm = perm.perm
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     margin = (r - r[perm]) - (u - u[perm])
     if variant == "hinge":
         active = (margin > 0.0).astype(np.float64)
-        terms = np.maximum(margin, 0.0)
         # u_k enters its own pair with -1 and its inverse partner's with +1
-        gu = w * (-active + active[inv])
-        return terms, float(terms.sum() * w), gu
-    if variant == "no-max":
-        # signed differences; the symmetric +-1 contributions cancel over a
-        # bijection, leaving a zero gradient (and a telescoping zero sum)
-        ones = np.ones_like(margin)
-        gu = w * (-ones + ones[inv])
-        return margin, float(margin.sum() * w), gu
-    raise ValueError(f"unknown ranking variant {variant!r}, want one of {RANKING_VARIANTS}")
+        return LossValue(
+            value=float(np.maximum(margin, 0.0).sum() * w), grad=w * (-active + active[inv])
+        )
+    # no-max: signed differences; the symmetric +-1 contributions cancel
+    # over a bijection, leaving a zero gradient (and a telescoping zero sum)
+    ones = np.ones_like(margin)
+    return LossValue(value=float(margin.sum() * w), grad=w * (-ones + ones[inv]))
 
 
-def ranking_loss_variants(
-    err,
-    unc,
-    perm: PairPermutation,
-    variant: str = "hinge",
-    mask=None,
-    reduction: str = "mean",
-) -> LossValue:
-    """Pairwise uncertainty-ordering loss; gradient is wrt ``unc``."""
-    r = np.asarray(err, dtype=np.float64)
-    u = np.asarray(unc, dtype=np.float64)
-    if r.shape != u.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {u.shape}")
-    if mask is None:
-        mask = np.ones(r.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
-    if n == 0:
-        raise ValueError("no valid pixels")
-    if perm.n != n:
-        raise ValueError(f"permutation covers {perm.n} pixels, mask has {n}")
-    w = _reduction_weight(n, reduction)
-    terms, value, gu = _ranking_core(r[mask], u[mask], perm.perm, variant, w)
-    grad = np.zeros_like(u)
-    grad[mask] = gu
-    return LossValue(value=value, grad=grad, terms=terms)
-
-
-def auto_weighted_total(values, weights: LossWeights):
+def auto_weighted_total(values, sigma, active=True):
     """Auto-weighted total and its sigma gradients.
 
-    total = sum_i v_i * exp(-sigma_i) + sigma_i
-    d/dsigma_i = -v_i * exp(-sigma_i) + 1
+    total = sum_i active_i * (v_i * exp(-sigma_i) + sigma_i)
+    d/dsigma_i = -v_i * exp(-sigma_i) + 1 for active terms, else 0.
+    Raises NonFiniteLossError when the total is not finite.
     """
     v = np.asarray(values, dtype=np.float64)
-    sig = weights.as_array() if isinstance(weights, LossWeights) else np.asarray(weights, dtype=np.float64)
+    sig = np.asarray(sigma, dtype=np.float64)
     if v.shape != sig.shape:
         raise ValueError(f"{v.size} values vs {sig.size} weights")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(sig))):
-        raise ValueError("non-finite inputs")
+    act = np.asarray(active, dtype=bool)
     ew = np.exp(-sig)
-    total = float((v * ew + sig).sum())
-    grad_sigma = -v * ew + 1.0
-    return total, grad_sigma
+    total = float(((v * ew + sig) * act).sum())
+    if not np.isfinite(total):
+        raise NonFiniteLossError(f"non-finite loss total (values {v}, sigmas {sig})")
+    return total, np.where(act, -v * ew + 1.0, 0.0)
 
 
 def softmax_backward(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
@@ -273,16 +212,6 @@ class LossReport:
     def values(self) -> np.ndarray:
         return np.array([self.value_r, self.value_p, self.value_u], dtype=np.float64)
 
-    def row(self) -> dict:
-        """Flat numeric view for CSV training logs."""
-        return {
-            "loss_depth": self.value_r,
-            "loss_soft": self.value_p,
-            "loss_rank": self.value_u,
-            "total": self.total,
-            "alpha": self.alpha,
-        }
-
 
 def full_backward(
     z,
@@ -295,7 +224,6 @@ def full_backward(
     include_soft: bool = True,
     ranking: str | None = "hinge",
     mask=None,
-    reduction: str = "mean",
     readout=None,
 ) -> LossReport:
     """Forward + exact backward for the whole loss of either head.
@@ -303,10 +231,12 @@ def full_backward(
     Depth is softmax(z) @ hyp.values for classification logits, or
     z @ readout for a regression latent (whose gradient is reported);
     the uncertainty is the scaled entropy of softmax(z) either way.  The
-    auto-weighted total yields gradients wrt z (through the softmax
-    Jacobian), the raw scale a (through softplus), and the sigmas.
-    ``include_soft=False`` or ``ranking=None`` drop terms from the
-    total entirely (their sigma stops moving too).
+    mask (default: finite, positive GT) is resolved once and the term
+    functions run on the valid pixels; the auto-weighted total yields
+    gradients wrt z (through the softmax Jacobian), the raw scale a
+    (through softplus), and the sigmas.  ``include_soft=False`` or
+    ``ranking=None`` drop terms from the total entirely (their sigma
+    stops moving too).
     """
     z = np.asarray(z, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -321,23 +251,18 @@ def full_backward(
             raise ValueError(f"latent size {z.shape[-1]} vs readout {readout.shape}")
         if include_soft:
             raise ValueError("the soft-label term needs the classification head")
-    sig = sigma.as_array() if isinstance(sigma, LossWeights) else np.asarray(sigma, dtype=np.float64)
+    sig = np.asarray(sigma, dtype=np.float64)
     if sig.shape != (3,):
         raise ValueError("sigma must hold 3 weights")
-    mask = _resolve_mask(gt.shape, gt, mask)
+    mask = valid_mask(gt) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != gt.shape:
+        raise ValueError(f"mask shape {mask.shape} != {gt.shape}")
     n = int(mask.sum())
     if n == 0:
         raise ValueError("no valid pixels")
-    if ranking in ("hinge", "no-max"):
-        if perm is None:
-            raise ValueError("ranking variant needs a pair permutation")
-        if perm.n != n:
-            raise ValueError(f"permutation covers {perm.n} pixels, mask has {n}")
-    elif ranking not in (None, "l1-direct"):
-        raise ValueError(f"unknown ranking variant {ranking!r}")
 
-    w = _reduction_weight(n, reduction)
     alpha = float(softplus(a))
+    ew = np.exp(-sig)
 
     if readout is None:
         pv = softmax_volume(z)[mask]
@@ -348,33 +273,30 @@ def full_backward(
         # softmax(z) feeds only the entropy of the ranking term
         pv = softmax_volume(z)[mask] if ranking is not None else None
     gv = gt[mask]
-    resid = depth - gv
-    value_r = float(np.abs(resid).sum() * w)
-
-    active = [True, include_soft, ranking is not None]
-    ew = np.exp(-sig)
 
     # d(weighted depth term)/d(depth); the probability-space gradient
-    # accumulates every term that flows through p, each already carrying
-    # its exp(-sigma) weight, for one softmax pullback at the end
-    grad_depth = np.sign(resid) * (w * ew[0])
+    # accumulates every term that flows through p, each scaled in place
+    # by its exp(-sigma) weight, for one softmax pullback at the end
+    depth_term = depth_l1(depth, gv)
+    grad_depth = depth_term.grad
+    grad_depth *= ew[0]
     grad_p = grad_depth[:, None] * hyp.values if readout is None else None
 
     value_p = 0.0
     if include_soft:
-        y = soft_labels(hyp, gt, gamma).values[mask]
-        diff = y - pv
-        value_p = float(np.abs(diff).sum() * w)
-        grad_p += -np.sign(diff) * (w * ew[1])
+        soft = soft_label_l1(pv, soft_labels(hyp, gt, gamma).values[mask])
+        value_p = soft.value
+        soft.grad *= ew[1]
+        grad_p += soft.grad
 
     value_u = 0.0
     grad_a = 0.0
     if ranking is not None:
         h, dh_dp = clamped_entropy_parts(pv)
-        r = np.abs(resid)  # stop-gradient branch
-        u = alpha * h
-        _, value_u, gu = _ranking_core(r, u, perm.perm if perm is not None else None, ranking, w)
-        gu_eff = gu * ew[2]
+        err = np.abs(depth - gv)  # the error branch, a constant to the gradient
+        rank = ranking_loss_variants(err, alpha * h, perm, ranking)
+        value_u = rank.value
+        gu_eff = rank.grad * ew[2]
         grad_p_u = (alpha * gu_eff)[:, None] * dh_dp
         # add in place: one more (n, M) temporary per training step
         # roughly triples the page faults of a 1024 x 16 step
@@ -395,13 +317,12 @@ def full_backward(
     grad_z = np.zeros_like(z)
     grad_z[mask] = gz_valid
 
-    values = np.array([value_r, value_p, value_u])
-    act = np.array(active)
-    total = float(((values * ew + sig) * act).sum())
-    grad_sigma = np.where(act, -values * ew + 1.0, 0.0)
-
+    active = (True, include_soft, ranking is not None)
+    total, grad_sigma = auto_weighted_total(
+        [depth_term.value, value_p, value_u], sig, active
+    )
     return LossReport(
-        value_r=value_r,
+        value_r=depth_term.value,
         value_p=value_p,
         value_u=value_u,
         total=total,
@@ -409,7 +330,7 @@ def full_backward(
         grad_a=grad_a,
         grad_sigma=grad_sigma,
         alpha=alpha,
-        active=tuple(active),
+        active=active,
         n_valid=n,
         grad_readout=grad_readout,
     )

@@ -13,8 +13,14 @@ ordering: average ranks come from its tie groups, AUROC from those
 ranks, FPR95 from cumulative outlier counts at tie-group ends (the ROC
 sweep of Fawcett 2006), and each sparsification curve from tail sums of
 the sorted per-pixel errors (Ilg et al. 2018).  Plain NumPy at run time.
-Rank metrics need finite input and raise ValueError with the count of
-non-finite entries otherwise.
+
+Input policy, shared by ``_flat_valid``, ``_valid_uncertainty`` and
+``_require_finite``: a pixel is valid where its GT is finite and
+positive, or where an explicit ``mask`` says so, and per-image metrics
+read valid pixels only.  A non-finite prediction or uncertainty on a
+valid pixel, or a non-finite entry of a vector handed to a rank metric,
+raises ValueError with the count of such entries; an image without a
+valid pixel raises ValueError too.
 
 Per-image metrics; undefined entries (single-class AUROC, all-tied SCC)
 are reported as None, never as 0.
@@ -215,10 +221,12 @@ def _descending(score: np.ndarray) -> np.ndarray:
     return np.argsort(-score, kind="stable")
 
 
-def _sparsify_curve(err_metric, pixel_err, by_unc, steps):
+def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
     """Shared removal sweep for both orderings and the flaw demo.
 
-    ``by_unc`` is the pixel order by uncertainty, highest first.  Each
+    ``by_unc`` is the pixel order by uncertainty, highest first;
+    ``by_err``, the oracle order by ``pixel_err``, is sorted here unless
+    the caller already holds it.  Each
     ordering's kept-pixel sums are the tail sums of its sorted errors (or
     squared errors for RMSE), summed from the low end so that short tails
     do not cancel; each curve is normalized by its own full-set value.
@@ -235,7 +243,7 @@ def _sparsify_curve(err_metric, pixel_err, by_unc, steps):
         return np.sqrt(value) if err_metric == "rmse" else value
 
     spars = removal(by_unc)
-    oracle = removal(_descending(pixel_err))
+    oracle = removal(_descending(pixel_err) if by_err is None else by_err)
     if spars[0] == 0.0:
         raise DegenerateMetricError("full-set base metric is 0; nothing to normalize by")
     return SparsificationCurve(
@@ -471,16 +479,19 @@ def evaluate_uncertainty(
     """
     p, g = _flat_valid(pred, gt, mask)
     by_unc = _ranking(_valid_uncertainty(unc, gt, mask), "uncertainty")
+    # |pred - gt| is both the RMSE oracle's pixel error and SCC's error
+    by_err = _ranking(_per_pixel_error("rmse", p, g), "err")
 
     areas = {}
     for base in BASE_METRICS:
+        oracle = by_err.order if base == "rmse" else None
         try:
-            curve = _sparsify_curve(base, _per_pixel_error(base, p, g), by_unc.order, steps)
+            curve = _sparsify_curve(base, _per_pixel_error(base, p, g), by_unc.order, steps, oracle)
             areas[base] = ause_aurg(curve)
         except DegenerateMetricError:
             areas[base] = (None, None)
 
-    scc = spearman(np.abs(p - g), by_unc)
+    scc = spearman(by_err, by_unc)
     auroc, fpr95 = auroc_fpr95(by_unc, delta_outliers(p, g))
 
     nll_value = None

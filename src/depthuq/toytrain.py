@@ -28,8 +28,8 @@ from .discretize import (
     linear_hypotheses,
     softmax_volume,
 )
-from .gridio import read_grid, read_keyvalue, write_grid, write_keyvalue
-from .losses import clamped_entropy_parts, draw_permutation, full_backward
+from .gridio import keyvalue_numbers, read_grid, read_keyvalue, write_grid, write_keyvalue
+from .losses import NonFiniteLossError, clamped_entropy_parts, draw_permutation, full_backward
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
@@ -399,9 +399,10 @@ def train(model: ToyModel, scenes, config: TrainConfig):
         gsig = np.zeros(3)
         for scene in scenes:
             step_seed = config.seed * _PERM_SEED_STRIDE + step
-            report, grads = scene_gradients(model, scene, config, step_seed)
-            if not np.isfinite(report.total):
-                raise TrainingDivergedError(epoch)
+            try:
+                report, grads = scene_gradients(model, scene, config, step_seed)
+            except NonFiniteLossError as exc:
+                raise TrainingDivergedError(epoch) from exc
             model.w1 -= lr * grads["w1"]
             model.b1 -= lr * grads["b1"]
             model.w2 -= lr * grads["w2"]
@@ -604,9 +605,8 @@ def save_model(model: ToyModel, directory) -> Path:
 
 def load_model(directory) -> ToyModel:
     directory = Path(directory)
-    manifest = read_keyvalue(
-        directory / "manifest.txt", required=("head", "raw_scale", "d_min", "d_max", "m")
-    )
+    path = directory / "manifest.txt"
+    manifest = read_keyvalue(path, required=("head", "raw_scale", "d_min", "d_max", "m"))
     head = manifest["head"]
     grids = {
         name: read_grid(directory / f"{name}.duv").values
@@ -616,8 +616,10 @@ def load_model(directory) -> ToyModel:
     return ToyModel(
         head=head,
         hypotheses=linear_hypotheses(
-            float(manifest["d_min"]), float(manifest["d_max"]), int(manifest["m"])
+            keyvalue_numbers(path, manifest, "d_min"),
+            keyvalue_numbers(path, manifest, "d_max"),
+            keyvalue_numbers(path, manifest, "m", int),
         ),
-        raw_scale=float(manifest["raw_scale"]),
+        raw_scale=keyvalue_numbers(path, manifest, "raw_scale"),
         **grids,
     )

@@ -258,8 +258,10 @@ def _drop_value_row(base):
     "corrupt, message",
     [(lambda b: _drop_meta_key(b, "lo"), "missing key(s) lo"),
      (lambda b: _add_meta_line(b, "lo 0,0,0"), "expected key=value"),
-     (_drop_value_row, "index rows")],
-    ids=["missing-lo", "no-equals", "row-mismatch"],
+     (_drop_value_row, "index rows"),
+     (lambda b: _add_meta_line(b, "lo=a,0,0"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got 'a,0,0'"),
+     (lambda b: _add_meta_line(b, "lo=1,2"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got '1,2'")],
+    ids=["missing-lo", "no-equals", "row-mismatch", "bad-lo-cell", "short-lo"],
 )
 def test_render_malformed_grid_exits_one(data_dir, tmp_path, capsys, corrupt, message):
     base = tmp_path / "g"

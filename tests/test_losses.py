@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from depthuq.discretize import DepthHypotheses, linear_hypotheses, soft_labels, softmax_volume
 from depthuq.losses import (
-    LossWeights,
+    NonFiniteLossError,
     PairPermutation,
     auto_weighted_total,
     clamped_entropy_parts,
@@ -19,11 +19,10 @@ from depthuq.losses import (
 from depthuq.uncertainty import softplus
 
 
-def test_depth_l1_mean_and_sum():
+def test_depth_l1_is_mean():
     pred = np.array([1.2, 2.0])
     gt = np.array([1.0, 2.3])
     assert abs(depth_l1(pred, gt).value - 0.25) < 1e-15
-    assert abs(depth_l1(pred, gt, reduction="sum").value - 0.5) < 1e-15
 
 
 def test_depth_l1_gradient_signs():
@@ -38,20 +37,35 @@ def test_depth_l1_exact_fit_has_zero_grad():
     np.testing.assert_array_equal(lv.grad, 0.0)
 
 
+def _scene_with_invalid_pixel(seed):
+    # the classification scene of _small_instance with pixel (1, 2) made
+    # invalid, plus the same scene with that pixel removed outright
+    hyp, z, gt, _ = _small_instance(seed)
+    gt[1, 2] = np.nan
+    perm = draw_permutation(5, seed + 9)
+    keep = np.isfinite(gt)
+    return hyp, z, gt, perm, z[keep], gt[keep]
+
+
 def test_depth_l1_masks_invalid_gt():
-    lv = depth_l1(np.array([1.0, 9.0]), np.array([1.5, np.nan]))
-    assert abs(lv.value - 0.5) < 1e-15
-    assert lv.grad[1] == 0.0
+    # full_backward masks once; the NaN pixel leaves no trace
+    hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(10)
+    sig = np.array([0.3, -0.2, 0.5])
+    rep = full_backward(z, 0.4, sig, hyp, gt, perm)
+    kept = full_backward(z_kept, 0.4, sig, hyp, gt_kept, perm)
+    assert rep.n_valid == gt.size - 1 == kept.n_valid
+    np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
+    np.testing.assert_array_equal(rep.grad_z[np.isfinite(gt)], kept.grad_z)
+    assert rep.value_r == kept.value_r
+    assert rep.total == kept.total
 
 
 def test_depth_l1_rejects_empty_mask():
-    with pytest.raises(ValueError):
-        depth_l1(np.array([1.0]), np.array([np.nan]))
-
-
-def test_depth_l1_rejects_bad_reduction():
-    with pytest.raises(ValueError):
-        depth_l1(np.array([1.0]), np.array([2.0]), reduction="max")
+    with pytest.raises(ValueError, match="no valid pixels"):
+        depth_l1(np.array([]), np.array([]))
+    hyp, z, gt, _ = _small_instance(11)
+    with pytest.raises(ValueError, match="no valid pixels"):
+        full_backward(z, 0.0, np.zeros(3), hyp, np.full_like(gt, np.nan), None)
 
 
 def test_soft_label_l1_zero_on_match():
@@ -73,24 +87,26 @@ def test_soft_label_l1_partial():
 
 
 def test_soft_label_l1_uses_label_validity():
-    hyp = linear_hypotheses(1, 10, 4)
-    lab = soft_labels(hyp, np.array([2.0, np.nan]))
-    p = np.full((2, 4), 0.25)
-    lv = soft_label_l1(p, lab)
-    np.testing.assert_array_equal(lv.grad[1], 0.0)
+    # a NaN-GT pixel has an all-zero label row; full_backward must drop
+    # it rather than fit the row
+    hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(12)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, perm)
+    kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, gt_kept, perm)
+    assert rep.value_p == kept.value_p
+    lab = soft_labels(hyp, gt_kept).values
+    assert rep.value_p == soft_label_l1(softmax_volume(z_kept), lab).value
+    np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
 
 
 def test_hinge_pair_oracle():
     err = np.array([0.5, 0.2])
     unc = np.array([0.1, 0.3])
     perm = PairPermutation(np.array([1, 0]))
-    lv = ranking_loss_variants(err, unc, perm, "hinge", reduction="sum")
-    # margin_0 = (0.5-0.2) - (0.1-0.3) = 0.5, margin_1 = -0.5 clipped
-    np.testing.assert_allclose(lv.terms, [0.5, 0.0])
-    assert abs(lv.value - 0.5) < 1e-15
-    np.testing.assert_allclose(lv.grad, [-1.0, 1.0])
-    lv_mean = ranking_loss_variants(err, unc, perm, "hinge")
-    assert abs(lv_mean.value - 0.25) < 1e-15
+    lv = ranking_loss_variants(err, unc, perm, "hinge")
+    # margin_0 = (0.5-0.2) - (0.1-0.3) = 0.5, margin_1 = -0.5 clipped;
+    # the mean over two pairs halves both value and gradient
+    assert abs(lv.value - 0.25) < 1e-15
+    np.testing.assert_allclose(lv.grad, [-0.5, 0.5])
 
 
 def test_hinge_identity_perm_is_zero():
@@ -106,9 +122,9 @@ def test_no_max_pair_oracle():
     err = np.array([0.5, 0.2])
     unc = np.array([0.5, 0.1])
     perm = PairPermutation(np.array([1, 0]))
-    lv = ranking_loss_variants(err, unc, perm, "no-max", reduction="sum")
-    assert abs(lv.terms[0] - (-0.1)) < 1e-12
-    # pair sums telescope to zero and the grad cancels exactly
+    lv = ranking_loss_variants(err, unc, perm, "no-max")
+    # margins are -0.1 and +0.1: pair sums telescope to zero and the
+    # grad cancels exactly
     assert abs(lv.value) < 1e-15
     np.testing.assert_array_equal(lv.grad, 0.0)
 
@@ -177,13 +193,13 @@ def test_draw_permutation_deterministic():
 
 
 def test_auto_weighted_unit_sigmas():
-    total, grad = auto_weighted_total([1.0, 1.0, 1.0], LossWeights())
+    total, grad = auto_weighted_total([1.0, 1.0, 1.0], np.zeros(3))
     assert total == 3.0
     np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_auto_weighted_mixed_values():
-    total, grad = auto_weighted_total([1.0, 2.0, 3.0], LossWeights())
+    total, grad = auto_weighted_total([1.0, 2.0, 3.0], np.zeros(3))
     assert total == 6.0
     np.testing.assert_allclose(grad, [0.0, -1.0, -2.0])
 
@@ -205,9 +221,11 @@ def test_auto_weighted_stationary_is_minimum():
 
 def test_auto_weighted_rejects_bad_input():
     with pytest.raises(ValueError):
-        auto_weighted_total([1.0, 2.0], LossWeights())
-    with pytest.raises(ValueError):
-        auto_weighted_total([np.inf, 1.0, 1.0], LossWeights())
+        auto_weighted_total([1.0, 2.0], np.zeros(3))
+    with pytest.raises(NonFiniteLossError):
+        auto_weighted_total([np.inf, 1.0, 1.0], np.zeros(3))
+    with pytest.raises(NonFiniteLossError):
+        auto_weighted_total([1.0, 1.0, 1.0], np.array([0.0, np.nan, 0.0]))
 
 
 def test_softmax_backward_closed_form():
@@ -256,28 +274,30 @@ def _small_instance(seed):
 
 def test_full_backward_total_identity():
     hyp, z, gt, perm = _small_instance(0)
-    sig = LossWeights(0.3, -0.2, 0.5)
+    sig = np.array([0.3, -0.2, 0.5])
     rep = full_backward(z, 0.4, sig, hyp, gt, perm)
-    expect = float(((rep.values() * np.exp(-sig.as_array())) + sig.as_array()).sum())
+    expect = float(((rep.values() * np.exp(-sig)) + sig).sum())
     assert abs(rep.total - expect) < 1e-12
     assert rep.n_valid == 6
     assert rep.active == (True, True, True)
 
 
 def test_full_backward_terms_match_single_ops():
-    # recompose each term from the standalone losses on the same data
+    # full_backward is composed of the term functions, so recomposing
+    # each term on the same valid-pixel vectors must agree exactly
     hyp, z, gt, perm = _small_instance(1)
-    rep = full_backward(z, 0.0, LossWeights(), hyp, gt, perm, gamma=20.0)
-    p = softmax_volume(z)
-    from depthuq.discretize import expectation_depth
-
-    d = expectation_depth(hyp, p)
-    assert abs(rep.value_r - depth_l1(d, gt).value) < 1e-12
-    assert abs(rep.value_p - soft_label_l1(p, soft_labels(hyp, gt, 20.0)).value) < 1e-12
-    h, _ = clamped_entropy_parts(p.reshape(-1, 5))
-    u = rep.alpha * h
-    r = np.abs(d - gt).reshape(-1)
-    assert abs(rep.value_u - ranking_loss_variants(r, u, perm, "hinge").value) < 1e-12
+    sig = np.array([0.3, -0.2, 0.5])
+    rep = full_backward(z, 0.4, sig, hyp, gt, perm, gamma=20.0)
+    p = softmax_volume(z).reshape(-1, 5)
+    d = p @ hyp.values
+    g = gt.reshape(-1)
+    assert rep.value_r == depth_l1(d, g).value
+    assert rep.value_p == soft_label_l1(p, soft_labels(hyp, g, 20.0).values).value
+    h, _ = clamped_entropy_parts(p)
+    assert rep.value_u == ranking_loss_variants(np.abs(d - g), rep.alpha * h, perm, "hinge").value
+    total, grad_sigma = auto_weighted_total(rep.values(), sig)
+    assert rep.total == total
+    np.testing.assert_array_equal(rep.grad_sigma, grad_sigma)
 
 
 def test_full_backward_exact_global_fit():
@@ -287,7 +307,7 @@ def test_full_backward_exact_global_fit():
     hyp = DepthHypotheses(np.array([1.0, 2.0, 3.0]))
     z = np.tile(np.array([-800.0, 0.0, -800.0]), (2, 2, 1))
     gt = np.full((2, 2), 2.0)
-    rep = full_backward(z, 0.0, LossWeights(), hyp, gt, PairPermutation(np.arange(4)), gamma=800.0)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, PairPermutation(np.arange(4)), gamma=800.0)
     assert rep.value_r == 0.0 and rep.value_p == 0.0 and rep.value_u == 0.0
     assert rep.total == 0.0
     np.testing.assert_array_equal(rep.grad_z, 0.0)
@@ -297,7 +317,7 @@ def test_full_backward_exact_global_fit():
 
 def test_full_backward_drops_soft_term():
     hyp, z, gt, perm = _small_instance(2)
-    rep = full_backward(z, 0.0, LossWeights(), hyp, gt, perm, include_soft=False)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, perm, include_soft=False)
     assert rep.value_p == 0.0
     assert rep.grad_sigma[1] == 0.0
     assert rep.active == (True, False, True)
@@ -305,7 +325,7 @@ def test_full_backward_drops_soft_term():
 
 def test_full_backward_drops_ranking_term():
     hyp, z, gt, _ = _small_instance(3)
-    rep = full_backward(z, 0.0, LossWeights(), hyp, gt, None, ranking=None)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, None, ranking=None)
     assert rep.value_u == 0.0 and rep.grad_a == 0.0
     assert rep.grad_sigma[2] == 0.0
 
@@ -313,15 +333,15 @@ def test_full_backward_drops_ranking_term():
 def test_full_backward_requires_perm_for_pairs():
     hyp, z, gt, _ = _small_instance(4)
     with pytest.raises(ValueError):
-        full_backward(z, 0.0, LossWeights(), hyp, gt, None, ranking="hinge")
+        full_backward(z, 0.0, np.zeros(3), hyp, gt, None, ranking="hinge")
     with pytest.raises(ValueError):
-        full_backward(z, 0.0, LossWeights(), hyp, gt, PairPermutation(np.arange(3)))
+        full_backward(z, 0.0, np.zeros(3), hyp, gt, PairPermutation(np.arange(3)))
 
 
 def test_full_backward_rejects_shape_mismatch():
     hyp = linear_hypotheses(1, 10, 4)
     with pytest.raises(ValueError):
-        full_backward(np.zeros((2, 5)), 0.0, LossWeights(), hyp, np.full(2, 5.0), PairPermutation(np.arange(2)))
+        full_backward(np.zeros((2, 5)), 0.0, np.zeros(3), hyp, np.full(2, 5.0), PairPermutation(np.arange(2)))
 
 
 def test_full_backward_rejects_readout_length_mismatch():
@@ -329,7 +349,7 @@ def test_full_backward_rejects_readout_length_mismatch():
     z = np.zeros((2, 4))
     with pytest.raises(ValueError, match="readout"):
         full_backward(
-            z, 0.0, LossWeights(), hyp, np.full(2, 5.0), None,
+            z, 0.0, np.zeros(3), hyp, np.full(2, 5.0), None,
             include_soft=False, ranking=None, readout=np.ones(3),
         )
 
@@ -339,14 +359,14 @@ def test_full_backward_sigma_grad_matches_fd():
     # are honest here
     hyp, z, gt, perm = _small_instance(5)
     sig = np.array([0.2, -0.4, 0.1])
-    rep = full_backward(z, 0.3, LossWeights.from_array(sig), hyp, gt, perm)
+    rep = full_backward(z, 0.3, sig, hyp, gt, perm)
     h = 1e-6
     for k in range(3):
         sp, sm = sig.copy(), sig.copy()
         sp[k] += h
         sm[k] -= h
-        tp = full_backward(z, 0.3, LossWeights.from_array(sp), hyp, gt, perm).total
-        tm = full_backward(z, 0.3, LossWeights.from_array(sm), hyp, gt, perm).total
+        tp = full_backward(z, 0.3, sp, hyp, gt, perm).total
+        tm = full_backward(z, 0.3, sm, hyp, gt, perm).total
         assert abs(rep.grad_sigma[k] - (tp - tm) / (2 * h)) < 1e-6
 
 
@@ -355,25 +375,14 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
     # so central differences on a are honest too
     hyp, z, gt, _ = _small_instance(6)
     a = 0.7
-    rep = full_backward(z, a, LossWeights(), hyp, gt, None, ranking="l1-direct")
+    rep = full_backward(z, a, np.zeros(3), hyp, gt, None, ranking="l1-direct")
     h = 1e-6
-    tp = full_backward(z, a + h, LossWeights(), hyp, gt, None, ranking="l1-direct").total
-    tm = full_backward(z, a - h, LossWeights(), hyp, gt, None, ranking="l1-direct").total
+    tp = full_backward(z, a + h, np.zeros(3), hyp, gt, None, ranking="l1-direct").total
+    tm = full_backward(z, a - h, np.zeros(3), hyp, gt, None, ranking="l1-direct").total
     assert abs(rep.grad_a - (tp - tm) / (2 * h)) < 1e-5
 
 
 def test_full_backward_alpha_is_softplus():
     hyp, z, gt, perm = _small_instance(7)
-    rep = full_backward(z, -1.3, LossWeights(), hyp, gt, perm)
+    rep = full_backward(z, -1.3, np.zeros(3), hyp, gt, perm)
     assert abs(rep.alpha - float(softplus(-1.3))) < 1e-15
-
-
-def test_loss_report_row_keys():
-    hyp, z, gt, perm = _small_instance(8)
-    row = full_backward(z, 0.0, LossWeights(), hyp, gt, perm).row()
-    assert set(row) == {"loss_depth", "loss_soft", "loss_rank", "total", "alpha"}
-
-
-def test_loss_weights_round_trip():
-    w = LossWeights(0.1, -0.2, 0.3)
-    assert LossWeights.from_array(w.as_array()) == w

@@ -462,6 +462,23 @@ def test_evaluate_uncertainty_full_report():
     }
 
 
+def test_evaluate_uncertainty_matches_single_metrics():
+    # the report shares one sort of |pred - gt| between the RMSE oracle
+    # and SCC; each entry must still equal its standalone metric exactly
+    rng = np.random.default_rng(8)
+    gt = rng.uniform(1.5, 9.5, size=(12, 10))
+    pred = gt + np.round(rng.normal(scale=1.0, size=gt.shape), 1)  # tied errors
+    unc = np.round(np.abs(pred - gt) + rng.normal(scale=0.3, size=gt.shape), 1)
+    gt[2, 3] = np.nan
+    rep = evaluate_uncertainty(pred, gt, unc)
+    areas = {"rmse": (rep.ause_rmse, rep.aurg_rmse), "rel": (rep.ause_rel, rep.aurg_rel),
+             "delta1err": (rep.ause_delta1, rep.aurg_delta1)}
+    for base in BASE_METRICS:
+        assert areas[base] == ause_aurg(sparsification(base, pred, gt, unc))
+    keep = np.isfinite(gt)
+    assert rep.scc == spearman(np.abs(pred - gt)[keep], unc[keep])
+
+
 def test_nonfinite_uncertainty_is_rejected():
     rng = np.random.default_rng(4)
     gt = rng.uniform(1.5, 9.5, size=(20, 20))

@@ -6,10 +6,10 @@ from depthuq.discretize import DepthHypotheses, linear_hypotheses, softmax_volum
 from depthuq.losses import (
     LossReport,
     PairPermutation,
-    _ranking_core,
     clamped_entropy_parts,
     draw_permutation,
     full_backward,
+    ranking_loss_variants,
     softmax_backward,
 )
 from depthuq.toytrain import (
@@ -254,9 +254,10 @@ def test_network_gradients_match_fd(tiny_data):
         assert abs(got - fd) <= max(1e-7, 1e-4 * abs(fd)), (param, idx, got, fd)
 
 
-# The regression head's former private backward pass, kept verbatim as
-# the oracle that the unified ``full_backward(..., readout=...)`` must
-# reproduce bit for bit on fully valid scenes.
+# The regression head's former private backward pass, kept as the
+# oracle that the unified ``full_backward(..., readout=...)`` must
+# reproduce bit for bit on fully valid scenes.  Its ranking step calls
+# ``ranking_loss_variants``, the one implementation of that term.
 def _regression_backward(
     z: np.ndarray,
     w_out: np.ndarray,
@@ -295,10 +296,9 @@ def _regression_backward(
         h, dh_dp = clamped_entropy_parts(p)
         r = np.abs(resid)
         u = alpha * h
-        _, value_u, gu = _ranking_core(
-            r, u, perm.perm if perm is not None else None, ranking, w
-        )
-        gu_eff = gu * ew[2]
+        rank = ranking_loss_variants(r, u, perm, ranking)
+        value_u = rank.value
+        gu_eff = rank.grad * ew[2]
         grad_p = (alpha * gu_eff)[:, None] * dh_dp
         grad_z_flat = grad_z_flat + softmax_backward(p, grad_p)
         grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
@@ -452,6 +452,16 @@ def test_load_model_names_missing_manifest_key(tmp_path):
     ))
     with pytest.raises(ValueError, match=r"missing key\(s\) m$"):
         load_model(tmp_path / "m")
+
+
+def test_load_model_names_bad_manifest_value(tmp_path):
+    save_model(init_model(TrainConfig(seed=2)), tmp_path / "m")
+    manifest = tmp_path / "m" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "raw_scale=x\n")
+    with pytest.raises(ValueError) as exc:
+        load_model(tmp_path / "m")
+    assert str(exc.value).startswith(f"{manifest}: key 'raw_scale' wants 1 comma-separated float")
+    assert "'x'" in str(exc.value)
 
 
 def test_ablate_rows_and_thread_equivalence():
