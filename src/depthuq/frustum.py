@@ -12,7 +12,10 @@ every sample keeps its full 8-neighbor stencil in-grid and splat mass
 is conserved exactly; samples on the cloud hull land exactly on voxel
 centers.  The splat and the ray march share one trilinear corner
 stencil over flat voxel indices: the splat scatters through it, the
-march gathers through it.
+march gathers through it.  The march reads the stencil only where a
+per-render occupancy map, alpha > 0 dilated by one cell, says that
+some corner holds alpha; every sample position is still visited, so
+skipping empty cells does not change the image.
 """
 
 from __future__ import annotations
@@ -209,21 +212,30 @@ def _frame_bounds(points: np.ndarray, res: np.ndarray):
     return lo, hi
 
 
-def _stencil(g: np.ndarray, res: np.ndarray):
-    """Clamp-to-edge trilinear corner stencil of center-lattice points.
+def _low_corner(g: np.ndarray, res: np.ndarray):
+    """Clamp-to-edge low corner of center-lattice points.
 
     Returns the flat voxel index (i*ny + j)*nz + k of each point's low
-    corner and an iterator over the 8 corners, each a flat offset and a
-    per-point weight (wx * wy) * wz whose per-axis factors are frac or
-    1 - frac.  Corners come one at a time, so temporaries stay one point
-    count in size.
+    corner and the point's fraction past it per axis.  The corner is
+    clamped to res - 2, so its +1 neighbors are always in-grid.
     """
     g = np.clip(g, 0.0, res - 1.0)  # guards float spill at the hull
     i0 = np.floor(g).astype(np.int64)
     i0 = np.minimum(i0, np.asarray(res, dtype=np.int64) - 2)  # keep the +1 corner addressable
-    frac = g - i0
     _, ny, nz = (int(n) for n in res)
-    base = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
+    return (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2], g - i0
+
+
+def _stencil(g: np.ndarray, res: np.ndarray):
+    """Clamp-to-edge trilinear corner stencil of center-lattice points.
+
+    Returns the flat low-corner index of ``_low_corner`` and an iterator
+    over the 8 corners, each a flat offset and a per-point weight
+    (wx * wy) * wz whose per-axis factors are frac or 1 - frac.  Corners
+    come one at a time, so temporaries stay one point count in size.
+    """
+    base, frac = _low_corner(g, res)
+    _, ny, nz = (int(n) for n in res)
     wx, wy, wz = ((1.0 - frac[:, ax], frac[:, ax]) for ax in range(3))
 
     def corners():
@@ -350,6 +362,19 @@ def voxelize_ground_truth(
     return _splat(pts[nonzero], mass[nonzero], cols[nonzero], resolution), skipped
 
 
+def _occupancy(dense_a: np.ndarray) -> np.ndarray:
+    """Raveled map: does any of the 8 corners above this low corner hold alpha?
+
+    Alpha > 0 dilated by one cell toward the low side on each axis, so
+    entry i0 covers the corners i0 + {0, 1}^3 of the trilinear stencil.
+    """
+    occ = dense_a > 0
+    occ[:-1] |= occ[1:]
+    occ[:, :-1] |= occ[:, 1:]
+    occ[:, :, :-1] |= occ[:, :, 1:]
+    return occ.reshape(-1)
+
+
 def _trilerp(flat_a, flat_pm, res, g):
     """Clamp-to-edge trilinear read of raveled alpha and premultiplied color."""
     base, corners = _stencil(g, res)
@@ -378,7 +403,10 @@ def render(
     trilinear alpha via 1 - (1 - a)^(step / voxel_size) so the result
     is step-size independent, composites C += T * a_s * c_s,
     T *= (1 - a_s), and stops once T < ``min_transmittance``.  The
-    leftover transmittance lets the background through.  With
+    leftover transmittance lets the background through.  The trilinear
+    stencil is read only at samples whose low corner is set in the
+    dilated occupancy map of ``_occupancy``; the others would read
+    alpha 0.  Sample positions do not change.  With
     ``threads`` > 1 the rays are split into that many chunks marched in
     parallel; rays are independent, so the image does not depend on it.
     """
@@ -394,10 +422,13 @@ def render(
 
     dense_a, dense_pm = grid.dense()
     flat_a, flat_pm = dense_a.reshape(-1), dense_pm.reshape(-1, 3)
+    occ = _occupancy(dense_a)  # read-only, shared by every chunk
     dirs = camera_rays(cam, pose)
 
     def march(block):
-        return _march(grid, flat_a, flat_pm, pose.translation, block, bg, step, min_transmittance)
+        return _march(
+            grid, flat_a, flat_pm, occ, pose.translation, block, bg, step, min_transmittance
+        )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -417,8 +448,12 @@ def camera_rays(cam: Pinhole, pose: CameraPose) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _march(grid, flat_a, flat_pm, origin, dirs, bg, step, min_transmittance):
-    """Composite a batch of rays; independent per ray (chunk-safe)."""
+def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance):
+    """Composite a batch of rays; independent per ray (chunk-safe).
+
+    Only samples whose low corner is set in ``occ`` are interpolated;
+    the rest have all eight corners at alpha 0 and would not composite.
+    """
     res = np.array(grid.resolution, dtype=np.float64)
     cell = grid.cell
 
@@ -442,14 +477,16 @@ def _march(grid, flat_a, flat_pm, origin, dirs, bg, step, min_transmittance):
         ai = np.nonzero(active)[0]
         pos = origin[None, :] + t[ai, None] * dirs[ai]
         g = (pos - grid.lo[None, :]) / cell[None, :] - 0.5
-        a, pm = _trilerp(flat_a, flat_pm, res, g)
-        a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
+        near_alpha = occ[_low_corner(g, res)[0]]
+        a, pm = _trilerp(flat_a, flat_pm, res, g[near_alpha])
         contrib = a > 0
         if np.any(contrib):
-            ci = ai[contrib]
-            c_s = pm[contrib] / a[contrib, None]
-            out_c[ci] += (trans[ci] * a_s[contrib])[:, None] * c_s
-            trans[ci] *= 1.0 - a_s[contrib]
+            ci = ai[near_alpha][contrib]
+            a = a[contrib]
+            a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
+            c_s = pm[contrib] / a[:, None]
+            out_c[ci] += (trans[ci] * a_s)[:, None] * c_s
+            trans[ci] *= 1.0 - a_s
         t[ai] += step
         active[ai] = (t[ai] <= far[ai]) & (trans[ai] >= min_transmittance)
 

@@ -453,13 +453,14 @@ def ause_flaw_demo(
         raise ValueError(f"transform {name} not strictly increasing on the error range")
     e_b = np.asarray(fn(e), dtype=np.float64)
 
-    by_unc = _descending(u)
-    curve_a = _sparsify_curve("rmse", e, by_unc, steps)
-    curve_b = _sparsify_curve("rmse", e_b, by_unc, steps)
+    # one sort per ordering, shared by the curves and SCC
+    by_err, by_err_b, by_unc = _ranking(e, "err"), _ranking(e_b, "err"), _ranking(u, "unc")
+    curve_a = _sparsify_curve("rmse", e, by_unc.order, steps, by_err.order)
+    curve_b = _sparsify_curve("rmse", e_b, by_unc.order, steps, by_err_b.order)
     return TransformComparison(
         transform=name,
-        scc_a=spearman(e, u),
-        scc_b=spearman(e_b, u),
+        scc_a=spearman(by_err, by_unc),
+        scc_b=spearman(by_err_b, by_unc),
         ause_a=ause_aurg(curve_a)[0],
         ause_b=ause_aurg(curve_b)[0],
     )

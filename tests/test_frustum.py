@@ -373,6 +373,44 @@ def test_render_opaque_back_stops_ray():
     np.testing.assert_allclose(img[1, 1], [0.5, 0.0, 0.5], atol=1e-9)
 
 
+def _back_to_front_reference(grid, cam, pose, bg, step):
+    # per ray: the same sample points as render, composited back to front
+    # through _trilerp_oracle; min_transmittance is taken as 0
+    dense_a, dense_pm = grid.dense()
+    dirs = camera_rays(cam, pose)
+    origin = pose.translation
+    resf = np.array(grid.resolution, dtype=np.float64)
+    expo = step / grid.voxel_size
+    img = np.empty((dirs.shape[0], 3))
+    for r in range(dirs.shape[0]):
+        d = dirs[r]
+        near, far = 0.0, np.inf
+        for ax in range(3):
+            if d[ax] == 0.0:
+                if not (grid.lo[ax] <= origin[ax] <= grid.hi[ax]):
+                    near, far = np.inf, -np.inf
+                continue
+            ta = (grid.lo[ax] - origin[ax]) / d[ax]
+            tb = (grid.hi[ax] - origin[ax]) / d[ax]
+            near = max(near, min(ta, tb))
+            far = min(far, max(ta, tb))
+        if far <= near:
+            img[r] = bg
+            continue
+        ts = np.arange(near + step / 2.0, far, step)
+        colour = bg.copy()
+        for t in ts[::-1]:
+            pos = origin + t * d
+            g = (pos - grid.lo) / grid.cell - 0.5
+            a, pm = _trilerp_oracle(dense_a, dense_pm, resf, g.reshape(1, 3))
+            if a[0] <= 0:
+                continue
+            a_s = 1.0 - (1.0 - min(a[0], 1.0)) ** expo
+            colour = a_s * (pm[0] / a[0]) + (1.0 - a_s) * colour
+        img[r] = np.clip(colour, 0, 1)
+    return img
+
+
 def test_render_matches_back_to_front_reference():
     # same sample points, opposite compositing recursion
     rng = np.random.default_rng(5)
@@ -393,38 +431,63 @@ def test_render_matches_back_to_front_reference():
         step = grid.voxel_size / 3.0
         img = render(grid, pose, cam, background=tuple(bg), step=step,
                      min_transmittance=1e-12).reshape(-1, 3)
+        ref = _back_to_front_reference(grid, cam, pose, bg, step)
+        np.testing.assert_allclose(img, ref, atol=1e-9)
 
-        dense_a, dense_pm = grid.dense()
-        dirs = camera_rays(cam, pose)
-        origin = pose.translation
-        resf = np.array(res, dtype=np.float64)
-        expo = step / grid.voxel_size
-        for r in range(dirs.shape[0]):
-            d = dirs[r]
-            near, far = 0.0, np.inf
-            for ax in range(3):
-                if d[ax] == 0.0:
-                    if not (grid.lo[ax] <= origin[ax] <= grid.hi[ax]):
-                        near, far = np.inf, -np.inf
-                    continue
-                ta = (grid.lo[ax] - origin[ax]) / d[ax]
-                tb = (grid.hi[ax] - origin[ax]) / d[ax]
-                near = max(near, min(ta, tb))
-                far = min(far, max(ta, tb))
-            if far <= near:
-                np.testing.assert_allclose(img[r], bg, atol=1e-9)
-                continue
-            ts = np.arange(near + step / 2.0, far, step)
-            colour = bg.copy()
-            for t in ts[::-1]:
-                pos = origin + t * d
-                g = (pos - grid.lo) / grid.cell - 0.5
-                a, pm = _trilerp_oracle(dense_a, dense_pm, resf, g.reshape(1, 3))
-                if a[0] <= 0:
-                    continue
-                a_s = 1.0 - (1.0 - min(a[0], 1.0)) ** expo
-                colour = a_s * (pm[0] / a[0]) + (1.0 - a_s) * colour
-            np.testing.assert_allclose(img[r], np.clip(colour, 0, 1), atol=1e-9)
+
+@pytest.mark.parametrize("res", [(2, 2, 2), (9, 8, 7), (5, 5, 5)])
+def test_occupancy_lookup_matches_corner_brute_force(res):
+    rng = np.random.default_rng(list(res))
+    resf = np.array(res, dtype=np.float64)
+    for trial in range(6):
+        dense_a = np.zeros(res)
+        n = int(rng.integers(1, 4))
+        idx = np.stack([rng.integers(0, k, size=n) for k in res], axis=1)
+        # pin voxels to the index-0 and res - 1 faces of every axis
+        for ax in range(3):
+            idx[rng.integers(n), ax] = 0
+            idx[rng.integers(n), ax] = res[ax] - 1
+        dense_a[tuple(idx.T)] = rng.uniform(0.1, 1.0, size=n)
+        occ = frustum._occupancy(dense_a)
+        corners = np.stack(np.meshgrid(*(np.arange(k - 1) for k in res), indexing="ij"), -1)
+        corners = corners.reshape(-1, 3)
+        # points in every low corner's cell, on its lattice point, and out
+        # of range; g = res - 1 and beyond read the clamped corner res - 2
+        g = np.concatenate([
+            corners + rng.uniform(0.0, 1.0, size=corners.shape),
+            corners.astype(np.float64),
+            rng.uniform(-1.0, resf + 1.0, size=(100, 3)),
+            [resf - 1.0],
+        ])
+        base, _ = frustum._low_corner(g, resf)
+        i0 = np.minimum(np.floor(np.clip(g, 0.0, resf - 1.0)), resf - 2).astype(np.int64)
+        want = np.array([(dense_a[i:i + 2, j:j + 2, k:k + 2] > 0).any() for i, j, k in i0])
+        np.testing.assert_array_equal(occ[base], want)
+
+
+def test_render_mostly_empty_grid_matches_reference():
+    # five voxels of a 9x8x7 grid, two on the res - 1 faces where the low
+    # corner is clamped to res - 2; the step is not cell-aligned
+    res = (9, 8, 7)
+    idx = np.array([[8, 3, 2], [4, 7, 6], [4, 4, 3], [0, 0, 0], [5, 2, 6]])
+    rng = np.random.default_rng(23)
+    grid = SparseVoxelGrid(
+        lo=np.array([-1.0, -1.0, 2.0]), hi=np.array([1.0, 1.0, 4.0]),
+        resolution=res, indices=idx,
+        alpha=rng.uniform(0.3, 1.0, size=len(idx)), color=rng.uniform(size=(len(idx), 3)),
+    )
+    cam = centered_pinhole(9, 11, 7.0)
+    bg = np.array([0.1, 0.2, 0.3])
+    step = 0.37 * grid.voxel_size
+    target = (grid.lo + grid.hi) / 2.0
+    for pose in (identity_pose(), orbit_pose(target, 3.0, np.deg2rad(130.0), 0.4)):
+        img = render(grid, pose, cam, background=tuple(bg), step=step, min_transmittance=1e-12)
+        ref = _back_to_front_reference(grid, cam, pose, bg, step)
+        assert np.any(np.abs(ref - bg).max(axis=1) > 0.05)  # some rays hit a voxel
+        np.testing.assert_allclose(img.reshape(-1, 3), ref, atol=1e-9)
+        threaded = render(grid, pose, cam, background=tuple(bg), step=step,
+                          min_transmittance=1e-12, threads=3)
+        np.testing.assert_array_equal(threaded, img)
 
 
 def test_source_pose_rerender_at_aligned_pixel():

@@ -435,6 +435,23 @@ def test_flaw_demo_sqrt_and_custom_callable():
     assert abs(cmp2.delta_scc) < 1e-12
 
 
+def test_flaw_demo_sorts_each_ordering_once(monkeypatch):
+    # three orderings (u, e, transformed e) feed both curves and both SCCs
+    err, unc = _correlated_instance(10, n=1000)
+    want = ause_flaw_demo(err, unc, "square")
+    calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    got = ause_flaw_demo(err, unc, "square")
+    assert len(calls) <= 3
+    assert got == want
+
+
 def test_flaw_demo_rejects_non_monotone_transform():
     err = np.array([0.5, 1.5, 2.5])
     unc = np.array([1.0, 2.0, 3.0])
