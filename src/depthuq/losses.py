@@ -224,6 +224,7 @@ def full_backward(
     include_soft: bool = True,
     ranking: str | None = "hinge",
     mask=None,
+    labels=None,
     readout=None,
 ) -> LossReport:
     """Forward + exact backward for the whole loss of either head.
@@ -237,6 +238,14 @@ def full_backward(
     (through softplus), and the sigmas.  ``include_soft=False`` or
     ``ranking=None`` drop terms from the total entirely (their sigma
     stops moving too).
+
+    ``labels`` are the soft-label rows of the masked pixels, (n, M) in
+    ``gt[mask]`` order, as ``soft_labels(hyp, gt[mask], gamma).values``
+    gives them.  A caller that steps on one ground truth many times
+    (``toytrain.train``) builds them once and passes them with the
+    mask; they must have been made with this ``gamma``.  Left out, they
+    are computed here from the valid GT vector.  Only the soft-label
+    term reads them.
     """
     z = np.asarray(z, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -284,7 +293,9 @@ def full_backward(
 
     value_p = 0.0
     if include_soft:
-        soft = soft_label_l1(pv, soft_labels(hyp, gt, gamma).values[mask])
+        if labels is None:
+            labels = soft_labels(hyp, gv, gamma).values
+        soft = soft_label_l1(pv, labels)
         value_p = soft.value
         soft.grad *= ew[1]
         grad_p += soft.grad

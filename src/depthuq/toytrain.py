@@ -26,9 +26,17 @@ from .discretize import (
     DepthHypotheses,
     expectation_depth,
     linear_hypotheses,
+    soft_labels,
     softmax_volume,
 )
-from .gridio import keyvalue_numbers, read_grid, read_keyvalue, write_grid, write_keyvalue
+from .gridio import (
+    keyvalue_numbers,
+    read_grid,
+    read_keyvalue,
+    valid_mask,
+    write_grid,
+    write_keyvalue,
+)
 from .losses import NonFiniteLossError, clamped_entropy_parts, draw_permutation, full_backward
 from .metrics import (
     accuracy_metrics,
@@ -300,22 +308,57 @@ def forward(model: ToyModel, scene: SyntheticScene):
     return depth, alpha * h, z
 
 
-def scene_gradients(model: ToyModel, scene: SyntheticScene, config: TrainConfig, step_seed: int):
+@dataclass(frozen=True)
+class SceneTargets:
+    """The loss targets of one scene, fixed for a whole training run."""
+
+    mask: np.ndarray  # H x W, finite positive GT
+    n: int  # valid pixels, the length of the pair permutation
+    labels: np.ndarray | None  # (n, M) soft-label rows, include_soft only
+
+
+def scene_targets(model: ToyModel, scene: SyntheticScene, config: TrainConfig) -> SceneTargets:
+    """Validity mask, its count and the soft-label rows of the valid pixels.
+
+    All three depend only on the ground truth, the hypotheses and
+    ``config.gamma``, never on the weights, so ``train`` builds them
+    once per scene and run.  The labels are left out (None) when the
+    soft-label term is off.
+    """
+    mask = valid_mask(scene.gt)
+    gv = scene.gt[mask]
+    labels = None
+    if config.include_soft:
+        labels = soft_labels(model.hypotheses, gv, config.gamma).values
+    return SceneTargets(mask=mask, n=gv.size, labels=labels)
+
+
+def scene_gradients(
+    model: ToyModel,
+    scene: SyntheticScene,
+    config: TrainConfig,
+    step_seed: int,
+    targets: SceneTargets | None = None,
+):
     """One scene's loss report and parameter gradients.
 
     The exact backward of the losses module supplies d(total)/d(z) for
     either head (plus the readout gradient of the regression head); the
     chain rule through the two-layer net does the rest.  Training and
-    the finite-difference spot checks share this code path.
+    the finite-difference spot checks share this code path.  The pair
+    permutation covers the valid pixels only; ``targets`` defaults to
+    ``scene_targets`` of this scene.
     """
+    if targets is None:
+        targets = scene_targets(model, scene, config)
     feats = scene.features
     hid = _hidden(model, feats)
     z = hid @ model.w2
-    n = scene.gt.size
+    pixels = scene.gt.size
 
     perm = None
     if config.ranking in ("hinge", "no-max"):
-        perm = draw_permutation(n, step_seed)
+        perm = draw_permutation(targets.n, step_seed)
 
     report = full_backward(
         z,
@@ -327,12 +370,14 @@ def scene_gradients(model: ToyModel, scene: SyntheticScene, config: TrainConfig,
         gamma=config.gamma,
         include_soft=config.include_soft,
         ranking=config.ranking,
+        mask=targets.mask,
+        labels=targets.labels,
         readout=model.w_out,
     )
 
-    gz = report.grad_z.reshape(n, -1)
-    h2 = hid.reshape(n, -1)
-    f2 = feats.reshape(n, -1)
+    gz = report.grad_z.reshape(pixels, -1)
+    h2 = hid.reshape(pixels, -1)
+    f2 = feats.reshape(pixels, -1)
     grad_w2 = h2.T @ gz
     grad_h = gz @ model.w2.T
     grad_pre = grad_h * (1.0 - h2**2)
@@ -384,23 +429,27 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     """Plain gradient descent, one step per scene visit.
 
     Scene order is fixed; the pair permutation is redrawn every step
-    from the run seed.  Aborts with the epoch index if the total goes
-    non-finite.  Returns the trained model (mutated in place) and the
-    per-epoch log list.
+    from the run seed.  Each scene's ``SceneTargets`` (mask, valid
+    count, soft-label rows) are built once, before the first step, and
+    reused by every epoch: at the defaults (64 scenes of 32 x 32, 16
+    bins) the label rows hold 8 MiB for the run.  Aborts with the epoch
+    index if the total goes non-finite.  Returns the trained model
+    (mutated in place) and the per-epoch log list.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("need at least one training scene")
+    targets = [scene_targets(model, scene, config) for scene in scenes]
     logs = []
     step = 0
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
         totals = np.zeros(4)
         gsig = np.zeros(3)
-        for scene in scenes:
+        for scene, scene_target in zip(scenes, targets):
             step_seed = config.seed * _PERM_SEED_STRIDE + step
             try:
-                report, grads = scene_gradients(model, scene, config, step_seed)
+                report, grads = scene_gradients(model, scene, config, step_seed, scene_target)
             except NonFiniteLossError as exc:
                 raise TrainingDivergedError(epoch) from exc
             model.w1 -= lr * grads["w1"]

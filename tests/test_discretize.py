@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from depthuq.discretize import (
     DepthHypotheses,
+    _bin_extreme,
     bilinear_bin_weights,
     expectation_depth,
     linear_hypotheses,
@@ -161,6 +162,73 @@ def test_softmax_rows_sum_to_one(seed):
     p = softmax_volume(z)
     assert np.all(np.abs(p.sum(axis=-1) - 1.0) < 1e-12)
     assert np.all(p >= 0)
+
+
+def _same_bits(got, want):
+    # equal shape, equal values with NaN matching NaN, and equal sign bits
+    # (so -0.0 and 0.0 differ)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("m", [2, 3, 16, 32, 129])
+def test_bin_extreme_matches_last_axis_reduction(m, lead):
+    rng = np.random.default_rng(m * 31 + len(lead))
+    for trial in range(40):
+        x = rng.normal(scale=3.0, size=lead + (m,))
+        # half the trials are special values only, the rest a sprinkling
+        share = 1.0 if trial % 2 else 0.3
+        special = rng.random(x.shape) < share
+        x[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+        assert _same_bits(_bin_extreme(x, np.maximum), x.max(axis=-1, keepdims=True))
+        assert _same_bits(_bin_extreme(x, np.minimum), x.min(axis=-1, keepdims=True))
+
+
+def test_bin_extreme_signed_zero_rows():
+    x = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    assert _same_bits(_bin_extreme(x, np.maximum), x.max(axis=-1, keepdims=True))
+    assert _same_bits(_bin_extreme(x, np.minimum), x.min(axis=-1, keepdims=True))
+
+
+def test_bin_extreme_rejects_zero_bins():
+    for reduce in (np.maximum, np.minimum):
+        with pytest.raises(ValueError):
+            _bin_extreme(np.zeros((4, 0)), reduce)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 16), (2, 3, 129)])
+def test_softmax_matches_last_axis_formula_bitwise(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    z = rng.normal(scale=8.0, size=shape)
+    z.flat[0] = -0.0
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert softmax_volume(z).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 10.0, 1e6])
+def test_soft_labels_match_last_axis_formula_bitwise(gamma):
+    rng = np.random.default_rng(int(gamma))
+    hyp = linear_hypotheses(1.0, 10.0, 16)
+    gt = rng.uniform(0.5, 11.0, size=(6, 7))
+    gt[0, :4] = [np.nan, -1.0, 0.0, np.inf]
+    gt[1, :2] = [-0.0, hyp.values[3]]
+    valid = np.isfinite(gt) & (gt > 0)
+    dist = gamma * np.abs(hyp.values - np.where(valid, gt, hyp.d_min)[..., None])
+    w = np.exp(-(dist - dist.min(axis=-1, keepdims=True)))
+    want = w / w.sum(axis=-1, keepdims=True)
+    want[~valid] = 0.0
+    got = soft_labels(hyp, gt, gamma)
+    assert got.values.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(got.valid, valid)
 
 
 def test_bilinear_weights_midpoint():

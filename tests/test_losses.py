@@ -315,6 +315,24 @@ def test_full_backward_exact_global_fit():
     np.testing.assert_array_equal(rep.grad_sigma, 1.0)
 
 
+def test_full_backward_takes_precomputed_labels():
+    # rows built once from the valid GT vector stand in for the ones
+    # full_backward derives itself, bit for bit
+    hyp, z, gt, perm, _, gt_kept = _scene_with_invalid_pixel(12)
+    sig = np.array([0.1, 0.4, -0.3])
+    mask = np.isfinite(gt)
+    own = full_backward(z, 0.2, sig, hyp, gt, perm, gamma=7.0)
+    given = full_backward(
+        z, 0.2, sig, hyp, gt, perm, gamma=7.0, mask=mask,
+        labels=soft_labels(hyp, gt_kept, 7.0).values,
+    )
+    assert given.value_p == own.value_p
+    assert given.total == own.total
+    np.testing.assert_array_equal(given.grad_z, own.grad_z)
+    with pytest.raises(ValueError, match="matching"):
+        full_backward(z, 0.2, sig, hyp, gt, perm, mask=mask, labels=np.zeros((6, 5)))
+
+
 def test_full_backward_drops_soft_term():
     hyp, z, gt, perm = _small_instance(2)
     rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, perm, include_soft=False)

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+import depthuq.losses
+import depthuq.toytrain
 from depthuq.discretize import DepthHypotheses, linear_hypotheses, softmax_volume
+from depthuq.gridio import valid_mask
 from depthuq.losses import (
     LossReport,
     PairPermutation,
@@ -13,7 +18,10 @@ from depthuq.losses import (
     softmax_backward,
 )
 from depthuq.toytrain import (
+    _PERM_SEED_STRIDE,
     ABLATION_ROWS,
+    SIGMA_BOUND,
+    EpochLog,
     SyntheticScene,
     ToyModel,
     TrainConfig,
@@ -489,3 +497,138 @@ def test_ablation_medians():
     assert med["full"] == 0.2
     assert med["depth_only"] is None
     assert med["full_nomax"] is None
+
+
+def _with_invalid_gt(scene, *pixels):
+    gt = scene.gt.copy()
+    for pixel in pixels:
+        gt[pixel] = np.nan
+    return replace(scene, gt=gt)
+
+
+@pytest.mark.parametrize("ranking", ["hinge", "no-max"])
+def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
+    # the pair permutation covers the valid pixels only, so one NaN GT
+    # pixel costs the pair variants one permutation slot, not the step
+    scene = _with_invalid_gt(tiny_data[0][0], (2, 3))
+    cfg = TrainConfig(epochs=1, seed=2, ranking=ranking)
+    m = init_model(cfg)
+    report, grads = scene_gradients(m, scene, cfg, step_seed=11)
+
+    z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
+    mask = valid_mask(scene.gt)
+    want = full_backward(
+        z, m.raw_scale, m.sigma, m.hypotheses, scene.gt, draw_permutation(63, 11),
+        gamma=cfg.gamma, ranking=ranking, mask=mask,
+    )
+    assert report.n_valid == want.n_valid == 63
+    assert report.total == want.total
+    assert report.grad_a == want.grad_a
+    np.testing.assert_array_equal(report.grad_z, want.grad_z)
+    np.testing.assert_array_equal(report.grad_z[2, 3], 0.0)
+    np.testing.assert_array_equal(grads["sigma"], want.grad_sigma)
+
+    trained, logs = train(m, [scene, tiny_data[0][1]], cfg)
+    assert len(logs) == 1 and np.isfinite(logs[0].mean_total)
+    trained.check_finite()
+
+
+def _reference_train(model, scenes, config):
+    """``train`` with every step on ``full_backward``'s own mask and labels.
+
+    Nothing is built ahead of the steps: each one passes only the GT and
+    a permutation over its valid count, and the chain rule and update
+    are spelled out here.
+    """
+    logs = []
+    step = 0
+    for epoch in range(config.epochs):
+        lr = config.lr_at(epoch)
+        totals = np.zeros(4)
+        gsig = np.zeros(3)
+        for scene in scenes:
+            hid = np.tanh(scene.features @ model.w1 + model.b1)
+            z = hid @ model.w2
+            perm = None
+            if config.ranking in ("hinge", "no-max"):
+                n_valid = int(np.count_nonzero(valid_mask(scene.gt)))
+                perm = draw_permutation(n_valid, config.seed * _PERM_SEED_STRIDE + step)
+            rep = full_backward(
+                z, model.raw_scale, model.sigma, model.hypotheses, scene.gt, perm,
+                gamma=config.gamma, include_soft=config.include_soft,
+                ranking=config.ranking, readout=model.w_out,
+            )
+            pixels = scene.gt.size
+            gz = rep.grad_z.reshape(pixels, -1)
+            h2 = hid.reshape(pixels, -1)
+            f2 = scene.features.reshape(pixels, -1)
+            grad_pre = (gz @ model.w2.T) * (1.0 - h2**2)
+            model.w1 -= lr * (f2.T @ grad_pre)
+            model.b1 -= lr * grad_pre.sum(axis=0)
+            model.w2 -= lr * (h2.T @ gz)
+            model.raw_scale -= lr * rep.grad_a
+            model.sigma = np.clip(model.sigma - lr * rep.grad_sigma, -SIGMA_BOUND, SIGMA_BOUND)
+            if rep.grad_readout is not None:
+                model.w_out = model.w_out - lr * rep.grad_readout
+            totals += (rep.total, rep.value_r, rep.value_p, rep.value_u)
+            gsig += rep.grad_sigma
+            step += 1
+        k = len(scenes)
+        logs.append(
+            EpochLog(
+                epoch=epoch,
+                lr=lr,
+                mean_total=totals[0] / k,
+                mean_depth=totals[1] / k,
+                mean_soft=totals[2] / k,
+                mean_rank=totals[3] / k,
+                sigma=tuple(float(s) for s in model.sigma),
+                alpha=model.scale.alpha,
+                mean_grad_sigma=tuple(float(g) for g in gsig / k),
+            )
+        )
+    return model, logs
+
+
+@pytest.mark.parametrize(
+    "head, soft, ranking",
+    [
+        ("classification", True, "hinge"),
+        ("classification", True, "no-max"),
+        ("classification", False, "hinge"),
+        ("classification", True, "l1-direct"),
+        ("classification", True, None),
+        ("regression", False, "hinge"),
+    ],
+)
+def test_train_targets_match_default_backward_path(tiny_data, head, soft, ranking):
+    # per-run targets (mask, count, label rows) must change no bit of
+    # the run; one scene has invalid GT so the mask matters
+    scenes = list(tiny_data[0][:4])
+    scenes[1] = _with_invalid_gt(scenes[1], (0, 0), (5, 6))
+    cfg = TrainConfig(epochs=3, seed=9, head=head, include_soft=soft, ranking=ranking)
+    got, got_logs = train(init_model(cfg), scenes, cfg)
+    want, want_logs = _reference_train(init_model(cfg), scenes, cfg)
+    for name in ("w1", "b1", "w2", "sigma", "w_out"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.raw_scale == want.raw_scale
+    assert got_logs == want_logs
+
+
+@pytest.mark.parametrize("soft", [True, False])
+def test_soft_labels_built_once_per_scene_and_run(tiny_data, monkeypatch, soft):
+    calls = []
+    original = depthuq.toytrain.soft_labels
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # the fallback inside full_backward counts too: it must not run
+    monkeypatch.setattr(depthuq.toytrain, "soft_labels", counted)
+    monkeypatch.setattr(depthuq.losses, "soft_labels", counted)
+    scenes = tiny_data[0]
+    cfg = TrainConfig(epochs=3, seed=1, include_soft=soft)
+    train(init_model(cfg), scenes, cfg)
+    assert len(calls) == (len(scenes) if soft else 0)
+
