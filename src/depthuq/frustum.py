@@ -16,6 +16,12 @@ march gathers through it.  The march reads the stencil only where a
 per-render occupancy map, alpha > 0 dilated by one cell, says that
 some corner holds alpha; every sample position is still visited, so
 skipping empty cells does not change the image.
+
+The march advances every live ray by ``MARCH_BLOCK`` samples per pass.
+Sample positions come from a sequential ``cumsum`` of the step, so they
+are exactly those of repeated ``t += step``, and the image does not
+depend on the block length.  Samples and colors are kept column-major
+(each axis and channel contiguous) from the splat through the march.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ ALPHA_EPSILON = 1e-4
 DEFAULT_RESOLUTION = 96
 DEFAULT_MIN_TRANSMITTANCE = 1e-3
 ORTHONORMAL_TOL = 1e-9
+MARCH_BLOCK = 16  # samples per ray per pass of the ray march
 
 
 @dataclass(frozen=True)
@@ -192,13 +199,18 @@ class SparseVoxelGrid:
         return float(np.prod(self.cell) ** (1.0 / 3.0))
 
     def dense(self):
-        """Dense alpha plus premultiplied color for fast ray lookup."""
+        """Dense alpha plus premultiplied color for fast ray lookup.
+
+        The color grid has shape ``resolution + (3,)`` but is stored
+        channel-major, so each channel is one contiguous voxel array.
+        """
         a = np.zeros(self.resolution)
-        pm = np.zeros(self.resolution + (3,))
-        ix, iy, iz = self.indices.T
-        a[ix, iy, iz] = self.alpha
-        pm[ix, iy, iz] = self.alpha[:, None] * self.color
-        return a, pm
+        pm = np.zeros((3,) + self.resolution)
+        flat = np.ravel_multi_index(tuple(self.indices.T), self.resolution)
+        a.reshape(-1)[flat] = self.alpha
+        for ch in range(3):
+            pm[ch].reshape(-1)[flat] = self.alpha * self.color[:, ch]
+        return a, np.moveaxis(pm, 0, -1)
 
 
 def _frame_bounds(points: np.ndarray, res: np.ndarray):
@@ -316,16 +328,15 @@ def voxelize_prediction(
     rgb = _check_image(cam, rgb)
 
     ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
-    pts = []
-    mass = []
-    cols = []
+    n_pix = cam.h * cam.w
+    # sample m * n_pix + pixel; column-major, so each axis and channel is contiguous
+    pts = np.empty((hyp.m * n_pix, 3), order="F")
+    cols = np.empty((hyp.m * n_pix, 3), order="F")
     for m in range(hyp.m):
-        pts.append(unproject(cam, ys, xs, hyp.values[m]).reshape(-1, 3))
-        mass.append(vol[:, :, m].ravel())
-        cols.append(rgb.reshape(-1, 3))
-    return _splat(
-        np.concatenate(pts), np.concatenate(mass), np.concatenate(cols), resolution
-    )
+        rows = slice(m * n_pix, (m + 1) * n_pix)
+        pts[rows] = unproject(cam, ys, xs, hyp.values[m]).reshape(-1, 3)
+        cols[rows] = rgb.reshape(-1, 3)
+    return _splat(pts, np.moveaxis(vol, -1, 0).ravel(), cols, resolution)
 
 
 def voxelize_ground_truth(
@@ -376,14 +387,19 @@ def _occupancy(dense_a: np.ndarray) -> np.ndarray:
 
 
 def _trilerp(flat_a, flat_pm, res, g):
-    """Clamp-to-edge trilinear read of raveled alpha and premultiplied color."""
+    """Clamp-to-edge trilinear read of raveled alpha and premultiplied color.
+
+    Color is gathered one channel at a time and returned column-major.
+    """
     base, corners = _stencil(g, res)
+    chans = [flat_pm[:, ch] for ch in range(3)]
     a = np.zeros(g.shape[0])
-    pm = np.zeros((g.shape[0], 3))
+    pm = np.zeros((g.shape[0], 3), order="F")
     for off, wgt in corners:
         key = base + off
         a += wgt * flat_a[key]
-        pm += wgt[:, None] * flat_pm[key]
+        for ch in range(3):
+            pm[:, ch] += wgt * chans[ch][key]
     return a, pm
 
 
@@ -406,9 +422,12 @@ def render(
     leftover transmittance lets the background through.  The trilinear
     stencil is read only at samples whose low corner is set in the
     dilated occupancy map of ``_occupancy``; the others would read
-    alpha 0.  Sample positions do not change.  With
-    ``threads`` > 1 the rays are split into that many chunks marched in
-    parallel; rays are independent, so the image does not depend on it.
+    alpha 0.  Each pass of ``_march`` takes ``MARCH_BLOCK`` samples per
+    ray, at the positions of repeated ``t += step``; the image does not
+    depend on the block length.  With ``threads`` > 1 the rays are split
+    into that many chunks (at most one per ray) marched in parallel;
+    rays are independent, so the image does not depend on it.
+    ``threads`` below 1 is a ValueError.
     """
     bg = np.asarray(background, dtype=np.float64).reshape(3)
     if np.any(bg < 0.0) or np.any(bg > 1.0):
@@ -419,15 +438,18 @@ def render(
         raise ValueError(f"step length must be > 0, got {step}")
     if not (0.0 < min_transmittance < 1.0):
         raise ValueError("termination threshold must lie in (0, 1)")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     dense_a, dense_pm = grid.dense()
-    flat_a, flat_pm = dense_a.reshape(-1), dense_pm.reshape(-1, 3)
+    flat_a, flat_pm = dense_a.reshape(-1), dense_pm.reshape(-1, 3)  # (nvox, 3) column view
     occ = _occupancy(dense_a)  # read-only, shared by every chunk
-    dirs = camera_rays(cam, pose)
+    dirs = np.asfortranarray(camera_rays(cam, pose))
+    threads = min(threads, dirs.shape[0])  # no empty chunks
 
-    def march(block):
+    def march(rays):
         return _march(
-            grid, flat_a, flat_pm, occ, pose.translation, block, bg, step, min_transmittance
+            grid, flat_a, flat_pm, occ, pose.translation, rays, bg, step, min_transmittance
         )
 
     if threads > 1:
@@ -451,8 +473,15 @@ def camera_rays(cam: Pinhole, pose: CameraPose) -> np.ndarray:
 def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance):
     """Composite a batch of rays; independent per ray (chunk-safe).
 
-    Only samples whose low corner is set in ``occ`` are interpolated;
-    the rest have all eight corners at alpha 0 and would not composite.
+    Every live ray advances by ``MARCH_BLOCK`` samples per pass.  A
+    block's sample positions come from a sequential ``cumsum`` over
+    [t, step, step, ...], which gives exactly the t of repeated
+    ``t += step``; transmittance and color are running products and sums
+    over the block, read at the sample where the ray stops.  A sample
+    that does not composite multiplies by 1.0 and adds 0.0, so the image
+    does not depend on the block length.  Only samples whose low corner
+    is set in ``occ`` are interpolated; the rest have all eight corners
+    at alpha 0 and would not composite.
     """
     res = np.array(grid.resolution, dtype=np.float64)
     cell = grid.cell
@@ -465,30 +494,60 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
     near = np.nanmax(np.minimum(t0, t1), axis=1)
     far = np.nanmin(np.maximum(t0, t1), axis=1)
     near = np.maximum(near, 0.0)
-    hit = far > near
 
     n_rays = dirs.shape[0]
-    out_c = np.zeros((n_rays, 3))
+    out_c = np.zeros((n_rays, 3), order="F")
     trans = np.ones(n_rays)
-    t = near + step / 2.0  # midpoint sampling: cell-aligned steps hit centers
-    active = hit.copy()
     exponent = step / grid.voxel_size
-    while np.any(active):
-        ai = np.nonzero(active)[0]
-        pos = origin[None, :] + t[ai, None] * dirs[ai]
-        g = (pos - grid.lo[None, :]) / cell[None, :] - 0.5
+    live = np.flatnonzero(far > near)
+    t = near[live] + step / 2.0  # midpoint sampling: cell-aligned steps hit centers
+    while live.size:
+        n = live.size
+        ts = np.full((n, MARCH_BLOCK), step)
+        ts[:, 0] = t
+        np.cumsum(ts, axis=1, out=ts)
+        # t only grows along a row, so ``ok`` is a run of leading samples;
+        # a ray's first sample is taken even past far
+        ok = ts <= far[live, None]
+        ok[:, 0] = True
+        row, col = np.nonzero(ok)
+        ray = live[row]
+        t_ok = ts[row, col]
+        g = np.empty((row.size, 3), order="F")
+        for ax in range(3):
+            g[:, ax] = (origin[ax] + t_ok * dirs[ray, ax] - grid.lo[ax]) / cell[ax] - 0.5
         near_alpha = occ[_low_corner(g, res)[0]]
-        a, pm = _trilerp(flat_a, flat_pm, res, g[near_alpha])
+        g_near = np.empty((np.count_nonzero(near_alpha), 3), order="F")
+        for ax in range(3):
+            g_near[:, ax] = g[near_alpha, ax]
+        a, pm = _trilerp(flat_a, flat_pm, res, g_near)
         contrib = a > 0
-        if np.any(contrib):
-            ci = ai[near_alpha][contrib]
-            a = a[contrib]
-            a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
-            c_s = pm[contrib] / a[:, None]
-            out_c[ci] += (trans[ci] * a_s)[:, None] * c_s
-            trans[ci] *= 1.0 - a_s
-        t[ai] += step
-        active[ai] = (t[ai] <= far[ai]) & (trans[ai] >= min_transmittance)
+        # sample j of a block goes to column j + 1 of the running arrays,
+        # whose column j holds the value before sample j
+        row, col = row[near_alpha][contrib], col[near_alpha][contrib] + 1
+        a = a[contrib]
+        a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
+
+        run = np.ones((n, MARCH_BLOCK + 1))
+        run[:, 0] = trans[live]
+        run[row, col] = 1.0 - a_s
+        np.multiply.accumulate(run, axis=1, out=run)
+        weight = run[row, col - 1] * a_s
+        # a ray stops after the last sample within far whose transmittance
+        # before it is still >= min_transmittance
+        taken = np.count_nonzero(ok & (run[:, :-1] >= min_transmittance), axis=1)
+        rows = np.arange(n)
+        trans[live] = run[rows, taken]
+        for ch in range(3):
+            run[:] = 0.0
+            run[:, 0] = out_c[live, ch]
+            run[row, col] = weight * (pm[contrib, ch] / a)
+            np.cumsum(run, axis=1, out=run)
+            out_c[live, ch] = run[rows, taken]
+
+        t = ts[:, -1] + step
+        going = (taken == MARCH_BLOCK) & (t <= far[live]) & (trans[live] >= min_transmittance)
+        live, t = live[going], t[going]
 
     out_c += trans[:, None] * bg[None, :]
     return np.clip(out_c, 0.0, 1.0)

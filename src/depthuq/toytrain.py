@@ -587,8 +587,11 @@ def ablate(
     on the same scene list, so rows differ only in the loss terms.
     Returns one flat dict per (configuration, seed), in a fixed order
     regardless of ``threads``; each run is self-contained, so threading
-    only changes wall-clock, never the numbers.
+    only changes wall-clock, never the numbers.  ``threads`` below 1 is
+    a ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if base is None:
         base = TrainConfig()
     tasks = []

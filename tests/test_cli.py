@@ -293,17 +293,31 @@ def test_render_threads_match_single(data_dir, tmp_path):
     assert (tmp_path / "t1.ppm").read_bytes() == (tmp_path / "t3.ppm").read_bytes()
 
 
-@pytest.mark.parametrize("bad", [["--step", "0"], ["--step", "-0.1"], ["--min-transmittance", "2"]])
-def test_threaded_render_rejects_bad_march_settings(data_dir, tmp_path, bad):
+@pytest.mark.parametrize("bad", [["--step", "0"], ["--step", "-0.1"], ["--min-transmittance", "2"],
+                                 ["--threads", "0"], ["--threads", "-3"]])
+def test_threaded_render_rejects_bad_march_settings(data_dir, tmp_path, capsys, bad):
     base = tmp_path / "g"
     assert cli.main([
         "voxelize", "--mode", "gt", "--gt", str(data_dir / "gt.duv"),
         "--bins", "4", "--resolution", "6", "--out", str(base),
     ]) == 0
+    capsys.readouterr()
     argv = ["render", "--grid", str(base), "--height", "8", "--width", "8",
             "--threads", "2", "--out", str(tmp_path / "bad.ppm"), *bad]
     assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "bad.ppm").exists()
+
+
+def test_ablate_rejects_threads_below_one(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    rc = cli.main([
+        "ablate", "--seeds", "0", "--epochs", "1", "--train-scenes", "2", "--eval-scenes", "1",
+        "--height", "8", "--width", "8", "--threads", "0", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: threads must be >= 1, got 0")
+    assert not out.exists()
 
 
 def test_demo_ause_runs_on_tiny_model(tmp_path, capsys):

@@ -9,6 +9,7 @@ from depthuq.frustum import (
     Pinhole,
     SparseVoxelGrid,
     _frame_bounds,
+    _low_corner,
     _splat,
     _trilerp,
     camera_rays,
@@ -67,6 +68,53 @@ def _trilerp_oracle(dense_a, dense_pm, res, g):
         a += wgt * dense_a[ix, iy, iz]
         pm += wgt[:, None] * dense_pm[ix, iy, iz]
     return a, pm
+
+
+# reference march: one pass per sample, t += step, as before the block march
+def _march_oracle(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance):
+    """Composite a batch of rays; independent per ray (chunk-safe).
+
+    Only samples whose low corner is set in ``occ`` are interpolated;
+    the rest have all eight corners at alpha 0 and would not composite.
+    """
+    res = np.array(grid.resolution, dtype=np.float64)
+    cell = grid.cell
+
+    # slab intersection with the voxel bounds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t0 = (grid.lo[None, :] - origin[None, :]) * inv
+        t1 = (grid.hi[None, :] - origin[None, :]) * inv
+    near = np.nanmax(np.minimum(t0, t1), axis=1)
+    far = np.nanmin(np.maximum(t0, t1), axis=1)
+    near = np.maximum(near, 0.0)
+    hit = far > near
+
+    n_rays = dirs.shape[0]
+    out_c = np.zeros((n_rays, 3))
+    trans = np.ones(n_rays)
+    t = near + step / 2.0  # midpoint sampling: cell-aligned steps hit centers
+    active = hit.copy()
+    exponent = step / grid.voxel_size
+    while np.any(active):
+        ai = np.nonzero(active)[0]
+        pos = origin[None, :] + t[ai, None] * dirs[ai]
+        g = (pos - grid.lo[None, :]) / cell[None, :] - 0.5
+        near_alpha = occ[_low_corner(g, res)[0]]
+        a, pm = _trilerp(flat_a, flat_pm, res, g[near_alpha])
+        contrib = a > 0
+        if np.any(contrib):
+            ci = ai[near_alpha][contrib]
+            a = a[contrib]
+            a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
+            c_s = pm[contrib] / a[:, None]
+            out_c[ci] += (trans[ci] * a_s)[:, None] * c_s
+            trans[ci] *= 1.0 - a_s
+        t[ai] += step
+        active[ai] = (t[ai] <= far[ai]) & (trans[ai] >= min_transmittance)
+
+    out_c += trans[:, None] * bg[None, :]
+    return np.clip(out_c, 0.0, 1.0)
 
 
 def _empty_grid():
@@ -488,6 +536,111 @@ def test_render_mostly_empty_grid_matches_reference():
         threaded = render(grid, pose, cam, background=tuple(bg), step=step,
                           min_transmittance=1e-12, threads=3)
         np.testing.assert_array_equal(threaded, img)
+
+
+def _oracle_render(monkeypatch, grid, pose, cam, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(frustum, "_march", _march_oracle)
+        return render(grid, pose, cam, **kwargs)
+
+
+def _march_scene(res, mode):
+    # prediction mode is translucent; ground truth puts unit mass on two
+    # planes, so its voxels saturate and rays stop partway through a block
+    rng = np.random.default_rng([*res, mode == "gt"])
+    cam = centered_pinhole(12, 16, 14.0)
+    hyp = linear_hypotheses(1.0, 6.0, 6)
+    rgb = rng.uniform(size=(cam.h, cam.w, 3))
+    if mode == "prediction":
+        vol = rng.dirichlet(np.ones(hyp.m), size=(cam.h, cam.w))
+        grid = voxelize_prediction(vol, hyp, cam, rgb, resolution=res)
+    else:
+        gt = rng.uniform(1.0, 6.0, size=(cam.h, cam.w))
+        grid, _ = voxelize_ground_truth(gt, hyp, cam, rgb, resolution=res)
+    target = (grid.lo + grid.hi) / 2.0
+    radius = 1.5 * float(np.linalg.norm(grid.hi - grid.lo))
+    poses = [identity_pose()] + [
+        orbit_pose(target, radius, np.deg2rad(az), 0.2) for az in (0.0, 70.0, 200.0)
+    ]
+    return grid, cam, poses
+
+
+def _march_settings(grid):
+    # the last step is longer than the grid: a ray's first sample lies past far
+    return [
+        {},
+        {"min_transmittance": 0.999},
+        {"step": 0.37 * grid.voxel_size},
+        {"step": 2.0 * float(np.linalg.norm(grid.hi - grid.lo))},
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("mode", ["prediction", "gt"])
+@pytest.mark.parametrize("res", [(2, 2, 2), (9, 8, 7)])
+def test_block_march_matches_step_oracle(res, mode, threads, monkeypatch):
+    grid, cam, poses = _march_scene(res, mode)
+    for kwargs in _march_settings(grid):
+        for pose in poses:
+            want = _oracle_render(monkeypatch, grid, pose, cam, background=(0.1, 0.2, 0.3), **kwargs)
+            got = render(grid, pose, cam, background=(0.1, 0.2, 0.3), threads=threads, **kwargs)
+            assert np.array_equal(got, want), (kwargs, pose.translation)
+
+
+def test_block_march_continues_at_exact_threshold(monkeypatch):
+    # a_s = 0.5 at the first voxel center leaves T = 0.5 exactly; T equal
+    # to min_transmittance keeps the ray going into the second voxel
+    cam, pose = _principal_probe()
+    grid = _axis_grid({
+        (0, 0, 0): (0.5, (1.0, 0.0, 0.0)),
+        (0, 0, 1): (0.6, (0.0, 0.0, 1.0)),
+    })
+    kwargs = dict(background=(0.0, 1.0, 0.0), step=1.0, min_transmittance=0.5)
+    for block in (1, 16):
+        monkeypatch.setattr(frustum, "MARCH_BLOCK", block)
+        img = render(grid, pose, cam, **kwargs)
+        np.testing.assert_allclose(img[1, 1], [0.5, 0.2, 0.3], atol=1e-9)
+        assert np.array_equal(img, _oracle_render(monkeypatch, grid, pose, cam, **kwargs))
+
+
+def test_block_length_does_not_change_the_image(monkeypatch):
+    scenes = [_march_scene((9, 8, 7), mode) for mode in ("prediction", "gt")]
+    want = [
+        _oracle_render(monkeypatch, grid, poses[1], cam, **kwargs).tobytes()
+        for grid, cam, poses in scenes
+        for kwargs in _march_settings(grid)
+    ]
+    for block in (1, 2, 3, 16, 1000):
+        monkeypatch.setattr(frustum, "MARCH_BLOCK", block)
+        got = [
+            render(grid, poses[1], cam, **kwargs).tobytes()
+            for grid, cam, poses in scenes
+            for kwargs in _march_settings(grid)
+        ]
+        assert got == want, block
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_render_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        render(_empty_grid(), identity_pose(), centered_pinhole(2, 2, 4.0), threads=threads)
+
+
+def test_render_pool_has_one_worker_per_ray_at_most(monkeypatch):
+    grid, _, poses = _march_scene((9, 8, 7), "prediction")
+    cam = centered_pinhole(2, 2, 4.0)
+    chunks = []
+    march = frustum._march
+
+    def counting_march(*args):
+        chunks.append(args[5].shape[0])
+        return march(*args)
+
+    single = render(grid, poses[1], cam)
+    monkeypatch.setattr(frustum, "_march", counting_march)
+    img = render(grid, poses[1], cam, threads=100)
+    assert sorted(chunks) == [1, 1, 1, 1]
+    assert np.array_equal(img, single)
 
 
 def test_source_pose_rerender_at_aligned_pixel():

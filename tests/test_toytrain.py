@@ -486,6 +486,12 @@ def test_ablate_rows_and_thread_equivalence():
         assert a == b
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_ablate_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        ablate([0], threads=threads, n_train=1, n_eval=1, h=8, w=8)
+
+
 def test_ablation_medians():
     rows = [
         {"config": "full", "scc": 0.1},
