@@ -24,8 +24,11 @@ from . import frustum, toytrain
 from .discretize import linear_hypotheses
 from .gradcheck import run_gradient_suite, suite_passed
 from .gridio import read_grid, read_keyvalue, valid_mask, write_csv, write_grid, write_ppm
+from .losses import RANKING_VARIANTS
 from .metrics import (
+    BASE_METRICS,
     BUILTIN_TRANSFORMS,
+    SPARSIFICATION_STEPS,
     accuracy_metrics,
     ause_aurg,
     ause_flaw_demo,
@@ -186,7 +189,7 @@ def _add_train_flags(p, with_seed: bool = True) -> None:
     p.add_argument("--decay-every", type=int, default=toytrain.TrainConfig.decay_every, help="epochs between decays (default %(default)s)")
     p.add_argument("--head", choices=toytrain.HEAD_KINDS, default="classification", help="model head (default %(default)s)")
     p.add_argument("--soft", choices=("on", "off"), default=None, help="soft-label term (default: on for the classification head)")
-    p.add_argument("--ranking", choices=("hinge", "no-max", "l1-direct", "none"), default="hinge", help="uncertainty ranking term (default %(default)s)")
+    p.add_argument("--ranking", choices=RANKING_VARIANTS + ("none",), default="hinge", help="uncertainty ranking term (default %(default)s)")
     p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="depth hypotheses (default %(default)s)")
     p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
     p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
@@ -347,10 +350,12 @@ def cmd_demo_ause(args) -> int:
 def cmd_combine(args) -> int:
     vols = [_load_rank(p, 3, "probability volume") for p in args.vols]
     mean = combine_mean(vols)
+    # the entropy step validates the mean, so it runs before either write
+    entropy = None if args.entropy_out is None else raw_entropy(mean)
     write_grid(args.out, mean)
     print(f"wrote {args.out} (mean of {len(vols)} volumes, shape {mean.shape})")
-    if args.entropy_out is not None:
-        write_grid(args.entropy_out, raw_entropy(mean))
+    if entropy is not None:
+        write_grid(args.entropy_out, entropy)
         print(f"wrote {args.entropy_out} (unscaled entropy)")
     return 0
 
@@ -461,16 +466,16 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="ground-truth depth (.duv, HxW)")
     p.add_argument("--unc", required=True, help="uncertainty map (.duv, HxW)")
     p.add_argument("--vol", help="probability volume (.duv, HxWxM) enabling NLL")
-    p.add_argument("--d-min", type=float, default=1.0, help="nearest hypothesis depth (default %(default)s)")
-    p.add_argument("--d-max", type=float, default=10.0, help="farthest hypothesis depth (default %(default)s)")
+    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
+    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV (one row)")
 
     p = add("sparsify", cmd_sparsify, "sparsification curve and its areas")
     p.add_argument("--pred", required=True, help="predicted depth (.duv)")
     p.add_argument("--gt", required=True, help="ground-truth depth (.duv)")
     p.add_argument("--unc", required=True, help="uncertainty map (.duv)")
-    p.add_argument("--metric", choices=("rmse", "rel", "delta1err"), default="rmse", help="base error metric (default %(default)s)")
-    p.add_argument("--steps", type=int, default=50, help="removal fractions (default %(default)s)")
+    p.add_argument("--metric", choices=BASE_METRICS, default="rmse", help="base error metric (default %(default)s)")
+    p.add_argument("--steps", type=int, default=SPARSIFICATION_STEPS, help="removal fractions (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV (fraction,spars,oracle,random)")
 
     p = add("scc", cmd_scc, "Spearman correlation between error and uncertainty")
@@ -494,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--transform", choices=BUILTIN_TRANSFORMS, required=True, help="strictly increasing error transform")
     p.add_argument("--scale", type=float, default=0.5, help="affine scale (default %(default)s)")
     p.add_argument("--offset", type=float, default=0.0, help="affine offset (default %(default)s)")
-    p.add_argument("--steps", type=int, default=50, help="sparsification steps (default %(default)s)")
+    p.add_argument("--steps", type=int, default=SPARSIFICATION_STEPS, help="sparsification steps (default %(default)s)")
     _add_train_flags(p, with_seed=False)
     p.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
     p.add_argument("--out", help="optional CSV with both models' numbers")
@@ -512,10 +517,10 @@ def build_parser() -> _Parser:
     p.add_argument("--focal", type=float, default=None, help="focal length in pixels (default: max extent)")
     p.add_argument("--cx", type=float, default=None, help="principal point x (default: centered)")
     p.add_argument("--cy", type=float, default=None, help="principal point y (default: centered)")
-    p.add_argument("--bins", type=int, default=16, help="hypothesis count in gt mode (default %(default)s)")
-    p.add_argument("--d-min", type=float, default=1.0, help="nearest hypothesis depth (default %(default)s)")
-    p.add_argument("--d-max", type=float, default=10.0, help="farthest hypothesis depth (default %(default)s)")
-    p.add_argument("--resolution", default="96", help="voxels per axis, N or NX,NY,NZ (default %(default)s)")
+    p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="hypothesis count in gt mode (default %(default)s)")
+    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
+    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
+    p.add_argument("--resolution", default=str(frustum.DEFAULT_RESOLUTION), help="voxels per axis, N or NX,NY,NZ (default %(default)s)")
     p.add_argument("--out", required=True, help="output base path (writes .idx.duv/.val.duv/.meta.txt)")
 
     p = add("render", cmd_render, "ray-march a saved voxel grid to a PPM image")

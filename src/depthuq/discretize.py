@@ -79,6 +79,12 @@ def linear_hypotheses(d_min: float, d_max: float, m: int) -> DepthHypotheses:
     return DepthHypotheses(np.linspace(d_min, d_max, m))
 
 
+def check_probabilities(vol) -> None:
+    """ValueError if any entry of a probability volume is negative or non-finite."""
+    if np.any(vol < 0.0) or not np.all(np.isfinite(vol)):
+        raise ValueError("probability volume must be finite and >= 0")
+
+
 def expectation_depth(hyp: DepthHypotheses, vol) -> np.ndarray:
     """Expected depth per pixel: the probability-weighted hypothesis sum.
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import DepthHypotheses, bilinear_bin_weights
+from .discretize import DepthHypotheses, bilinear_bin_weights, check_probabilities
 from .gridio import keyvalue_numbers, read_grid, read_keyvalue, valid_mask, write_grid, write_keyvalue
 
 ALPHA_EPSILON = 1e-4
@@ -323,8 +323,7 @@ def voxelize_prediction(
     vol = np.asarray(vol, dtype=np.float64)
     if vol.shape != (cam.h, cam.w, hyp.m):
         raise ValueError(f"volume shape {vol.shape} vs {(cam.h, cam.w, hyp.m)}")
-    if np.any(vol < 0.0) or not np.all(np.isfinite(vol)):
-        raise ValueError("probability volume must be finite and >= 0")
+    check_probabilities(vol)
     rgb = _check_image(cam, rgb)
 
     ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)

@@ -12,10 +12,11 @@ before perturbing; otherwise the two sides legitimately disagree.
 Instances are redrawn when any absolute-value or hinge kink sits too
 close to the evaluation point, where a finite difference is invalid.
 
-The numeric side of every total check is composed from the same term
-functions and ``auto_weighted_total`` that ``full_backward`` runs, on
-the masked valid-pixel vectors, so each check covers code the trainer
-uses.
+The numeric side of every total check differentiates
+``losses.head_forward``, the decode that evaluation scores, through the
+same term functions and ``auto_weighted_total`` that ``full_backward``
+runs, on the masked valid-pixel vectors.  So each total check ties the
+trainer's gradient to the forward that evaluation runs.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import expectation_depth, linear_hypotheses, soft_labels, softmax_volume
+from .discretize import linear_hypotheses, soft_labels, softmax_volume
 from .losses import (
     auto_weighted_total,
-    clamped_entropy_parts,
     depth_l1,
     draw_permutation,
     full_backward,
+    head_forward,
     ranking_loss_variants,
     soft_label_l1,
 )
-from .uncertainty import softplus
 
 DEFAULT_STEP = 1e-6
 DEFAULT_REL_TOL = 1e-4
@@ -156,20 +156,19 @@ def _check_ranking(rng, h, variant):
     return analytic, numeric
 
 
-def _total_forward(z, a, sigma, hyp, gt, perm, mask, frozen_err):
-    """Weighted total recomposed from the term functions.
+def _total_forward(z, a, sigma, hyp, gt, perm, mask, frozen_err, readout=None):
+    """Weighted total of ``head_forward``'s output, from the term functions.
 
     ``frozen_err`` pins the ranking error branch (valid pixels only) so
-    the difference quotient respects the stop-gradient.
+    the difference quotient respects the stop-gradient.  A ``readout``
+    selects the regression head, whose soft-label term is inactive.
     """
-    p = softmax_volume(z)
-    depth = expectation_depth(hyp, p)
+    depth, unc, p = head_forward(z, a, hyp, readout)
+    soft = readout is None
     v_r = depth_l1(depth[mask], gt[mask]).value
-    v_p = soft_label_l1(p[mask], soft_labels(hyp, gt).values[mask]).value
-    ent, _ = clamped_entropy_parts(p)
-    unc = float(softplus(np.float64(a))) * ent
+    v_p = soft_label_l1(p[mask], soft_labels(hyp, gt).values[mask]).value if soft else 0.0
     v_u = ranking_loss_variants(frozen_err, unc[mask], perm, "hinge").value
-    return auto_weighted_total([v_r, v_p, v_u], sigma)[0]
+    return auto_weighted_total([v_r, v_p, v_u], sigma, (True, soft, True))[0]
 
 
 def _full_instance(rng):
@@ -183,13 +182,10 @@ def _full_instance(rng):
         sigma = rng.normal(scale=0.5, size=3)
         perm = draw_permutation(int(mask.sum()), int(rng.integers(1 << 30)))
 
-        p = softmax_volume(z)
-        depth = expectation_depth(hyp, p)
+        depth, unc, p = head_forward(z, a, hyp)
         resid = (depth - gt)[mask]
         y = soft_labels(hyp, gt).values
-        ent, _ = clamped_entropy_parts(p[mask])
-        u = float(softplus(np.float64(a))) * ent
-        m = _margins(np.abs(resid), u, perm.perm)
+        m = _margins(np.abs(resid), unc[mask], perm.perm)
         clear = (
             np.min(np.abs(resid)) > KINK_CLEARANCE
             and np.min(np.abs((y - p)[mask])) > KINK_CLEARANCE
@@ -197,55 +193,13 @@ def _full_instance(rng):
         )
         if clear:
             break
-    return hyp, mask, gt, z, a, sigma, perm, np.abs(resid)
-
-
-def _check_total_z(rng, h):
-    hyp, mask, gt, z, a, sigma, perm, frozen = _full_instance(rng)
-    report = full_backward(z, a, sigma, hyp, gt, perm, mask=mask)
-    numeric = central_difference(
-        lambda x: _total_forward(x, a, sigma, hyp, gt, perm, mask, frozen), z, h
-    )
-    return report.grad_z, numeric
-
-
-def _check_total_a(rng, h):
-    hyp, mask, gt, z, a, sigma, perm, frozen = _full_instance(rng)
-    report = full_backward(z, a, sigma, hyp, gt, perm, mask=mask)
-    numeric = central_difference(
-        lambda x: _total_forward(z, float(x[0]), sigma, hyp, gt, perm, mask, frozen),
-        np.array([a]),
-        h,
-    )
-    return np.array([report.grad_a]), numeric
-
-
-def _check_total_sigma(rng, h):
-    hyp, mask, gt, z, a, sigma, perm, frozen = _full_instance(rng)
-    report = full_backward(z, a, sigma, hyp, gt, perm, mask=mask)
-    numeric = central_difference(
-        lambda x: _total_forward(z, a, x, hyp, gt, perm, mask, frozen), sigma, h
-    )
-    return report.grad_sigma, numeric
-
-
-def _regression_forward(z, w_out, a, sigma, gt, perm, mask, frozen_err):
-    """Regression-head total (depth and ranking terms) from the term functions.
-
-    Depth is the latent readout z @ w_out; the uncertainty is the
-    scaled entropy of softmax(z).  ``frozen_err`` pins the ranking error
-    branch as in ``_total_forward``; the soft-label term is inactive.
-    """
-    v_r = depth_l1((z @ w_out)[mask], gt[mask]).value
-    ent, _ = clamped_entropy_parts(softmax_volume(z))
-    unc = float(softplus(np.float64(a))) * ent
-    v_u = ranking_loss_variants(frozen_err, unc[mask], perm, "hinge").value
-    return auto_weighted_total([v_r, 0.0, v_u], sigma, (True, False, True))[0]
+    return dict(z=z, a=a, sigma=sigma, readout=None), hyp, mask, gt, perm, np.abs(resid)
 
 
 def _regression_instance(rng):
     shape = (2, 2)
     latent = 4
+    hyp = linear_hypotheses(1.0, 10.0, latent)  # unused by the regression decode
     for _ in range(MAX_REDRAWS):
         mask = _mask_with_min(rng, shape, 3)
         gt = rng.uniform(1.2, 9.8, shape)
@@ -256,30 +210,32 @@ def _regression_instance(rng):
         sigma = rng.normal(scale=0.5, size=3)
         perm = draw_permutation(int(mask.sum()), int(rng.integers(1 << 30)))
 
-        resid = (z @ w_out - gt)[mask]
-        ent, _ = clamped_entropy_parts(softmax_volume(z[mask]))
-        u = float(softplus(np.float64(a))) * ent
-        m = _margins(np.abs(resid), u, perm.perm)
+        depth, unc, _ = head_forward(z, a, hyp, w_out)
+        resid = (depth - gt)[mask]
+        m = _margins(np.abs(resid), unc[mask], perm.perm)
         if np.min(np.abs(resid)) > KINK_CLEARANCE and np.min(np.abs(m)) > KINK_CLEARANCE:
             break
-    return mask, gt, z, w_out, a, sigma, perm, np.abs(resid)
+    return dict(z=z, a=a, sigma=sigma, readout=w_out), hyp, mask, gt, perm, np.abs(resid)
 
 
-def _check_regression(rng, h, wrt):
-    mask, gt, z, w_out, a, sigma, perm, frozen = _regression_instance(rng)
-    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+def _check_total(rng, h, build, wrt):
+    """``full_backward``'s gradient wrt input ``wrt`` against the forward total.
+
+    ``build`` draws the instance: ``_full_instance`` for the
+    classification head, ``_regression_instance`` for the regression head.
+    """
+    inputs, hyp, mask, gt, perm, frozen = build(rng)
     report = full_backward(
-        z, a, sigma, hyp, gt, perm, include_soft=False, mask=mask, readout=w_out
+        hyp=hyp, gt=gt, perm=perm, include_soft=inputs["readout"] is None, mask=mask, **inputs
     )
-    if wrt == "latent":
-        numeric = central_difference(
-            lambda x: _regression_forward(x, w_out, a, sigma, gt, perm, mask, frozen), z, h
-        )
-        return report.grad_z, numeric
     numeric = central_difference(
-        lambda x: _regression_forward(z, x, a, sigma, gt, perm, mask, frozen), w_out, h
+        lambda x: _total_forward(
+            hyp=hyp, gt=gt, perm=perm, mask=mask, frozen_err=frozen, **{**inputs, wrt: x}
+        ),
+        inputs[wrt],
+        h,
     )
-    return report.grad_readout, numeric
+    return getattr(report, f"grad_{wrt}"), numeric
 
 
 def _check_auto_total(rng, h):
@@ -298,11 +254,11 @@ _CHECKS = (
     ("ranking_hinge_wrt_unc", lambda rng, h: _check_ranking(rng, h, "hinge")),
     ("ranking_no_max_wrt_unc", lambda rng, h: _check_ranking(rng, h, "no-max")),
     ("ranking_l1_direct_wrt_unc", lambda rng, h: _check_ranking(rng, h, "l1-direct")),
-    ("total_wrt_logits", _check_total_z),
-    ("total_wrt_entropy_scale", _check_total_a),
-    ("total_wrt_sigma", _check_total_sigma),
-    ("regression_total_wrt_latent", lambda rng, h: _check_regression(rng, h, "latent")),
-    ("regression_total_wrt_readout", lambda rng, h: _check_regression(rng, h, "readout")),
+    ("total_wrt_logits", lambda rng, h: _check_total(rng, h, _full_instance, "z")),
+    ("total_wrt_entropy_scale", lambda rng, h: _check_total(rng, h, _full_instance, "a")),
+    ("total_wrt_sigma", lambda rng, h: _check_total(rng, h, _full_instance, "sigma")),
+    ("regression_total_wrt_latent", lambda rng, h: _check_total(rng, h, _regression_instance, "z")),
+    ("regression_total_wrt_readout", lambda rng, h: _check_total(rng, h, _regression_instance, "readout")),
     ("auto_total_wrt_sigma", _check_auto_total),
 )
 

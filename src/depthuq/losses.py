@@ -18,7 +18,9 @@ composes the four: it resolves the mask once, scales each term's
 gradient by its exp(-sigma) weight, and pulls the probability-space
 gradient back through the softmax in closed form, giving exact
 gradients wrt either head's output z, the raw scale a and the sigmas.
-Every gradient is checked against central finite differences by
+``head_forward`` is the one decode of a head's output into depth,
+uncertainty and softmax(z) that evaluation runs.  Every gradient is
+checked against central finite differences of that forward by
 ``gradcheck``.
 
 L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DEFAULT_GAMMA, DepthHypotheses, soft_labels, softmax_volume
+from .discretize import DEFAULT_GAMMA, DepthHypotheses, expectation_depth, soft_labels, softmax_volume
 from .gridio import valid_mask
 from .uncertainty import PROB_FLOOR, sigmoid, softplus
 
@@ -136,19 +138,18 @@ def ranking_loss_variants(err, unc, perm: PairPermutation | None, variant: str =
     if perm.n != r.size:
         raise ValueError(f"permutation covers {perm.n} pixels, the vectors {r.size}")
     perm = perm.perm
+    margin = (r - r[perm]) - (u - u[perm])
+    if variant == "no-max":
+        # signed differences: the -1 and +1 each u_k gets from its two
+        # pairs cancel over a bijection, and the sum telescopes to zero
+        return LossValue(value=float(margin.sum() * w), grad=np.zeros_like(u))
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    margin = (r - r[perm]) - (u - u[perm])
-    if variant == "hinge":
-        active = (margin > 0.0).astype(np.float64)
-        # u_k enters its own pair with -1 and its inverse partner's with +1
-        return LossValue(
-            value=float(np.maximum(margin, 0.0).sum() * w), grad=w * (-active + active[inv])
-        )
-    # no-max: signed differences; the symmetric +-1 contributions cancel
-    # over a bijection, leaving a zero gradient (and a telescoping zero sum)
-    ones = np.ones_like(margin)
-    return LossValue(value=float(margin.sum() * w), grad=w * (-ones + ones[inv]))
+    active = (margin > 0.0).astype(np.float64)
+    # u_k enters its own pair with -1 and its inverse partner's with +1
+    return LossValue(
+        value=float(np.maximum(margin, 0.0).sum() * w), grad=w * (-active + active[inv])
+    )
 
 
 def auto_weighted_total(values, sigma, active=True):
@@ -191,6 +192,23 @@ def clamped_entropy_parts(p: np.ndarray):
     h = -(p * logp).sum(axis=-1)
     dh_dp = -(logp + (p > PROB_FLOOR))
     return h, dh_dp
+
+
+def head_forward(z, a, hyp: DepthHypotheses, readout=None):
+    """Depth, uncertainty and softmax(z) decoded from either head's output.
+
+    Classification: depth is the expectation of softmax(z) over ``hyp``,
+    clipped to its range.  Regression: depth is z @ readout and
+    softmax(z) is the pseudo distribution.  The uncertainty is
+    softplus(a) times the floor-clamped entropy of softmax(z) for both.
+    Evaluation scores this forward and ``gradcheck`` differentiates it;
+    ``full_backward`` decodes only the masked pixels and leaves the
+    depth unclipped.
+    """
+    p = softmax_volume(z)
+    depth = expectation_depth(hyp, p) if readout is None else np.asarray(z) @ readout
+    h, _ = clamped_entropy_parts(p)
+    return depth, float(softplus(np.float64(a))) * h, p
 
 
 @dataclass

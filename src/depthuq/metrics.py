@@ -20,10 +20,12 @@ positive, or where an explicit ``mask`` says so, and per-image metrics
 read valid pixels only.  A non-finite prediction or uncertainty on a
 valid pixel, or a non-finite entry of a vector handed to a rank metric,
 raises ValueError with the count of such entries; an image without a
-valid pixel raises ValueError too.
+valid pixel raises ValueError too, and so does a probability volume of
+the wrong shape or with a negative or non-finite entry.
 
-Per-image metrics; undefined entries (single-class AUROC, all-tied SCC)
-are reported as None, never as 0.
+Per-image metrics; undefined entries (single-class AUROC, all-tied SCC,
+log metrics with no positive prediction, NLL with no valid pixel in the
+hypothesis range) are reported as None, never as 0 or NaN.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DepthHypotheses, bilinear_bin_weights
+from .discretize import DepthHypotheses, bilinear_bin_weights, check_probabilities
 from .gridio import valid_mask
 
 DELTA_RATIO = 1.25
@@ -42,7 +44,11 @@ BASE_METRICS = ("rmse", "rel", "delta1err")
 
 
 class DegenerateMetricError(ValueError):
-    """Normalization impossible: the full-set base metric is zero."""
+    """The metric is undefined on this input, which is not itself wrong.
+
+    Raised when the full-set base metric is zero (nothing to normalize
+    by) and when no valid pixel lies inside the NLL hypothesis range.
+    """
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,9 @@ class AccuracyReport:
 
     rmse: float
     rel: float
-    log10: float
+    log10: float | None  # None when no valid prediction is positive
     sq_rel: float
-    log_rms: float
+    log_rms: float | None
     delta1: float
     delta2: float
     delta3: float
@@ -170,7 +176,8 @@ def accuracy_metrics(pred, gt, mask=None) -> AccuracyReport:
     """All eight metrics over valid pixels.
 
     Log-based metrics (log10, log_rms) skip valid pixels whose
-    prediction is non-positive; the count is reported.  The delta chain
+    prediction is non-positive; the count is reported, and with no
+    positive prediction both are None.  The delta chain
     treats those pixels as outliers at every threshold.
     """
     p, g = _flat_valid(pred, gt, mask)
@@ -186,8 +193,7 @@ def accuracy_metrics(pred, gt, mask=None) -> AccuracyReport:
         log10 = float(np.mean(np.abs(np.log10(g[pos]) - np.log10(p[pos]))))
         log_rms = float(np.sqrt(np.mean((np.log(g[pos]) - np.log(p[pos])) ** 2)))
     else:
-        log10 = float("nan")
-        log_rms = float("nan")
+        log10 = log_rms = None
 
     ratio = _delta_ratio(p, g)
     deltas = [float(np.mean(ratio < DELTA_RATIO**k)) for k in (1, 2, 3)]
@@ -356,7 +362,9 @@ def nll(vol, gt, hyp: DepthHypotheses, mask=None):
     The mass is the bilinear split of GT depth over its two neighboring
     hypotheses, clamped at 1e-12 before the log.  Returns (value,
     n_excluded) where the count covers valid pixels outside the
-    hypothesis range.
+    hypothesis range.  A volume of the wrong shape or with a negative or
+    non-finite entry is a ValueError; no valid pixel inside the range
+    leaves the metric undefined (DegenerateMetricError).
     """
     p = np.asarray(vol, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
@@ -364,15 +372,14 @@ def nll(vol, gt, hyp: DepthHypotheses, mask=None):
         raise ValueError(f"volume pixels {p.shape[:-1]} vs gt {g.shape}")
     if p.shape[-1] != hyp.m:
         raise ValueError(f"volume bins {p.shape[-1]} vs hypotheses {hyp.m}")
+    check_probabilities(p)
     if mask is None:
         mask = valid_mask(g)
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("no valid pixels")
     in_range = mask & (g >= hyp.d_min) & (g <= hyp.d_max)
     excluded = int(mask.sum() - in_range.sum())
     if not in_range.any():
-        raise ValueError("no valid pixels inside the hypothesis range")
+        raise DegenerateMetricError("no valid pixel inside the hypothesis range")
     gv = g[in_range]
     pv = p[in_range]
     lo, w_lo = bilinear_bin_weights(hyp, gv)
@@ -476,7 +483,7 @@ def evaluate_uncertainty(
     all-tied ranks) come back as None rather than fabricated numbers.
     Non-finite uncertainty on a valid pixel is an input error and
     raises ValueError.  NLL needs the probability volume and
-    hypotheses; omitted otherwise.
+    hypotheses; omitted otherwise.  A malformed volume raises ValueError.
     """
     p, g = _flat_valid(pred, gt, mask)
     by_unc = _ranking(_valid_uncertainty(unc, gt, mask), "uncertainty")
@@ -500,7 +507,7 @@ def evaluate_uncertainty(
     if vol is not None and hyp is not None:
         try:
             nll_value, nll_excluded = nll(vol, gt, hyp, mask=mask)
-        except ValueError:
+        except DegenerateMetricError:
             nll_value = None
 
     return UncertaintyReport(

@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .discretize import (
-    DepthHypotheses,
-    expectation_depth,
-    linear_hypotheses,
-    soft_labels,
-    softmax_volume,
-)
+from .discretize import DepthHypotheses, linear_hypotheses, soft_labels
 from .gridio import (
     keyvalue_numbers,
     read_grid,
@@ -37,7 +31,7 @@ from .gridio import (
     write_grid,
     write_keyvalue,
 )
-from .losses import NonFiniteLossError, clamped_entropy_parts, draw_permutation, full_backward
+from .losses import RANKING_VARIANTS, NonFiniteLossError, draw_permutation, full_backward, head_forward
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
@@ -253,7 +247,7 @@ class TrainConfig:
             raise ValueError(f"decay interval must be >= 1, got {self.decay_every}")
         if self.head not in HEAD_KINDS:
             raise ValueError(f"unknown head {self.head!r}")
-        if self.ranking not in (None, "hinge", "no-max", "l1-direct"):
+        if self.ranking not in (None, *RANKING_VARIANTS):
             raise ValueError(f"unknown ranking variant {self.ranking!r}")
         if self.head == "regression" and self.include_soft:
             raise ValueError("the soft-label term needs the classification head")
@@ -285,27 +279,18 @@ def _hidden(model: ToyModel, feats: np.ndarray) -> np.ndarray:
 def forward(model: ToyModel, scene: SyntheticScene):
     """Depth map, uncertainty map and the head volume for one scene.
 
-    Classification: softmax over logits, expectation decode, scaled
-    entropy.  Regression: latent readout for depth, scaled entropy of
-    the latent's softmax as the pseudo uncertainty.
+    The hidden layer, then ``losses.head_forward``.  The third output
+    is the probability volume for the classification head and the raw
+    latent z for the regression head.
     """
     feats = scene.features
     if feats.shape[-1] != model.n_features:
         raise ValueError(
             f"scene has {feats.shape[-1]} feature channels, model wants {model.n_features}"
         )
-    hid = _hidden(model, feats)
-    z = hid @ model.w2
-    alpha = model.scale.alpha
-    if model.head == "classification":
-        vol = softmax_volume(z)
-        depth = expectation_depth(model.hypotheses, vol)
-        h, _ = clamped_entropy_parts(vol)
-        return depth, alpha * h, vol
-    depth = z @ model.w_out
-    pseudo = softmax_volume(z)
-    h, _ = clamped_entropy_parts(pseudo)
-    return depth, alpha * h, z
+    z = _hidden(model, feats) @ model.w2
+    depth, unc, vol = head_forward(z, model.raw_scale, model.hypotheses, model.w_out)
+    return depth, unc, vol if model.w_out is None else z
 
 
 @dataclass(frozen=True)
@@ -589,6 +574,11 @@ def ablate(
     regardless of ``threads``; each run is self-contained, so threading
     only changes wall-clock, never the numbers.  ``threads`` below 1 is
     a ValueError.
+
+    ``full_nomax`` trains the ``depth_soft`` model: over the bijection
+    of ``draw_permutation`` the no-max gradient is exactly zero, so
+    only its own sigma moves and its row equals ``depth_soft``'s in
+    every column but ``config``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

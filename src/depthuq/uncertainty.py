@@ -4,8 +4,8 @@ u = -alpha * sum_m p_m ln p_m, with alpha = softplus(a) so the learned
 raw scalar a can roam the whole real line while the scale stays
 positive.  The regression head reads its uncertainty the same way,
 from the pseudo distribution softmax(z) of its latent (see
-``toytrain.forward``); training uses the floor-clamped entropy of
-``losses.clamped_entropy_parts``.
+``losses.head_forward``); training and evaluation use the floor-clamped
+entropy of ``losses.clamped_entropy_parts``.
 """
 
 from __future__ import annotations

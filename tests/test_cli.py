@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from depthuq import cli
+from depthuq import cli, frustum, toytrain
 from depthuq.gridio import read_grid, write_grid
+from depthuq.losses import RANKING_VARIANTS
+from depthuq.metrics import BASE_METRICS, SPARSIFICATION_STEPS
 from depthuq.toytrain import load_model
 
 
@@ -131,6 +133,40 @@ def test_nonfinite_prediction_exits_one(data_dir, tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists() and not (tmp_path / "s.csv").exists()
 
 
+def _eval_argv(data_dir, vol, out):
+    return ["eval", "--pred", str(data_dir / "pred.duv"), "--gt", str(data_dir / "gt.duv"),
+            "--unc", str(data_dir / "unc.duv"), "--vol", str(vol), "--out", str(out)]
+
+
+def test_eval_rejects_volume_of_other_pixel_shape(data_dir, tmp_path, capsys):
+    write_grid(tmp_path / "half.duv", read_grid(data_dir / "vol.duv").values[:4])
+    assert cli.main(_eval_argv(data_dir, tmp_path / "half.duv", tmp_path / "e.csv")) == 1
+    assert "error: volume pixels (4, 10) vs gt (8, 10)" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_eval_rejects_negative_volume_entry(data_dir, tmp_path, capsys):
+    vol = read_grid(data_dir / "vol.duv").values.copy()
+    vol[3, 4, 2] = -0.5
+    write_grid(tmp_path / "neg.duv", vol)
+    assert cli.main(_eval_argv(data_dir, tmp_path / "neg.duv", tmp_path / "e.csv")) == 1
+    assert "error: probability volume must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_eval_writes_empty_log_cells_without_positive_prediction(data_dir, tmp_path):
+    write_grid(tmp_path / "neg_pred.duv", np.full((8, 10), -1.0))
+    out = tmp_path / "e.csv"
+    assert cli.main([
+        "eval", "--pred", str(tmp_path / "neg_pred.duv"), "--gt", str(data_dir / "gt.duv"),
+        "--unc", str(data_dir / "unc.duv"), "--out", str(out),
+    ]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["log10"] == "" and cells["log_rms"] == ""
+    assert "nan" not in row
+
+
 def test_config_file_preloads_and_flags_win(data_dir, tmp_path):
     cfg = tmp_path / "sparsify.cfg"
     cfg.write_text("# curve defaults\nmetric=rel\nsteps=25\n")
@@ -216,6 +252,19 @@ def test_combine_and_entropy(data_dir, tmp_path):
     got = read_grid(out).values
     np.testing.assert_allclose(got, ((a + b) / 2.0).astype(np.float32), atol=1e-7)
     assert read_grid(ent).values.shape == (8, 10)
+
+
+def test_combine_rejects_before_writing_either_file(data_dir, tmp_path, capsys):
+    vol = read_grid(data_dir / "vol.duv").values.copy()
+    vol[0, 0, 0] = -0.5
+    write_grid(tmp_path / "neg.duv", vol)
+    rc = cli.main([
+        "combine", "--vols", str(tmp_path / "neg.duv"), str(data_dir / "vol2.duv"),
+        "--out", str(tmp_path / "c.duv"), "--entropy-out", str(tmp_path / "e.duv"),
+    ])
+    assert rc == 1
+    assert "error: negative probability" in capsys.readouterr().err
+    assert not (tmp_path / "c.duv").exists() and not (tmp_path / "e.duv").exists()
 
 
 def test_voxelize_and_render_round_trip(data_dir, tmp_path, capsys):
@@ -367,3 +416,20 @@ def test_resolved_config_banner(data_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("resolved config:")
     assert "metric=rmse" in out
+
+
+def _option(subcommand, dest):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    return next(a for a in sub.choices[subcommand]._actions if a.dest == dest)
+
+
+def test_defaults_and_choices_come_from_the_library():
+    assert tuple(_option("train-toy", "ranking").choices) == RANKING_VARIANTS + ("none",)
+    assert tuple(_option("sparsify", "metric").choices) == BASE_METRICS
+    assert _option("sparsify", "steps").default == SPARSIFICATION_STEPS
+    assert _option("demo-ause", "steps").default == SPARSIFICATION_STEPS
+    for subcommand in ("eval", "voxelize"):
+        assert _option(subcommand, "d_min").default == toytrain.DEFAULT_D_MIN
+        assert _option(subcommand, "d_max").default == toytrain.DEFAULT_D_MAX
+    assert _option("voxelize", "bins").default == toytrain.DEFAULT_BINS
+    assert _option("voxelize", "resolution").default == str(frustum.DEFAULT_RESOLUTION)

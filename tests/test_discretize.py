@@ -7,6 +7,7 @@ from depthuq.discretize import (
     DepthHypotheses,
     _bin_extreme,
     bilinear_bin_weights,
+    check_probabilities,
     expectation_depth,
     linear_hypotheses,
     soft_labels,
@@ -248,3 +249,13 @@ def test_bilinear_weights_quarter():
     lo, w = bilinear_bin_weights(hyp, np.array([1.25]))
     assert lo[0] == 0
     assert abs(w[0] - 0.75) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
+def test_check_probabilities_rejects_negative_and_nonfinite(bad):
+    vol = np.full((2, 3, 4), 0.25)
+    check_probabilities(vol)
+    check_probabilities(np.array([-0.0, 1.0]))  # a signed zero is not negative
+    vol[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="probability volume must be finite and >= 0"):
+        check_probabilities(vol)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from depthuq import gradcheck
 from depthuq.gradcheck import (
     CHECK_NAMES,
     central_difference,
@@ -7,6 +8,7 @@ from depthuq.gradcheck import (
     scaled_error,
     suite_passed,
 )
+from depthuq.losses import head_forward
 
 
 def test_central_difference_quadratic():
@@ -61,3 +63,19 @@ def test_result_rows_deterministic():
     a = [r.row() for r in run_gradient_suite(trials=3, seed=9)]
     b = [r.row() for r in run_gradient_suite(trials=3, seed=9)]
     assert a == b
+
+
+def test_total_checks_catch_a_forward_that_training_does_not_differentiate(monkeypatch):
+    # evaluation's decode drifts by 0.1 % from the depth full_backward differentiates
+    def skewed(z, a, hyp, readout=None):
+        depth, unc, p = head_forward(z, a, hyp, readout)
+        return depth * (1.0 + 1e-3), unc, p
+
+    monkeypatch.setattr(gradcheck, "head_forward", skewed)
+    failed = {r.name for r in run_gradient_suite(trials=3) if not r.passed}
+    assert failed >= {
+        "total_wrt_logits",
+        "total_wrt_sigma",
+        "regression_total_wrt_latent",
+        "regression_total_wrt_readout",
+    }

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthuq.discretize import DepthHypotheses, linear_hypotheses, soft_labels, softmax_volume
+from depthuq.discretize import (
+    DepthHypotheses,
+    expectation_depth,
+    linear_hypotheses,
+    soft_labels,
+    softmax_volume,
+)
 from depthuq.losses import (
     NonFiniteLossError,
     PairPermutation,
@@ -12,6 +18,7 @@ from depthuq.losses import (
     depth_l1,
     draw_permutation,
     full_backward,
+    head_forward,
     ranking_loss_variants,
     soft_label_l1,
     softmax_backward,
@@ -404,3 +411,23 @@ def test_full_backward_alpha_is_softplus():
     hyp, z, gt, perm = _small_instance(7)
     rep = full_backward(z, -1.3, np.zeros(3), hyp, gt, perm)
     assert abs(rep.alpha - float(softplus(-1.3))) < 1e-15
+
+
+@pytest.mark.parametrize("readout", [None, np.linspace(0.2, 1.4, 5)], ids=["classification", "regression"])
+def test_head_forward_decode(readout):
+    hyp, z, _, _ = _small_instance(2)
+    depth, unc, p = head_forward(z, -0.3, hyp, readout)
+    np.testing.assert_array_equal(p, softmax_volume(z))
+    np.testing.assert_array_equal(depth, expectation_depth(hyp, p) if readout is None else z @ readout)
+    np.testing.assert_array_equal(unc, float(softplus(-0.3)) * clamped_entropy_parts(p)[0])
+
+
+@pytest.mark.parametrize("readout", [None, np.linspace(0.2, 1.4, 5)], ids=["classification", "regression"])
+def test_head_forward_is_the_forward_full_backward_trains(readout):
+    hyp, z, gt, perm = _small_instance(4)
+    sig = np.array([0.3, -0.2, 0.5])
+    rep = full_backward(z, 0.4, sig, hyp, gt, perm, include_soft=readout is None, readout=readout)
+    depth, unc, _ = head_forward(z, 0.4, hyp, readout)
+    d, u, g = depth.ravel(), unc.ravel(), gt.ravel()
+    assert abs(rep.value_r - depth_l1(d, g).value) < 1e-12
+    assert abs(rep.value_u - ranking_loss_variants(np.abs(d - g), u, perm, "hinge").value) < 1e-12

@@ -69,6 +69,14 @@ def test_accuracy_nonpositive_pred_excluded_from_logs():
     assert rep.delta3 == 0.5
 
 
+def test_accuracy_log_metrics_none_without_positive_prediction():
+    rep = accuracy_metrics(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+    assert rep.n_log_excluded == 2
+    assert rep.log10 is None and rep.log_rms is None
+    assert rep.row()["log10"] is None and rep.row()["log_rms"] is None
+    assert rep.delta1 == 0.0
+
+
 def test_accuracy_respects_validity_mask():
     rep = accuracy_metrics(np.array([1.0, 99.0]), np.array([1.0, np.nan]))
     assert rep.n_valid == 1
@@ -396,6 +404,43 @@ def test_nll_excludes_out_of_range():
     assert abs(value - np.log(2.0)) < 1e-12
     with pytest.raises(ValueError):
         nll(vol, np.array([20.0, 30.0]), hyp)
+
+
+def test_nll_without_pixels_in_range_is_degenerate():
+    hyp = DepthHypotheses(np.array([1.0, 2.0]))
+    vol = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(DegenerateMetricError, match="no valid pixel inside the hypothesis range"):
+        nll(vol, np.array([20.0, 30.0]), hyp)
+    with pytest.raises(DegenerateMetricError):
+        nll(vol, np.array([np.nan, -1.0]), hyp)
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_nll_rejects_negative_and_nonfinite_volumes(bad):
+    hyp = DepthHypotheses(np.array([1.0, 2.0]))
+    vol = np.array([[0.5, 0.5], [0.5, 0.5]])
+    vol[1, 0] = bad
+    with pytest.raises(ValueError, match="probability volume must be finite and >= 0") as exc:
+        nll(vol, np.array([1.5, 1.2]), hyp)
+    assert not isinstance(exc.value, DegenerateMetricError)
+
+
+def test_evaluate_uncertainty_raises_on_malformed_volume():
+    rng = np.random.default_rng(5)
+    gt = rng.uniform(1.5, 9.5, (6, 8))
+    pred = gt + rng.normal(scale=0.3, size=gt.shape)
+    unc = np.abs(pred - gt)
+    hyp = linear_hypotheses(1.0, 10.0, 4)
+    vol = rng.dirichlet(np.ones(4), size=gt.shape)
+    assert evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp).nll is not None
+    with pytest.raises(ValueError, match="volume pixels"):
+        evaluate_uncertainty(pred, gt, unc, vol=vol[:3], hyp=hyp)
+    vol[2, 3, 1] = -0.5
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp)
+    # GT outside the hypothesis range leaves only NLL undefined
+    rep = evaluate_uncertainty(pred, gt, unc, vol=np.abs(vol), hyp=linear_hypotheses(20.0, 30.0, 4))
+    assert rep.nll is None and rep.scc is not None
 
 
 def test_nll_floor_keeps_value_finite():

@@ -14,12 +14,15 @@ from depthuq.losses import (
     clamped_entropy_parts,
     draw_permutation,
     full_backward,
+    head_forward,
     ranking_loss_variants,
     softmax_backward,
 )
 from depthuq.toytrain import (
     _PERM_SEED_STRIDE,
     ABLATION_ROWS,
+    DEFAULT_FEATURES,
+    HEAD_KINDS,
     SIGMA_BOUND,
     EpochLog,
     SyntheticScene,
@@ -638,3 +641,25 @@ def test_soft_labels_built_once_per_scene_and_run(tiny_data, monkeypatch, soft):
     train(init_model(cfg), scenes, cfg)
     assert len(calls) == (len(scenes) if soft else 0)
 
+
+
+def test_no_max_row_equals_depth_soft_row():
+    # the no-max gradient is exactly zero, so the weights train as without a ranking term
+    rows = {r["config"]: r for r in ablate([0], base=TrainConfig(epochs=2), n_train=3, n_eval=2, h=8, w=8)}
+    skip = {"config", "train_s"}
+    nomax = {k: v for k, v in rows["full_nomax"].items() if k not in skip}
+    assert nomax == {k: v for k, v in rows["depth_soft"].items() if k not in skip}
+
+
+def test_forward_is_the_hidden_layer_and_head_forward():
+    scene = generate_scene(6, 5, DEFAULT_FEATURES, seed=4)
+    for head in HEAD_KINDS:
+        cfg = TrainConfig(head=head, include_soft=head == "classification", seed=2)
+        m = init_model(cfg)
+        m.raw_scale = 0.7
+        z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
+        depth, unc, p = head_forward(z, 0.7, m.hypotheses, m.w_out)
+        got = forward(m, scene)
+        np.testing.assert_array_equal(got[0], depth)
+        np.testing.assert_array_equal(got[1], unc)
+        np.testing.assert_array_equal(got[2], p if head == "classification" else z)
