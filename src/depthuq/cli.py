@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import frustum, toytrain
-from .discretize import linear_hypotheses
+from .discretize import check_probabilities, linear_hypotheses
 from .gradcheck import run_gradient_suite, suite_passed
-from .gridio import read_grid, read_keyvalue, valid_mask, write_csv, write_grid, write_ppm
+from .gridio import read_grid, read_keyvalue, write_csv, write_grid, write_ppm
 from .losses import RANKING_VARIANTS
 from .metrics import (
     BASE_METRICS,
@@ -35,6 +35,7 @@ from .metrics import (
     evaluate_uncertainty,
     sparsification,
     spearman,
+    valid_pixels,
 )
 from .uncertainty import combine_mean, raw_entropy
 
@@ -252,8 +253,8 @@ def cmd_scc(args) -> int:
         pred = _load_rank(args.pred, 2, "prediction")
         gt = _load_rank(args.gt, 2, "ground truth")
         unc = _load_rank(args.unc, 2, "uncertainty")
-        mask = valid_mask(gt)
-        e, u = np.abs(pred - gt)[mask], unc[mask]
+        p, g, u = valid_pixels(pred, gt, unc)
+        e = np.abs(p - g)
     else:
         raise CLIError("need --err, or both --pred and --gt")
     rho = spearman(e, u)
@@ -348,14 +349,18 @@ def cmd_demo_ause(args) -> int:
 
 
 def cmd_combine(args) -> int:
+    """Average probability volumes, each checked finite and >= 0 before any write.
+
+    As for ``eval --vol`` and ``voxelize``, rows need not sum to 1.
+    """
     vols = [_load_rank(p, 3, "probability volume") for p in args.vols]
+    for vol in vols:
+        check_probabilities(vol)
     mean = combine_mean(vols)
-    # the entropy step validates the mean, so it runs before either write
-    entropy = None if args.entropy_out is None else raw_entropy(mean)
     write_grid(args.out, mean)
     print(f"wrote {args.out} (mean of {len(vols)} volumes, shape {mean.shape})")
-    if entropy is not None:
-        write_grid(args.entropy_out, entropy)
+    if args.entropy_out is not None:
+        write_grid(args.entropy_out, raw_entropy(mean))
         print(f"wrote {args.entropy_out} (unscaled entropy)")
     return 0
 

@@ -56,30 +56,20 @@ class GridFile:
     values: np.ndarray
 
 
-def write_grid(path, dims, values=None) -> None:
-    """Serialize ``values`` to ``path`` in the DUV1 layout.
+def write_grid(path, values) -> None:
+    """Serialize the array ``values`` to ``path`` in the DUV1 layout.
 
-    ``dims`` gives the extents (rank 1..4, every extent >= 1) and must
-    multiply out to the number of values.  ``values`` may be flat or
-    already shaped, and may hold non-finite entries.  For convenience
-    ``write_grid(path, array)`` uses the array's own shape.
+    The array's shape gives the extents (rank 1..4, every extent >= 1);
+    entries may be non-finite.
     """
-    if values is None:
-        values = dims
-        dims = np.asarray(values).shape
-    dims = tuple(int(d) for d in dims)
+    arr = np.asarray(values, dtype=np.float64)
+    dims = arr.shape
     if len(dims) < 1 or len(dims) > MAX_NDIM:
         raise ValueError(f"grid rank must be 1..{MAX_NDIM}, got {len(dims)}")
     if any(d < 1 for d in dims):
         raise ValueError(f"grid extents must be >= 1, got {dims}")
-    count = 1
-    for d in dims:
-        count *= d
-    if count > MAX_ELEMENTS:
-        raise ValueError(f"grid too large: {count} elements")
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size != count:
-        raise ValueError(f"dims {dims} need {count} values, got {arr.size}")
+    if arr.size > MAX_ELEMENTS:
+        raise ValueError(f"grid too large: {arr.size} elements")
     header = MAGIC + struct.pack("<I", len(dims))
     header += struct.pack(f"<{len(dims)}I", *dims)
     payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()

@@ -14,14 +14,13 @@ ranks, FPR95 from cumulative outlier counts at tie-group ends (the ROC
 sweep of Fawcett 2006), and each sparsification curve from tail sums of
 the sorted per-pixel errors (Ilg et al. 2018).  Plain NumPy at run time.
 
-Input policy, shared by ``_flat_valid``, ``_valid_uncertainty`` and
-``_require_finite``: a pixel is valid where its GT is finite and
-positive, or where an explicit ``mask`` says so, and per-image metrics
-read valid pixels only.  A non-finite prediction or uncertainty on a
-valid pixel, or a non-finite entry of a vector handed to a rank metric,
-raises ValueError with the count of such entries; an image without a
-valid pixel raises ValueError too, and so does a probability volume of
-the wrong shape or with a negative or non-finite entry.
+Input policy, shared by ``valid_pixels`` and ``_require_finite``: a
+pixel is valid where its GT is finite and positive, and per-image
+metrics read valid pixels only.  A non-finite prediction or uncertainty
+on a valid pixel, or a non-finite entry of a vector handed to a rank
+metric, raises ValueError with the count of such entries; an image
+without a valid pixel raises ValueError too, and so does a probability
+volume of the wrong shape or with a negative or non-finite entry.
 
 Per-image metrics; undefined entries (single-class AUROC, all-tied SCC,
 log metrics with no positive prediction, NLL with no valid pixel in the
@@ -46,8 +45,8 @@ BASE_METRICS = ("rmse", "rel", "delta1err")
 class DegenerateMetricError(ValueError):
     """The metric is undefined on this input, which is not itself wrong.
 
-    Raised when the full-set base metric is zero (nothing to normalize
-    by) and when no valid pixel lies inside the NLL hypothesis range.
+    Raised by the sparsification normaliser when the full-set base
+    metric is zero (nothing to normalize by).
     """
 
 
@@ -120,31 +119,28 @@ class UncertaintyReport:
         }
 
 
-def _flat_valid(pred, gt, mask):
-    """Prediction and GT on the valid pixels; a non-finite prediction there is a user error."""
+def valid_pixels(pred, gt, unc=None):
+    """Prediction, GT and (if given) uncertainty on the valid pixels.
+
+    The input check of every per-image metric but ``nll``, which masks
+    the full volume itself: shapes must match, the image must hold a
+    valid pixel, and the prediction and uncertainty must be finite there.  ``unc`` comes back as None when
+    not given.
+    """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
-    if mask is None:
-        mask = valid_mask(gt)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != gt.shape:
-        raise ValueError(f"mask shape {mask.shape} != {gt.shape}")
+    mask = valid_mask(gt)
     if not mask.any():
         raise ValueError("no valid pixels")
-    return _require_finite(pred[mask], "prediction", "valid pixel(s)"), gt[mask]
-
-
-def _valid_uncertainty(unc, gt, mask) -> np.ndarray:
-    """Uncertainty on the valid pixels; a non-finite value there is a user error."""
-    gt = np.asarray(gt)
+    p = _require_finite(pred[mask], "prediction", "valid pixel(s)")
+    if unc is None:
+        return p, gt[mask], None
     u = np.asarray(unc, dtype=np.float64)
     if u.shape != gt.shape:
         raise ValueError(f"uncertainty shape {u.shape} != {gt.shape}")
-    if mask is None:
-        mask = valid_mask(gt)
-    return _require_finite(u[np.asarray(mask, bool)], "uncertainty", "valid pixel(s)")
+    return p, gt[mask], _require_finite(u[mask], "uncertainty", "valid pixel(s)")
 
 
 def _require_finite(v: np.ndarray, name: str, where: str = "entry(ies)") -> np.ndarray:
@@ -172,7 +168,7 @@ def delta_outliers(pred, gt) -> np.ndarray:
     return _delta_ratio(pred, gt) >= DELTA_RATIO
 
 
-def accuracy_metrics(pred, gt, mask=None) -> AccuracyReport:
+def accuracy_metrics(pred, gt) -> AccuracyReport:
     """All eight metrics over valid pixels.
 
     Log-based metrics (log10, log_rms) skip valid pixels whose
@@ -180,7 +176,7 @@ def accuracy_metrics(pred, gt, mask=None) -> AccuracyReport:
     positive prediction both are None.  The delta chain
     treats those pixels as outliers at every threshold.
     """
-    p, g = _flat_valid(pred, gt, mask)
+    p, g, _ = valid_pixels(pred, gt)
     n = p.size
     diff = p - g
     rmse = float(np.sqrt(np.mean(diff**2)))
@@ -261,7 +257,7 @@ def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
 
 
 def sparsification(
-    err_metric: str, pred, gt, unc, mask=None, steps: int = SPARSIFICATION_STEPS
+    err_metric: str, pred, gt, unc, steps: int = SPARSIFICATION_STEPS
 ) -> SparsificationCurve:
     """Sparsification curve of ``err_metric`` under uncertainty removal.
 
@@ -272,10 +268,9 @@ def sparsification(
     """
     if steps < 2:
         raise ValueError(f"need >= 2 removal steps, got {steps}")
-    p, g = _flat_valid(pred, gt, mask)
-    uv = _valid_uncertainty(unc, gt, mask)
+    p, g, u = valid_pixels(pred, gt, unc)
     pixel_err = _per_pixel_error(err_metric, p, g)
-    return _sparsify_curve(err_metric, pixel_err, _descending(uv), steps)
+    return _sparsify_curve(err_metric, pixel_err, _descending(u), steps)
 
 
 def ause_aurg(curve: SparsificationCurve):
@@ -356,15 +351,15 @@ def auroc_fpr95(scores, outlier):
     return auroc, fpr95
 
 
-def nll(vol, gt, hyp: DepthHypotheses, mask=None):
+def nll(vol, gt, hyp: DepthHypotheses):
     """Mean -ln of the bin mass around GT; skips out-of-range pixels.
 
     The mass is the bilinear split of GT depth over its two neighboring
     hypotheses, clamped at 1e-12 before the log.  Returns (value,
     n_excluded) where the count covers valid pixels outside the
     hypothesis range.  A volume of the wrong shape or with a negative or
-    non-finite entry is a ValueError; no valid pixel inside the range
-    leaves the metric undefined (DegenerateMetricError).
+    non-finite entry is a ValueError; with no valid pixel inside the
+    range the value is None.
     """
     p = np.asarray(vol, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
@@ -373,13 +368,11 @@ def nll(vol, gt, hyp: DepthHypotheses, mask=None):
     if p.shape[-1] != hyp.m:
         raise ValueError(f"volume bins {p.shape[-1]} vs hypotheses {hyp.m}")
     check_probabilities(p)
-    if mask is None:
-        mask = valid_mask(g)
-    mask = np.asarray(mask, dtype=bool)
+    mask = valid_mask(g)
     in_range = mask & (g >= hyp.d_min) & (g <= hyp.d_max)
     excluded = int(mask.sum() - in_range.sum())
     if not in_range.any():
-        raise DegenerateMetricError("no valid pixel inside the hypothesis range")
+        return None, excluded
     gv = g[in_range]
     pv = p[in_range]
     lo, w_lo = bilinear_bin_weights(hyp, gv)
@@ -474,8 +467,7 @@ def ause_flaw_demo(
 
 
 def evaluate_uncertainty(
-    pred, gt, unc, vol=None, hyp: DepthHypotheses | None = None, mask=None,
-    steps: int = SPARSIFICATION_STEPS,
+    pred, gt, unc, vol=None, hyp: DepthHypotheses | None = None
 ) -> UncertaintyReport:
     """One image's full uncertainty-quality report.
 
@@ -485,30 +477,28 @@ def evaluate_uncertainty(
     raises ValueError.  NLL needs the probability volume and
     hypotheses; omitted otherwise.  A malformed volume raises ValueError.
     """
-    p, g = _flat_valid(pred, gt, mask)
-    by_unc = _ranking(_valid_uncertainty(unc, gt, mask), "uncertainty")
+    p, g, u = valid_pixels(pred, gt, unc)
+    by_unc = _ranking(u, "uncertainty")
+    errors = {base: _per_pixel_error(base, p, g) for base in BASE_METRICS}
     # |pred - gt| is both the RMSE oracle's pixel error and SCC's error
-    by_err = _ranking(_per_pixel_error("rmse", p, g), "err")
+    by_err = _ranking(errors["rmse"], "err")
 
     areas = {}
     for base in BASE_METRICS:
         oracle = by_err.order if base == "rmse" else None
         try:
-            curve = _sparsify_curve(base, _per_pixel_error(base, p, g), by_unc.order, steps, oracle)
+            curve = _sparsify_curve(base, errors[base], by_unc.order, SPARSIFICATION_STEPS, oracle)
             areas[base] = ause_aurg(curve)
         except DegenerateMetricError:
             areas[base] = (None, None)
 
     scc = spearman(by_err, by_unc)
-    auroc, fpr95 = auroc_fpr95(by_unc, delta_outliers(p, g))
+    # the delta1err pixel error is the delta1 outlier indicator
+    auroc, fpr95 = auroc_fpr95(by_unc, errors["delta1err"])
 
-    nll_value = None
-    nll_excluded = 0
+    nll_value, nll_excluded = None, 0
     if vol is not None and hyp is not None:
-        try:
-            nll_value, nll_excluded = nll(vol, gt, hyp, mask=mask)
-        except DegenerateMetricError:
-            nll_value = None
+        nll_value, nll_excluded = nll(vol, gt, hyp)
 
     return UncertaintyReport(
         ause_rmse=areas["rmse"][0],

@@ -97,6 +97,29 @@ def test_scc_rejects_both_sources(data_dir, tmp_path):
     assert rc == 1
 
 
+def test_scc_rejects_uncertainty_of_another_shape(data_dir, tmp_path, capsys):
+    write_grid(tmp_path / "unc.duv", np.ones((4, 5)))
+    rc = cli.main([
+        "scc", "--pred", str(data_dir / "pred.duv"), "--gt", str(data_dir / "gt.duv"),
+        "--unc", str(tmp_path / "unc.duv"), "--out", str(tmp_path / "scc.csv"),
+    ])
+    assert rc == 1
+    assert "error: uncertainty shape (4, 5) != (8, 10)" in capsys.readouterr().err
+    assert not (tmp_path / "scc.csv").exists()
+
+
+def test_scc_rejects_prediction_of_another_shape(data_dir, tmp_path, capsys):
+    # a 1x10 row would broadcast over the 8x10 GT
+    write_grid(tmp_path / "pred.duv", read_grid(data_dir / "pred.duv").values[:1])
+    rc = cli.main([
+        "scc", "--pred", str(tmp_path / "pred.duv"), "--gt", str(data_dir / "gt.duv"),
+        "--unc", str(data_dir / "unc.duv"), "--out", str(tmp_path / "scc.csv"),
+    ])
+    assert rc == 1
+    assert "error: shape mismatch (1, 10) vs (8, 10)" in capsys.readouterr().err
+    assert not (tmp_path / "scc.csv").exists()
+
+
 def test_scc_reports_undefined_on_ties(data_dir, tmp_path, capsys):
     write_grid(tmp_path / "err.duv", np.full((8, 10), 2.0))
     rc = cli.main(["scc", "--err", str(tmp_path / "err.duv"), "--unc", str(data_dir / "unc.duv"),
@@ -255,16 +278,19 @@ def test_combine_and_entropy(data_dir, tmp_path):
 
 
 def test_combine_rejects_before_writing_either_file(data_dir, tmp_path, capsys):
+    # every input is checked, with or without --entropy-out
     vol = read_grid(data_dir / "vol.duv").values.copy()
     vol[0, 0, 0] = -0.5
     write_grid(tmp_path / "neg.duv", vol)
-    rc = cli.main([
-        "combine", "--vols", str(tmp_path / "neg.duv"), str(data_dir / "vol2.duv"),
-        "--out", str(tmp_path / "c.duv"), "--entropy-out", str(tmp_path / "e.duv"),
-    ])
-    assert rc == 1
-    assert "error: negative probability" in capsys.readouterr().err
-    assert not (tmp_path / "c.duv").exists() and not (tmp_path / "e.duv").exists()
+    for entropy in ([], ["--entropy-out", str(tmp_path / "e.duv")]):
+        rc = cli.main([
+            "combine", "--vols", str(data_dir / "vol2.duv"), str(tmp_path / "neg.duv"),
+            "--out", str(tmp_path / "c.duv"), *entropy,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: probability volume must be finite and >= 0" in err
+        assert not (tmp_path / "c.duv").exists() and not (tmp_path / "e.duv").exists()
 
 
 def test_voxelize_and_render_round_trip(data_dir, tmp_path, capsys):

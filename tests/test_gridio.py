@@ -29,7 +29,7 @@ def test_round_trip_2x3(tmp_path):
 
 def test_round_trip_singleton(tmp_path):
     path = tmp_path / "one.duv"
-    write_grid(path, (1, 1, 1), [3.5])
+    write_grid(path, np.full((1, 1, 1), 3.5))
     back = read_grid(path)
     assert back.dims == (1, 1, 1)
     assert back.values.reshape(-1)[0] == 3.5
@@ -53,7 +53,7 @@ def test_error_carries_byte_offset(tmp_path):
 
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.duv"
-    write_grid(path, (2, 2), [1.0, 2.0, 3.0, 4.0])
+    write_grid(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
     blob = path.read_bytes()
     path.write_bytes(blob[:-2])
     with pytest.raises(GridFormatError):
@@ -62,20 +62,24 @@ def test_truncated_payload(tmp_path):
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "t.duv"
-    write_grid(path, (2,), [1.0, 2.0])
+    write_grid(path, np.array([1.0, 2.0]))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(GridFormatError):
         read_grid(path)
 
 
-def test_write_length_mismatch(tmp_path):
-    with pytest.raises(ValueError):
-        write_grid(tmp_path / "x.duv", (2, 2), [1.0, 2.0, 3.0])
-
-
 def test_rank_limits(tmp_path):
     with pytest.raises(ValueError):
-        write_grid(tmp_path / "x.duv", (2, 2, 2, 2, 2), np.zeros(32))
+        write_grid(tmp_path / "x.duv", np.zeros((2, 2, 2, 2, 2)))
+
+
+def test_extent_and_size_limits(tmp_path):
+    with pytest.raises(ValueError, match="extents must be >= 1"):
+        write_grid(tmp_path / "x.duv", np.zeros((2, 0)))
+    # a broadcast view describes 2^32 elements without allocating them
+    with pytest.raises(ValueError, match="too large"):
+        write_grid(tmp_path / "x.duv", np.broadcast_to(np.float64(0.0), (1 << 16, 1 << 16)))
+    assert not (tmp_path / "x.duv").exists()
 
 
 def test_nan_payload_survives(tmp_path):

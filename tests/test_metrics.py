@@ -402,17 +402,15 @@ def test_nll_excludes_out_of_range():
     value, excluded = nll(vol, np.array([1.5, 20.0]), hyp)
     assert excluded == 1
     assert abs(value - np.log(2.0)) < 1e-12
-    with pytest.raises(ValueError):
-        nll(vol, np.array([20.0, 30.0]), hyp)
+    assert nll(vol, np.array([20.0, 30.0]), hyp) == (None, 2)
 
 
 def test_nll_without_pixels_in_range_is_degenerate():
+    # undefined, like a single-class AUROC: None, with the exclusions counted
     hyp = DepthHypotheses(np.array([1.0, 2.0]))
     vol = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(DegenerateMetricError, match="no valid pixel inside the hypothesis range"):
-        nll(vol, np.array([20.0, 30.0]), hyp)
-    with pytest.raises(DegenerateMetricError):
-        nll(vol, np.array([np.nan, -1.0]), hyp)
+    assert nll(vol, np.array([20.0, 30.0]), hyp) == (None, 2)
+    assert nll(vol, np.array([np.nan, -1.0]), hyp) == (None, 0)
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
@@ -438,9 +436,11 @@ def test_evaluate_uncertainty_raises_on_malformed_volume():
     vol[2, 3, 1] = -0.5
     with pytest.raises(ValueError, match="finite and >= 0"):
         evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp)
-    # GT outside the hypothesis range leaves only NLL undefined
+    # GT outside the hypothesis range leaves only NLL undefined, and every
+    # one of the 48 valid pixels is counted as excluded
     rep = evaluate_uncertainty(pred, gt, unc, vol=np.abs(vol), hyp=linear_hypotheses(20.0, 30.0, 4))
     assert rep.nll is None and rep.scc is not None
+    assert rep.nll_excluded == 48
 
 
 def test_nll_floor_keeps_value_finite():
@@ -539,6 +539,14 @@ def test_evaluate_uncertainty_matches_single_metrics():
         assert areas[base] == ause_aurg(sparsification(base, pred, gt, unc))
     keep = np.isfinite(gt)
     assert rep.scc == spearman(np.abs(pred - gt)[keep], unc[keep])
+    # AUROC/FPR95 read the delta1err pixel error as the outlier vector
+    assert (rep.auroc, rep.fpr95) == auroc_fpr95(unc[keep], delta_outliers(pred[keep], gt[keep]))
+    assert rep.auroc is not None
+    hyp = linear_hypotheses(1.0, 10.0, 8)
+    vol = rng.dirichlet(np.ones(8), size=gt.shape)
+    with_vol = evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp)
+    assert (with_vol.nll, with_vol.nll_excluded) == nll(vol, gt, hyp)
+    assert with_vol.nll is not None
 
 
 def test_nonfinite_uncertainty_is_rejected():
