@@ -32,6 +32,7 @@ from .metrics import (
     accuracy_metrics,
     ause_aurg,
     ause_flaw_demo,
+    check_steps,
     evaluate_uncertainty,
     sparsification,
     spearman,
@@ -146,6 +147,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise CLIError(f"bad seed list {text!r}: {exc}") from exc
     if not seeds:
         raise CLIError("seed list is empty")
+    if len(set(seeds)) != len(seeds):
+        raise CLIError(f"repeated seed in {text!r}")
     return seeds
 
 
@@ -330,6 +333,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_demo_ause(args) -> int:
+    check_steps(args.steps)  # before the training run, not after it
     model, _, eval_scenes = _train_toy_model(args)
     err, unc = toytrain.pooled_errors(model, eval_scenes)
     comp = ause_flaw_demo(err, unc, args.transform, scale=args.scale, offset=args.offset, steps=args.steps)

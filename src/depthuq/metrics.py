@@ -223,6 +223,12 @@ def _descending(score: np.ndarray) -> np.ndarray:
     return np.argsort(-score, kind="stable")
 
 
+def check_steps(steps: int) -> None:
+    """A sparsification curve needs the full set and at least one removal."""
+    if steps < 2:
+        raise ValueError(f"need >= 2 removal steps, got {steps}")
+
+
 def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
     """Shared removal sweep for both orderings and the flaw demo.
 
@@ -233,6 +239,7 @@ def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
     squared errors for RMSE), summed from the low end so that short tails
     do not cancel; each curve is normalized by its own full-set value.
     """
+    check_steps(steps)
     n = pixel_err.size
     x = pixel_err**2 if err_metric == "rmse" else pixel_err
     fractions = np.arange(steps, dtype=np.float64) / steps
@@ -266,8 +273,6 @@ def sparsification(
     metric recomputed on the remainder and normalized by its full-set
     value.  The oracle column drops by true per-pixel error instead.
     """
-    if steps < 2:
-        raise ValueError(f"need >= 2 removal steps, got {steps}")
     p, g, u = valid_pixels(pred, gt, unc)
     pixel_err = _per_pixel_error(err_metric, p, g)
     return _sparsify_curve(err_metric, pixel_err, _descending(u), steps)

@@ -8,8 +8,9 @@ hidden layer) maps features to either classification logits or a
 regression latent, and plain gradient descent runs on the auto-weighted
 loss total through the exact backward pass of the losses module.
 
-The ablation harness trains the six loss configurations of interest on
-shared scenes and reports accuracy plus uncertainty quality per row.
+The ablation harness reports the six loss configurations of interest
+on shared scenes, accuracy plus uncertainty quality per row; it trains
+the five distinct models among them (``full_nomax`` is ``depth_soft``).
 """
 
 from __future__ import annotations
@@ -570,46 +571,65 @@ def ablate(
 
     Every configuration of one seed trains from the same initialization
     on the same scene list, so rows differ only in the loss terms.
-    Returns one flat dict per (configuration, seed), in a fixed order
-    regardless of ``threads``; each run is self-contained, so threading
-    only changes wall-clock, never the numbers.  ``threads`` below 1 is
-    a ValueError.
+    Returns one flat dict per (configuration, seed), seeds outer and
+    ``ABLATION_ROWS`` inner, in a fixed order regardless of ``threads``;
+    each run is self-contained, so threading only changes wall-clock,
+    never the numbers.  ``threads`` below 1 and a repeated seed are
+    ValueErrors.
 
-    ``full_nomax`` trains the ``depth_soft`` model: over the bijection
-    of ``draw_permutation`` the no-max gradient is exactly zero, so
-    only its own sigma moves and its row equals ``depth_soft``'s in
-    every column but ``config``.
+    Each distinct model trains once per seed, five runs for six rows:
+    a run is keyed by (seed, soft-label term, effective ranking), and
+    ``no-max`` is keyed as no ranking term.  Over the bijection of
+    ``draw_permutation`` each pixel's uncertainty enters one pair with
+    +1 and one with -1, so the no-max gradient is exactly zero and that
+    arm would train the ``depth_soft`` weights bitwise (only its unused
+    rank sigma would move).  The ``full_nomax`` row therefore carries
+    the ``depth_soft`` run's metrics, with ``train_s`` None because it
+    had no run of its own.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    seeds = [int(seed) for seed in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"repeated seed in {seeds}")
     if base is None:
         base = TrainConfig()
-    tasks = []
+    runs = {}  # run key -> (config, train scenes, eval scenes), in first-use order
+    keyed_rows = []  # (row name, run key, whether the row owns the run), in row order
     for seed in seeds:
-        cfg_seed = replace(base, seed=int(seed))
+        cfg_seed = replace(base, seed=seed)
         train_scenes, eval_scenes = make_dataset(
-            n_train, n_eval, h, w, f, seed=int(seed),
+            n_train, n_eval, h, w, f, seed=seed,
             eta_lo=eta_lo, eta_hi=eta_hi, d_min=base.d_min, d_max=base.d_max,
         )
         for name, soft, ranking in ABLATION_ROWS:
-            cfg = replace(cfg_seed, include_soft=soft, ranking=ranking)
-            tasks.append((name, int(seed), cfg, train_scenes, eval_scenes))
+            # no-max has a zero gradient: it trains the ranking-free model
+            key = (seed, soft, None if ranking == "no-max" else ranking)
+            owns = key not in runs
+            if owns:
+                cfg = replace(cfg_seed, include_soft=soft, ranking=key[2])
+                runs[key] = (cfg, train_scenes, eval_scenes)
+            keyed_rows.append((name, key, owns))
 
-    def run(task):
-        name, seed, cfg, train_scenes, eval_scenes = task
+    def run(key):
+        cfg, train_scenes, eval_scenes = runs[key]
         model = init_model(cfg, n_features=f)
         started = time.perf_counter()
         model, _ = train(model, train_scenes, cfg)
         summary = evaluate_model(model, eval_scenes)
-        row = {"config": name, "seed": seed}
-        row.update(summary.row())
-        row["train_s"] = time.perf_counter() - started
-        return row
+        return summary.row(), time.perf_counter() - started
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, tasks))
-    return [run(t) for t in tasks]
+            results = dict(zip(runs, pool.map(run, runs)))
+    else:
+        results = {key: run(key) for key in runs}
+    rows = []
+    for name, key, owns in keyed_rows:
+        metrics, train_s = results[key]
+        rows.append({"config": name, "seed": key[0], **metrics,
+                     "train_s": train_s if owns else None})
+    return rows
 
 
 def ablation_medians(rows, key: str = "scc"):

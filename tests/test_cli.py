@@ -395,6 +395,32 @@ def test_ablate_rejects_threads_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["0,0", "1,0,1"])
+def test_ablate_rejects_repeated_seed(tmp_path, capsys, seeds):
+    out = tmp_path / "rows.csv"
+    rc = cli.main([
+        "ablate", "--seeds", seeds, "--epochs", "1", "--train-scenes", "2", "--eval-scenes", "1",
+        "--height", "8", "--width", "8", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: repeated seed in {seeds!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_demo_ause_rejects_fewer_than_two_steps(tmp_path, capsys, steps):
+    # --steps 0 was an IndexError (exit 2); --steps 1 printed AUSE 0.0 for any input
+    out = tmp_path / "demo.csv"
+    rc = cli.main([
+        "demo-ause", "--transform", "square", "--epochs", "1", "--train-scenes", "2",
+        "--eval-scenes", "1", "--steps", steps, "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: need >= 2 removal steps, got {steps}")
+    assert not out.exists()
+
+
 def test_demo_ause_runs_on_tiny_model(tmp_path, capsys):
     rc = cli.main([
         "demo-ause", "--transform", "square", "--epochs", "1", "--train-scenes", "2",

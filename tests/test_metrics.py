@@ -144,8 +144,12 @@ def test_sparsification_rejects_bad_metric_and_steps():
     unc = np.array([0.1, 0.2])
     with pytest.raises(ValueError):
         sparsification("mae", pred, gt, unc)
-    with pytest.raises(ValueError):
-        sparsification("rmse", pred, gt, unc, steps=1)
+    # both callers of the removal sweep share its rule
+    for steps in (0, 1):
+        with pytest.raises(ValueError, match="need >= 2 removal steps"):
+            sparsification("rmse", pred, gt, unc, steps=steps)
+        with pytest.raises(ValueError, match="need >= 2 removal steps"):
+            ause_flaw_demo(np.abs(pred - gt), unc, "square", steps=steps)
 
 
 def test_sparsification_rel_base():

@@ -644,11 +644,67 @@ def test_soft_labels_built_once_per_scene_and_run(tiny_data, monkeypatch, soft):
 
 
 def test_no_max_row_equals_depth_soft_row():
-    # the no-max gradient is exactly zero, so the weights train as without a ranking term
-    rows = {r["config"]: r for r in ablate([0], base=TrainConfig(epochs=2), n_train=3, n_eval=2, h=8, w=8)}
-    skip = {"config", "train_s"}
-    nomax = {k: v for k, v in rows["full_nomax"].items() if k not in skip}
-    assert nomax == {k: v for k, v in rows["depth_soft"].items() if k not in skip}
+    # the no-max gradient is exactly zero, so the weights train as without a
+    # ranking term; ablate reuses the depth_soft run for the full_nomax row
+    train_scenes, eval_scenes = make_dataset(3, 2, 8, 8, seed=0)
+    train_scenes[1] = _with_invalid_gt(train_scenes[1], (0, 0), (3, 5))
+    eval_scenes[0] = _with_invalid_gt(eval_scenes[0], (2, 2))
+    models, rows = {}, {}
+    for ranking in (None, "no-max"):
+        cfg = TrainConfig(epochs=2, include_soft=True, ranking=ranking)
+        models[ranking], _ = train(init_model(cfg), train_scenes, cfg)
+        rows[ranking] = evaluate_model(models[ranking], eval_scenes).row()
+    nomax, soft = models["no-max"], models[None]
+    for name in ("w1", "b1", "w2"):
+        assert getattr(nomax, name).tobytes() == getattr(soft, name).tobytes()
+    assert np.float64(nomax.raw_scale).tobytes() == np.float64(soft.raw_scale).tobytes()
+    assert nomax.sigma[2] != soft.sigma[2]  # only the unused rank weight moves
+    assert rows["no-max"] == rows[None]
+
+
+def test_ablate_trains_each_distinct_model_once(monkeypatch):
+    base = TrainConfig(epochs=1)
+    sizes = dict(n_train=2, n_eval=1, h=8, w=8)
+    original = depthuq.toytrain.train
+    calls = []
+
+    def counted(model, scenes, config):
+        calls.append((config.seed, config.include_soft, config.ranking))
+        return original(model, scenes, config)
+
+    monkeypatch.setattr(depthuq.toytrain, "train", counted)
+    ablate([0], base=base, **sizes)
+    assert len(calls) == 5
+    seeds = [3, 1]
+    by_threads = {}
+    for threads in (1, 2):
+        calls.clear()
+        by_threads[threads] = ablate(seeds, base=base, threads=threads, **sizes)
+        assert len(calls) == 10 and len(set(calls)) == 10
+        assert "no-max" not in {ranking for _, _, ranking in calls}
+    rows = by_threads[1]
+    assert [(r["config"], r["seed"]) for r in rows] == [
+        (name, seed) for seed in seeds for name, _, _ in ABLATION_ROWS
+    ]
+    assert [r["train_s"] is None for r in rows] == [r["config"] == "full_nomax" for r in rows]
+    # every row equals its own configuration trained and evaluated directly
+    for seed in seeds:
+        train_scenes, eval_scenes = make_dataset(seed=seed, **sizes)
+        for name, soft, ranking in ABLATION_ROWS:
+            cfg = replace(base, seed=seed, include_soft=soft, ranking=ranking)
+            model, _ = original(init_model(cfg), train_scenes, cfg)
+            (row,) = [r for r in rows if r["config"] == name and r["seed"] == seed]
+            want = {"config": name, "seed": seed, **evaluate_model(model, eval_scenes).row()}
+            assert {k: v for k, v in row.items() if k != "train_s"} == want
+    for a, b in zip(rows, by_threads[2]):
+        assert {k: v for k, v in a.items() if k != "train_s"} == {
+            k: v for k, v in b.items() if k != "train_s"
+        }
+
+
+def test_ablate_rejects_repeated_seed():
+    with pytest.raises(ValueError, match="repeated seed"):
+        ablate([0, 1, 0], n_train=1, n_eval=1, h=8, w=8)
 
 
 def test_forward_is_the_hidden_layer_and_head_forward():
