@@ -184,6 +184,17 @@ def _add_data_flags(p) -> None:
     p.add_argument("--eta-hi", type=float, default=toytrain.DEFAULT_ETA_HI, help="noise std at the right edge (default %(default)s)")
 
 
+def _add_depth_range_flags(p) -> None:
+    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
+    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
+
+
+def _add_camera_flags(p) -> None:
+    p.add_argument("--focal", type=float, default=None, help="focal length in pixels (default: max extent)")
+    p.add_argument("--cx", type=float, default=None, help="principal point x (default: centered)")
+    p.add_argument("--cy", type=float, default=None, help="principal point y (default: centered)")
+
+
 def _add_train_flags(p, with_seed: bool = True) -> None:
     if with_seed:
         p.add_argument("--seed", type=int, required=True, help="run seed (required; no wall-clock seeding)")
@@ -195,8 +206,7 @@ def _add_train_flags(p, with_seed: bool = True) -> None:
     p.add_argument("--soft", choices=("on", "off"), default=None, help="soft-label term (default: on for the classification head)")
     p.add_argument("--ranking", choices=RANKING_VARIANTS + ("none",), default="hinge", help="uncertainty ranking term (default %(default)s)")
     p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="depth hypotheses (default %(default)s)")
-    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
-    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
+    _add_depth_range_flags(p)
     p.add_argument("--gamma", type=float, default=toytrain.TrainConfig.gamma, help="soft-label sharpness (default %(default)s)")
     p.add_argument("--hidden", type=int, default=toytrain.DEFAULT_HIDDEN, help="hidden width (default %(default)s)")
     _add_data_flags(p)
@@ -385,19 +395,18 @@ def cmd_voxelize(args) -> int:
             raise CLIError("prediction mode needs --vol")
         vol = _load_rank(args.vol, 3, "probability volume")
         h, w, m = vol.shape
-        cam = _camera_for(args, h, w)
-        hyp = linear_hypotheses(args.d_min, args.d_max, m)
-        rgb = _load_rank(args.rgb, 3, "color image") if args.rgb else np.full((h, w, 3), 0.5)
-        grid = frustum.voxelize_prediction(vol, hyp, cam, rgb, resolution=resolution)
-        skipped = 0
     else:
         if args.gt is None:
             raise CLIError("gt mode needs --gt")
         gt = _load_rank(args.gt, 2, "depth map")
-        h, w = gt.shape
-        cam = _camera_for(args, h, w)
-        hyp = linear_hypotheses(args.d_min, args.d_max, args.bins)
-        rgb = _load_rank(args.rgb, 3, "color image") if args.rgb else np.full((h, w, 3), 0.5)
+        (h, w), m = gt.shape, args.bins
+    cam = _camera_for(args, h, w)
+    hyp = linear_hypotheses(args.d_min, args.d_max, m)
+    rgb = _load_rank(args.rgb, 3, "color image") if args.rgb else np.full((h, w, 3), 0.5)
+    if args.mode == "prediction":
+        grid = frustum.voxelize_prediction(vol, hyp, cam, rgb, resolution=resolution)
+        skipped = 0
+    else:
         grid, skipped = frustum.voxelize_ground_truth(gt, hyp, cam, rgb, resolution=resolution)
     base = frustum.save_voxel_grid(grid, args.out)
     print(f"wrote {base}.idx.duv/.val.duv/.meta.txt")
@@ -475,8 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="ground-truth depth (.duv, HxW)")
     p.add_argument("--unc", required=True, help="uncertainty map (.duv, HxW)")
     p.add_argument("--vol", help="probability volume (.duv, HxWxM) enabling NLL")
-    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
-    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
+    _add_depth_range_flags(p)
     p.add_argument("--out", required=True, help="output CSV (one row)")
 
     p = add("sparsify", cmd_sparsify, "sparsification curve and its areas")
@@ -514,7 +522,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="optional CSV with both models' numbers")
 
     p = add("combine", cmd_combine, "average probability volumes (flip-style fusion)")
-    p.add_argument("--vols", nargs="+", required=True, help="two or more probability volumes (.duv)")
+    p.add_argument("--vols", nargs="+", required=True, help="one or more probability volumes (.duv)")
     p.add_argument("--out", required=True, help="output mean volume (.duv)")
     p.add_argument("--entropy-out", help="optional unscaled entropy of the mean (.duv)")
 
@@ -523,12 +531,9 @@ def build_parser() -> _Parser:
     p.add_argument("--vol", help="probability volume (.duv, HxWxM), prediction mode")
     p.add_argument("--gt", help="depth map (.duv, HxW), gt mode")
     p.add_argument("--rgb", help="color image (.duv, HxWx3, values in [0,1]); default mid-gray")
-    p.add_argument("--focal", type=float, default=None, help="focal length in pixels (default: max extent)")
-    p.add_argument("--cx", type=float, default=None, help="principal point x (default: centered)")
-    p.add_argument("--cy", type=float, default=None, help="principal point y (default: centered)")
+    _add_camera_flags(p)
     p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="hypothesis count in gt mode (default %(default)s)")
-    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
-    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
+    _add_depth_range_flags(p)
     p.add_argument("--resolution", default=str(frustum.DEFAULT_RESOLUTION), help="voxels per axis, N or NX,NY,NZ (default %(default)s)")
     p.add_argument("--out", required=True, help="output base path (writes .idx.duv/.val.duv/.meta.txt)")
 
@@ -537,9 +542,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output image (.ppm)")
     p.add_argument("--height", type=int, default=128, help="image height (default %(default)s)")
     p.add_argument("--width", type=int, default=128, help="image width (default %(default)s)")
-    p.add_argument("--focal", type=float, default=None, help="focal length in pixels (default: max extent)")
-    p.add_argument("--cx", type=float, default=None, help="principal point x (default: centered)")
-    p.add_argument("--cy", type=float, default=None, help="principal point y (default: centered)")
+    _add_camera_flags(p)
     p.add_argument("--pose", choices=("identity", "orbit"), default="identity", help="camera pose (default %(default)s)")
     p.add_argument("--target", help="orbit target x,y,z (default: grid center)")
     p.add_argument("--radius", type=float, default=None, help="orbit radius (default: 1.5 x grid diagonal)")

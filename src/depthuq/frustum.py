@@ -462,10 +462,7 @@ def render(
 def camera_rays(cam: Pinhole, pose: CameraPose) -> np.ndarray:
     """Unit world-space ray direction per pixel, row-major (H*W, 3)."""
     ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
-    dirs_cam = np.stack(
-        [(xs - cam.cx) / cam.f, (ys - cam.cy) / cam.f, np.ones_like(xs)], axis=-1
-    ).reshape(-1, 3)
-    dirs = dirs_cam @ pose.rotation.T
+    dirs = unproject(cam, ys, xs, 1.0).reshape(-1, 3) @ pose.rotation.T
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import linear_hypotheses, soft_labels, softmax_volume
+from .discretize import DEFAULT_GAMMA, linear_hypotheses, soft_labels, softmax_volume
 from .losses import (
     auto_weighted_total,
     depth_l1,
     draw_permutation,
     full_backward,
     head_forward,
+    loss_targets,
     ranking_loss_variants,
     soft_label_l1,
 )
@@ -154,17 +155,17 @@ def _check_ranking(rng, variant):
     return analytic, numeric
 
 
-def _total_forward(z, a, sigma, hyp, gt, perm, mask, frozen_err, readout=None):
+def _total_forward(z, a, sigma, hyp, targets, perm, frozen_err, readout=None):
     """Weighted total of ``head_forward``'s output, from the term functions.
 
     ``frozen_err`` pins the ranking error branch (valid pixels only) so
-    the difference quotient respects the stop-gradient.  A ``readout``
-    selects the regression head, whose soft-label term is inactive.
+    the difference quotient respects the stop-gradient.  The soft-label
+    term is active when ``targets`` carry labels, never with a ``readout``.
     """
     depth, unc, p = head_forward(z, a, hyp, readout)
-    soft = readout is None
-    v_r = depth_l1(depth[mask], gt[mask]).value
-    v_p = soft_label_l1(p[mask], soft_labels(hyp, gt).values[mask]).value if soft else 0.0
+    mask, soft = targets.mask, targets.labels is not None
+    v_r = depth_l1(depth[mask], targets.gt).value
+    v_p = soft_label_l1(p[mask], targets.labels).value if soft else 0.0
     v_u = ranking_loss_variants(frozen_err, unc[mask], perm, "hinge").value
     return auto_weighted_total([v_r, v_p, v_u], sigma, (True, soft, True))[0]
 
@@ -223,12 +224,12 @@ def _check_total(rng, build, wrt):
     classification head, ``_regression_instance`` for the regression head.
     """
     inputs, hyp, mask, gt, perm, frozen = build(rng)
-    report = full_backward(
-        hyp=hyp, gt=gt, perm=perm, include_soft=inputs["readout"] is None, mask=mask, **inputs
-    )
+    gamma = DEFAULT_GAMMA if inputs["readout"] is None else None
+    targets = loss_targets(hyp, np.where(mask, gt, np.nan), gamma)
+    report = full_backward(hyp=hyp, targets=targets, perm=perm, **inputs)
     numeric = central_difference(
         lambda x: _total_forward(
-            hyp=hyp, gt=gt, perm=perm, mask=mask, frozen_err=frozen, **{**inputs, wrt: x}
+            hyp=hyp, targets=targets, perm=perm, frozen_err=frozen, **{**inputs, wrt: x}
         ),
         inputs[wrt],
     )

@@ -14,10 +14,11 @@ Three terms drive training:
 with learned sigma_i.  Each term function takes valid-pixel vectors the
 caller has already masked and returns its mean over those pixels with
 the exact gradient, so each term's math exists once.  ``full_backward``
-composes the four: it resolves the mask once, scales each term's
-gradient by its exp(-sigma) weight, and pulls the probability-space
-gradient back through the softmax in closed form, giving exact
-gradients wrt either head's output z, the raw scale a and the sigmas.
+composes the four on the ``loss_targets`` of one GT map, scales each
+term's gradient by its exp(-sigma) weight, and pulls the
+probability-space gradient back through the softmax in closed form,
+giving exact gradients wrt either head's output z, the raw scale a and
+the sigmas.
 ``head_forward`` is the one decode of a head's output into depth,
 uncertainty and softmax(z) that evaluation runs.  Every gradient is
 checked against central finite differences of that forward by
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DEFAULT_GAMMA, DepthHypotheses, expectation_depth, soft_labels, softmax_volume
+from .discretize import DepthHypotheses, expectation_depth, soft_labels, softmax_volume
 from .gridio import valid_mask
-from .uncertainty import PROB_FLOOR, sigmoid, softplus
+from .uncertainty import clamped_entropy_parts, sigmoid, softplus
 
 RANKING_VARIANTS = ("hinge", "no-max", "l1-direct")
 
@@ -81,6 +82,36 @@ def _mean_weight(n_valid: int) -> float:
     if n_valid == 0:
         raise ValueError("no valid pixels")
     return 1.0 / n_valid
+
+
+@dataclass(frozen=True)
+class LossTargets:
+    """What the loss terms compare one GT map against; see ``loss_targets``."""
+
+    mask: np.ndarray  # finite, positive GT pixels
+    gt: np.ndarray  # the valid GT vector, in gt[mask] order
+    labels: np.ndarray | None  # (n, M) soft-label rows, None with the term off
+
+    @property
+    def n(self) -> int:
+        return self.gt.size
+
+
+def loss_targets(hyp: DepthHypotheses, gt, gamma: float | None) -> LossTargets:
+    """Valid-GT mask, valid GT vector and soft labels; no labels for ``gamma=None``.
+
+    All three depend on the GT, the hypotheses and gamma, never on the
+    weights, so ``toytrain.train`` builds them once per scene, and the
+    labels always belong to this mask and one gamma.  Raises ValueError
+    when no pixel is valid.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    mask = valid_mask(gt)
+    gv = gt[mask]
+    if gv.size == 0:
+        raise ValueError("no valid pixels")
+    labels = None if gamma is None else soft_labels(hyp, gv, gamma).values
+    return LossTargets(mask=mask, gt=gv, labels=labels)
 
 
 def depth_l1(pred, gt) -> LossValue:
@@ -180,20 +211,6 @@ def softmax_backward(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
     return p * (grad_p - dot)
 
 
-def clamped_entropy_parts(p: np.ndarray):
-    """Entropy per row plus d(entropy)/dp under the probability floor.
-
-    The value uses ln(max(p, floor)), so for p <= floor the term is
-    linear in p and its exact derivative is ln(floor); above the floor
-    it is ln(p) + 1.  Returning the true derivative of the computed
-    value keeps finite differences honest.
-    """
-    logp = np.log(np.clip(p, PROB_FLOOR, None))
-    h = -(p * logp).sum(axis=-1)
-    dh_dp = -(logp + (p > PROB_FLOOR))
-    return h, dh_dp
-
-
 def head_forward(z, a, hyp: DepthHypotheses, readout=None):
     """Depth, uncertainty and softmax(z) decoded from either head's output.
 
@@ -236,13 +253,9 @@ def full_backward(
     a: float,
     sigma,
     hyp: DepthHypotheses,
-    gt,
+    targets: LossTargets,
     perm: PairPermutation | None,
-    gamma: float = DEFAULT_GAMMA,
-    include_soft: bool = True,
     ranking: str | None = "hinge",
-    mask=None,
-    labels=None,
     readout=None,
 ) -> LossReport:
     """Forward + exact backward for the whole loss of either head.
@@ -250,25 +263,17 @@ def full_backward(
     Depth is softmax(z) @ hyp.values for classification logits, or
     z @ readout for a regression latent (whose gradient is reported);
     the uncertainty is the scaled entropy of softmax(z) either way.  The
-    mask (default: finite, positive GT) is resolved once and the term
-    functions run on the valid pixels; the auto-weighted total yields
-    gradients wrt z (through the softmax Jacobian), the raw scale a
-    (through softplus), and the sigmas.  ``include_soft=False`` or
-    ``ranking=None`` drop terms from the total entirely (their sigma
-    stops moving too).
-
-    ``labels`` are the soft-label rows of the masked pixels, (n, M) in
-    ``gt[mask]`` order, as ``soft_labels(hyp, gt[mask], gamma).values``
-    gives them.  A caller that steps on one ground truth many times
-    (``toytrain.train``) builds them once and passes them with the
-    mask; they must have been made with this ``gamma``.  Left out, they
-    are computed here from the valid GT vector.  Only the soft-label
-    term reads them.
+    term functions run on the pixels of ``targets.mask``; the
+    auto-weighted total yields gradients wrt z (through the softmax
+    Jacobian), the raw scale a (through softplus), and the sigmas.
+    Targets without soft labels, or ``ranking=None``, drop that term
+    from the total entirely (its sigma stops moving too).
     """
     z = np.asarray(z, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if z.shape[:-1] != gt.shape:
-        raise ValueError(f"logit pixels {z.shape[:-1]} vs gt {gt.shape}")
+    mask = targets.mask
+    if z.shape[:-1] != mask.shape:
+        raise ValueError(f"logit pixels {z.shape[:-1]} vs targets {mask.shape}")
+    include_soft = targets.labels is not None
     if readout is None:
         if z.shape[-1] != hyp.m:
             raise ValueError(f"logit bins {z.shape[-1]} vs hypotheses {hyp.m}")
@@ -281,12 +286,6 @@ def full_backward(
     sig = np.asarray(sigma, dtype=np.float64)
     if sig.shape != (3,):
         raise ValueError("sigma must hold 3 weights")
-    mask = valid_mask(gt) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != gt.shape:
-        raise ValueError(f"mask shape {mask.shape} != {gt.shape}")
-    n = int(mask.sum())
-    if n == 0:
-        raise ValueError("no valid pixels")
 
     alpha = float(softplus(a))
     ew = np.exp(-sig)
@@ -299,21 +298,18 @@ def full_backward(
         depth = zv @ readout
         # softmax(z) feeds only the entropy of the ranking term
         pv = softmax_volume(z)[mask] if ranking is not None else None
-    gv = gt[mask]
 
     # d(weighted depth term)/d(depth); the probability-space gradient
     # accumulates every term that flows through p, each scaled in place
     # by its exp(-sigma) weight, for one softmax pullback at the end
-    depth_term = depth_l1(depth, gv)
+    depth_term = depth_l1(depth, targets.gt)
     grad_depth = depth_term.grad
     grad_depth *= ew[0]
     grad_p = grad_depth[:, None] * hyp.values if readout is None else None
 
     value_p = 0.0
     if include_soft:
-        if labels is None:
-            labels = soft_labels(hyp, gv, gamma).values
-        soft = soft_label_l1(pv, labels)
+        soft = soft_label_l1(pv, targets.labels)
         value_p = soft.value
         soft.grad *= ew[1]
         grad_p += soft.grad
@@ -322,7 +318,7 @@ def full_backward(
     grad_a = 0.0
     if ranking is not None:
         h, dh_dp = clamped_entropy_parts(pv)
-        err = np.abs(depth - gv)  # the error branch, a constant to the gradient
+        err = np.abs(depth - targets.gt)  # the error branch, a constant to the gradient
         rank = ranking_loss_variants(err, alpha * h, perm, ranking)
         value_u = rank.value
         gu_eff = rank.grad * ew[2]
@@ -360,6 +356,6 @@ def full_backward(
         grad_sigma=grad_sigma,
         alpha=alpha,
         active=active,
-        n_valid=n,
+        n_valid=targets.n,
         grad_readout=grad_readout,
     )

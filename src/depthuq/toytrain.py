@@ -23,16 +23,15 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .discretize import DepthHypotheses, linear_hypotheses, soft_labels
+from .discretize import DepthHypotheses, linear_hypotheses
 from .gridio import (
     keyvalue_numbers,
     read_grid,
     read_keyvalue,
-    valid_mask,
     write_grid,
     write_keyvalue,
 )
-from .losses import RANKING_VARIANTS, NonFiniteLossError, draw_permutation, full_backward, head_forward
+from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
@@ -240,6 +239,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
         if self.lr <= 0:
             raise ValueError(f"learning rate must be > 0, got {self.lr}")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -294,49 +295,22 @@ def forward(model: ToyModel, scene: SyntheticScene):
     return depth, unc, vol if model.w_out is None else z
 
 
-@dataclass(frozen=True)
-class SceneTargets:
-    """The loss targets of one scene, fixed for a whole training run."""
-
-    mask: np.ndarray  # H x W, finite positive GT
-    n: int  # valid pixels, the length of the pair permutation
-    labels: np.ndarray | None  # (n, M) soft-label rows, include_soft only
-
-
-def scene_targets(model: ToyModel, scene: SyntheticScene, config: TrainConfig) -> SceneTargets:
-    """Validity mask, its count and the soft-label rows of the valid pixels.
-
-    All three depend only on the ground truth, the hypotheses and
-    ``config.gamma``, never on the weights, so ``train`` builds them
-    once per scene and run.  The labels are left out (None) when the
-    soft-label term is off.
-    """
-    mask = valid_mask(scene.gt)
-    gv = scene.gt[mask]
-    labels = None
-    if config.include_soft:
-        labels = soft_labels(model.hypotheses, gv, config.gamma).values
-    return SceneTargets(mask=mask, n=gv.size, labels=labels)
-
-
 def scene_gradients(
     model: ToyModel,
     scene: SyntheticScene,
     config: TrainConfig,
     step_seed: int,
-    targets: SceneTargets | None = None,
+    targets: LossTargets,
 ):
     """One scene's loss report and parameter gradients.
 
     The exact backward of the losses module supplies d(total)/d(z) for
     either head (plus the readout gradient of the regression head); the
     chain rule through the two-layer net does the rest.  Training and
-    the finite-difference spot checks share this code path.  The pair
-    permutation covers the valid pixels only; ``targets`` defaults to
-    ``scene_targets`` of this scene.
+    the finite-difference spot checks share this code path.  ``targets``
+    are the scene's ``losses.loss_targets``, and the pair permutation
+    covers their valid pixels only.
     """
-    if targets is None:
-        targets = scene_targets(model, scene, config)
     feats = scene.features
     hid = _hidden(model, feats)
     z = hid @ model.w2
@@ -351,13 +325,9 @@ def scene_gradients(
         model.raw_scale,
         model.sigma,
         model.hypotheses,
-        scene.gt,
+        targets,
         perm,
-        gamma=config.gamma,
-        include_soft=config.include_soft,
         ranking=config.ranking,
-        mask=targets.mask,
-        labels=targets.labels,
         readout=model.w_out,
     )
 
@@ -415,17 +385,19 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     """Plain gradient descent, one step per scene visit.
 
     Scene order is fixed; the pair permutation is redrawn every step
-    from the run seed.  Each scene's ``SceneTargets`` (mask, valid
-    count, soft-label rows) are built once, before the first step, and
-    reused by every epoch: at the defaults (64 scenes of 32 x 32, 16
-    bins) the label rows hold 8 MiB for the run.  Aborts with the epoch
+    from the run seed.  Each scene's ``losses.loss_targets`` (mask,
+    valid GT, soft-label rows at ``config.gamma`` when the soft-label
+    term is on) are built once, before the first step, and reused by
+    every epoch: at the defaults (64 scenes of 32 x 32, 16 bins) the
+    label rows hold 8 MiB for the run.  Aborts with the epoch
     index if the total goes non-finite.  Returns the trained model
     (mutated in place) and the per-epoch log list.
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("need at least one training scene")
-    targets = [scene_targets(model, scene, config) for scene in scenes]
+    gamma = config.gamma if config.include_soft else None
+    targets = [loss_targets(model.hypotheses, scene.gt, gamma) for scene in scenes]
     logs = []
     step = 0
     for epoch in range(config.epochs):

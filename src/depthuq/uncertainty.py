@@ -4,8 +4,8 @@ u = -alpha * sum_m p_m ln p_m, with alpha = softplus(a) so the learned
 raw scalar a can roam the whole real line while the scale stays
 positive.  The regression head reads its uncertainty the same way,
 from the pseudo distribution softmax(z) of its latent (see
-``losses.head_forward``); training and evaluation use the floor-clamped
-entropy of ``losses.clamped_entropy_parts``.
+``losses.head_forward``).  Training, evaluation and ``raw_entropy`` all
+take the floor-clamped entropy of ``clamped_entropy_parts``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import check_probabilities
+
 # probabilities below this are clamped before ln; keeps gradients finite
 # and costs at most ~1e-10 in the value
 PROB_FLOOR = 1e-12
-NEG_TOLERANCE = 1e-9
+
+
+def clamped_entropy_parts(p: np.ndarray):
+    """Entropy per row plus d(entropy)/dp under the probability floor.
+
+    The value uses ln(max(p, floor)), so for p <= floor the term is
+    linear in p and its exact derivative is ln(floor); above the floor
+    it is ln(p) + 1.  Returning the true derivative of the computed
+    value keeps finite differences honest.  A p = 0 entry contributes
+    0 * ln(floor) = 0 to the value, the 0 * ln 0 := 0 convention.
+    """
+    logp = np.log(np.clip(p, PROB_FLOOR, None))
+    h = -(p * logp).sum(axis=-1)
+    dh_dp = -(logp + (p > PROB_FLOOR))
+    return h, dh_dp
 
 
 def softplus(x):
@@ -48,13 +64,13 @@ class UncertaintyScale:
 
 
 def raw_entropy(vol) -> np.ndarray:
-    """Unscaled Shannon entropy per pixel, natural log, 0*ln0 := 0."""
+    """Unscaled Shannon entropy per pixel, natural log, 0*ln0 := 0.
+
+    ValueError unless every entry is finite and >= 0.
+    """
     p = np.asarray(vol, dtype=np.float64)
-    if np.any(p < -NEG_TOLERANCE):
-        raise ValueError(f"negative probability below -{NEG_TOLERANCE}")
-    p = np.clip(p, 0.0, None)
-    # p=0 entries contribute 0 * ln(PROB_FLOOR) = 0, the required convention
-    return -(p * np.log(np.clip(p, PROB_FLOOR, None))).sum(axis=-1)
+    check_probabilities(p)
+    return clamped_entropy_parts(p)[0]
 
 
 def combine_mean(vols) -> np.ndarray:

@@ -395,6 +395,21 @@ def test_ablate_rejects_threads_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["ablate", "train-toy"])
+def test_training_rejects_zero_hidden_width(tmp_path, capsys, subcommand):
+    # ablate exited 0 with an input-independent model; train-toy trained,
+    # then failed writing a zero-width weight grid
+    out = tmp_path / "out"
+    target = ["--seeds", "0", "--out", str(out)] if subcommand == "ablate" else ["--seed", "0", "--out-dir", str(out)]
+    rc = cli.main([
+        subcommand, *target, "--hidden", "0", "--epochs", "1", "--train-scenes", "2",
+        "--eval-scenes", "1", "--height", "8", "--width", "8",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: hidden width must be >= 1, got 0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["0,0", "1,0,1"])
 def test_ablate_rejects_repeated_seed(tmp_path, capsys, seeds):
     out = tmp_path / "rows.csv"

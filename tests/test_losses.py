@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthuq.discretize import (
+    DEFAULT_GAMMA,
     DepthHypotheses,
     expectation_depth,
     linear_hypotheses,
@@ -19,10 +20,12 @@ from depthuq.losses import (
     draw_permutation,
     full_backward,
     head_forward,
+    loss_targets,
     ranking_loss_variants,
     soft_label_l1,
     softmax_backward,
 )
+from depthuq.gridio import valid_mask
 from depthuq.uncertainty import softplus
 
 
@@ -58,8 +61,8 @@ def test_depth_l1_masks_invalid_gt():
     # full_backward masks once; the NaN pixel leaves no trace
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(10)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, gt, perm)
-    kept = full_backward(z_kept, 0.4, sig, hyp, gt_kept, perm)
+    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
+    kept = full_backward(z_kept, 0.4, sig, hyp, loss_targets(hyp, gt_kept, DEFAULT_GAMMA), perm)
     assert rep.n_valid == gt.size - 1 == kept.n_valid
     np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
     np.testing.assert_array_equal(rep.grad_z[np.isfinite(gt)], kept.grad_z)
@@ -70,9 +73,9 @@ def test_depth_l1_masks_invalid_gt():
 def test_depth_l1_rejects_empty_mask():
     with pytest.raises(ValueError, match="no valid pixels"):
         depth_l1(np.array([]), np.array([]))
-    hyp, z, gt, _ = _small_instance(11)
+    hyp, _, gt, _ = _small_instance(11)
     with pytest.raises(ValueError, match="no valid pixels"):
-        full_backward(z, 0.0, np.zeros(3), hyp, np.full_like(gt, np.nan), None)
+        loss_targets(hyp, np.full_like(gt, np.nan), DEFAULT_GAMMA)
 
 
 def test_soft_label_l1_zero_on_match():
@@ -97,8 +100,8 @@ def test_soft_label_l1_uses_label_validity():
     # a NaN-GT pixel has an all-zero label row; full_backward must drop
     # it rather than fit the row
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(12)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, perm)
-    kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, gt_kept, perm)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
+    kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt_kept, DEFAULT_GAMMA), perm)
     assert rep.value_p == kept.value_p
     lab = soft_labels(hyp, gt_kept).values
     assert rep.value_p == soft_label_l1(softmax_volume(z_kept), lab).value
@@ -282,7 +285,7 @@ def _small_instance(seed):
 def test_full_backward_total_identity():
     hyp, z, gt, perm = _small_instance(0)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, gt, perm)
+    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
     expect = float(((rep.values() * np.exp(-sig)) + sig).sum())
     assert abs(rep.total - expect) < 1e-12
     assert rep.n_valid == 6
@@ -294,7 +297,7 @@ def test_full_backward_terms_match_single_ops():
     # each term on the same valid-pixel vectors must agree exactly
     hyp, z, gt, perm = _small_instance(1)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, gt, perm, gamma=20.0)
+    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, 20.0), perm)
     p = softmax_volume(z).reshape(-1, 5)
     d = p @ hyp.values
     g = gt.reshape(-1)
@@ -314,7 +317,7 @@ def test_full_backward_exact_global_fit():
     hyp = DepthHypotheses(np.array([1.0, 2.0, 3.0]))
     z = np.tile(np.array([-800.0, 0.0, -800.0]), (2, 2, 1))
     gt = np.full((2, 2), 2.0)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, PairPermutation(np.arange(4)), gamma=800.0)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, 800.0), PairPermutation(np.arange(4)))
     assert rep.value_r == 0.0 and rep.value_p == 0.0 and rep.value_u == 0.0
     assert rep.total == 0.0
     np.testing.assert_array_equal(rep.grad_z, 0.0)
@@ -322,27 +325,35 @@ def test_full_backward_exact_global_fit():
     np.testing.assert_array_equal(rep.grad_sigma, 1.0)
 
 
-def test_full_backward_takes_precomputed_labels():
-    # rows built once from the valid GT vector stand in for the ones
-    # full_backward derives itself, bit for bit
-    hyp, z, gt, perm, _, gt_kept = _scene_with_invalid_pixel(12)
-    sig = np.array([0.1, 0.4, -0.3])
-    mask = np.isfinite(gt)
-    own = full_backward(z, 0.2, sig, hyp, gt, perm, gamma=7.0)
-    given = full_backward(
-        z, 0.2, sig, hyp, gt, perm, gamma=7.0, mask=mask,
-        labels=soft_labels(hyp, gt_kept, 7.0).values,
-    )
-    assert given.value_p == own.value_p
-    assert given.total == own.total
-    np.testing.assert_array_equal(given.grad_z, own.grad_z)
+def test_loss_targets_keep_valid_pixels_and_their_label_rows():
+    # NaN, zero, negative and infinite GT are all invalid; the label rows
+    # are those of the full map's soft labels at the valid pixels, bit for bit
+    hyp = linear_hypotheses(1.0, 10.0, 5)
+    gt = np.array([[2.5, np.nan, 0.0], [-1.0, np.inf, 7.25], [9.9, 1.0, -np.inf]])
+    mask = valid_mask(gt)
+    targets = loss_targets(hyp, gt, 7.0)
+    np.testing.assert_array_equal(targets.mask, mask)
+    assert mask.sum() == targets.n == 4
+    np.testing.assert_array_equal(targets.gt, gt[mask])
+    assert targets.labels.tobytes() == soft_labels(hyp, gt, 7.0).values[mask].tobytes()
+    assert loss_targets(hyp, gt, None).labels is None
+    with pytest.raises(ValueError, match="no valid pixels"):
+        loss_targets(hyp, np.array([[np.nan, 0.0], [-2.0, np.inf]]), 7.0)
+
+
+def test_full_backward_rejects_targets_of_another_grid():
+    hyp, z, gt, perm = _small_instance(8)
+    with pytest.raises(ValueError, match="targets"):
+        full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt.T, DEFAULT_GAMMA), perm)
+    # soft labels over another hypothesis count do not fit the logits
+    other = loss_targets(linear_hypotheses(1.0, 10.0, 4), gt, DEFAULT_GAMMA)
     with pytest.raises(ValueError, match="matching"):
-        full_backward(z, 0.2, sig, hyp, gt, perm, mask=mask, labels=np.zeros((6, 5)))
+        full_backward(z, 0.0, np.zeros(3), hyp, other, perm)
 
 
 def test_full_backward_drops_soft_term():
     hyp, z, gt, perm = _small_instance(2)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, perm, include_soft=False)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, None), perm)
     assert rep.value_p == 0.0
     assert rep.grad_sigma[1] == 0.0
     assert rep.active == (True, False, True)
@@ -350,23 +361,27 @@ def test_full_backward_drops_soft_term():
 
 def test_full_backward_drops_ranking_term():
     hyp, z, gt, _ = _small_instance(3)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, gt, None, ranking=None)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), None, ranking=None)
     assert rep.value_u == 0.0 and rep.grad_a == 0.0
     assert rep.grad_sigma[2] == 0.0
 
 
 def test_full_backward_requires_perm_for_pairs():
     hyp, z, gt, _ = _small_instance(4)
+    targets = loss_targets(hyp, gt, DEFAULT_GAMMA)
     with pytest.raises(ValueError):
-        full_backward(z, 0.0, np.zeros(3), hyp, gt, None, ranking="hinge")
+        full_backward(z, 0.0, np.zeros(3), hyp, targets, None, ranking="hinge")
     with pytest.raises(ValueError):
-        full_backward(z, 0.0, np.zeros(3), hyp, gt, PairPermutation(np.arange(3)))
+        full_backward(z, 0.0, np.zeros(3), hyp, targets, PairPermutation(np.arange(3)))
 
 
 def test_full_backward_rejects_shape_mismatch():
     hyp = linear_hypotheses(1, 10, 4)
     with pytest.raises(ValueError):
-        full_backward(np.zeros((2, 5)), 0.0, np.zeros(3), hyp, np.full(2, 5.0), PairPermutation(np.arange(2)))
+        full_backward(
+            np.zeros((2, 5)), 0.0, np.zeros(3), hyp, loss_targets(hyp, np.full(2, 5.0), DEFAULT_GAMMA),
+            PairPermutation(np.arange(2)),
+        )
 
 
 def test_full_backward_rejects_readout_length_mismatch():
@@ -374,8 +389,8 @@ def test_full_backward_rejects_readout_length_mismatch():
     z = np.zeros((2, 4))
     with pytest.raises(ValueError, match="readout"):
         full_backward(
-            z, 0.0, np.zeros(3), hyp, np.full(2, 5.0), None,
-            include_soft=False, ranking=None, readout=np.ones(3),
+            z, 0.0, np.zeros(3), hyp, loss_targets(hyp, np.full(2, 5.0), None), None,
+            ranking=None, readout=np.ones(3),
         )
 
 
@@ -384,14 +399,15 @@ def test_full_backward_sigma_grad_matches_fd():
     # are honest here
     hyp, z, gt, perm = _small_instance(5)
     sig = np.array([0.2, -0.4, 0.1])
-    rep = full_backward(z, 0.3, sig, hyp, gt, perm)
+    targets = loss_targets(hyp, gt, DEFAULT_GAMMA)
+    rep = full_backward(z, 0.3, sig, hyp, targets, perm)
     h = 1e-6
     for k in range(3):
         sp, sm = sig.copy(), sig.copy()
         sp[k] += h
         sm[k] -= h
-        tp = full_backward(z, 0.3, sp, hyp, gt, perm).total
-        tm = full_backward(z, 0.3, sm, hyp, gt, perm).total
+        tp = full_backward(z, 0.3, sp, hyp, targets, perm).total
+        tm = full_backward(z, 0.3, sm, hyp, targets, perm).total
         assert abs(rep.grad_sigma[k] - (tp - tm) / (2 * h)) < 1e-6
 
 
@@ -400,16 +416,17 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
     # so central differences on a are honest too
     hyp, z, gt, _ = _small_instance(6)
     a = 0.7
-    rep = full_backward(z, a, np.zeros(3), hyp, gt, None, ranking="l1-direct")
+    targets = loss_targets(hyp, gt, DEFAULT_GAMMA)
+    rep = full_backward(z, a, np.zeros(3), hyp, targets, None, ranking="l1-direct")
     h = 1e-6
-    tp = full_backward(z, a + h, np.zeros(3), hyp, gt, None, ranking="l1-direct").total
-    tm = full_backward(z, a - h, np.zeros(3), hyp, gt, None, ranking="l1-direct").total
+    tp = full_backward(z, a + h, np.zeros(3), hyp, targets, None, ranking="l1-direct").total
+    tm = full_backward(z, a - h, np.zeros(3), hyp, targets, None, ranking="l1-direct").total
     assert abs(rep.grad_a - (tp - tm) / (2 * h)) < 1e-5
 
 
 def test_full_backward_alpha_is_softplus():
     hyp, z, gt, perm = _small_instance(7)
-    rep = full_backward(z, -1.3, np.zeros(3), hyp, gt, perm)
+    rep = full_backward(z, -1.3, np.zeros(3), hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
     assert abs(rep.alpha - float(softplus(-1.3))) < 1e-15
 
 
@@ -426,7 +443,8 @@ def test_head_forward_decode(readout):
 def test_head_forward_is_the_forward_full_backward_trains(readout):
     hyp, z, gt, perm = _small_instance(4)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, gt, perm, include_soft=readout is None, readout=readout)
+    targets = loss_targets(hyp, gt, DEFAULT_GAMMA if readout is None else None)
+    rep = full_backward(z, 0.4, sig, hyp, targets, perm, readout=readout)
     depth, unc, _ = head_forward(z, 0.4, hyp, readout)
     d, u, g = depth.ravel(), unc.ravel(), gt.ravel()
     assert abs(rep.value_r - depth_l1(d, g).value) < 1e-12

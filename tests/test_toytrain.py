@@ -6,7 +6,7 @@ from numpy.polynomial import chebyshev
 
 import depthuq.losses
 import depthuq.toytrain
-from depthuq.discretize import DepthHypotheses, linear_hypotheses, softmax_volume
+from depthuq.discretize import DEFAULT_GAMMA, DepthHypotheses, linear_hypotheses, softmax_volume
 from depthuq.gridio import valid_mask
 from depthuq.losses import (
     LossReport,
@@ -15,6 +15,7 @@ from depthuq.losses import (
     draw_permutation,
     full_backward,
     head_forward,
+    loss_targets,
     ranking_loss_variants,
     softmax_backward,
 )
@@ -48,6 +49,11 @@ from depthuq.uncertainty import sigmoid, softplus
 @pytest.fixture(scope="module")
 def tiny_data():
     return make_dataset(6, 2, 8, 8, seed=4)
+
+
+def _targets(model, scene, config):
+    # the loss targets train builds for a scene
+    return loss_targets(model.hypotheses, scene.gt, config.gamma if config.include_soft else None)
 
 
 def test_generate_scene_deterministic():
@@ -106,6 +112,8 @@ def test_make_dataset_split_disjoint():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="hidden width must be >= 1, got 0"):
+        TrainConfig(hidden=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
@@ -225,7 +233,8 @@ def test_sigma_gradient_rule(tiny_data):
     cfg = TrainConfig(seed=6)
     m = init_model(cfg)
     m.sigma = np.array([0.3, -0.2, 0.4])
-    report, grads = scene_gradients(m, train_scenes[0], cfg, step_seed=5)
+    targets = _targets(m, train_scenes[0], cfg)
+    report, grads = scene_gradients(m, train_scenes[0], cfg, step_seed=5, targets=targets)
     np.testing.assert_allclose(
         grads["sigma"], 1.0 - report.values() * np.exp(-m.sigma), atol=1e-12
     )
@@ -237,8 +246,8 @@ def test_sigma_gradient_rule(tiny_data):
         m_lo = init_model(cfg)
         m_lo.sigma = m.sigma.copy()
         m_lo.sigma[k] -= h
-        t_hi, _ = scene_gradients(m_hi, train_scenes[0], cfg, step_seed=5)
-        t_lo, _ = scene_gradients(m_lo, train_scenes[0], cfg, step_seed=5)
+        t_hi, _ = scene_gradients(m_hi, train_scenes[0], cfg, step_seed=5, targets=targets)
+        t_lo, _ = scene_gradients(m_lo, train_scenes[0], cfg, step_seed=5, targets=targets)
         fd = (t_hi.total - t_lo.total) / (2 * h)
         assert abs(grads["sigma"][k] - fd) < 1e-5
 
@@ -250,13 +259,14 @@ def test_network_gradients_match_fd(tiny_data):
     cfg = TrainConfig(ranking=None, seed=3)
     m = init_model(cfg)
     scene = train_scenes[1]
-    _, grads = scene_gradients(m, scene, cfg, step_seed=0)
+    targets = _targets(m, scene, cfg)
+    _, grads = scene_gradients(m, scene, cfg, step_seed=0, targets=targets)
     h = 1e-6
 
     def total_with(param, idx, delta):
         probe = init_model(cfg)
         getattr(probe, param)[idx] += delta
-        rep, _ = scene_gradients(probe, scene, cfg, step_seed=0)
+        rep, _ = scene_gradients(probe, scene, cfg, step_seed=0, targets=targets)
         return rep.total
 
     for param, idx in (("w2", (0, 0)), ("w2", (7, 11)), ("w1", (2, 5)), ("b1", (4,))):
@@ -350,9 +360,7 @@ def test_readout_backward_matches_regression_oracle(ranking, seed):
     z, w_out, a, sigma, gt, perm = _regression_instance(seed)
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     want, want_wout = _regression_backward(z, w_out, a, sigma, gt, perm, ranking)
-    got = full_backward(
-        z, a, sigma, hyp, gt, perm, include_soft=False, ranking=ranking, readout=w_out
-    )
+    got = full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, None), perm, ranking=ranking, readout=w_out)
     assert got.value_r == want.value_r
     assert got.value_u == want.value_u
     assert got.total == want.total
@@ -367,7 +375,7 @@ def test_readout_rejects_soft_term():
     z, w_out, a, sigma, gt, perm = _regression_instance(0)
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     with pytest.raises(ValueError, match="soft-label term needs the classification head"):
-        full_backward(z, a, sigma, hyp, gt, perm, include_soft=True, readout=w_out)
+        full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm, readout=w_out)
 
 
 def test_readout_masks_invalid_gt():
@@ -375,7 +383,7 @@ def test_readout_masks_invalid_gt():
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     gt[1, 2] = np.nan
     perm = draw_permutation(gt.size - 1, 3)
-    rep = full_backward(z, a, sigma, hyp, gt, perm, include_soft=False, readout=w_out)
+    rep = full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, None), perm, readout=w_out)
     assert rep.n_valid == gt.size - 1
     assert np.isfinite(rep.total)
     np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
@@ -522,13 +530,12 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     scene = _with_invalid_gt(tiny_data[0][0], (2, 3))
     cfg = TrainConfig(epochs=1, seed=2, ranking=ranking)
     m = init_model(cfg)
-    report, grads = scene_gradients(m, scene, cfg, step_seed=11)
+    report, grads = scene_gradients(m, scene, cfg, step_seed=11, targets=_targets(m, scene, cfg))
 
     z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
-    mask = valid_mask(scene.gt)
     want = full_backward(
-        z, m.raw_scale, m.sigma, m.hypotheses, scene.gt, draw_permutation(63, 11),
-        gamma=cfg.gamma, ranking=ranking, mask=mask,
+        z, m.raw_scale, m.sigma, m.hypotheses, loss_targets(m.hypotheses, scene.gt, cfg.gamma),
+        draw_permutation(63, 11), ranking=ranking,
     )
     assert report.n_valid == want.n_valid == 63
     assert report.total == want.total
@@ -543,11 +550,11 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
 
 
 def _reference_train(model, scenes, config):
-    """``train`` with every step on ``full_backward``'s own mask and labels.
+    """``train`` with the loss targets rebuilt on every step.
 
-    Nothing is built ahead of the steps: each one passes only the GT and
-    a permutation over its valid count, and the chain rule and update
-    are spelled out here.
+    Nothing is built ahead of the steps: each one makes its scene's
+    ``loss_targets`` and a permutation over its valid count, and the
+    chain rule and update are spelled out here.
     """
     logs = []
     step = 0
@@ -563,9 +570,8 @@ def _reference_train(model, scenes, config):
                 n_valid = int(np.count_nonzero(valid_mask(scene.gt)))
                 perm = draw_permutation(n_valid, config.seed * _PERM_SEED_STRIDE + step)
             rep = full_backward(
-                z, model.raw_scale, model.sigma, model.hypotheses, scene.gt, perm,
-                gamma=config.gamma, include_soft=config.include_soft,
-                ranking=config.ranking, readout=model.w_out,
+                z, model.raw_scale, model.sigma, model.hypotheses, _targets(model, scene, config),
+                perm, ranking=config.ranking, readout=model.w_out,
             )
             pixels = scene.gt.size
             gz = rep.grad_z.reshape(pixels, -1)
@@ -611,7 +617,7 @@ def _reference_train(model, scenes, config):
     ],
 )
 def test_train_targets_match_default_backward_path(tiny_data, head, soft, ranking):
-    # per-run targets (mask, count, label rows) must change no bit of
+    # per-run targets (mask, valid GT, label rows) must change no bit of
     # the run; one scene has invalid GT so the mask matters
     scenes = list(tiny_data[0][:4])
     scenes[1] = _with_invalid_gt(scenes[1], (0, 0), (5, 6))
@@ -627,14 +633,13 @@ def test_train_targets_match_default_backward_path(tiny_data, head, soft, rankin
 @pytest.mark.parametrize("soft", [True, False])
 def test_soft_labels_built_once_per_scene_and_run(tiny_data, monkeypatch, soft):
     calls = []
-    original = depthuq.toytrain.soft_labels
+    original = depthuq.losses.soft_labels
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    # the fallback inside full_backward counts too: it must not run
-    monkeypatch.setattr(depthuq.toytrain, "soft_labels", counted)
+    # loss_targets is the one caller of soft_labels in training
     monkeypatch.setattr(depthuq.losses, "soft_labels", counted)
     scenes = tiny_data[0]
     cfg = TrainConfig(epochs=3, seed=1, include_soft=soft)

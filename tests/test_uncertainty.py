@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthuq.discretize import softmax_volume
-from depthuq.losses import clamped_entropy_parts
 from depthuq.uncertainty import (
     UncertaintyScale,
+    clamped_entropy_parts,
     combine_mean,
     raw_entropy,
     sigmoid,
@@ -38,9 +38,17 @@ def test_raw_entropy_rejects_negative():
         raw_entropy(np.array([-1e-3, 1.0]))
 
 
-def test_raw_entropy_tolerates_roundoff_negative():
-    h = raw_entropy(np.array([-1e-10, 1.0]))
-    assert h == 0.0
+def test_raw_entropy_rejects_roundoff_negative():
+    # the probability rule of check_probabilities: no tolerance below 0
+    with pytest.raises(ValueError):
+        raw_entropy(np.array([-1e-10, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_entropy_rejects_non_finite(bad):
+    # a NaN entry gave a NaN entropy and +inf gave -inf, with no error
+    with pytest.raises(ValueError, match="finite"):
+        raw_entropy(np.array([[bad, 1.0], [0.5, 0.5]]))
 
 
 @settings(max_examples=80, deadline=None)
