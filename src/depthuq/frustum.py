@@ -11,10 +11,11 @@ Voxel bounds are padded by half a cell around the sample cloud, so
 every sample keeps its full 8-neighbor stencil in-grid and splat mass
 is conserved exactly; samples on the cloud hull land exactly on voxel
 centers.  The splat and the ray march share one trilinear corner
-stencil over flat voxel indices: the splat scatters through it, the
-march gathers through it.  The march reads the stencil only where a
-per-render occupancy map, alpha > 0 dilated by one cell, says that
-some corner holds alpha; every sample position is still visited, so
+stencil over flat voxel indices: the splat scatters through it, into
+accumulators over only the voxels it touches, and the march gathers
+through it.  The march reads the stencil only where a per-render
+occupancy map, alpha > 0 dilated by one cell, says that some corner
+holds alpha; every sample position is still visited, so
 skipping empty cells does not change the image.
 
 The march advances every live ray by ``MARCH_BLOCK`` samples per pass.
@@ -144,9 +145,10 @@ def unproject(cam: Pinhole, h, w, depth):
 class SparseVoxelGrid:
     """Axis-aligned sparse opacity grid with per-voxel color.
 
-    Only voxels with alpha above the sparsity threshold are stored.
-    ``deposited_mass`` records the total splat mass before clamping,
-    for conservation checks.
+    Only voxels with alpha above the sparsity threshold are stored, each
+    index at most once (a repeat is a ValueError).  ``deposited_mass``
+    records the total splat mass before clamping, for conservation
+    checks.
     """
 
     lo: np.ndarray  # 3, meters
@@ -174,6 +176,10 @@ class SparseVoxelGrid:
             raise ValueError("index/alpha/color row counts differ")
         if idx.size and (np.any(idx < 0) or np.any(idx >= np.array(res))):
             raise ValueError("voxel index outside resolution")
+        seen = np.zeros(int(np.prod(res)), dtype=bool)  # unsorted duplicate check
+        seen[np.ravel_multi_index(tuple(idx.T), res)] = True
+        if np.count_nonzero(seen) != idx.shape[0]:
+            raise ValueError("duplicate voxel index")
         if np.any(alpha <= ALPHA_EPSILON) or np.any(alpha > 1.0):
             raise ValueError(f"stored alphas must lie in ({ALPHA_EPSILON}, 1]")
         if np.any(color < 0.0) or np.any(color > 1.0):
@@ -231,37 +237,51 @@ def _low_corner(g: np.ndarray, res: np.ndarray):
     corner and the point's fraction past it per axis.  The corner is
     clamped to res - 2, so its +1 neighbors are always in-grid.
     """
-    g = np.clip(g, 0.0, res - 1.0)  # guards float spill at the hull
-    i0 = np.floor(g).astype(np.int64)
-    i0 = np.minimum(i0, np.asarray(res, dtype=np.int64) - 2)  # keep the +1 corner addressable
+    frac = np.clip(g, 0.0, res - 1.0)  # guards float spill at the hull
+    i0 = np.floor(frac)
+    np.minimum(i0, res - 2.0, out=i0)  # keep the +1 corner addressable
+    frac -= i0
     _, ny, nz = (int(n) for n in res)
-    return (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2], g - i0
+    # integral floats: exact in float64, so one int cast of the flat index
+    return ((i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]).astype(np.int64), frac
+
+
+def _corners(frac: np.ndarray, res: np.ndarray):
+    """The 8 trilinear corners of points at ``frac`` past their low corner.
+
+    Yields each corner's flat offset and per-point weight (wx * wy) * wz,
+    whose per-axis factors are frac or 1 - frac.  Corners come one at a
+    time, so temporaries stay one point count in size.
+    """
+    _, ny, nz = (int(n) for n in res)
+    wx, wy, wz = ((1.0 - frac[:, ax], frac[:, ax]) for ax in range(3))
+    for ox in (0, 1):
+        for oy in (0, 1):
+            wxy = wx[ox] * wy[oy]
+            for oz in (0, 1):
+                yield (ox * ny + oy) * nz + oz, wxy * wz[oz]
 
 
 def _stencil(g: np.ndarray, res: np.ndarray):
     """Clamp-to-edge trilinear corner stencil of center-lattice points.
 
-    Returns the flat low-corner index of ``_low_corner`` and an iterator
-    over the 8 corners, each a flat offset and a per-point weight
-    (wx * wy) * wz whose per-axis factors are frac or 1 - frac.  Corners
-    come one at a time, so temporaries stay one point count in size.
+    Returns the flat low-corner index of ``_low_corner`` and the
+    ``_corners`` iterator over its 8 corners.
     """
     base, frac = _low_corner(g, res)
-    _, ny, nz = (int(n) for n in res)
-    wx, wy, wz = ((1.0 - frac[:, ax], frac[:, ax]) for ax in range(3))
-
-    def corners():
-        for ox in (0, 1):
-            for oy in (0, 1):
-                wxy = wx[ox] * wy[oy]
-                for oz in (0, 1):
-                    yield (ox * ny + oy) * nz + oz, wxy * wz[oz]
-
-    return base, corners()
+    return base, _corners(frac, res)
 
 
 def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) -> SparseVoxelGrid:
-    """Trilinear 8-neighbor scatter of sample mass into a fresh grid."""
+    """Trilinear 8-neighbor scatter of sample mass into a fresh grid.
+
+    Mass accumulates only over the touched voxels: the low corners
+    dilated by one cell toward the high side, numbered in flat-index
+    order.  Each corner's ``bincount`` adds the same terms in the same
+    order as a full-grid one, so every voxel's alpha and color are the
+    same bits; ``deposited_mass`` is summed over the full grid, untouched
+    voxels included, so it is too.
+    """
     res = np.array(
         [resolution] * 3 if np.isscalar(resolution) else list(resolution), dtype=np.int64
     )
@@ -275,18 +295,29 @@ def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) ->
     g = (points - lo) / cell - 0.5  # continuous center-lattice coordinate
     n = int(np.prod(res))
     base, corners = _stencil(g, res)
-    acc_a = np.zeros(n)
-    acc_c = np.zeros((3, n))  # channel-major: one bincount per row
+    touched = np.zeros(tuple(res), dtype=bool)
+    touched.reshape(-1)[base] = True
+    touched[1:] |= touched[:-1]
+    touched[:, 1:] |= touched[:, :-1]
+    touched[:, :, 1:] |= touched[:, :, :-1]
+    touched = np.flatnonzero(touched)
+    k = touched.size
+    compact = np.empty(n, dtype=np.int64)
+    compact[touched] = np.arange(k)
+    acc_a = np.zeros(k)
+    acc_c = np.zeros((3, k))  # channel-major: one bincount per row
     for off, wgt in corners:
-        key = base + off
+        key = compact[base + off]
         wgt *= mass
-        acc_a += np.bincount(key, weights=wgt, minlength=n)
+        acc_a += np.bincount(key, weights=wgt, minlength=k)
         for ch in range(3):
-            acc_c[ch] += np.bincount(key, weights=wgt * rgb[:, ch], minlength=n)
+            acc_c[ch] += np.bincount(key, weights=wgt * rgb[:, ch], minlength=k)
 
-    deposited = float(acc_a.sum())
+    full_a = np.zeros(n)
+    full_a[touched] = acc_a
+    deposited = float(full_a.sum())
     keep = np.flatnonzero(acc_a > ALPHA_EPSILON)
-    idx = np.stack(np.unravel_index(keep, tuple(res)), axis=1)
+    idx = np.stack(np.unravel_index(touched[keep], tuple(res)), axis=1)
     raw = acc_a[keep]
     color = acc_c[:, keep].T / raw[:, None]
     return SparseVoxelGrid(
@@ -385,16 +416,17 @@ def _occupancy(dense_a: np.ndarray) -> np.ndarray:
     return occ.reshape(-1)
 
 
-def _trilerp(flat_a, flat_pm, res, g):
+def _trilerp(flat_a, flat_pm, res, base, frac):
     """Clamp-to-edge trilinear read of raveled alpha and premultiplied color.
 
-    Color is gathered one channel at a time and returned column-major.
+    ``base`` and ``frac`` are the flat low corners and per-axis fractions
+    of ``_low_corner``, one row per sample.  Color is gathered one channel
+    at a time and returned column-major.
     """
-    base, corners = _stencil(g, res)
     chans = [flat_pm[:, ch] for ch in range(3)]
-    a = np.zeros(g.shape[0])
-    pm = np.zeros((g.shape[0], 3), order="F")
-    for off, wgt in corners:
+    a = np.zeros(base.shape[0])
+    pm = np.zeros((base.shape[0], 3), order="F")
+    for off, wgt in _corners(frac, res):
         key = base + off
         a += wgt * flat_a[key]
         for ch in range(3):
@@ -508,15 +540,16 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
         ok[:, 0] = True
         row, col = np.nonzero(ok)
         ray = live[row]
-        t_ok = ts[row, col]
+        t_ok = ts[ok]  # row-major, as nonzero
         g = np.empty((row.size, 3), order="F")
         for ax in range(3):
-            g[:, ax] = (origin[ax] + t_ok * dirs[ray, ax] - grid.lo[ax]) / cell[ax] - 0.5
-        near_alpha = occ[_low_corner(g, res)[0]]
-        g_near = np.empty((np.count_nonzero(near_alpha), 3), order="F")
+            g[:, ax] = (origin[ax] + t_ok * dirs[:, ax][ray] - grid.lo[ax]) / cell[ax] - 0.5
+        base, frac = _low_corner(g, res)
+        near_alpha = occ[base]
+        frac_near = np.empty((np.count_nonzero(near_alpha), 3), order="F")
         for ax in range(3):
-            g_near[:, ax] = g[near_alpha, ax]
-        a, pm = _trilerp(flat_a, flat_pm, res, g_near)
+            frac_near[:, ax] = frac[:, ax][near_alpha]
+        a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], frac_near)
         contrib = a > 0
         # sample j of a block goes to column j + 1 of the running arrays,
         # whose column j holds the value before sample j
@@ -569,7 +602,13 @@ def save_voxel_grid(grid: SparseVoxelGrid, basepath) -> Path:
 
 
 def load_voxel_grid(basepath) -> SparseVoxelGrid:
-    """Read a bundle from ``save_voxel_grid``; ValueError if it is malformed."""
+    """Read a bundle from ``save_voxel_grid``; ValueError if it is malformed.
+
+    The error names the bundle: rows that disagree in count or with
+    ``voxels=``, a voxel index that is not an integer, and every check of
+    ``SparseVoxelGrid`` (duplicate or out-of-range indices among them).
+    Voxels whose stored alpha fell to ``ALPHA_EPSILON`` are dropped.
+    """
     base = Path(basepath)
     path = f"{base}.meta.txt"
     meta = read_keyvalue(path, required=("lo", "hi", "resolution", "deposited_mass", "voxels"))
@@ -580,14 +619,21 @@ def load_voxel_grid(basepath) -> SparseVoxelGrid:
         raise ValueError(
             f"{base}: {idx.shape[0]} index rows, {vals.shape[0]} value rows, voxels={voxels}"
         )
-    alpha = np.clip(vals[:, 0].astype(np.float64), None, 1.0)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to a value they do not equal
+        ints = idx.astype(np.int64)
+    if not np.array_equal(ints, idx):
+        raise ValueError(f"{base}.idx.duv: voxel indices must be integers")
+    alpha = np.clip(vals[:, 0], None, 1.0)
+    color = np.clip(vals[:, 1:], 0.0, 1.0)
+    idx = ints
     keep = alpha > ALPHA_EPSILON  # float32 storage can nudge threshold stragglers
-    return SparseVoxelGrid(
-        lo=np.array(keyvalue_numbers(path, meta, "lo", float, 3)),
-        hi=np.array(keyvalue_numbers(path, meta, "hi", float, 3)),
-        resolution=keyvalue_numbers(path, meta, "resolution", int, 3),
-        indices=idx[keep].astype(np.int64),
-        alpha=alpha[keep],
-        color=np.clip(vals[keep, 1:].astype(np.float64), 0.0, 1.0),
-        deposited_mass=keyvalue_numbers(path, meta, "deposited_mass"),
-    )
+    if not keep.all():
+        idx, alpha, color = idx[keep], alpha[keep], color[keep]
+    lo = np.array(keyvalue_numbers(path, meta, "lo", float, 3))
+    hi = np.array(keyvalue_numbers(path, meta, "hi", float, 3))
+    res = keyvalue_numbers(path, meta, "resolution", int, 3)
+    mass = keyvalue_numbers(path, meta, "deposited_mass")
+    try:
+        return SparseVoxelGrid(lo, hi, res, idx, alpha, color, mass)
+    except ValueError as err:
+        raise ValueError(f"{base}: {err}") from None

@@ -35,7 +35,7 @@ import numpy as np
 
 from .discretize import DepthHypotheses, expectation_depth, soft_labels, softmax_volume
 from .gridio import valid_mask
-from .uncertainty import clamped_entropy_parts, sigmoid, softplus
+from .uncertainty import clamped_entropy, clamped_entropy_parts, sigmoid, softplus
 
 RANKING_VARIANTS = ("hinge", "no-max", "l1-direct")
 
@@ -224,8 +224,7 @@ def head_forward(z, a, hyp: DepthHypotheses, readout=None):
     """
     p = softmax_volume(z)
     depth = expectation_depth(hyp, p) if readout is None else np.asarray(z) @ readout
-    h, _ = clamped_entropy_parts(p)
-    return depth, float(softplus(np.float64(a))) * h, p
+    return depth, float(softplus(np.float64(a))) * clamped_entropy(p), p
 
 
 @dataclass

@@ -5,7 +5,8 @@ raw scalar a can roam the whole real line while the scale stays
 positive.  The regression head reads its uncertainty the same way,
 from the pseudo distribution softmax(z) of its latent (see
 ``losses.head_forward``).  Training, evaluation and ``raw_entropy`` all
-take the floor-clamped entropy of ``clamped_entropy_parts``.
+take the floor-clamped entropy of ``clamped_entropy``; training also
+takes its gradient from ``clamped_entropy_parts``.
 """
 
 from __future__ import annotations
@@ -21,19 +22,31 @@ from .discretize import check_probabilities
 PROB_FLOOR = 1e-12
 
 
+def _floored_log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.clip(p, PROB_FLOOR, None))
+
+
+def clamped_entropy(p: np.ndarray, logp: np.ndarray | None = None) -> np.ndarray:
+    """Entropy per row under the probability floor: -sum p ln(max(p, floor)).
+
+    A p = 0 entry contributes 0 * ln(floor) = 0, the 0 * ln 0 := 0
+    convention.  ``logp`` is ``_floored_log(p)`` when the caller has it.
+    """
+    if logp is None:
+        logp = _floored_log(p)
+    return -(p * logp).sum(axis=-1)
+
+
 def clamped_entropy_parts(p: np.ndarray):
-    """Entropy per row plus d(entropy)/dp under the probability floor.
+    """``clamped_entropy`` plus d(entropy)/dp under the probability floor.
 
     The value uses ln(max(p, floor)), so for p <= floor the term is
     linear in p and its exact derivative is ln(floor); above the floor
     it is ln(p) + 1.  Returning the true derivative of the computed
-    value keeps finite differences honest.  A p = 0 entry contributes
-    0 * ln(floor) = 0 to the value, the 0 * ln 0 := 0 convention.
+    value keeps finite differences honest.
     """
-    logp = np.log(np.clip(p, PROB_FLOOR, None))
-    h = -(p * logp).sum(axis=-1)
-    dh_dp = -(logp + (p > PROB_FLOOR))
-    return h, dh_dp
+    logp = _floored_log(p)
+    return clamped_entropy(p, logp), -(logp + (p > PROB_FLOOR))
 
 
 def softplus(x):
@@ -70,7 +83,7 @@ def raw_entropy(vol) -> np.ndarray:
     """
     p = np.asarray(vol, dtype=np.float64)
     check_probabilities(p)
-    return clamped_entropy_parts(p)[0]
+    return clamped_entropy(p)
 
 
 def combine_mean(vols) -> np.ndarray:

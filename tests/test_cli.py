@@ -329,14 +329,32 @@ def _drop_value_row(base):
     write_grid(val, read_grid(val).values[1:])
 
 
+def _edit_index_rows(base, edit):
+    path = base.with_name(base.name + ".idx.duv")
+    idx = read_grid(path).values
+    edit(idx)
+    write_grid(path, idx)
+
+
+def _fractional_index(idx):
+    idx[0, 0] += 0.5
+
+
+def _duplicate_index(idx):
+    idx[1] = idx[0]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(lambda b: _drop_meta_key(b, "lo"), "missing key(s) lo"),
      (lambda b: _add_meta_line(b, "lo 0,0,0"), "expected key=value"),
      (_drop_value_row, "index rows"),
      (lambda b: _add_meta_line(b, "lo=a,0,0"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got 'a,0,0'"),
-     (lambda b: _add_meta_line(b, "lo=1,2"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got '1,2'")],
-    ids=["missing-lo", "no-equals", "row-mismatch", "bad-lo-cell", "short-lo"],
+     (lambda b: _add_meta_line(b, "lo=1,2"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got '1,2'"),
+     (lambda b: _edit_index_rows(b, _fractional_index), "g.idx.duv: voxel indices must be integers"),
+     (lambda b: _edit_index_rows(b, _duplicate_index), "g: duplicate voxel index")],
+    ids=["missing-lo", "no-equals", "row-mismatch", "bad-lo-cell", "short-lo", "fractional-index",
+         "duplicate-index"],
 )
 def test_render_malformed_grid_exits_one(data_dir, tmp_path, capsys, corrupt, message):
     base = tmp_path / "g"

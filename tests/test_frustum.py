@@ -23,7 +23,7 @@ from depthuq.frustum import (
     voxelize_ground_truth,
     voxelize_prediction,
 )
-from depthuq.gridio import write_ppm
+from depthuq.gridio import write_grid, write_ppm
 
 
 def _splat_oracle(points, mass, rgb, resolution):
@@ -100,8 +100,9 @@ def _march_oracle(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transm
         ai = np.nonzero(active)[0]
         pos = origin[None, :] + t[ai, None] * dirs[ai]
         g = (pos - grid.lo[None, :]) / cell[None, :] - 0.5
-        near_alpha = occ[_low_corner(g, res)[0]]
-        a, pm = _trilerp(flat_a, flat_pm, res, g[near_alpha])
+        base, frac = _low_corner(g, res)
+        near_alpha = occ[base]
+        a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], frac[near_alpha])
         contrib = a > 0
         if np.any(contrib):
             ci = ai[near_alpha][contrib]
@@ -228,6 +229,10 @@ def test_grid_validation():
         SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
                         indices=np.array([[0, 0, 0]]), alpha=np.array([1.5]),
                         color=np.array([[0.5, 0.5, 0.5]]))
+    with pytest.raises(ValueError, match="duplicate voxel index"):
+        SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
+                        indices=np.array([[1, 1, 1], [0, 1, 1], [1, 1, 1]]),
+                        alpha=np.array([0.5, 0.4, 0.6]), color=np.full((3, 3), 0.5))
 
 
 def test_splat_lattice_points_land_exactly():
@@ -288,6 +293,40 @@ def test_splat_matches_add_at_oracle(resolution, n):
     assert abs(got.deposited_mass - ref.deposited_mass) <= 1e-12 * ref.deposited_mass
 
 
+@pytest.mark.parametrize("res", [(9, 8, 7), (12, 10, 8), (8, 8, 8)])
+def test_splat_sparse_clamped_corners_match_oracle_bitwise(res):
+    # distinct low corners, so every voxel gets at most one sample per
+    # corner and both splats add the same terms in the same order; the
+    # hull corners frame the lattice at 0 and res - 1, and samples with a
+    # coordinate at res - 1 take the low corner clamped to res - 2
+    rng = np.random.default_rng(list(res))
+    top = np.array(res) - 1
+    cells = np.stack(np.meshgrid(*(np.arange(k - 1) for k in res), indexing="ij"), -1)
+    cells = cells.reshape(-1, 3)[1:-1]  # the two hull corners own the first and last
+    faces = cells[(cells == top - 1).any(axis=1)]
+    picks = np.concatenate([
+        faces[rng.permutation(len(faces))[:6]],
+        cells[rng.permutation(len(cells))[:6]],
+    ])
+    picks = np.unique(picks, axis=0)
+    pts = picks + rng.uniform(0.1, 0.9, size=picks.shape)
+    clamp = (picks == top - 1) & (rng.uniform(size=picks.shape) < 0.7)
+    pts[clamp] = np.broadcast_to(top, picks.shape)[clamp]
+    pts = np.concatenate([[np.zeros(3)], pts, [top]]).astype(np.float64)
+    mass = rng.uniform(0.05, 0.9, size=len(pts))
+    rgb = rng.uniform(size=(len(pts), 3))
+    base, _ = _low_corner(pts, top + 1.0)
+    assert np.unique(base).size == len(pts) and clamp.any()
+
+    got = _splat(pts, mass, rgb, res)
+    ref = _splat_oracle(pts, mass, rgb, res)
+    assert 0 < got.n_voxels <= 8 * len(pts) < np.prod(res) // 2  # a sparse touched set
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_array_equal(got.alpha, ref.alpha)
+    np.testing.assert_array_equal(got.color, ref.color)
+    assert got.deposited_mass == ref.deposited_mass
+
+
 @pytest.mark.parametrize("resolution", STENCIL_RESOLUTIONS)
 def test_trilerp_matches_oracle_bitwise(resolution):
     res = (resolution,) * 3 if np.isscalar(resolution) else resolution
@@ -301,7 +340,8 @@ def test_trilerp_matches_oracle_bitwise(resolution):
         rng.integers(0, res, size=(50, 3)).astype(np.float64),
         np.array([[0.0, 0.0, 0.0], resf - 1.0, -resf, 2.0 * resf]),
     ])
-    a, pm = _trilerp(dense_a.reshape(-1), dense_pm.reshape(-1, 3), resf, g)
+    base, frac = _low_corner(g, resf)
+    a, pm = _trilerp(dense_a.reshape(-1), dense_pm.reshape(-1, 3), resf, base, frac)
     ref_a, ref_pm = _trilerp_oracle(dense_a, dense_pm, resf, g)
     np.testing.assert_array_equal(a, ref_a)
     np.testing.assert_array_equal(pm, ref_pm)
@@ -315,8 +355,10 @@ def test_orbit_renders_match_oracle_path(tmp_path, monkeypatch):
     rgb = rng.uniform(size=(cam.h, cam.w, 3))
     grid = voxelize_prediction(vol, hyp, cam, rgb, resolution=(9, 8, 7))
 
-    def oracle_trilerp(flat_a, flat_pm, res, g):
+    def oracle_trilerp(flat_a, flat_pm, res, base, frac):
+        # the clamped lattice point is exactly low corner + fraction
         shape = tuple(int(n) for n in res)
+        g = np.stack(np.unravel_index(base, shape), axis=1) + frac
         return _trilerp_oracle(flat_a.reshape(shape), flat_pm.reshape(shape + (3,)), res, g)
 
     with monkeypatch.context() as patch:
@@ -683,7 +725,7 @@ def test_camera_rays_shape_and_axis():
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     n = 7
-    idx = np.stack([rng.permutation(4)[:3] for _ in range(n)])  # may repeat rows; fine
+    idx = np.stack([rng.permutation(4)[:3] for _ in range(n)])  # distinct rows at this seed
     grid = SparseVoxelGrid(
         lo=np.array([-0.3, 0.1, 1.7]), hi=np.array([0.9, 1.1, 3.3]),
         resolution=(4, 4, 4), indices=np.clip(idx, 0, 3),
@@ -701,6 +743,19 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(
         loaded.alpha, grid.alpha.astype(np.float32).astype(np.float64)
     )
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf])
+def test_load_rejects_non_integral_index(tmp_path, bad):
+    grid = SparseVoxelGrid(
+        lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
+        indices=[[0, 0, 0], [1, 1, 1]], alpha=[0.5, 0.25], color=np.full((2, 3), 0.5),
+    )
+    save_voxel_grid(grid, tmp_path / "g")
+    idx = np.array([[0.0, 0.0, 0.0], [1.0, bad, 1.0]])
+    write_grid(tmp_path / "g.idx.duv", idx)
+    with pytest.raises(ValueError, match=r"g\.idx\.duv: voxel indices must be integers"):
+        load_voxel_grid(tmp_path / "g")
 
 
 def test_load_rejects_voxel_count_mismatch(tmp_path):

@@ -1,14 +1,16 @@
 """Guards for the benchmark harness's view of the package.
 
 ``uqbench/tracing.py`` wraps ``depthuq`` functions by name from outside
-the package; a rename inside ``depthuq`` would otherwise only surface in
-a traced benchmark run.
+the package and reads sample counts from fixed argument positions; a
+rename or a signature change inside ``depthuq`` would otherwise only
+surface in a traced benchmark run.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "uqbench" / "tracing.py"
@@ -38,3 +40,42 @@ def test_tracer_has_targets():
 )
 def test_traced_target_resolves(module, attribute):
     assert callable(getattr(importlib.import_module(module), attribute, None))
+
+
+def _recording(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def record(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_frustum_sample_counts_sit_where_the_tracer_reads_them(monkeypatch):
+    # the tracer counts splat samples as args[0].shape[0] of ``_splat`` and
+    # ray samples as args[3].shape[0] of ``_trilerp``
+    from depthuq import frustum
+    from depthuq.discretize import linear_hypotheses
+
+    rng = np.random.default_rng(3)
+    cam = frustum.centered_pinhole(6, 8, 7.0)
+    hyp = linear_hypotheses(1.0, 4.0, 5)
+    vol = rng.dirichlet(np.ones(hyp.m), size=(cam.h, cam.w))
+    splats = _recording(monkeypatch, frustum, "_splat")
+    grid = frustum.voxelize_prediction(vol, hyp, cam, rng.uniform(size=(cam.h, cam.w, 3)), 6)
+    (args, result), = splats
+    assert args[0].shape == (cam.h * cam.w * hyp.m, 3) and result is grid
+
+    trilerps = _recording(monkeypatch, frustum, "_trilerp")
+    target = (grid.lo + grid.hi) / 2.0
+    frustum.render(grid, frustum.orbit_pose(target, 4.0, 0.3), cam)
+    assert trilerps
+    for args, (a, pm) in trilerps:
+        base, frac = args[3], args[4]
+        assert base.ndim == 1 and base.dtype.kind == "i"
+        assert base.shape[0] == frac.shape[0] == a.shape[0] == pm.shape[0]
+    assert sum(a.size for _, (a, _) in trilerps) > 0

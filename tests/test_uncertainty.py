@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from depthuq.discretize import softmax_volume
 from depthuq.uncertainty import (
     UncertaintyScale,
+    clamped_entropy,
     clamped_entropy_parts,
     combine_mean,
     raw_entropy,
@@ -17,6 +18,18 @@ from depthuq.uncertainty import (
 def _pseudo_uncertainty(z, scale):
     # the regression head's uncertainty, as toytrain.forward computes it
     return scale.alpha * clamped_entropy_parts(softmax_volume(z))[0]
+
+
+def test_clamped_entropy_is_the_value_of_the_parts():
+    # the value-only entropy must keep the bits of the training value
+    rng = np.random.default_rng(4)
+    p = rng.dirichlet(np.full(16, 0.3), size=(24, 32))
+    p[0, 0, :] = 0.0
+    p[0, 0, :4] = [0.0, 1e-13, 1e-12, 1.0 - 1e-12 - 1e-13]  # at and below the floor
+    p[0, 1, :] = np.eye(16)[5]  # one-hot
+    h = clamped_entropy(p)
+    assert h.tobytes() == clamped_entropy_parts(p)[0].tobytes()
+    assert raw_entropy(p).tobytes() == h.tobytes()
 
 
 def test_raw_entropy_fair_coin():
