@@ -262,16 +262,6 @@ def _corners(frac: np.ndarray, res: np.ndarray):
                 yield (ox * ny + oy) * nz + oz, wxy * wz[oz]
 
 
-def _stencil(g: np.ndarray, res: np.ndarray):
-    """Clamp-to-edge trilinear corner stencil of center-lattice points.
-
-    Returns the flat low-corner index of ``_low_corner`` and the
-    ``_corners`` iterator over its 8 corners.
-    """
-    base, frac = _low_corner(g, res)
-    return base, _corners(frac, res)
-
-
 def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) -> SparseVoxelGrid:
     """Trilinear 8-neighbor scatter of sample mass into a fresh grid.
 
@@ -294,7 +284,7 @@ def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) ->
 
     g = (points - lo) / cell - 0.5  # continuous center-lattice coordinate
     n = int(np.prod(res))
-    base, corners = _stencil(g, res)
+    base, frac = _low_corner(g, res)
     touched = np.zeros(tuple(res), dtype=bool)
     touched.reshape(-1)[base] = True
     touched[1:] |= touched[:-1]
@@ -306,7 +296,7 @@ def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) ->
     compact[touched] = np.arange(k)
     acc_a = np.zeros(k)
     acc_c = np.zeros((3, k))  # channel-major: one bincount per row
-    for off, wgt in corners:
+    for off, wgt in _corners(frac, res):
         key = compact[base + off]
         wgt *= mass
         acc_a += np.bincount(key, weights=wgt, minlength=k)

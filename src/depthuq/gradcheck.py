@@ -13,10 +13,11 @@ Instances are redrawn when any absolute-value or hinge kink sits too
 close to the evaluation point, where a finite difference is invalid.
 
 The numeric side of every total check differentiates
-``losses.head_forward``, the decode that evaluation scores, through the
-same term functions and ``auto_weighted_total`` that ``full_backward``
-runs, on the masked valid-pixel vectors.  So each total check ties the
-trainer's gradient to the forward that evaluation runs.
+``losses.head_forward``, whose decode both evaluation and
+``full_backward`` run, through the same term functions and
+``auto_weighted_total`` that ``full_backward`` runs, on the masked
+valid-pixel vectors.  So each total check ties the trainer's gradient
+to the forward that evaluation runs.
 """
 
 from __future__ import annotations

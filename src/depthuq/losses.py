@@ -19,10 +19,11 @@ term's gradient by its exp(-sigma) weight, and pulls the
 probability-space gradient back through the softmax in closed form,
 giving exact gradients wrt either head's output z, the raw scale a and
 the sigmas.
-``head_forward`` is the one decode of a head's output into depth,
-uncertainty and softmax(z) that evaluation runs.  Every gradient is
-checked against central finite differences of that forward by
-``gradcheck``.
+``_decode`` is the one decode of a head's output into softmax(z) and
+depth: ``head_forward``, which evaluation runs, adds the uncertainty,
+and ``full_backward`` runs it on the valid pixels.  Every gradient is
+checked against central finite differences of ``head_forward`` by
+``gradcheck``, so the suite checks the decode that training runs.
 
 L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
 """
@@ -211,19 +212,25 @@ def softmax_backward(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
     return p * (grad_p - dot)
 
 
-def head_forward(z, a, hyp: DepthHypotheses, readout=None):
-    """Depth, uncertainty and softmax(z) decoded from either head's output.
+def _decode(z, hyp: DepthHypotheses, readout):
+    """softmax(z) and the depth of either head, row by row.
 
-    Classification: depth is the expectation of softmax(z) over ``hyp``,
-    clipped to its range.  Regression: depth is z @ readout and
-    softmax(z) is the pseudo distribution.  The uncertainty is
-    softplus(a) times the floor-clamped entropy of softmax(z) for both.
-    Evaluation scores this forward and ``gradcheck`` differentiates it;
-    ``full_backward`` decodes only the masked pixels and leaves the
-    depth unclipped.
+    Classification: the expectation of softmax(z) over ``hyp``, clipped
+    to its range (the clip trims round-off; the backward passes through
+    it).  Regression: z @ readout, softmax(z) the pseudo distribution.
     """
     p = softmax_volume(z)
     depth = expectation_depth(hyp, p) if readout is None else np.asarray(z) @ readout
+    return p, depth
+
+
+def head_forward(z, a, hyp: DepthHypotheses, readout=None):
+    """Depth, uncertainty and softmax(z) decoded from either head's output.
+
+    ``_decode`` plus softplus(a) times the floor-clamped entropy of
+    softmax(z).  Evaluation scores it; ``gradcheck`` differentiates it.
+    """
+    p, depth = _decode(z, hyp, readout)
     return depth, float(softplus(np.float64(a))) * clamped_entropy(p), p
 
 
@@ -259,14 +266,14 @@ def full_backward(
 ) -> LossReport:
     """Forward + exact backward for the whole loss of either head.
 
-    Depth is softmax(z) @ hyp.values for classification logits, or
-    z @ readout for a regression latent (whose gradient is reported);
-    the uncertainty is the scaled entropy of softmax(z) either way.  The
-    term functions run on the pixels of ``targets.mask``; the
-    auto-weighted total yields gradients wrt z (through the softmax
-    Jacobian), the raw scale a (through softplus), and the sigmas.
-    Targets without soft labels, or ``ranking=None``, drop that term
-    from the total entirely (its sigma stops moving too).
+    The valid rows of z go through ``head_forward``'s ``_decode``:
+    classification logits, or a regression latent whose readout
+    gradient is reported.  The uncertainty is the scaled entropy of
+    softmax(z) for both heads.  The term functions run on the valid
+    pixels; the auto-weighted total yields gradients wrt z (through the
+    softmax Jacobian), the raw scale a (through softplus), and the
+    sigmas.  Targets without soft labels, or ``ranking=None``, drop that
+    term from the total entirely (its sigma stops moving too).
     """
     z = np.asarray(z, dtype=np.float64)
     mask = targets.mask
@@ -289,14 +296,10 @@ def full_backward(
     alpha = float(softplus(a))
     ew = np.exp(-sig)
 
-    if readout is None:
-        pv = softmax_volume(z)[mask]
-        depth = pv @ hyp.values
-    else:
-        zv = z[mask]
-        depth = zv @ readout
-        # softmax(z) feeds only the entropy of the ranking term
-        pv = softmax_volume(z)[mask] if ranking is not None else None
+    # decode the valid rows: a product over the whole map, masked
+    # afterwards, need not give the same bits
+    zv = z[mask]
+    pv, depth = _decode(zv, hyp, readout)
 
     # d(weighted depth term)/d(depth); the probability-space gradient
     # accumulates every term that flows through p, each scaled in place

@@ -24,20 +24,14 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .discretize import DepthHypotheses, linear_hypotheses
-from .gridio import (
-    keyvalue_numbers,
-    read_grid,
-    read_keyvalue,
-    write_grid,
-    write_keyvalue,
-)
+from .gridio import write_grid, write_keyvalue
 from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
     spearman,
 )
-from .uncertainty import UncertaintyScale
+from .uncertainty import softplus
 
 HEAD_KINDS = ("classification", "regression")
 DEFAULT_EXTENT = 32
@@ -210,10 +204,6 @@ class ToyModel:
             raise ValueError("non-finite model parameters")
 
     @property
-    def scale(self) -> UncertaintyScale:
-        return UncertaintyScale(raw=self.raw_scale)
-
-    @property
     def n_features(self) -> int:
         return self.w1.shape[0]
 
@@ -274,25 +264,26 @@ def init_model(config: TrainConfig, n_features: int = DEFAULT_FEATURES) -> ToyMo
     )
 
 
-def _hidden(model: ToyModel, feats: np.ndarray) -> np.ndarray:
-    return np.tanh(feats @ model.w1 + model.b1)
-
-
-def forward(model: ToyModel, scene: SyntheticScene):
-    """Depth map, uncertainty map and the head volume for one scene.
-
-    The hidden layer, then ``losses.head_forward``.  The third output
-    is the probability volume for the classification head and the raw
-    latent z for the regression head.
-    """
+def _hidden_and_z(model: ToyModel, scene: SyntheticScene):
+    """The tanh hidden layer of one scene and the head output z it gives."""
     feats = scene.features
     if feats.shape[-1] != model.n_features:
         raise ValueError(
             f"scene has {feats.shape[-1]} feature channels, model wants {model.n_features}"
         )
-    z = _hidden(model, feats) @ model.w2
-    depth, unc, vol = head_forward(z, model.raw_scale, model.hypotheses, model.w_out)
-    return depth, unc, vol if model.w_out is None else z
+    hid = np.tanh(feats @ model.w1 + model.b1)
+    return hid, hid @ model.w2
+
+
+def forward(model: ToyModel, scene: SyntheticScene):
+    """Depth map, uncertainty map and softmax(z) for one scene.
+
+    The hidden layer, then ``losses.head_forward``.  softmax(z) is the
+    probability volume of the classification head and the pseudo
+    distribution of the regression head.
+    """
+    _, z = _hidden_and_z(model, scene)
+    return head_forward(z, model.raw_scale, model.hypotheses, model.w_out)
 
 
 def scene_gradients(
@@ -304,16 +295,15 @@ def scene_gradients(
 ):
     """One scene's loss report and parameter gradients.
 
-    The exact backward of the losses module supplies d(total)/d(z) for
-    either head (plus the readout gradient of the regression head); the
-    chain rule through the two-layer net does the rest.  Training and
-    the finite-difference spot checks share this code path.  ``targets``
-    are the scene's ``losses.loss_targets``, and the pair permutation
-    covers their valid pixels only.
+    ``forward``'s hidden layer and z, then the exact backward of the
+    losses module: d(total)/d(z) for either head (plus the readout
+    gradient of the regression head); the chain rule through the
+    two-layer net does the rest.  Training and the finite-difference
+    spot checks share this code path.  ``targets`` are the scene's
+    ``losses.loss_targets``, and the pair permutation covers their
+    valid pixels only.
     """
-    feats = scene.features
-    hid = _hidden(model, feats)
-    z = hid @ model.w2
+    hid, z = _hidden_and_z(model, scene)
     pixels = scene.gt.size
 
     perm = None
@@ -333,7 +323,7 @@ def scene_gradients(
 
     gz = report.grad_z.reshape(pixels, -1)
     h2 = hid.reshape(pixels, -1)
-    f2 = feats.reshape(pixels, -1)
+    f2 = scene.features.reshape(pixels, -1)
     grad_w2 = h2.T @ gz
     grad_h = gz @ model.w2.T
     grad_pre = grad_h * (1.0 - h2**2)
@@ -432,7 +422,7 @@ def train(model: ToyModel, scenes, config: TrainConfig):
                 mean_soft=totals[2] / k,
                 mean_rank=totals[3] / k,
                 sigma=tuple(float(s) for s in model.sigma),
-                alpha=model.scale.alpha,
+                alpha=float(softplus(model.raw_scale)),
                 mean_grad_sigma=tuple(float(g) for g in gsig / k),
             )
         )
@@ -483,7 +473,7 @@ def evaluate_model(model: ToyModel, scenes) -> EvalSummary:
             depth,
             scene.gt,
             unc,
-            vol=vol if model.head == "classification" else None,
+            vol=vol if model.w_out is None else None,
             hyp=model.hypotheses,
         )
         unc_rows.append(rep.row())
@@ -618,7 +608,11 @@ _MODEL_GRIDS = ("w1", "b1", "w2", "sigma", "w_out")
 
 
 def save_model(model: ToyModel, directory) -> Path:
-    """Grid bundle plus a key=value manifest; round-trips exactly."""
+    """Grid bundle plus a key=value manifest, written for inspection.
+
+    The weights are stored as float32 ``.duv`` grids and ``raw_scale`` at
+    full precision; nothing in the package reads the bundle back.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name in _MODEL_GRIDS:
@@ -635,25 +629,3 @@ def save_model(model: ToyModel, directory) -> Path:
         },
     )
     return directory
-
-
-def load_model(directory) -> ToyModel:
-    directory = Path(directory)
-    path = directory / "manifest.txt"
-    manifest = read_keyvalue(path, required=("head", "raw_scale", "d_min", "d_max", "m"))
-    head = manifest["head"]
-    grids = {
-        name: read_grid(directory / f"{name}.duv").values
-        for name in _MODEL_GRIDS
-        if name != "w_out" or head == "regression"
-    }
-    return ToyModel(
-        head=head,
-        hypotheses=linear_hypotheses(
-            keyvalue_numbers(path, manifest, "d_min"),
-            keyvalue_numbers(path, manifest, "d_max"),
-            keyvalue_numbers(path, manifest, "m", int),
-        ),
-        raw_scale=keyvalue_numbers(path, manifest, "raw_scale"),
-        **grids,
-    )

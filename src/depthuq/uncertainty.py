@@ -3,10 +3,14 @@
 u = -alpha * sum_m p_m ln p_m, with alpha = softplus(a) so the learned
 raw scalar a can roam the whole real line while the scale stays
 positive.  The regression head reads its uncertainty the same way,
-from the pseudo distribution softmax(z) of its latent (see
-``losses.head_forward``).  Training, evaluation and ``raw_entropy`` all
-take the floor-clamped entropy of ``clamped_entropy``; training also
-takes its gradient from ``clamped_entropy_parts``.
+from the pseudo distribution softmax(z) of its latent.  Training and
+evaluation both take softmax(z) from the one decode in ``losses``.
+Evaluation (``losses.head_forward``) and ``raw_entropy`` take the
+floor-clamped entropy of ``clamped_entropy``; a training step with the
+ranking term on takes it, with its gradient, from
+``clamped_entropy_parts``.  The toy model keeps a as ``raw_scale`` and
+reads alpha as ``softplus(raw_scale)``; ``UncertaintyScale`` gives the
+same alpha for a bare a.
 """
 
 from __future__ import annotations

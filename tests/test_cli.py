@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from depthuq import cli, frustum, toytrain
-from depthuq.gridio import read_grid, write_grid
+from depthuq.gridio import read_grid, read_keyvalue, write_grid
 from depthuq.losses import RANKING_VARIANTS
 from depthuq.metrics import BASE_METRICS, SPARSIFICATION_STEPS
-from depthuq.toytrain import load_model
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +235,11 @@ def test_train_toy_writes_artifacts(tmp_path):
         "--eval-scenes", "1", "--height", "8", "--width", "8", "--out-dir", str(out_dir),
     ])
     assert rc == 0
-    model = load_model(out_dir / "model")
-    assert model.head == "classification"
+    manifest = read_keyvalue(out_dir / "model" / "manifest.txt")
+    assert set(manifest) == {"head", "raw_scale", "d_min", "d_max", "m"}
+    assert manifest["head"] == "classification" and manifest["m"] == "16"
+    shapes = {p.stem: read_grid(p).values.shape for p in (out_dir / "model").glob("*.duv")}
+    assert shapes == {"w1": (8, 16), "b1": (16,), "w2": (16, 16), "sigma": (3,)}
     log_lines = (out_dir / "train_log.csv").read_text().splitlines()
     assert log_lines[0].startswith("epoch,lr,total")
     assert len(log_lines) == 2

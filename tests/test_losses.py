@@ -449,3 +449,29 @@ def test_head_forward_is_the_forward_full_backward_trains(readout):
     d, u, g = depth.ravel(), unc.ravel(), gt.ravel()
     assert abs(rep.value_r - depth_l1(d, g).value) < 1e-12
     assert abs(rep.value_u - ranking_loss_variants(np.abs(d - g), u, perm, "hinge").value) < 1e-12
+
+
+def test_full_backward_decodes_the_clipped_depth_of_head_forward():
+    # logits that saturate the last bin; a few rows decode to just past
+    # d_max before expectation_depth's clip, and their GT sits at d_max
+    hyp = linear_hypotheses(1.0, 10.0, 16)
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((200_000, 16)) * 50.0
+    rows[:, -1] += 40.0
+    past = softmax_volume(rows) @ hyp.values > hyp.d_max
+    n_past = int(past.sum())
+    assert 0 < n_past < 64
+    z = np.concatenate([rows[past], rows[~past][: 64 - n_past]]).reshape(8, 8, 16)
+    gt = rng.uniform(hyp.d_min, hyp.d_max, size=(8, 8))
+    gt.reshape(-1)[:n_past] = hyp.d_max
+    gt[7, 7] = np.nan
+    targets = loss_targets(hyp, gt, None)
+    sig = np.array([0.3, 0.0, 0.0])
+    rep = full_backward(z, 0.4, sig, hyp, targets, None, ranking=None)
+    depth_term = depth_l1(head_forward(z, 0.4, hyp)[0][targets.mask], targets.gt)
+    assert rep.value_r == depth_term.value
+    want = np.zeros_like(z)
+    want[targets.mask] = softmax_backward(
+        softmax_volume(z)[targets.mask], (depth_term.grad * np.exp(-sig[0]))[:, None] * hyp.values
+    )
+    np.testing.assert_array_equal(rep.grad_z, want)

@@ -7,7 +7,7 @@ from numpy.polynomial import chebyshev
 import depthuq.losses
 import depthuq.toytrain
 from depthuq.discretize import DEFAULT_GAMMA, DepthHypotheses, linear_hypotheses, softmax_volume
-from depthuq.gridio import valid_mask
+from depthuq.gridio import read_grid, read_keyvalue, valid_mask
 from depthuq.losses import (
     LossReport,
     PairPermutation,
@@ -36,7 +36,6 @@ from depthuq.toytrain import (
     forward,
     generate_scene,
     init_model,
-    load_model,
     make_dataset,
     pooled_errors,
     save_model,
@@ -189,6 +188,14 @@ def test_forward_feature_mismatch():
     scene = generate_scene(4, 4, 5, seed=0)
     with pytest.raises(ValueError):
         forward(m, scene)
+
+
+def test_train_rejects_wrong_feature_count():
+    # training shares forward's check, so a bad scene names its feature
+    # counts instead of failing inside a matmul
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(ValueError, match="^scene has 5 feature channels, model wants 8$"):
+        train(init_model(cfg), [generate_scene(8, 8, 5, seed=0)], cfg)
 
 
 def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
@@ -409,9 +416,11 @@ def test_regression_head_trains(tiny_data):
     m, logs = train(m, train_scenes, cfg)
     assert not np.array_equal(m.w_out, w_out_before)
     assert all(lg.mean_soft == 0.0 for lg in logs)
-    depth, unc, third = forward(m, eval_scenes[0])
+    depth, unc, p = forward(m, eval_scenes[0])
     assert depth.shape == (8, 8) and unc.shape == (8, 8)
-    assert third.shape == (8, 8, 16)  # raw latent, not a simplex
+    # the pseudo distribution softmax(z), a simplex like the classifier's
+    assert p.shape == (8, 8, 16)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_epoch_log_row_keys(tiny_data):
@@ -438,49 +447,22 @@ def test_evaluate_model_summary(tiny_data):
     assert errs.shape == uncs.shape == (2 * 64,)
 
 
-def test_save_load_round_trip(tmp_path, tiny_data):
-    train_scenes, _ = tiny_data
-    cfg = TrainConfig(epochs=1, seed=7)
-    m, _ = train(init_model(cfg), train_scenes, cfg)
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_save_model_bundle(tmp_path, head):
+    # float32 weight grids, the readout only for regression, and an
+    # exact raw_scale in the manifest
+    m = init_model(TrainConfig(head=head, include_soft=head == "classification", seed=7))
+    m.raw_scale = 0.1 + 1e-12
     save_model(m, tmp_path / "m")
-    loaded = load_model(tmp_path / "m")
-    assert loaded.head == m.head
-    assert loaded.hypotheses.m == m.hypotheses.m
-    assert loaded.raw_scale == m.raw_scale  # manifest keeps full precision
-    # grid payloads are f32 on disk
-    np.testing.assert_array_equal(loaded.w1, m.w1.astype(np.float32).astype(np.float64))
-    np.testing.assert_array_equal(loaded.w2, m.w2.astype(np.float32).astype(np.float64))
-
-
-def test_save_load_regression_keeps_readout(tmp_path):
-    cfg = TrainConfig(head="regression", include_soft=False, seed=1)
-    m = init_model(cfg)
-    save_model(m, tmp_path / "r")
-    loaded = load_model(tmp_path / "r")
-    assert loaded.head == "regression"
-    np.testing.assert_array_equal(
-        loaded.w_out, m.w_out.astype(np.float32).astype(np.float64)
-    )
-
-
-def test_load_model_names_missing_manifest_key(tmp_path):
-    save_model(init_model(TrainConfig(seed=2)), tmp_path / "m")
-    manifest = tmp_path / "m" / "manifest.txt"
-    manifest.write_text("".join(
-        ln + "\n" for ln in manifest.read_text().splitlines() if not ln.startswith("m=")
-    ))
-    with pytest.raises(ValueError, match=r"missing key\(s\) m$"):
-        load_model(tmp_path / "m")
-
-
-def test_load_model_names_bad_manifest_value(tmp_path):
-    save_model(init_model(TrainConfig(seed=2)), tmp_path / "m")
-    manifest = tmp_path / "m" / "manifest.txt"
-    manifest.write_text(manifest.read_text() + "raw_scale=x\n")
-    with pytest.raises(ValueError) as exc:
-        load_model(tmp_path / "m")
-    assert str(exc.value).startswith(f"{manifest}: key 'raw_scale' wants 1 comma-separated float")
-    assert "'x'" in str(exc.value)
+    names = {"w1", "b1", "w2", "sigma"} | ({"w_out"} if head == "regression" else set())
+    assert {p.stem for p in (tmp_path / "m").glob("*.duv")} == names
+    for name in names:
+        np.testing.assert_array_equal(
+            read_grid(tmp_path / "m" / f"{name}.duv").values,
+            getattr(m, name).astype(np.float32).astype(np.float64),
+        )
+    manifest = read_keyvalue(tmp_path / "m" / "manifest.txt")
+    assert manifest["head"] == head and float(manifest["raw_scale"]) == m.raw_scale
 
 
 def test_ablate_rows_and_thread_equivalence():
@@ -598,7 +580,7 @@ def _reference_train(model, scenes, config):
                 mean_soft=totals[2] / k,
                 mean_rank=totals[3] / k,
                 sigma=tuple(float(s) for s in model.sigma),
-                alpha=model.scale.alpha,
+                alpha=float(softplus(model.raw_scale)),
                 mean_grad_sigma=tuple(float(g) for g in gsig / k),
             )
         )
@@ -719,8 +701,8 @@ def test_forward_is_the_hidden_layer_and_head_forward():
         m = init_model(cfg)
         m.raw_scale = 0.7
         z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
-        depth, unc, p = head_forward(z, 0.7, m.hypotheses, m.w_out)
+        want = head_forward(z, 0.7, m.hypotheses, m.w_out)
         got = forward(m, scene)
-        np.testing.assert_array_equal(got[0], depth)
-        np.testing.assert_array_equal(got[1], unc)
-        np.testing.assert_array_equal(got[2], p if head == "classification" else z)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
