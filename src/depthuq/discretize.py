@@ -3,7 +3,9 @@
 Depth is predicted as a per-pixel categorical distribution over M fixed
 hypothesis values.  This module owns the hypothesis grid, the expected
 depth read-out, the distance-shaped soft target distributions used for
-the probability loss, and the shared stable softmax.
+the probability loss, and the shared stable softmax.  The softmax
+allocates one array: it shifts z by the row max into a new array, then
+runs ``exp`` and the divide by the row sum in that array.
 
 Both kernels shift each row by its extreme value before ``exp``.  That
 row max (softmax) or min (soft labels) is taken by ``_bin_extreme`` as
@@ -95,8 +97,9 @@ def expectation_depth(hyp: DepthHypotheses, vol) -> np.ndarray:
     p = np.asarray(vol, dtype=np.float64)
     if p.shape[-1] != hyp.m:
         raise ValueError(f"volume has {p.shape[-1]} bins, hypotheses {hyp.m}")
-    d = p @ hyp.values
-    return np.clip(d, hyp.d_min, hyp.d_max)
+    # maximum then minimum is np.clip's result, NaN included, without
+    # its wrapper; no out= here, since a 1-D ``vol`` gives a 0-d value
+    return np.minimum(np.maximum(p @ hyp.values, hyp.d_min), hyp.d_max)
 
 
 def _bin_extreme(x: np.ndarray, reduce: np.ufunc) -> np.ndarray:
@@ -116,8 +119,8 @@ def soft_labels(hyp: DepthHypotheses, gt, gamma: float = DEFAULT_GAMMA) -> SoftL
     concentrates mass on the nearest hypothesis.  Invalid pixels (NaN
     or <= 0 GT) get an all-zero row and valid=False.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
     d = np.asarray(gt, dtype=np.float64)
     valid = valid_mask(d)
     dist = gamma * np.abs(hyp.values - np.where(valid, d, hyp.d_min)[..., None])
@@ -129,11 +132,16 @@ def soft_labels(hyp: DepthHypotheses, gt, gamma: float = DEFAULT_GAMMA) -> SoftL
 
 
 def softmax_volume(z) -> np.ndarray:
-    """Stable softmax along the last axis; rows sum to 1 within 1e-12."""
+    """Stable softmax along the last axis; rows sum to 1 within 1e-12.
+
+    ``exp`` and the divide run in the shifted array, the one new array;
+    ``z`` is only read.
+    """
     zz = np.asarray(z, dtype=np.float64)
-    shifted = zz - _bin_extreme(zz, np.maximum)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = zz - _bin_extreme(zz, np.maximum)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def bilinear_bin_weights(hyp: DepthHypotheses, depth):

@@ -85,13 +85,29 @@ def _mean_weight(n_valid: int) -> float:
     return 1.0 / n_valid
 
 
+def read_only(a) -> np.ndarray:
+    """A read-only view of ``a``; the caller's own array keeps its flags."""
+    view = np.asarray(a).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class LossTargets:
-    """What the loss terms compare one GT map against; see ``loss_targets``."""
+    """What the loss terms compare one GT map against; see ``loss_targets``.
+
+    The arrays are read-only views: training steps, threaded ``ablate``
+    runs among them, share one set per scene.
+    """
 
     mask: np.ndarray  # finite, positive GT pixels
     gt: np.ndarray  # the valid GT vector, in gt[mask] order
     labels: np.ndarray | None  # (n, M) soft-label rows, None with the term off
+
+    def __post_init__(self):
+        for name in ("mask", "gt", "labels"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -206,10 +222,14 @@ def auto_weighted_total(values, sigma, active=True):
 def softmax_backward(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
     """Pull a probability-space gradient back through the softmax.
 
-    dL/dz_k = p_k * (g_k - sum_m g_m p_m), rows independent.
+    dL/dz_k = p_k * (g_k - sum_m g_m p_m), rows independent.  The
+    result is the one new (..., M) array besides the row dots; neither
+    input is written.
     """
     dot = (grad_p * p).sum(axis=-1, keepdims=True)
-    return p * (grad_p - dot)
+    grad_z = grad_p - dot
+    grad_z *= p
+    return grad_z
 
 
 def _decode(z, hyp: DepthHypotheses, readout):
@@ -268,12 +288,15 @@ def full_backward(
 
     The valid rows of z go through ``head_forward``'s ``_decode``:
     classification logits, or a regression latent whose readout
-    gradient is reported.  The uncertainty is the scaled entropy of
-    softmax(z) for both heads.  The term functions run on the valid
-    pixels; the auto-weighted total yields gradients wrt z (through the
-    softmax Jacobian), the raw scale a (through softplus), and the
-    sigmas.  Targets without soft labels, or ``ranking=None``, drop that
-    term from the total entirely (its sigma stops moving too).
+    gradient is reported.  When every GT pixel is valid those rows are
+    all of z, decoded through a (pixels, M) view with no copy, and the
+    gradient comes back without a scatter.  The uncertainty is the
+    scaled entropy of softmax(z) for both heads.  The term functions
+    run on the valid pixels; the auto-weighted total yields gradients
+    wrt z (through the softmax Jacobian), the raw scale a (through
+    softplus), and the sigmas.  Targets without soft labels, or
+    ``ranking=None``, drop that term from the total entirely (its sigma
+    stops moving too).
     """
     z = np.asarray(z, dtype=np.float64)
     mask = targets.mask
@@ -297,8 +320,11 @@ def full_backward(
     ew = np.exp(-sig)
 
     # decode the valid rows: a product over the whole map, masked
-    # afterwards, need not give the same bits
-    zv = z[mask]
+    # afterwards, need not give the same bits.  With every pixel valid
+    # the valid rows are z's own rows in the same order, so a view of
+    # them decodes to the same bits as the copy z[mask] would
+    all_valid = targets.n == mask.size
+    zv = z.reshape(-1, z.shape[-1]) if all_valid else z[mask]
     pv, depth = _decode(zv, hyp, readout)
 
     # d(weighted depth term)/d(depth); the probability-space gradient
@@ -324,13 +350,12 @@ def full_backward(
         rank = ranking_loss_variants(err, alpha * h, perm, ranking)
         value_u = rank.value
         gu_eff = rank.grad * ew[2]
-        grad_p_u = (alpha * gu_eff)[:, None] * dh_dp
-        # add in place: one more (n, M) temporary per training step
-        # roughly triples the page faults of a 1024 x 16 step
+        # dh_dp is this step's own array: scale it and add it in place
+        dh_dp *= (alpha * gu_eff)[:, None]
         if grad_p is None:
-            grad_p = grad_p_u
+            grad_p = dh_dp
         else:
-            grad_p += grad_p_u
+            grad_p += dh_dp
         grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
 
     grad_readout = None
@@ -341,8 +366,11 @@ def full_backward(
         grad_readout = grad_depth @ zv
         if grad_p is not None:
             gz_valid += softmax_backward(pv, grad_p)
-    grad_z = np.zeros_like(z)
-    grad_z[mask] = gz_valid
+    if all_valid:
+        grad_z = gz_valid.reshape(z.shape)
+    else:
+        grad_z = np.zeros_like(z)
+        grad_z[mask] = gz_valid
 
     active = (True, include_soft, ranking is not None)
     total, grad_sigma = auto_weighted_total(

@@ -25,7 +25,7 @@ from numpy.polynomial import chebyshev
 
 from .discretize import DepthHypotheses, linear_hypotheses
 from .gridio import write_grid, write_keyvalue
-from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets
+from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets, read_only
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
@@ -69,6 +69,12 @@ class SyntheticScene:
     features: np.ndarray  # H x W x F
     noise_std: np.ndarray  # H x W, constant per column, increasing left->right
     seed: int
+
+    def __post_init__(self):
+        # read-only views: threaded ablate runs share one scene list, so
+        # a stray in-place write raises instead of corrupting another run
+        for name in ("gt", "features", "noise_std"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def generate_scene(
@@ -231,8 +237,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.hidden < 1:
             raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be a finite number > 0, got {self.lr}")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError(f"decay factor must be in (0, 1], got {self.lr_decay}")
         if self.decay_every < 1:
@@ -271,7 +279,9 @@ def _hidden_and_z(model: ToyModel, scene: SyntheticScene):
         raise ValueError(
             f"scene has {feats.shape[-1]} feature channels, model wants {model.n_features}"
         )
-    hid = np.tanh(feats @ model.w1 + model.b1)
+    hid = feats @ model.w1
+    hid += model.b1
+    np.tanh(hid, out=hid)
     return hid, hid @ model.w2
 
 
@@ -326,7 +336,10 @@ def scene_gradients(
     f2 = scene.features.reshape(pixels, -1)
     grad_w2 = h2.T @ gz
     grad_h = gz @ model.w2.T
-    grad_pre = grad_h * (1.0 - h2**2)
+    # (1 - h^2) * grad_h, the tanh pullback, in one array
+    grad_pre = np.square(h2)
+    np.subtract(1.0, grad_pre, out=grad_pre)
+    grad_pre *= grad_h
     grads = {
         "w1": f2.T @ grad_pre,
         "b1": grad_pre.sum(axis=0),
@@ -404,8 +417,8 @@ def train(model: ToyModel, scenes, config: TrainConfig):
             model.b1 -= lr * grads["b1"]
             model.w2 -= lr * grads["w2"]
             model.raw_scale -= lr * grads["a"]
-            model.sigma = np.clip(
-                model.sigma - lr * grads["sigma"], -SIGMA_BOUND, SIGMA_BOUND
+            model.sigma = np.minimum(
+                np.maximum(model.sigma - lr * grads["sigma"], -SIGMA_BOUND), SIGMA_BOUND
             )
             if "w_out" in grads:
                 model.w_out = model.w_out - lr * grads["w_out"]

@@ -27,7 +27,10 @@ PROB_FLOOR = 1e-12
 
 
 def _floored_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(p, PROB_FLOOR, None))
+    # np.maximum is np.clip's lower bound, NaN included; the log runs in
+    # the one new array
+    logp = np.maximum(p, PROB_FLOOR)
+    return np.log(logp, out=logp)
 
 
 def clamped_entropy(p: np.ndarray, logp: np.ndarray | None = None) -> np.ndarray:
@@ -47,10 +50,15 @@ def clamped_entropy_parts(p: np.ndarray):
     The value uses ln(max(p, floor)), so for p <= floor the term is
     linear in p and its exact derivative is ln(floor); above the floor
     it is ln(p) + 1.  Returning the true derivative of the computed
-    value keeps finite differences honest.
+    value keeps finite differences honest.  The derivative is built in
+    the log's array, after the value has read it: (-x) - b is exactly
+    -(x + b).
     """
     logp = _floored_log(p)
-    return clamped_entropy(p, logp), -(logp + (p > PROB_FLOOR))
+    h = clamped_entropy(p, logp)
+    dh_dp = np.negative(logp, out=logp)
+    dh_dp -= p > PROB_FLOOR
+    return h, dh_dp
 
 
 def softplus(x):

@@ -430,6 +430,25 @@ def test_training_rejects_zero_hidden_width(tmp_path, capsys, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["ablate", "train-toy"])
+@pytest.mark.parametrize("flag, value, name", [
+    ("--lr", "nan", "learning rate"), ("--lr", "inf", "learning rate"),
+    ("--lr", "-inf", "learning rate"), ("--gamma", "nan", "gamma"), ("--gamma", "inf", "gamma"),
+])
+def test_training_rejects_nonfinite_lr_and_gamma(tmp_path, capsys, subcommand, flag, value, name):
+    # NaN passed the `<= 0` checks: the run trained, then exited 1 with
+    # "training diverged (non-finite total) in epoch 0"
+    out = tmp_path / "out"
+    target = ["--seeds", "0", "--out", str(out)] if subcommand == "ablate" else ["--seed", "0", "--out-dir", str(out)]
+    rc = cli.main([
+        subcommand, *target, f"{flag}={value}", "--epochs", "1", "--train-scenes", "2",
+        "--eval-scenes", "1", "--height", "8", "--width", "8",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number > 0, got {value}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["0,0", "1,0,1"])
 def test_ablate_rejects_repeated_seed(tmp_path, capsys, seeds):
     out = tmp_path / "rows.csv"

@@ -103,6 +103,10 @@ def test_soft_labels_reject_bad_gamma():
     hyp = linear_hypotheses(1, 10, 4)
     with pytest.raises(ValueError):
         soft_labels(hyp, np.array([2.0]), gamma=0.0)
+    # NaN passed the `<= 0` check; NaN and inf gave non-finite labels
+    for gamma in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^gamma must be a finite number > 0, got {gamma}$"):
+            soft_labels(hyp, np.array([2.0]), gamma=gamma)
 
 
 @settings(max_examples=80, deadline=None)

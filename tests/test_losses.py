@@ -12,6 +12,7 @@ from depthuq.discretize import (
     softmax_volume,
 )
 from depthuq.losses import (
+    LossTargets,
     NonFiniteLossError,
     PairPermutation,
     auto_weighted_total,
@@ -26,7 +27,7 @@ from depthuq.losses import (
     softmax_backward,
 )
 from depthuq.gridio import valid_mask
-from depthuq.uncertainty import softplus
+from depthuq.uncertainty import PROB_FLOOR, sigmoid, softplus
 
 
 def test_depth_l1_is_mean():
@@ -475,3 +476,118 @@ def test_full_backward_decodes_the_clipped_depth_of_head_forward():
         softmax_volume(z)[targets.mask], (depth_term.grad * np.exp(-sig[0]))[:, None] * hyp.values
     )
     np.testing.assert_array_equal(rep.grad_z, want)
+
+
+def _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout):
+    # the step's arithmetic written out plainly: a copy of the valid rows,
+    # np.clip, an out-of-place softmax and pullback, a scatter into zeros
+    mask = targets.mask
+    zv = z[mask]
+    e = np.exp(zv - zv.max(axis=-1, keepdims=True))
+    pv = e / e.sum(axis=-1, keepdims=True)
+    depth = np.clip(pv @ hyp.values, hyp.d_min, hyp.d_max) if readout is None else zv @ readout
+    alpha = float(softplus(a))
+    ew = np.exp(-sig)
+    w = 1.0 / targets.n
+    resid = depth - targets.gt
+    value_r = float(np.abs(resid).sum() * w)
+    grad_depth = np.sign(resid) * w * ew[0]
+    grad_p = grad_depth[:, None] * hyp.values if readout is None else None
+    value_p = 0.0
+    if targets.labels is not None:
+        diff = targets.labels - pv
+        value_p = float(np.abs(diff).sum() * w)
+        grad_p = grad_p + np.sign(diff) * -w * ew[1]
+    value_u = 0.0
+    grad_a = 0.0
+    if ranking is not None:
+        logp = np.log(np.clip(pv, PROB_FLOOR, None))
+        h = -(pv * logp).sum(axis=-1)
+        dh_dp = -(logp + (pv > PROB_FLOOR))
+        rank = ranking_loss_variants(np.abs(depth - targets.gt), alpha * h, perm, ranking)
+        value_u = rank.value
+        gu_eff = rank.grad * ew[2]
+        grad_p_u = (alpha * gu_eff)[:, None] * dh_dp
+        grad_p = grad_p_u if grad_p is None else grad_p + grad_p_u
+        grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
+    pullback = None
+    if grad_p is not None:
+        pullback = pv * (grad_p - (grad_p * pv).sum(axis=-1, keepdims=True))
+    grad_readout = None
+    if readout is None:
+        gz_valid = pullback
+    else:
+        gz_valid = grad_depth[:, None] * readout
+        grad_readout = grad_depth @ zv
+        if pullback is not None:
+            gz_valid = gz_valid + pullback
+    grad_z = np.zeros_like(z)
+    grad_z[mask] = gz_valid
+    active = (True, targets.labels is not None, ranking is not None)
+    total, grad_sigma = auto_weighted_total([value_r, value_p, value_u], sig, active)
+    return value_r, value_p, value_u, total, grad_z, grad_a, grad_sigma, grad_readout
+
+
+@pytest.mark.parametrize("invalid", [False, True], ids=["all-valid", "nan-gt"])
+@pytest.mark.parametrize("ranking", [None, "hinge", "no-max", "l1-direct"])
+@pytest.mark.parametrize("readout", [None, np.linspace(-0.6, 1.4, 16)], ids=["classification", "regression"])
+def test_full_backward_matches_oracle_step_bitwise(readout, ranking, invalid):
+    # both routes of full_backward, the view of an all-valid map and the
+    # gather and scatter of a map with NaN GT, give the oracle's bits;
+    # the wide logits put some probabilities under the floor
+    rng = np.random.default_rng(31)
+    hyp = linear_hypotheses(1.0, 10.0, 16)
+    z = rng.normal(size=(12, 10, 16)) * 12.0
+    gt = rng.uniform(0.5, 10.5, size=(12, 10))
+    if invalid:
+        gt[rng.random(gt.shape) < 0.2] = np.nan
+    targets = loss_targets(hyp, gt, DEFAULT_GAMMA if readout is None else None)
+    assert (targets.n < gt.size) == invalid
+    assert np.any(softmax_volume(z) < PROB_FLOOR)
+    perm = draw_permutation(targets.n, 5) if ranking in ("hinge", "no-max") else None
+    sig = np.array([0.3, -0.2, 0.5])
+    rep = full_backward(z, -0.4, sig, hyp, targets, perm, ranking=ranking, readout=readout)
+    want = _oracle_step(z, -0.4, sig, hyp, targets, perm, ranking, readout)
+    got = (rep.value_r, rep.value_p, rep.value_u, rep.total, rep.grad_z, rep.grad_a,
+           rep.grad_sigma, rep.grad_readout)
+    for name, g, o in zip(("value_r", "value_p", "value_u", "total", "grad_z", "grad_a",
+                           "grad_sigma", "grad_readout"), got, want):
+        if o is None:
+            assert g is None, name
+        else:
+            assert np.asarray(g).tobytes() == np.asarray(o).tobytes(), name
+    assert rep.grad_z.shape == z.shape
+
+
+def test_loss_targets_are_read_only_views():
+    hyp = linear_hypotheses(1.0, 10.0, 5)
+    gt = np.array([[2.5, np.nan], [7.25, 9.0]])
+    targets = loss_targets(hyp, gt, 7.0)
+    for arr in (targets.mask, targets.gt, targets.labels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # built from the caller's own arrays, the targets leave their flags alone
+    mask = np.ones(3, dtype=bool)
+    LossTargets(mask=mask, gt=np.ones(3), labels=None)
+    assert mask.flags.writeable
+
+
+@pytest.mark.parametrize("readout", [None, np.linspace(0.2, 1.4, 5)], ids=["classification", "regression"])
+def test_step_and_decode_leave_read_only_inputs_unchanged(readout):
+    # read-only z and targets, on the gather route (one NaN GT pixel) and
+    # the view route (every pixel valid): nothing writes into them
+    hyp, z, gt, _ = _small_instance(12)
+    z.setflags(write=False)
+    z_before = z.tobytes()
+    gamma = DEFAULT_GAMMA if readout is None else None
+    gt_nan = gt.copy()
+    gt_nan[0, 1] = np.nan
+    for targets in (loss_targets(hyp, gt_nan, gamma), loss_targets(hyp, gt, gamma)):
+        arrays = [arr for arr in (targets.mask, targets.gt, targets.labels) if arr is not None]
+        before = [arr.tobytes() for arr in arrays]
+        full_backward(z, 0.2, np.zeros(3), hyp, targets, draw_permutation(targets.n, 3), readout=readout)
+        assert [arr.tobytes() for arr in arrays] == before
+    head_forward(z, 0.2, hyp, readout)
+    softmax_volume(z)
+    assert z.tobytes() == z_before

@@ -125,6 +125,11 @@ def test_config_validation():
         TrainConfig(ranking="softrank")
     with pytest.raises(ValueError):
         TrainConfig(head="regression", include_soft=True)
+    # NaN passed the `<= 0` checks, and the run then failed as a divergence
+    for name, field in (("learning rate", "lr"), ("gamma", "gamma")):
+        for value in (np.nan, np.inf, -np.inf, 0.0):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
+                TrainConfig(**{field: value})
 
 
 def test_lr_schedule():
@@ -706,3 +711,27 @@ def test_forward_is_the_hidden_layer_and_head_forward():
         assert len(got) == 3
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+def test_scene_arrays_are_read_only(tiny_data):
+    scene = tiny_data[0][0]
+    for arr in (scene.gt, scene.features, scene.noise_std):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+    # a scene built from the caller's arrays leaves their flags alone
+    gt = np.full((4, 4), 2.0)
+    SyntheticScene(gt=gt, features=np.ones((4, 4, 1)), noise_std=np.ones((4, 4)), seed=0)
+    assert gt.flags.writeable
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_train_and_evaluate_leave_scenes_unchanged(tiny_data, head):
+    # threaded ablate runs share the scene lists; nothing may write into them
+    train_scenes, eval_scenes = tiny_data
+    scenes = train_scenes + eval_scenes
+    before = [(s.gt.tobytes(), s.features.tobytes(), s.noise_std.tobytes()) for s in scenes]
+    cfg = TrainConfig(epochs=1, seed=2, head=head, include_soft=head == "classification")
+    model, _ = train(init_model(cfg), train_scenes, cfg)
+    evaluate_model(model, eval_scenes)
+    assert [(s.gt.tobytes(), s.features.tobytes(), s.noise_std.tobytes()) for s in scenes] == before
