@@ -81,24 +81,29 @@ def _inject_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens in right after the subcommand.
 
     User flags stay behind them, so for single-value options argparse's
-    last-one-wins rule makes explicit flags override the file.
+    last-one-wins rule makes explicit flags override the file.  One
+    ``--config=`` token between the two names the files read
+    (comma-joined) for the resolved-config banner.
     """
-    head, rest, cfg = argv[:1], [], []
+    head, rest, cfg, paths = argv[:1], [], [], []
     i = 1
     while i < len(argv):
         tok = argv[i]
         if tok == "--config":
             if i + 1 >= len(argv):
                 raise CLIError("--config needs a file path")
+            paths.append(argv[i + 1])
             cfg.extend(_load_config_tokens(argv[i + 1]))
             i += 2
         elif tok.startswith("--config="):
-            cfg.extend(_load_config_tokens(tok.split("=", 1)[1]))
+            paths.append(tok.split("=", 1)[1])
+            cfg.extend(_load_config_tokens(paths[-1]))
             i += 1
         else:
             rest.append(tok)
             i += 1
-    return head + cfg + rest
+    named = [f"--config={','.join(paths)}"] if paths else []
+    return head + cfg + named + rest
 
 
 def _print_config(args) -> None:
@@ -112,9 +117,9 @@ def _print_config(args) -> None:
 
 def _load_rank(path, rank: int, what: str) -> np.ndarray:
     grid = read_grid(path)
-    if len(grid.dims) != rank:
-        raise CLIError(f"{what} {path}: want a rank-{rank} grid, got rank {len(grid.dims)}")
-    return grid.values
+    if grid.ndim != rank:
+        raise CLIError(f"{what} {path}: want a rank-{rank} grid, got rank {grid.ndim}")
+    return grid
 
 
 def _parse_triple(text: str, what: str) -> np.ndarray:
@@ -152,7 +157,7 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _train_config(args) -> toytrain.TrainConfig:
+def _train_config(args, seed: int) -> toytrain.TrainConfig:
     soft = args.soft
     if soft is None:  # auto: the soft-label term only exists for classification
         soft = "on" if args.head == "classification" else "off"
@@ -162,7 +167,7 @@ def _train_config(args) -> toytrain.TrainConfig:
         lr=args.lr,
         lr_decay=args.lr_decay,
         decay_every=args.decay_every,
-        seed=args.seed,
+        seed=seed,
         head=args.head,
         include_soft=(soft == "on"),
         ranking=ranking,
@@ -171,17 +176,14 @@ def _train_config(args) -> toytrain.TrainConfig:
         d_max=args.d_max,
         gamma=args.gamma,
         hidden=args.hidden,
+        features=args.features,
+        height=args.height,
+        width=args.width,
+        train_scenes=args.train_scenes,
+        eval_scenes=args.eval_scenes,
+        eta_lo=args.eta_lo,
+        eta_hi=args.eta_hi,
     )
-
-
-def _add_data_flags(p) -> None:
-    p.add_argument("--height", type=int, default=toytrain.DEFAULT_EXTENT, help="scene height (default %(default)s)")
-    p.add_argument("--width", type=int, default=toytrain.DEFAULT_EXTENT, help="scene width (default %(default)s)")
-    p.add_argument("--features", type=int, default=toytrain.DEFAULT_FEATURES, help="per-pixel feature count (default %(default)s)")
-    p.add_argument("--train-scenes", type=int, default=toytrain.DEFAULT_TRAIN_SCENES, help="training scenes (default %(default)s)")
-    p.add_argument("--eval-scenes", type=int, default=toytrain.DEFAULT_EVAL_SCENES, help="held-out scenes (default %(default)s)")
-    p.add_argument("--eta-lo", type=float, default=toytrain.DEFAULT_ETA_LO, help="noise std at the left edge (default %(default)s)")
-    p.add_argument("--eta-hi", type=float, default=toytrain.DEFAULT_ETA_HI, help="noise std at the right edge (default %(default)s)")
 
 
 def _add_depth_range_flags(p) -> None:
@@ -195,21 +197,27 @@ def _add_camera_flags(p) -> None:
     p.add_argument("--cy", type=float, default=None, help="principal point y (default: centered)")
 
 
-def _add_train_flags(p, with_seed: bool = True) -> None:
-    if with_seed:
-        p.add_argument("--seed", type=int, required=True, help="run seed (required; no wall-clock seeding)")
-    p.add_argument("--epochs", type=int, default=toytrain.TrainConfig.epochs, help="training epochs (default %(default)s)")
-    p.add_argument("--lr", type=float, default=toytrain.TrainConfig.lr, help="step size (default %(default)s)")
-    p.add_argument("--lr-decay", type=float, default=toytrain.TrainConfig.lr_decay, help="decay factor (default %(default)s)")
-    p.add_argument("--decay-every", type=int, default=toytrain.TrainConfig.decay_every, help="epochs between decays (default %(default)s)")
-    p.add_argument("--head", choices=toytrain.HEAD_KINDS, default="classification", help="model head (default %(default)s)")
+def _add_train_flags(p) -> None:
+    """The training and scene flags, one per ``TrainConfig`` field."""
+    defaults = toytrain.TrainConfig
+    p.add_argument("--epochs", type=int, default=defaults.epochs, help="training epochs (default %(default)s)")
+    p.add_argument("--lr", type=float, default=defaults.lr, help="step size (default %(default)s)")
+    p.add_argument("--lr-decay", type=float, default=defaults.lr_decay, help="decay factor (default %(default)s)")
+    p.add_argument("--decay-every", type=int, default=defaults.decay_every, help="epochs between decays (default %(default)s)")
+    p.add_argument("--head", choices=toytrain.HEAD_KINDS, default=defaults.head, help="model head (default %(default)s)")
     p.add_argument("--soft", choices=("on", "off"), default=None, help="soft-label term (default: on for the classification head)")
-    p.add_argument("--ranking", choices=RANKING_VARIANTS + ("none",), default="hinge", help="uncertainty ranking term (default %(default)s)")
-    p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="depth hypotheses (default %(default)s)")
+    p.add_argument("--ranking", choices=RANKING_VARIANTS + ("none",), default=defaults.ranking, help="uncertainty ranking term (default %(default)s)")
+    p.add_argument("--bins", type=int, default=defaults.m, help="depth hypotheses (default %(default)s)")
     _add_depth_range_flags(p)
-    p.add_argument("--gamma", type=float, default=toytrain.TrainConfig.gamma, help="soft-label sharpness (default %(default)s)")
-    p.add_argument("--hidden", type=int, default=toytrain.DEFAULT_HIDDEN, help="hidden width (default %(default)s)")
-    _add_data_flags(p)
+    p.add_argument("--gamma", type=float, default=defaults.gamma, help="soft-label sharpness (default %(default)s)")
+    p.add_argument("--hidden", type=int, default=defaults.hidden, help="hidden width (default %(default)s)")
+    p.add_argument("--height", type=int, default=defaults.height, help="scene height (default %(default)s)")
+    p.add_argument("--width", type=int, default=defaults.width, help="scene width (default %(default)s)")
+    p.add_argument("--features", type=int, default=defaults.features, help="per-pixel feature count (default %(default)s)")
+    p.add_argument("--train-scenes", type=int, default=defaults.train_scenes, help="training scenes (default %(default)s)")
+    p.add_argument("--eval-scenes", type=int, default=defaults.eval_scenes, help="held-out scenes (default %(default)s)")
+    p.add_argument("--eta-lo", type=float, default=defaults.eta_lo, help="noise std at the left edge (default %(default)s)")
+    p.add_argument("--eta-hi", type=float, default=defaults.eta_hi, help="noise std at the right edge (default %(default)s)")
 
 
 # ------------------------------------------------------------ subcommands
@@ -283,21 +291,9 @@ def cmd_scc(args) -> int:
 
 def _train_toy_model(args):
     """Build the seeded scenes, train one model; return it, its logs, the eval scenes."""
-    config = _train_config(args)
-    train_scenes, eval_scenes = toytrain.make_dataset(
-        args.train_scenes,
-        args.eval_scenes,
-        args.height,
-        args.width,
-        args.features,
-        seed=args.seed,
-        eta_lo=args.eta_lo,
-        eta_hi=args.eta_hi,
-        d_min=args.d_min,
-        d_max=args.d_max,
-    )
-    model = toytrain.init_model(config, n_features=args.features)
-    model, logs = toytrain.train(model, train_scenes, config)
+    config = _train_config(args, args.seed)
+    train_scenes, eval_scenes = toytrain.make_dataset(config)
+    model, logs = toytrain.train(toytrain.init_model(config), train_scenes, config)
     return model, logs, eval_scenes
 
 
@@ -319,19 +315,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_ablate(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    base = _train_config(argparse.Namespace(**{**vars(args), "seed": seeds[0]}))
-    rows = toytrain.ablate(
-        seeds,
-        base=base,
-        n_train=args.train_scenes,
-        n_eval=args.eval_scenes,
-        h=args.height,
-        w=args.width,
-        f=args.features,
-        eta_lo=args.eta_lo,
-        eta_hi=args.eta_hi,
-        threads=args.threads,
-    )
+    rows = toytrain.ablate(seeds, base=_train_config(args, seeds[0]), threads=args.threads)
     # timings vary run to run; keep them off disk so reruns match bytewise
     write_csv(args.out, [k for k in rows[0] if k != "train_s"], rows)
     medians = toytrain.ablation_medians(rows)
@@ -503,12 +487,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="optional CSV (scc,n)")
 
     p = add("train-toy", cmd_train_toy, "train the synthetic-scene model")
+    p.add_argument("--seed", type=int, required=True, help="run seed (required; no wall-clock seeding)")
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True, help="directory for model/, train_log.csv, eval.csv")
 
     p = add("ablate", cmd_ablate, "loss-term ablation grid over seeds")
     p.add_argument("--seeds", required=True, help="comma-separated run seeds, e.g. 0,1,2,3,4")
-    _add_train_flags(p, with_seed=False)
+    _add_train_flags(p)
     p.add_argument("--threads", type=int, default=1, help="parallel training runs (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV, one row per (config, seed)")
 
@@ -517,7 +502,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=0.5, help="affine scale (default %(default)s)")
     p.add_argument("--offset", type=float, default=0.0, help="affine offset (default %(default)s)")
     p.add_argument("--steps", type=int, default=SPARSIFICATION_STEPS, help="sparsification steps (default %(default)s)")
-    _add_train_flags(p, with_seed=False)
+    _add_train_flags(p)
     p.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
     p.add_argument("--out", help="optional CSV with both models' numbers")
 

@@ -603,8 +603,8 @@ def load_voxel_grid(basepath) -> SparseVoxelGrid:
     path = f"{base}.meta.txt"
     meta = read_keyvalue(path, required=("lo", "hi", "resolution", "deposited_mass", "voxels"))
     voxels = keyvalue_numbers(path, meta, "voxels", int)
-    vals = read_grid(f"{base}.val.duv").values.reshape(-1, 4)
-    idx = read_grid(f"{base}.idx.duv").values.reshape(-1, 3)
+    vals = read_grid(f"{base}.val.duv").reshape(-1, 4)
+    idx = read_grid(f"{base}.idx.duv").reshape(-1, 3)
     if not idx.shape[0] == vals.shape[0] == voxels:
         raise ValueError(
             f"{base}: {idx.shape[0]} index rows, {vals.shape[0]} value rows, voxels={voxels}"

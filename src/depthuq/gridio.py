@@ -25,7 +25,6 @@ file boundary.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +45,6 @@ class GridFormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class GridFile:
-    """A decoded grid: extents plus the float64 payload."""
-
-    dims: tuple[int, ...]
-    values: np.ndarray
 
 
 def write_grid(path, values) -> None:
@@ -78,8 +69,11 @@ def write_grid(path, values) -> None:
         fh.write(payload)
 
 
-def read_grid(path) -> GridFile:
-    """Parse a DUV1 file; raises GridFormatError with a byte offset."""
+def read_grid(path) -> np.ndarray:
+    """Parse a DUV1 file into a float64 array shaped by its extents.
+
+    Raises GridFormatError with a byte offset.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != MAGIC:
@@ -108,8 +102,7 @@ def read_grid(path) -> GridFile:
     if len(blob) > expected:
         raise GridFormatError("trailing bytes after payload", expected)
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=payload_at)
-    values = flat.astype(np.float64).reshape(dims)
-    return GridFile(dims=tuple(int(d) for d in dims), values=values)
+    return flat.astype(np.float64).reshape(dims)
 
 
 def valid_mask(gt) -> np.ndarray:

@@ -50,7 +50,6 @@ class PairPermutation:
     """Bijection over the valid-pixel vector used to build ranking pairs."""
 
     perm: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
@@ -68,7 +67,7 @@ class PairPermutation:
 def draw_permutation(n_valid: int, seed: int) -> PairPermutation:
     """Seeded random bijection over ``n_valid`` pixels."""
     rng = np.random.default_rng(seed)
-    return PairPermutation(rng.permutation(int(n_valid)), seed=int(seed))
+    return PairPermutation(rng.permutation(int(n_valid)))
 
 
 @dataclass

@@ -6,7 +6,8 @@ low-order polynomial lift of that depth corrupted by noise whose std
 grows left to right.  A tiny shared-weight per-pixel network (one tanh
 hidden layer) maps features to either classification logits or a
 regression latent, and plain gradient descent runs on the auto-weighted
-loss total through the exact backward pass of the losses module.
+loss total through the exact backward pass of the losses module.  One
+``TrainConfig`` describes a whole run: scenes, model and loss terms.
 
 The ablation harness reports the six loss configurations of interest
 on shared scenes, accuracy plus uncertainty quality per row; it trains
@@ -34,16 +35,11 @@ from .metrics import (
 from .uncertainty import softplus
 
 HEAD_KINDS = ("classification", "regression")
-DEFAULT_EXTENT = 32
-DEFAULT_FEATURES = 8
-DEFAULT_HIDDEN = 16
 DEFAULT_BINS = 16
 DEFAULT_D_MIN = 1.0
 DEFAULT_D_MAX = 10.0
 DEFAULT_ETA_LO = 0.02
 DEFAULT_ETA_HI = 1.0
-DEFAULT_TRAIN_SCENES = 64
-DEFAULT_EVAL_SCENES = 16
 _PERM_SEED_STRIDE = 1_000_003
 _SCENE_SEED_STRIDE = 10_007
 # box for the loss-weight parameters: a term whose value sits at float
@@ -131,28 +127,13 @@ def generate_scene(
     return SyntheticScene(gt=gt, features=feats, noise_std=std, seed=seed)
 
 
-def make_dataset(
-    n_train: int = DEFAULT_TRAIN_SCENES,
-    n_eval: int = DEFAULT_EVAL_SCENES,
-    h: int = DEFAULT_EXTENT,
-    w: int = DEFAULT_EXTENT,
-    f: int = DEFAULT_FEATURES,
-    seed: int = 0,
-    eta_lo: float = DEFAULT_ETA_LO,
-    eta_hi: float = DEFAULT_ETA_HI,
-    d_min: float = DEFAULT_D_MIN,
-    d_max: float = DEFAULT_D_MAX,
-):
-    """Disjoint train/eval scene lists, reproducible from one seed."""
-    base = seed * _SCENE_SEED_STRIDE
-    train = [
-        generate_scene(h, w, f, base + i, eta_lo, eta_hi, d_min, d_max)
-        for i in range(n_train)
-    ]
-    held = [
-        generate_scene(h, w, f, base + 100_000 + i, eta_lo, eta_hi, d_min, d_max)
-        for i in range(n_eval)
-    ]
+def make_dataset(config: TrainConfig):
+    """Disjoint train/eval scene lists of ``config``, reproducible from its seed."""
+    base = config.seed * _SCENE_SEED_STRIDE
+    size = (config.height, config.width, config.features)
+    ranges = (config.eta_lo, config.eta_hi, config.d_min, config.d_max)
+    train = [generate_scene(*size, base + i, *ranges) for i in range(config.train_scenes)]
+    held = [generate_scene(*size, base + 100_000 + i, *ranges) for i in range(config.eval_scenes)]
     return train, held
 
 
@@ -216,7 +197,15 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for one training run; loss-term switches pick the ablation row."""
+    """One toy run: its scenes, its model and its loss terms.
+
+    The loss-term switches pick the ablation row.  Each field is named
+    after the ``train-toy``/``ablate``/``demo-ause`` flag that fills it
+    (``m`` is ``--bins``, ``include_soft`` is ``--soft``).  The scene
+    fields are checked where they are used: sizes, noise and depth range
+    by ``generate_scene``, the scene counts by ``train`` and
+    ``evaluate_model``.
+    """
 
     epochs: int = 10
     lr: float = 0.2
@@ -230,7 +219,14 @@ class TrainConfig:
     d_min: float = DEFAULT_D_MIN
     d_max: float = DEFAULT_D_MAX
     gamma: float = 10.0
-    hidden: int = DEFAULT_HIDDEN
+    hidden: int = 16
+    features: int = 8
+    height: int = 32
+    width: int = 32
+    train_scenes: int = 64
+    eval_scenes: int = 16
+    eta_lo: float = DEFAULT_ETA_LO
+    eta_hi: float = DEFAULT_ETA_HI
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -256,12 +252,12 @@ class TrainConfig:
         return self.lr * self.lr_decay ** (epoch // self.decay_every)
 
 
-def init_model(config: TrainConfig, n_features: int = DEFAULT_FEATURES) -> ToyModel:
+def init_model(config: TrainConfig) -> ToyModel:
     """Small random weights, zero bias, raw scale and sigmas at zero."""
     rng = np.random.default_rng(config.seed)
     hyp = linear_hypotheses(config.d_min, config.d_max, config.m)
-    hd = config.hidden
-    w1 = rng.standard_normal((n_features, hd)) / np.sqrt(n_features)
+    hd, nf = config.hidden, config.features
+    w1 = rng.standard_normal((nf, hd)) / np.sqrt(nf)
     b1 = np.zeros(hd)
     w2 = rng.standard_normal((hd, config.m)) / np.sqrt(hd)
     w_out = None
@@ -503,8 +499,8 @@ def evaluate_model(model: ToyModel, scenes) -> EvalSummary:
         n_scenes=len(scenes),
         accuracy=acc,
         uncertainty=unc,
-        scc=_none_mean(sccs) if sccs else None,
-        noise_scc=_none_mean(noise_sccs) if noise_sccs else None,
+        scc=_none_mean(sccs),
+        noise_scc=_none_mean(noise_sccs),
         scc_missing=missing,
     )
 
@@ -530,22 +526,14 @@ ABLATION_ROWS = (
 )
 
 
-def ablate(
-    seeds,
-    base: TrainConfig | None = None,
-    n_train: int = DEFAULT_TRAIN_SCENES,
-    n_eval: int = DEFAULT_EVAL_SCENES,
-    h: int = DEFAULT_EXTENT,
-    w: int = DEFAULT_EXTENT,
-    f: int = DEFAULT_FEATURES,
-    eta_lo: float = DEFAULT_ETA_LO,
-    eta_hi: float = DEFAULT_ETA_HI,
-    threads: int = 1,
-):
+def ablate(seeds, base: TrainConfig | None = None, threads: int = 1):
     """Loss-term ablation: six configurations on shared scenes per seed.
 
-    Every configuration of one seed trains from the same initialization
-    on the same scene list, so rows differ only in the loss terms.
+    ``base`` (default ``TrainConfig()``) gives the scenes, the model and
+    the training schedule; its seed, soft-label term and ranking term
+    are set per run.  Every configuration of one seed trains from the
+    same initialization on the same scene list, so rows differ only in
+    the loss terms.
     Returns one flat dict per (configuration, seed), seeds outer and
     ``ABLATION_ROWS`` inner, in a fixed order regardless of ``threads``;
     each run is self-contained, so threading only changes wall-clock,
@@ -573,10 +561,7 @@ def ablate(
     keyed_rows = []  # (row name, run key, whether the row owns the run), in row order
     for seed in seeds:
         cfg_seed = replace(base, seed=seed)
-        train_scenes, eval_scenes = make_dataset(
-            n_train, n_eval, h, w, f, seed=seed,
-            eta_lo=eta_lo, eta_hi=eta_hi, d_min=base.d_min, d_max=base.d_max,
-        )
+        train_scenes, eval_scenes = make_dataset(cfg_seed)
         for name, soft, ranking in ABLATION_ROWS:
             # no-max has a zero gradient: it trains the ranking-free model
             key = (seed, soft, None if ranking == "no-max" else ranking)
@@ -588,7 +573,7 @@ def ablate(
 
     def run(key):
         cfg, train_scenes, eval_scenes = runs[key]
-        model = init_model(cfg, n_features=f)
+        model = init_model(cfg)
         started = time.perf_counter()
         model, _ = train(model, train_scenes, cfg)
         summary = evaluate_model(model, eval_scenes)

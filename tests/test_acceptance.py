@@ -140,7 +140,7 @@ def test_criterion_05_sparsification_oracle():
 @pytest.fixture(scope="module")
 def trained_full_model():
     cfg = TrainConfig(seed=0)
-    train_scenes, eval_scenes = make_dataset(64, 16, 32, 32, seed=0)
+    train_scenes, eval_scenes = make_dataset(cfg)
     model = init_model(cfg)
     model, _ = train(model, train_scenes, cfg)
     return pooled_errors(model, eval_scenes)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ def test_eval_reruns_byte_identical(data_dir, tmp_path, capsys):
 
 
 def test_scc_two_routes_agree(data_dir, tmp_path, capsys):
-    err = np.abs(read_grid(data_dir / "pred.duv").values - read_grid(data_dir / "gt.duv").values)
+    err = np.abs(read_grid(data_dir / "pred.duv") - read_grid(data_dir / "gt.duv"))
     write_grid(tmp_path / "err.duv", err)
     assert cli.main(["scc", "--err", str(tmp_path / "err.duv"), "--unc", str(data_dir / "unc.duv")]) == 0
     out_a = [l for l in capsys.readouterr().out.splitlines() if l.startswith("scc=")]
@@ -109,7 +111,7 @@ def test_scc_rejects_uncertainty_of_another_shape(data_dir, tmp_path, capsys):
 
 def test_scc_rejects_prediction_of_another_shape(data_dir, tmp_path, capsys):
     # a 1x10 row would broadcast over the 8x10 GT
-    write_grid(tmp_path / "pred.duv", read_grid(data_dir / "pred.duv").values[:1])
+    write_grid(tmp_path / "pred.duv", read_grid(data_dir / "pred.duv")[:1])
     rc = cli.main([
         "scc", "--pred", str(tmp_path / "pred.duv"), "--gt", str(data_dir / "gt.duv"),
         "--unc", str(data_dir / "unc.duv"), "--out", str(tmp_path / "scc.csv"),
@@ -143,7 +145,7 @@ def test_sparsify_curve_file(data_dir, tmp_path, capsys):
 
 
 def test_nonfinite_prediction_exits_one(data_dir, tmp_path, capsys):
-    pred = read_grid(data_dir / "pred.duv").values.copy()
+    pred = read_grid(data_dir / "pred.duv").copy()
     pred[2, 2] = np.nan
     write_grid(tmp_path / "pred_nan.duv", pred)
     common = ["--pred", str(tmp_path / "pred_nan.duv"), "--gt", str(data_dir / "gt.duv"),
@@ -161,14 +163,14 @@ def _eval_argv(data_dir, vol, out):
 
 
 def test_eval_rejects_volume_of_other_pixel_shape(data_dir, tmp_path, capsys):
-    write_grid(tmp_path / "half.duv", read_grid(data_dir / "vol.duv").values[:4])
+    write_grid(tmp_path / "half.duv", read_grid(data_dir / "vol.duv")[:4])
     assert cli.main(_eval_argv(data_dir, tmp_path / "half.duv", tmp_path / "e.csv")) == 1
     assert "error: volume pixels (4, 10) vs gt (8, 10)" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
 
 
 def test_eval_rejects_negative_volume_entry(data_dir, tmp_path, capsys):
-    vol = read_grid(data_dir / "vol.duv").values.copy()
+    vol = read_grid(data_dir / "vol.duv").copy()
     vol[3, 4, 2] = -0.5
     write_grid(tmp_path / "neg.duv", vol)
     assert cli.main(_eval_argv(data_dir, tmp_path / "neg.duv", tmp_path / "e.csv")) == 1
@@ -189,7 +191,7 @@ def test_eval_writes_empty_log_cells_without_positive_prediction(data_dir, tmp_p
     assert "nan" not in row
 
 
-def test_config_file_preloads_and_flags_win(data_dir, tmp_path):
+def test_config_file_preloads_and_flags_win(data_dir, tmp_path, capsys):
     cfg = tmp_path / "sparsify.cfg"
     cfg.write_text("# curve defaults\nmetric=rel\nsteps=25\n")
     out = tmp_path / "c.csv"
@@ -200,6 +202,18 @@ def test_config_file_preloads_and_flags_win(data_dir, tmp_path):
     ])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 6  # explicit --steps overrode the file
+    banner = capsys.readouterr().out.splitlines()[0]
+    assert f" config={cfg} " in banner and " metric=rel " in banner
+    # every file read is named, in the order given
+    other = tmp_path / "other.cfg"
+    other.write_text("metric=delta1err\n")
+    rc = cli.main([
+        "sparsify", "--config", str(cfg), f"--config={other}", "--pred", str(data_dir / "pred.duv"),
+        "--gt", str(data_dir / "gt.duv"), "--unc", str(data_dir / "unc.duv"), "--out", str(out),
+    ])
+    assert rc == 0
+    banner = capsys.readouterr().out.splitlines()[0]
+    assert f" config={cfg},{other} " in banner and " metric=delta1err " in banner
 
 
 def test_config_file_syntax_error(data_dir, tmp_path, capsys):
@@ -238,7 +252,7 @@ def test_train_toy_writes_artifacts(tmp_path):
     manifest = read_keyvalue(out_dir / "model" / "manifest.txt")
     assert set(manifest) == {"head", "raw_scale", "d_min", "d_max", "m"}
     assert manifest["head"] == "classification" and manifest["m"] == "16"
-    shapes = {p.stem: read_grid(p).values.shape for p in (out_dir / "model").glob("*.duv")}
+    shapes = {p.stem: read_grid(p).shape for p in (out_dir / "model").glob("*.duv")}
     assert shapes == {"w1": (8, 16), "b1": (16,), "w2": (16, 16), "sigma": (3,)}
     log_lines = (out_dir / "train_log.csv").read_text().splitlines()
     assert log_lines[0].startswith("epoch,lr,total")
@@ -272,16 +286,16 @@ def test_combine_and_entropy(data_dir, tmp_path):
         "--out", str(out), "--entropy-out", str(ent),
     ])
     assert rc == 0
-    a = read_grid(data_dir / "vol.duv").values
-    b = read_grid(data_dir / "vol2.duv").values
-    got = read_grid(out).values
+    a = read_grid(data_dir / "vol.duv")
+    b = read_grid(data_dir / "vol2.duv")
+    got = read_grid(out)
     np.testing.assert_allclose(got, ((a + b) / 2.0).astype(np.float32), atol=1e-7)
-    assert read_grid(ent).values.shape == (8, 10)
+    assert read_grid(ent).shape == (8, 10)
 
 
 def test_combine_rejects_before_writing_either_file(data_dir, tmp_path, capsys):
     # every input is checked, with or without --entropy-out
-    vol = read_grid(data_dir / "vol.duv").values.copy()
+    vol = read_grid(data_dir / "vol.duv").copy()
     vol[0, 0, 0] = -0.5
     write_grid(tmp_path / "neg.duv", vol)
     for entropy in ([], ["--entropy-out", str(tmp_path / "e.duv")]):
@@ -328,12 +342,12 @@ def _add_meta_line(base, line):
 
 def _drop_value_row(base):
     val = base.with_name(base.name + ".val.duv")
-    write_grid(val, read_grid(val).values[1:])
+    write_grid(val, read_grid(val)[1:])
 
 
 def _edit_index_rows(base, edit):
     path = base.with_name(base.name + ".idx.duv")
-    idx = read_grid(path).values
+    idx = read_grid(path)
     edit(idx)
     write_grid(path, idx)
 
@@ -522,6 +536,7 @@ def test_resolved_config_banner(data_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("resolved config:")
     assert "metric=rmse" in out
+    assert " config=None " in out
 
 
 def _option(subcommand, dest):
@@ -539,3 +554,30 @@ def test_defaults_and_choices_come_from_the_library():
         assert _option(subcommand, "d_max").default == toytrain.DEFAULT_D_MAX
     assert _option("voxelize", "bins").default == toytrain.DEFAULT_BINS
     assert _option("voxelize", "resolution").default == str(frustum.DEFAULT_RESOLUTION)
+    # each training and scene flag defaults to the TrainConfig field it fills
+    fields = {f.name for f in dataclasses.fields(toytrain.TrainConfig)}
+    fields -= {"seed", "include_soft"}  # --seed/--seeds and the auto --soft
+    given = {"train-toy": ["--seed", "0", "--out-dir", "x"], "ablate": ["--seeds", "0", "--out", "x"],
+             "demo-ause": ["--transform", "square"]}
+    for subcommand, argv in given.items():
+        for name in fields:
+            flag = "bins" if name == "m" else name
+            assert _option(subcommand, flag).default == getattr(toytrain.TrainConfig, name), (subcommand, flag)
+        # and with every flag at its default, the config is TrainConfig's own
+        args = cli.build_parser().parse_args([subcommand, *argv])
+        assert cli._train_config(args, 0) == toytrain.TrainConfig()
+
+
+def test_every_training_and_scene_flag_fills_its_field():
+    given = {
+        "epochs": 3, "lr": 0.5, "lr_decay": 0.5, "decay_every": 3, "head": "regression",
+        "ranking": "no-max", "bins": 9, "d_min": 2.0, "d_max": 8.0, "gamma": 4.0, "hidden": 5,
+        "height": 7, "width": 6, "features": 3, "train_scenes": 2, "eval_scenes": 1,
+        "eta_lo": 0.1, "eta_hi": 0.3,
+    }
+    argv = ["ablate", "--seeds", "4", "--out", "x", "--soft", "off"]
+    for dest, value in given.items():
+        argv += [f"--{dest.replace('_', '-')}", str(value)]
+    config = cli._train_config(cli.build_parser().parse_args(argv), 4)
+    fields = {("m" if dest == "bins" else dest): value for dest, value in given.items()}
+    assert config == toytrain.TrainConfig(seed=4, include_soft=False, **fields)

@@ -23,16 +23,17 @@ def test_round_trip_2x3(tmp_path):
     values = np.arange(6, dtype=np.float64).reshape(2, 3)
     write_grid(path, values)
     back = read_grid(path)
-    assert back.dims == (2, 3)
-    np.testing.assert_array_equal(back.values, values)
+    assert back.shape == (2, 3)
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, values)
 
 
 def test_round_trip_singleton(tmp_path):
     path = tmp_path / "one.duv"
     write_grid(path, np.full((1, 1, 1), 3.5))
     back = read_grid(path)
-    assert back.dims == (1, 1, 1)
-    assert back.values.reshape(-1)[0] == 3.5
+    assert back.shape == (1, 1, 1)
+    assert back.reshape(-1)[0] == 3.5
 
 
 def test_bad_magic(tmp_path):
@@ -86,7 +87,7 @@ def test_nan_payload_survives(tmp_path):
     path = tmp_path / "nan.duv"
     values = np.array([1.0, np.nan, -3.0])
     write_grid(path, values)
-    back = read_grid(path).values
+    back = read_grid(path)
     assert np.isnan(back[1]) and back[0] == 1.0 and back[2] == -3.0
 
 
@@ -103,7 +104,7 @@ def test_round_trip_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "g.duv"
     arr = np.array(values, dtype=np.float32).astype(np.float64)
     write_grid(path, arr)
-    np.testing.assert_array_equal(read_grid(path).values, arr)
+    np.testing.assert_array_equal(read_grid(path), arr)
 
 
 def test_valid_mask_convention():

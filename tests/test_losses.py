@@ -200,7 +200,6 @@ def test_draw_permutation_deterministic():
     a = draw_permutation(50, 123)
     b = draw_permutation(50, 123)
     np.testing.assert_array_equal(a.perm, b.perm)
-    assert a.seed == 123
 
 
 def test_auto_weighted_unit_sigmas():

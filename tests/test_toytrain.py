@@ -22,7 +22,6 @@ from depthuq.losses import (
 from depthuq.toytrain import (
     _PERM_SEED_STRIDE,
     ABLATION_ROWS,
-    DEFAULT_FEATURES,
     HEAD_KINDS,
     SIGMA_BOUND,
     EpochLog,
@@ -47,7 +46,7 @@ from depthuq.uncertainty import sigmoid, softplus
 
 @pytest.fixture(scope="module")
 def tiny_data():
-    return make_dataset(6, 2, 8, 8, seed=4)
+    return make_dataset(TrainConfig(train_scenes=6, eval_scenes=2, height=8, width=8, seed=4))
 
 
 def _targets(model, scene, config):
@@ -102,10 +101,21 @@ def test_feature_noise_grows_rightward():
 
 
 def test_make_dataset_split_disjoint():
-    train_scenes, eval_scenes = make_dataset(3, 2, 8, 8, seed=1)
+    # every scene field of the config reaches generate_scene
+    cfg = TrainConfig(
+        seed=3, train_scenes=3, eval_scenes=2, height=6, width=9, features=3,
+        eta_lo=0.1, eta_hi=0.4, d_min=2.0, d_max=7.0,
+    )
+    train_scenes, eval_scenes = make_dataset(cfg)
     assert len(train_scenes) == 3 and len(eval_scenes) == 2
     train_seeds = {s.seed for s in train_scenes}
     assert train_seeds.isdisjoint({s.seed for s in eval_scenes})
+    for scene in train_scenes + eval_scenes:
+        want = generate_scene(6, 9, 3, scene.seed, 0.1, 0.4, 2.0, 7.0)
+        assert scene.gt.tobytes() == want.gt.tobytes()
+        assert scene.features.tobytes() == want.features.tobytes()
+        assert scene.noise_std.tobytes() == want.noise_std.tobytes()
+    assert init_model(cfg).n_features == 3
 
 
 def test_config_validation():
@@ -219,8 +229,8 @@ def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
 
 
 def test_training_reduces_loss():
-    train_scenes, _ = make_dataset(16, 2, 16, 16, seed=2)
-    cfg = TrainConfig(epochs=6, seed=2)
+    cfg = TrainConfig(epochs=6, seed=2, train_scenes=16, eval_scenes=2, height=16, width=16)
+    train_scenes, _ = make_dataset(cfg)
     model, logs = train(init_model(cfg), train_scenes, cfg)
     assert logs[-1].mean_total < logs[0].mean_total
     assert [lg.epoch for lg in logs] == list(range(6))
@@ -403,8 +413,11 @@ def test_readout_masks_invalid_gt():
 
 
 def test_regression_head_diverges_at_huge_lr(tiny_data):
-    train_scenes, _ = make_dataset(4, 2, 8, 8, seed=0)
-    cfg = TrainConfig(epochs=4, lr=1e20, seed=0, head="regression", include_soft=False)
+    cfg = TrainConfig(
+        epochs=4, lr=1e20, seed=0, head="regression", include_soft=False,
+        train_scenes=4, eval_scenes=2, height=8, width=8,
+    )
+    train_scenes, _ = make_dataset(cfg)
     m = init_model(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as exc:
@@ -463,7 +476,7 @@ def test_save_model_bundle(tmp_path, head):
     assert {p.stem for p in (tmp_path / "m").glob("*.duv")} == names
     for name in names:
         np.testing.assert_array_equal(
-            read_grid(tmp_path / "m" / f"{name}.duv").values,
+            read_grid(tmp_path / "m" / f"{name}.duv"),
             getattr(m, name).astype(np.float32).astype(np.float64),
         )
     manifest = read_keyvalue(tmp_path / "m" / "manifest.txt")
@@ -471,13 +484,12 @@ def test_save_model_bundle(tmp_path, head):
 
 
 def test_ablate_rows_and_thread_equivalence():
-    base = TrainConfig(epochs=2)
-    kwargs = dict(base=base, n_train=3, n_eval=2, h=8, w=8)
-    rows = ablate([0], **kwargs)
+    base = TrainConfig(epochs=2, train_scenes=3, eval_scenes=2, height=8, width=8)
+    rows = ablate([0], base=base)
     assert [r["config"] for r in rows] == [name for name, _, _ in ABLATION_ROWS]
     assert all(r["seed"] == 0 for r in rows)
     assert all("scc" in r and "rmse" in r and "train_s" in r for r in rows)
-    threaded = ablate([0], threads=3, **kwargs)
+    threaded = ablate([0], base=base, threads=3)
     for a, b in zip(rows, threaded):
         a = {k: v for k, v in a.items() if k != "train_s"}
         b = {k: v for k, v in b.items() if k != "train_s"}
@@ -487,7 +499,7 @@ def test_ablate_rows_and_thread_equivalence():
 @pytest.mark.parametrize("threads", [0, -3])
 def test_ablate_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        ablate([0], threads=threads, n_train=1, n_eval=1, h=8, w=8)
+        ablate([0], threads=threads)
 
 
 def test_ablation_medians():
@@ -638,7 +650,9 @@ def test_soft_labels_built_once_per_scene_and_run(tiny_data, monkeypatch, soft):
 def test_no_max_row_equals_depth_soft_row():
     # the no-max gradient is exactly zero, so the weights train as without a
     # ranking term; ablate reuses the depth_soft run for the full_nomax row
-    train_scenes, eval_scenes = make_dataset(3, 2, 8, 8, seed=0)
+    train_scenes, eval_scenes = make_dataset(
+        TrainConfig(train_scenes=3, eval_scenes=2, height=8, width=8)
+    )
     train_scenes[1] = _with_invalid_gt(train_scenes[1], (0, 0), (3, 5))
     eval_scenes[0] = _with_invalid_gt(eval_scenes[0], (2, 2))
     models, rows = {}, {}
@@ -655,8 +669,7 @@ def test_no_max_row_equals_depth_soft_row():
 
 
 def test_ablate_trains_each_distinct_model_once(monkeypatch):
-    base = TrainConfig(epochs=1)
-    sizes = dict(n_train=2, n_eval=1, h=8, w=8)
+    base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
     original = depthuq.toytrain.train
     calls = []
 
@@ -665,13 +678,13 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
         return original(model, scenes, config)
 
     monkeypatch.setattr(depthuq.toytrain, "train", counted)
-    ablate([0], base=base, **sizes)
+    ablate([0], base=base)
     assert len(calls) == 5
     seeds = [3, 1]
     by_threads = {}
     for threads in (1, 2):
         calls.clear()
-        by_threads[threads] = ablate(seeds, base=base, threads=threads, **sizes)
+        by_threads[threads] = ablate(seeds, base=base, threads=threads)
         assert len(calls) == 10 and len(set(calls)) == 10
         assert "no-max" not in {ranking for _, _, ranking in calls}
     rows = by_threads[1]
@@ -681,7 +694,7 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
     assert [r["train_s"] is None for r in rows] == [r["config"] == "full_nomax" for r in rows]
     # every row equals its own configuration trained and evaluated directly
     for seed in seeds:
-        train_scenes, eval_scenes = make_dataset(seed=seed, **sizes)
+        train_scenes, eval_scenes = make_dataset(replace(base, seed=seed))
         for name, soft, ranking in ABLATION_ROWS:
             cfg = replace(base, seed=seed, include_soft=soft, ranking=ranking)
             model, _ = original(init_model(cfg), train_scenes, cfg)
@@ -696,11 +709,11 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
 
 def test_ablate_rejects_repeated_seed():
     with pytest.raises(ValueError, match="repeated seed"):
-        ablate([0, 1, 0], n_train=1, n_eval=1, h=8, w=8)
+        ablate([0, 1, 0])
 
 
 def test_forward_is_the_hidden_layer_and_head_forward():
-    scene = generate_scene(6, 5, DEFAULT_FEATURES, seed=4)
+    scene = generate_scene(6, 5, TrainConfig.features, seed=4)
     for head in HEAD_KINDS:
         cfg = TrainConfig(head=head, include_soft=head == "classification", seed=2)
         m = init_model(cfg)
