@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,8 @@ def _load_config_tokens(path) -> list[str]:
         pairs = read_keyvalue(path)
     except OSError as exc:
         raise CLIError(f"cannot read config file {path}: {exc}") from exc
+    if "config" in pairs:  # its token would never be read
+        raise CLIError(f"config file {path}: a config file cannot name another (config=)")
     return [tok for key, value in pairs.items() for tok in (f"--{key.replace('_', '-')}", value)]
 
 
@@ -161,29 +164,15 @@ def _train_config(args, seed: int) -> toytrain.TrainConfig:
     soft = args.soft
     if soft is None:  # auto: the soft-label term only exists for classification
         soft = "on" if args.head == "classification" else "off"
-    ranking = None if args.ranking == "none" else args.ranking
-    return toytrain.TrainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        lr_decay=args.lr_decay,
-        decay_every=args.decay_every,
+    spelled = dict(
         seed=seed,
-        head=args.head,
-        include_soft=(soft == "on"),
-        ranking=ranking,
         m=args.bins,
-        d_min=args.d_min,
-        d_max=args.d_max,
-        gamma=args.gamma,
-        hidden=args.hidden,
-        features=args.features,
-        height=args.height,
-        width=args.width,
-        train_scenes=args.train_scenes,
-        eval_scenes=args.eval_scenes,
-        eta_lo=args.eta_lo,
-        eta_hi=args.eta_hi,
+        include_soft=(soft == "on"),
+        ranking=None if args.ranking == "none" else args.ranking,
     )
+    # every other field has a flag of its own name
+    named = (f.name for f in fields(toytrain.TrainConfig) if f.name not in spelled)
+    return toytrain.TrainConfig(**{name: getattr(args, name) for name in named}, **spelled)
 
 
 def _add_depth_range_flags(p) -> None:

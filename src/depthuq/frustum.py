@@ -168,6 +168,8 @@ class SparseVoxelGrid:
         res = tuple(int(n) for n in self.resolution)
         if lo.shape != (3,) or hi.shape != (3,):
             raise ValueError("bounds must be 3-vectors")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("bounds must be finite")
         if np.any(hi <= lo):
             raise ValueError("upper bound must exceed lower bound")
         if len(res) != 3 or any(n < 2 for n in res):
@@ -180,9 +182,10 @@ class SparseVoxelGrid:
         seen[np.ravel_multi_index(tuple(idx.T), res)] = True
         if np.count_nonzero(seen) != idx.shape[0]:
             raise ValueError("duplicate voxel index")
-        if np.any(alpha <= ALPHA_EPSILON) or np.any(alpha > 1.0):
+        # written as "all inside" so that NaN fails too
+        if not np.all((alpha > ALPHA_EPSILON) & (alpha <= 1.0)):
             raise ValueError(f"stored alphas must lie in ({ALPHA_EPSILON}, 1]")
-        if np.any(color < 0.0) or np.any(color > 1.0):
+        if not np.all((color >= 0.0) & (color <= 1.0)):
             raise ValueError("colors must lie in [0, 1]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -597,7 +600,9 @@ def load_voxel_grid(basepath) -> SparseVoxelGrid:
     The error names the bundle: rows that disagree in count or with
     ``voxels=``, a voxel index that is not an integer, and every check of
     ``SparseVoxelGrid`` (duplicate or out-of-range indices among them).
-    Voxels whose stored alpha fell to ``ALPHA_EPSILON`` are dropped.
+    Stored values are not clipped: NaN, an alpha above 1, a color outside
+    [0, 1] and non-finite bounds are errors.  Voxels whose positive alpha
+    fell to ``ALPHA_EPSILON`` are dropped.
     """
     base = Path(basepath)
     path = f"{base}.meta.txt"
@@ -613,11 +618,11 @@ def load_voxel_grid(basepath) -> SparseVoxelGrid:
         ints = idx.astype(np.int64)
     if not np.array_equal(ints, idx):
         raise ValueError(f"{base}.idx.duv: voxel indices must be integers")
-    alpha = np.clip(vals[:, 0], None, 1.0)
-    color = np.clip(vals[:, 1:], 0.0, 1.0)
-    idx = ints
-    keep = alpha > ALPHA_EPSILON  # float32 storage can nudge threshold stragglers
-    if not keep.all():
+    idx, alpha, color = ints, vals[:, 0], vals[:, 1:]
+    # float32 storage can nudge a saved alpha down onto the threshold
+    straggler = (alpha > 0.0) & (alpha <= ALPHA_EPSILON)
+    if straggler.any():
+        keep = ~straggler
         idx, alpha, color = idx[keep], alpha[keep], color[keep]
     lo = np.array(keyvalue_numbers(path, meta, "lo", float, 3))
     hi = np.array(keyvalue_numbers(path, meta, "hi", float, 3))

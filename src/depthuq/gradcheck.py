@@ -9,8 +9,10 @@ form.  The comparison is scaled: a check entry passes when
 The ranking error branch is treated as a constant by the analytic
 code, so the numeric oracle freezes that branch at the base point
 before perturbing; otherwise the two sides legitimately disagree.
-Instances are redrawn when any absolute-value or hinge kink sits too
-close to the evaluation point, where a finite difference is invalid.
+Redraw rule: a check redraws its instance until every absolute-value
+or hinge kink lies more than ``KINK_CLEARANCE`` from the evaluation
+point, where a finite difference is invalid, and keeps the last of
+``MAX_REDRAWS`` draws if none does.
 
 The numeric side of every total check differentiates
 ``losses.head_forward``, whose decode both evaluation and
@@ -42,9 +44,10 @@ from .losses import (
 DEFAULT_STEP = 1e-6
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_ABS_TOL = 1e-8
-# evaluation points closer than this to a kink are redrawn
 KINK_CLEARANCE = 1e-4
 MAX_REDRAWS = 200
+# hypotheses of every instance; the regression decode ignores them
+_HYP = linear_hypotheses(1.0, 10.0, 4)
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,15 @@ def scaled_error(analytic, numeric, rel_tol: float = DEFAULT_REL_TOL, abs_tol: f
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
+def _redraw(rng, draw):
+    """Draw under the redraw rule; ``draw(rng)`` returns (instance, kink distances)."""
+    for _ in range(MAX_REDRAWS):
+        instance, kinks = draw(rng)
+        if np.min(np.abs(kinks)) > KINK_CLEARANCE:
+            break
+    return instance
+
+
 def _mask_with_min(rng, shape, min_valid: int) -> np.ndarray:
     for _ in range(MAX_REDRAWS):
         mask = rng.random(shape) < 0.8
@@ -109,51 +121,44 @@ def _margins(r, u, perm):
     return (r - r[perm]) - (u - u[perm])
 
 
+def _term_gradients(term, x):
+    """``term(x).grad`` and the central difference of ``term(x).value``."""
+    return term(x).grad, central_difference(lambda v: term(v).value, x)
+
+
 def _check_depth_l1(rng):
-    shape = (3, 4)
-    for _ in range(MAX_REDRAWS):
-        mask = _mask_with_min(rng, shape, 2)
-        gt = rng.uniform(0.5, 9.5, shape)
-        pred = gt + rng.uniform(-2.0, 2.0, shape)
-        if np.min(np.abs((pred - gt)[mask])) > KINK_CLEARANCE:
-            break
-    pred, gt = pred[mask], gt[mask]
-    analytic = depth_l1(pred, gt).grad
-    numeric = central_difference(lambda x: depth_l1(x, gt).value, pred)
-    return analytic, numeric
+    def draw(rng):
+        mask = _mask_with_min(rng, (3, 4), 2)
+        gt = rng.uniform(0.5, 9.5, mask.shape)
+        pred = gt + rng.uniform(-2.0, 2.0, mask.shape)
+        return (pred[mask], gt[mask]), (pred - gt)[mask]
+
+    pred, gt = _redraw(rng, draw)
+    return _term_gradients(lambda x: depth_l1(x, gt), pred)
 
 
 def _check_soft_label_l1(rng):
-    hyp = linear_hypotheses(1.0, 10.0, 4)
-    shape = (3, 4)
-    for _ in range(MAX_REDRAWS):
-        mask = _mask_with_min(rng, shape, 2)
-        gt = rng.uniform(1.2, 9.8, shape)
-        vol = softmax_volume(rng.normal(size=shape + (4,)))
-        y = soft_labels(hyp, gt).values
-        if np.min(np.abs((y - vol)[mask])) > KINK_CLEARANCE:
-            break
-    vol, y = vol[mask], y[mask]
-    analytic = soft_label_l1(vol, y).grad
-    numeric = central_difference(lambda x: soft_label_l1(x, y).value, vol)
-    return analytic, numeric
+    def draw(rng):
+        mask = _mask_with_min(rng, (3, 4), 2)
+        gt = rng.uniform(1.2, 9.8, mask.shape)
+        vol = softmax_volume(rng.normal(size=mask.shape + (4,)))[mask]
+        y = soft_labels(_HYP, gt).values[mask]
+        return (vol, y), y - vol
+
+    vol, y = _redraw(rng, draw)
+    return _term_gradients(lambda x: soft_label_l1(x, y), vol)
 
 
 def _check_ranking(rng, variant):
-    n = 12
-    for _ in range(MAX_REDRAWS):
-        err = np.abs(rng.normal(size=n)) + 0.05
-        unc = rng.normal(size=n)
-        perm = draw_permutation(n, int(rng.integers(1 << 30)))
-        if variant == "l1-direct":
-            clear = np.min(np.abs(err - unc)) > KINK_CLEARANCE
-        else:
-            clear = np.min(np.abs(_margins(err, unc, perm.perm))) > KINK_CLEARANCE
-        if clear:
-            break
-    analytic = ranking_loss_variants(err, unc, perm, variant).grad
-    numeric = central_difference(lambda u: ranking_loss_variants(err, u, perm, variant).value, unc)
-    return analytic, numeric
+    def draw(rng):
+        err = np.abs(rng.normal(size=12)) + 0.05
+        unc = rng.normal(size=12)
+        perm = draw_permutation(12, int(rng.integers(1 << 30)))
+        kinks = err - unc if variant == "l1-direct" else _margins(err, unc, perm.perm)
+        return (err, unc, perm), kinks
+
+    err, unc, perm = _redraw(rng, draw)
+    return _term_gradients(lambda u: ranking_loss_variants(err, u, perm, variant), unc)
 
 
 def _total_forward(z, a, sigma, hyp, targets, perm, frozen_err, readout=None):
@@ -171,66 +176,38 @@ def _total_forward(z, a, sigma, hyp, targets, perm, frozen_err, readout=None):
     return auto_weighted_total([v_r, v_p, v_u], sigma, (True, soft, True))[0]
 
 
-def _full_instance(rng):
-    hyp = linear_hypotheses(1.0, 10.0, 4)
-    shape = (2, 2)
-    for _ in range(MAX_REDRAWS):
-        mask = _mask_with_min(rng, shape, 3)
-        gt = rng.uniform(1.2, 9.8, shape)
-        z = rng.normal(size=shape + (4,))
-        a = float(rng.normal())
-        sigma = rng.normal(scale=0.5, size=3)
-        perm = draw_permutation(int(mask.sum()), int(rng.integers(1 << 30)))
+def _draw_total(rng, regression):
+    """One 2x2 instance for either head, with its kink distances.
 
-        depth, unc, p = head_forward(z, a, hyp)
-        resid = (depth - gt)[mask]
-        y = soft_labels(hyp, gt).values
-        m = _margins(np.abs(resid), unc[mask], perm.perm)
-        clear = (
-            np.min(np.abs(resid)) > KINK_CLEARANCE
-            and np.min(np.abs((y - p)[mask])) > KINK_CLEARANCE
-            and np.min(np.abs(m)) > KINK_CLEARANCE
-        )
-        if clear:
-            break
-    return dict(z=z, a=a, sigma=sigma, readout=None), hyp, mask, gt, perm, np.abs(resid)
-
-
-def _regression_instance(rng):
-    shape = (2, 2)
-    latent = 4
-    hyp = linear_hypotheses(1.0, 10.0, latent)  # unused by the regression decode
-    for _ in range(MAX_REDRAWS):
-        mask = _mask_with_min(rng, shape, 3)
-        gt = rng.uniform(1.2, 9.8, shape)
-        # readout depths near the GT range, so residuals take both signs
-        z = rng.normal(loc=1.5, size=shape + (latent,))
-        w_out = rng.uniform(0.2, 1.5, size=latent)
-        a = float(rng.normal())
-        sigma = rng.normal(scale=0.5, size=3)
-        perm = draw_permutation(int(mask.sum()), int(rng.integers(1 << 30)))
-
-        depth, unc, _ = head_forward(z, a, hyp, w_out)
-        resid = (depth - gt)[mask]
-        m = _margins(np.abs(resid), unc[mask], perm.perm)
-        if np.min(np.abs(resid)) > KINK_CLEARANCE and np.min(np.abs(m)) > KINK_CLEARANCE:
-            break
-    return dict(z=z, a=a, sigma=sigma, readout=w_out), hyp, mask, gt, perm, np.abs(resid)
-
-
-def _check_total(rng, build, wrt):
-    """``full_backward``'s gradient wrt input ``wrt`` against the forward total.
-
-    ``build`` draws the instance: ``_full_instance`` for the
-    classification head, ``_regression_instance`` for the regression head.
+    The regression latent is centred at 1.5 so readout depths land in
+    the GT range and residuals take both signs; its soft-label term is
+    off, so only the classification head has the soft-label kinks.
     """
-    inputs, hyp, mask, gt, perm, frozen = build(rng)
-    gamma = DEFAULT_GAMMA if inputs["readout"] is None else None
-    targets = loss_targets(hyp, np.where(mask, gt, np.nan), gamma)
-    report = full_backward(hyp=hyp, targets=targets, perm=perm, **inputs)
+    mask = _mask_with_min(rng, (2, 2), 3)
+    gt = rng.uniform(1.2, 9.8, mask.shape)
+    z = rng.normal(loc=1.5 if regression else 0.0, size=mask.shape + (4,))
+    readout = rng.uniform(0.2, 1.5, size=4) if regression else None
+    a = float(rng.normal())
+    sigma = rng.normal(scale=0.5, size=3)
+    perm = draw_permutation(int(mask.sum()), int(rng.integers(1 << 30)))
+
+    depth, unc, p = head_forward(z, a, _HYP, readout)
+    resid = (depth - gt)[mask]
+    kinks = [resid, _margins(np.abs(resid), unc[mask], perm.perm)]
+    if not regression:
+        kinks.append((soft_labels(_HYP, gt).values - p)[mask].ravel())
+    inputs = dict(z=z, a=a, sigma=sigma, readout=readout)
+    return (inputs, mask, gt, perm, np.abs(resid)), np.concatenate(kinks)
+
+
+def _check_total(rng, regression, wrt):
+    """``full_backward``'s gradient wrt input ``wrt`` against the forward total."""
+    inputs, mask, gt, perm, frozen = _redraw(rng, lambda rng: _draw_total(rng, regression))
+    targets = loss_targets(_HYP, np.where(mask, gt, np.nan), None if regression else DEFAULT_GAMMA)
+    report = full_backward(hyp=_HYP, targets=targets, perm=perm, **inputs)
     numeric = central_difference(
         lambda x: _total_forward(
-            hyp=hyp, targets=targets, perm=perm, frozen_err=frozen, **{**inputs, wrt: x}
+            hyp=_HYP, targets=targets, perm=perm, frozen_err=frozen, **{**inputs, wrt: x}
         ),
         inputs[wrt],
     )
@@ -251,11 +228,11 @@ _CHECKS = (
     ("ranking_hinge_wrt_unc", lambda rng: _check_ranking(rng, "hinge")),
     ("ranking_no_max_wrt_unc", lambda rng: _check_ranking(rng, "no-max")),
     ("ranking_l1_direct_wrt_unc", lambda rng: _check_ranking(rng, "l1-direct")),
-    ("total_wrt_logits", lambda rng: _check_total(rng, _full_instance, "z")),
-    ("total_wrt_entropy_scale", lambda rng: _check_total(rng, _full_instance, "a")),
-    ("total_wrt_sigma", lambda rng: _check_total(rng, _full_instance, "sigma")),
-    ("regression_total_wrt_latent", lambda rng: _check_total(rng, _regression_instance, "z")),
-    ("regression_total_wrt_readout", lambda rng: _check_total(rng, _regression_instance, "readout")),
+    ("total_wrt_logits", lambda rng: _check_total(rng, False, "z")),
+    ("total_wrt_entropy_scale", lambda rng: _check_total(rng, False, "a")),
+    ("total_wrt_sigma", lambda rng: _check_total(rng, False, "sigma")),
+    ("regression_total_wrt_latent", lambda rng: _check_total(rng, True, "z")),
+    ("regression_total_wrt_readout", lambda rng: _check_total(rng, True, "readout")),
     ("auto_total_wrt_sigma", _check_auto_total),
 )
 

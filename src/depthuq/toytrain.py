@@ -202,9 +202,9 @@ class TrainConfig:
     The loss-term switches pick the ablation row.  Each field is named
     after the ``train-toy``/``ablate``/``demo-ause`` flag that fills it
     (``m`` is ``--bins``, ``include_soft`` is ``--soft``).  The scene
-    fields are checked where they are used: sizes, noise and depth range
-    by ``generate_scene``, the scene counts by ``train`` and
-    ``evaluate_model``.
+    counts are checked here, so a run with no scenes fails before it
+    trains; sizes, noise and depth range are checked where they are
+    used, by ``generate_scene``.
     """
 
     epochs: int = 10
@@ -233,6 +233,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.hidden < 1:
             raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
+        if self.train_scenes < 1:
+            raise ValueError("need at least one training scene")
+        if self.eval_scenes < 1:
+            raise ValueError("need at least one evaluation scene")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be a finite number > 0, got {self.lr}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):

@@ -228,6 +228,16 @@ def test_config_file_syntax_error(data_dir, tmp_path, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
+def test_config_file_cannot_name_another(tmp_path, capsys):
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text("config=missing.cfg\n")
+    rc = cli.main(["train-toy", "--seed", "0", "--config", str(cfg), "--out-dir", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and str(cfg) in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_file_last_line_wins(data_dir, tmp_path, capsys):
     # d-min and d_min name one flag: the line read last decides, as the
     # last of repeated flags does on the command line
@@ -276,6 +286,22 @@ def test_ablate_tiny_grid(tmp_path):
     assert len(lines) == 7  # 6 configurations, one seed
     assert "train_s" not in lines[0]
     assert lines[1].startswith("depth_only,0,")
+
+
+@pytest.mark.parametrize("counts, message", [
+    (["--train-scenes", "0"], "need at least one training scene"),
+    (["--eval-scenes", "0"], "need at least one evaluation scene"),
+], ids=["train", "eval"])
+def test_ablate_zero_scene_count_fails_before_training(tmp_path, capsys, monkeypatch, counts, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a model")
+
+    monkeypatch.setattr(toytrain, "train", no_training)
+    rc = cli.main(["ablate", "--seeds", "0", *counts, "--out", str(tmp_path / "rows.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_combine_and_entropy(data_dir, tmp_path):
@@ -345,11 +371,17 @@ def _drop_value_row(base):
     write_grid(val, read_grid(val)[1:])
 
 
-def _edit_index_rows(base, edit):
-    path = base.with_name(base.name + ".idx.duv")
-    idx = read_grid(path)
-    edit(idx)
-    write_grid(path, idx)
+def _edit_rows(base, part, edit):
+    path = base.with_name(f"{base.name}.{part}.duv")
+    rows = read_grid(path)
+    edit(rows)
+    write_grid(path, rows)
+
+
+def _set_first_value(column, value):
+    def edit(vals):
+        vals[0, column] = value
+    return edit
 
 
 def _fractional_index(idx):
@@ -367,10 +399,15 @@ def _duplicate_index(idx):
      (_drop_value_row, "index rows"),
      (lambda b: _add_meta_line(b, "lo=a,0,0"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got 'a,0,0'"),
      (lambda b: _add_meta_line(b, "lo=1,2"), "g.meta.txt: key 'lo' wants 3 comma-separated float value(s), got '1,2'"),
-     (lambda b: _edit_index_rows(b, _fractional_index), "g.idx.duv: voxel indices must be integers"),
-     (lambda b: _edit_index_rows(b, _duplicate_index), "g: duplicate voxel index")],
+     (lambda b: _edit_rows(b, "idx", _fractional_index), "g.idx.duv: voxel indices must be integers"),
+     (lambda b: _edit_rows(b, "idx", _duplicate_index), "g: duplicate voxel index"),
+     (lambda b: _edit_rows(b, "val", _set_first_value(1, np.nan)), "g: colors must lie in [0, 1]"),
+     (lambda b: _edit_rows(b, "val", _set_first_value(0, np.nan)), "g: stored alphas must lie in"),
+     (lambda b: _edit_rows(b, "val", _set_first_value(0, 5.0)), "g: stored alphas must lie in"),
+     (lambda b: _edit_rows(b, "val", _set_first_value(2, -3.0)), "g: colors must lie in [0, 1]"),
+     (lambda b: _add_meta_line(b, "lo=nan,0,0"), "g: bounds must be finite")],
     ids=["missing-lo", "no-equals", "row-mismatch", "bad-lo-cell", "short-lo", "fractional-index",
-         "duplicate-index"],
+         "duplicate-index", "nan-color", "nan-alpha", "alpha-above-one", "negative-color", "nan-lo"],
 )
 def test_render_malformed_grid_exits_one(data_dir, tmp_path, capsys, corrupt, message):
     base = tmp_path / "g"

@@ -229,6 +229,17 @@ def test_grid_validation():
         SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
                         indices=np.array([[0, 0, 0]]), alpha=np.array([1.5]),
                         color=np.array([[0.5, 0.5, 0.5]]))
+    with pytest.raises(ValueError, match="stored alphas"):
+        SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
+                        indices=np.array([[0, 0, 0]]), alpha=np.array([np.nan]),
+                        color=np.array([[0.5, 0.5, 0.5]]))
+    with pytest.raises(ValueError, match="colors"):
+        SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
+                        indices=np.array([[0, 0, 0]]), alpha=np.array([0.5]),
+                        color=np.array([[0.5, np.nan, 0.5]]))
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        SparseVoxelGrid(lo=np.array([np.nan, 0.0, 0.0]), hi=np.ones(3), resolution=(2, 2, 2),
+                        indices=np.zeros((0, 3)), alpha=np.zeros(0), color=np.zeros((0, 3)))
     with pytest.raises(ValueError, match="duplicate voxel index"):
         SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=(2, 2, 2),
                         indices=np.array([[1, 1, 1], [0, 1, 1], [1, 1, 1]]),

@@ -35,6 +35,30 @@ def test_scaled_error_absolute_regime():
     assert abs(e - 5e-9 / 1e-4) < 1e-15
 
 
+def test_redraw_keeps_the_first_instance_that_clears_every_kink():
+    clear = gradcheck.KINK_CLEARANCE
+    rng = object()
+
+    def drawer(kink_lists):
+        draws = []
+
+        def draw(given):
+            assert given is rng
+            draws.append(kink_lists[len(draws)])
+            return len(draws), np.array(draws[-1])
+
+        return draws, draw
+
+    # a distance at the clearance itself is too close; the sign does not count
+    draws, draw = drawer([[1.0, clear], [-clear / 2, 1.0], [1.0, -2 * clear], [1.0, 1.0]])
+    assert gradcheck._redraw(rng, draw) == 3
+    assert len(draws) == 3
+    # when no draw clears, the last of MAX_REDRAWS is kept
+    draws, draw = drawer([[0.0]] * (gradcheck.MAX_REDRAWS + 1))
+    assert gradcheck._redraw(rng, draw) == gradcheck.MAX_REDRAWS
+    assert len(draws) == gradcheck.MAX_REDRAWS
+
+
 def test_suite_all_pass_small():
     results = run_gradient_suite(trials=5, seed=1)
     assert len(results) == len(CHECK_NAMES)
