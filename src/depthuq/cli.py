@@ -33,6 +33,7 @@ from .metrics import (
     accuracy_metrics,
     ause_aurg,
     ause_flaw_demo,
+    check_affine,
     check_steps,
     evaluate_uncertainty,
     sparsification,
@@ -291,13 +292,13 @@ def cmd_train_toy(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     toytrain.save_model(model, out_dir / "model")
-    write_csv(out_dir / "train_log.csv", logs[0].row(), [log.row() for log in logs])
-    summary = toytrain.evaluate_model(model, eval_scenes)
-    write_csv(out_dir / "eval.csv", summary.row(), [summary.row()])
+    write_csv(out_dir / "train_log.csv", logs[0], logs)
+    row = toytrain.evaluate_model(model, eval_scenes)
+    write_csv(out_dir / "eval.csv", row, [row])
     print(f"wrote {out_dir}/model, train_log.csv, eval.csv")
     print(
-        f"final total={logs[-1].mean_total:.6f} scc={summary.scc} "
-        f"noise_scc={summary.noise_scc}"
+        f"final total={logs[-1]['total']:.6f} scc={row['scc']} "
+        f"noise_scc={row['noise_scc']}"
     )
     return 0
 
@@ -317,6 +318,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_demo_ause(args) -> int:
     check_steps(args.steps)  # before the training run, not after it
+    if args.transform == "affine":
+        check_affine(args.scale, args.offset)
     model, _, eval_scenes = _train_toy_model(args)
     err, unc = toytrain.pooled_errors(model, eval_scenes)
     comp = ause_flaw_demo(err, unc, args.transform, scale=args.scale, offset=args.offset, steps=args.steps)

@@ -243,6 +243,8 @@ def run_gradient_suite(trials: int = 100, seed: int = 0) -> list[GradCheckResult
     """Run every check for ``trials`` random instances each."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = []
     for idx, (name, fn) in enumerate(_CHECKS):
         started = time.perf_counter()

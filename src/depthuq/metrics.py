@@ -418,6 +418,15 @@ class TransformComparison:
         )
 
 
+def check_affine(scale: float, offset: float) -> None:
+    """``scale * e + offset`` is finite and strictly increasing."""
+    if not (np.isfinite(scale) and np.isfinite(offset) and scale > 0):
+        raise ValueError(
+            f"affine transform needs a finite scale > 0 and a finite offset, "
+            f"got scale={scale}, offset={offset}"
+        )
+
+
 def _resolve_transform(transform, scale: float = 0.5, offset: float = 0.0):
     if callable(transform):
         return "custom", transform
@@ -426,8 +435,7 @@ def _resolve_transform(transform, scale: float = 0.5, offset: float = 0.0):
     if transform == "sqrt":
         return "sqrt", np.sqrt
     if transform == "affine":
-        if scale <= 0:
-            raise ValueError(f"affine scale must be > 0, got {scale}")
+        check_affine(scale, offset)
         return f"affine(x{scale}+{offset})", lambda e: scale * e + offset
     raise ValueError(f"unknown transform {transform!r}, want one of {BUILTIN_TRANSFORMS}")
 

@@ -9,9 +9,13 @@ regression latent, and plain gradient descent runs on the auto-weighted
 loss total through the exact backward pass of the losses module.  One
 ``TrainConfig`` describes a whole run: scenes, model and loss terms.
 
-The ablation harness reports the six loss configurations of interest
-on shared scenes, accuracy plus uncertainty quality per row; it trains
-the five distinct models among them (``full_nomax`` is ``depth_soft``).
+Results are plain CSV rows: ``train`` returns one dict per epoch, keyed
+and ordered like the ``train_log.csv`` header, and ``evaluate_model``
+returns the ``eval.csv`` row, the scene means of every metric.  The
+ablation harness reports the six loss configurations of interest on
+shared scenes, one such row each plus its configuration and seed; it
+trains the five distinct models among them (``full_nomax`` is
+``depth_soft``).
 """
 
 from __future__ import annotations
@@ -143,10 +147,10 @@ class ToyModel:
 
     The classification head emits one logit per depth hypothesis; the
     regression head emits a latent vector read out by ``w_out`` (its
-    softmax doubles as the pseudo probability for uncertainty).
+    softmax doubles as the pseudo probability for uncertainty).  The
+    readout picks the head: none for classification.
     """
 
-    head: str
     hypotheses: DepthHypotheses
     w1: np.ndarray  # F x Hd
     b1: np.ndarray  # Hd
@@ -156,8 +160,6 @@ class ToyModel:
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.head not in HEAD_KINDS:
-            raise ValueError(f"unknown head {self.head!r}, want one of {HEAD_KINDS}")
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.w1 = np.asarray(self.w1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
@@ -166,22 +168,22 @@ class ToyModel:
             raise ValueError("hidden layer shapes inconsistent")
         if self.w2.ndim != 2 or self.w2.shape[0] != self.w1.shape[1]:
             raise ValueError("output layer shapes inconsistent")
-        if self.head == "classification":
-            if self.w_out is not None:
-                raise ValueError("classification head takes no latent readout")
+        if self.w_out is None:
             if self.w2.shape[1] != self.hypotheses.m:
                 raise ValueError(
                     f"{self.w2.shape[1]} logits vs {self.hypotheses.m} hypotheses"
                 )
         else:
-            if self.w_out is None:
-                raise ValueError("regression head needs a latent readout")
             self.w_out = np.asarray(self.w_out, dtype=np.float64)
             if self.w_out.shape != (self.w2.shape[1],):
                 raise ValueError("latent readout length mismatch")
         if self.sigma.shape != (3,):
             raise ValueError("sigma must hold 3 weights")
         self.check_finite()
+
+    @property
+    def head(self) -> str:
+        return "classification" if self.w_out is None else "regression"
 
     def check_finite(self):
         parts = [self.w1, self.b1, self.w2, self.sigma, np.atleast_1d(self.raw_scale)]
@@ -229,6 +231,8 @@ class TrainConfig:
     eta_hi: float = DEFAULT_ETA_HI
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.hidden < 1:
@@ -267,9 +271,7 @@ def init_model(config: TrainConfig) -> ToyModel:
     w_out = None
     if config.head == "regression":
         w_out = rng.standard_normal(config.m) / np.sqrt(config.m)
-    return ToyModel(
-        head=config.head, hypotheses=hyp, w1=w1, b1=b1, w2=w2, w_out=w_out
-    )
+    return ToyModel(hypotheses=hyp, w1=w1, b1=b1, w2=w2, w_out=w_out)
 
 
 def _hidden_and_z(model: ToyModel, scene: SyntheticScene):
@@ -352,38 +354,6 @@ def scene_gradients(
     return report, grads
 
 
-@dataclass(frozen=True)
-class EpochLog:
-    """Per-epoch averages used by the logs CSV and the sigma sign checks."""
-
-    epoch: int
-    lr: float
-    mean_total: float
-    mean_depth: float
-    mean_soft: float
-    mean_rank: float
-    sigma: tuple[float, float, float]
-    alpha: float
-    mean_grad_sigma: tuple[float, float, float]
-
-    def row(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "lr": self.lr,
-            "total": self.mean_total,
-            "loss_depth": self.mean_depth,
-            "loss_soft": self.mean_soft,
-            "loss_rank": self.mean_rank,
-            "sigma_depth": self.sigma[0],
-            "sigma_soft": self.sigma[1],
-            "sigma_rank": self.sigma[2],
-            "alpha": self.alpha,
-            "grad_sigma_depth": self.mean_grad_sigma[0],
-            "grad_sigma_soft": self.mean_grad_sigma[1],
-            "grad_sigma_rank": self.mean_grad_sigma[2],
-        }
-
-
 def train(model: ToyModel, scenes, config: TrainConfig):
     """Plain gradient descent, one step per scene visit.
 
@@ -394,14 +364,17 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     every epoch: at the defaults (64 scenes of 32 x 32, 16 bins) the
     label rows hold 8 MiB for the run.  Aborts with the epoch
     index if the total goes non-finite.  Returns the trained model
-    (mutated in place) and the per-epoch log list.
+    (mutated in place) and one ``train_log.csv`` row per epoch: a dict
+    keyed and ordered like that file's header (the mean loss total and
+    terms over the epoch's steps, the loss weights and ``alpha`` after
+    it, the mean sigma gradients).
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("need at least one training scene")
     gamma = config.gamma if config.include_soft else None
     targets = [loss_targets(model.hypotheses, scene.gt, gamma) for scene in scenes]
-    logs = []
+    rows = []
     step = 0
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
@@ -426,40 +399,17 @@ def train(model: ToyModel, scenes, config: TrainConfig):
             gsig += grads["sigma"]
             step += 1
         k = len(scenes)
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                lr=lr,
-                mean_total=totals[0] / k,
-                mean_depth=totals[1] / k,
-                mean_soft=totals[2] / k,
-                mean_rank=totals[3] / k,
-                sigma=tuple(float(s) for s in model.sigma),
-                alpha=float(softplus(model.raw_scale)),
-                mean_grad_sigma=tuple(float(g) for g in gsig / k),
-            )
-        )
+        sigma, grad_sigma = model.sigma.tolist(), (gsig / k).tolist()
+        rows.append({
+            "epoch": epoch, "lr": lr, "total": totals[0] / k,
+            "loss_depth": totals[1] / k, "loss_soft": totals[2] / k, "loss_rank": totals[3] / k,
+            "sigma_depth": sigma[0], "sigma_soft": sigma[1], "sigma_rank": sigma[2],
+            "alpha": float(softplus(model.raw_scale)),
+            "grad_sigma_depth": grad_sigma[0], "grad_sigma_soft": grad_sigma[1],
+            "grad_sigma_rank": grad_sigma[2],
+        })
     model.check_finite()
-    return model, logs
-
-
-@dataclass(frozen=True)
-class EvalSummary:
-    """Scene-averaged accuracy and uncertainty quality."""
-
-    n_scenes: int
-    accuracy: dict
-    uncertainty: dict
-    scc: float | None  # error vs uncertainty, mean of per-scene values
-    noise_scc: float | None  # uncertainty vs injected noise profile
-    scc_missing: int
-
-    def row(self) -> dict:
-        out = dict(self.accuracy)
-        out.update(self.uncertainty)
-        out["scc"] = self.scc
-        out["noise_scc"] = self.noise_scc
-        return out
+    return model, rows
 
 
 def _none_mean(values):
@@ -469,44 +419,28 @@ def _none_mean(values):
     return float(np.mean(kept))
 
 
-def evaluate_model(model: ToyModel, scenes) -> EvalSummary:
-    """Unweighted scene means; undefined entries dropped, not zeroed."""
+def evaluate_model(model: ToyModel, scenes) -> dict:
+    """The ``eval.csv`` row: unweighted scene means of every metric.
+
+    Each scene's row is ``accuracy_metrics``, then
+    ``evaluate_uncertainty``, then ``noise_scc`` (the SCC of the
+    uncertainty against the injected noise profile); each column's
+    undefined entries are dropped from its mean, not zeroed, and a
+    column undefined on every scene stays None.
+    """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("need at least one evaluation scene")
-    acc_rows = []
-    unc_rows = []
-    sccs = []
-    noise_sccs = []
-    missing = 0
+    rows = []
     for scene in scenes:
         depth, unc, vol = forward(model, scene)
-        acc_rows.append(accuracy_metrics(depth, scene.gt).row())
-        rep = evaluate_uncertainty(
-            depth,
-            scene.gt,
-            unc,
-            vol=vol if model.w_out is None else None,
-            hyp=model.hypotheses,
-        )
-        unc_rows.append(rep.row())
-        if rep.scc is None:
-            missing += 1
-        else:
-            sccs.append(rep.scc)
-        ns = spearman(unc.ravel(), scene.noise_std.ravel())
-        if ns is not None:
-            noise_sccs.append(ns)
-    acc = {k: _none_mean([r[k] for r in acc_rows]) for k in acc_rows[0]}
-    unc = {k: _none_mean([r[k] for r in unc_rows]) for k in unc_rows[0]}
-    return EvalSummary(
-        n_scenes=len(scenes),
-        accuracy=acc,
-        uncertainty=unc,
-        scc=_none_mean(sccs),
-        noise_scc=_none_mean(noise_sccs),
-        scc_missing=missing,
-    )
+        row = accuracy_metrics(depth, scene.gt).row()
+        row.update(evaluate_uncertainty(
+            depth, scene.gt, unc, vol=vol if model.w_out is None else None, hyp=model.hypotheses
+        ).row())
+        row["noise_scc"] = spearman(unc.ravel(), scene.noise_std.ravel())
+        rows.append(row)
+    return {k: _none_mean([r[k] for r in rows]) for k in rows[0]}
 
 
 def pooled_errors(model: ToyModel, scenes):
@@ -580,8 +514,7 @@ def ablate(seeds, base: TrainConfig | None = None, threads: int = 1):
         model = init_model(cfg)
         started = time.perf_counter()
         model, _ = train(model, train_scenes, cfg)
-        summary = evaluate_model(model, eval_scenes)
-        return summary.row(), time.perf_counter() - started
+        return evaluate_model(model, eval_scenes), time.perf_counter() - started
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

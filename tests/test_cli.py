@@ -1,4 +1,6 @@
 import dataclasses
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,22 +254,37 @@ def test_config_file_last_line_wins(data_dir, tmp_path, capsys):
     assert " d_min=3.0 " in capsys.readouterr().out.splitlines()[0]
 
 
+TRAIN_LOG_HEADER = (
+    "epoch,lr,total,loss_depth,loss_soft,loss_rank,sigma_depth,sigma_soft,sigma_rank,"
+    "alpha,grad_sigma_depth,grad_sigma_soft,grad_sigma_rank"
+)
+EVAL_HEADER = (
+    "rmse,rel,log10,sq_rel,log_rms,delta1,delta2,delta3,ause_rmse,aurg_rmse,ause_rel,"
+    "aurg_rel,ause_delta1,aurg_delta1,scc,auroc,fpr95,nll,noise_scc"
+)
+
+
 def test_train_toy_writes_artifacts(tmp_path):
-    out_dir = tmp_path / "run"
-    rc = cli.main([
-        "train-toy", "--seed", "0", "--epochs", "1", "--train-scenes", "2",
-        "--eval-scenes", "1", "--height", "8", "--width", "8", "--out-dir", str(out_dir),
-    ])
-    assert rc == 0
-    manifest = read_keyvalue(out_dir / "model" / "manifest.txt")
-    assert set(manifest) == {"head", "raw_scale", "d_min", "d_max", "m"}
-    assert manifest["head"] == "classification" and manifest["m"] == "16"
-    shapes = {p.stem: read_grid(p).shape for p in (out_dir / "model").glob("*.duv")}
-    assert shapes == {"w1": (8, 16), "b1": (16,), "w2": (16, 16), "sigma": (3,)}
-    log_lines = (out_dir / "train_log.csv").read_text().splitlines()
-    assert log_lines[0].startswith("epoch,lr,total")
-    assert len(log_lines) == 2
-    assert (out_dir / "eval.csv").read_text().count("\n") == 2
+    for head in toytrain.HEAD_KINDS:
+        out_dir = tmp_path / head
+        rc = cli.main([
+            "train-toy", "--seed", "0", "--head", head, "--epochs", "2", "--train-scenes", "2",
+            "--eval-scenes", "1", "--height", "8", "--width", "8", "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        manifest = read_keyvalue(out_dir / "model" / "manifest.txt")
+        assert list(manifest) == ["head", "raw_scale", "d_min", "d_max", "m"]
+        assert manifest["head"] == head and manifest["m"] == "16"
+        shapes = {p.stem: read_grid(p).shape for p in (out_dir / "model").glob("*.duv")}
+        readout = {"w_out": (16,)} if head == "regression" else {}
+        assert shapes == {"w1": (8, 16), "b1": (16,), "w2": (16, 16), "sigma": (3,), **readout}
+        log_lines = (out_dir / "train_log.csv").read_text().splitlines()
+        assert log_lines[0] == TRAIN_LOG_HEADER
+        assert [line.split(",")[0] for line in log_lines[1:]] == ["0", "1"]
+        eval_lines = (out_dir / "eval.csv").read_text().splitlines()
+        assert eval_lines[0] == EVAL_HEADER and len(eval_lines) == 2
+        nll = eval_lines[1].split(",")[EVAL_HEADER.split(",").index("nll")]
+        assert (nll == "") == (head == "regression")
 
 
 def test_train_toy_requires_seed(tmp_path):
@@ -284,8 +301,12 @@ def test_ablate_tiny_grid(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 7  # 6 configurations, one seed
-    assert "train_s" not in lines[0]
+    assert lines[0] == "config,seed," + EVAL_HEADER  # no train_s: timings stay off disk
     assert lines[1].startswith("depth_only,0,")
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("trained a model")
 
 
 @pytest.mark.parametrize("counts, message", [
@@ -293,10 +314,7 @@ def test_ablate_tiny_grid(tmp_path):
     (["--eval-scenes", "0"], "need at least one evaluation scene"),
 ], ids=["train", "eval"])
 def test_ablate_zero_scene_count_fails_before_training(tmp_path, capsys, monkeypatch, counts, message):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained a model")
-
-    monkeypatch.setattr(toytrain, "train", no_training)
+    monkeypatch.setattr(toytrain, "train", _no_training)
     rc = cli.main(["ablate", "--seeds", "0", *counts, "--out", str(tmp_path / "rows.csv")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -526,6 +544,38 @@ def test_demo_ause_rejects_fewer_than_two_steps(tmp_path, capsys, steps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    ["--scale", "0"], ["--scale", "-1"], ["--scale", "nan"], ["--scale", "inf"],
+    ["--offset", "nan"], ["--offset=-inf"],
+])
+def test_demo_ause_rejects_bad_affine_before_training(tmp_path, capsys, monkeypatch, bad):
+    # each exited 1 only after a full training run; scale 0 and the
+    # non-finite values as "not strictly increasing"
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    out = tmp_path / "demo.csv"
+    rc = cli.main(["demo-ause", "--transform", "affine", *bad, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: affine transform needs a finite scale > 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["train-toy", "--seed", "-1", "--out-dir", "{out}"], "run"),
+    (["demo-ause", "--transform", "square", "--seed", "-1", "--out", "{out}"], "demo.csv"),
+    (["ablate", "--seeds", "0,-1", "--out", "{out}"], "rows.csv"),
+    (["gradcheck", "--seed", "-1", "--trials", "1", "--out", "{out}"], "checks.csv"),
+], ids=["train-toy", "demo-ause", "ablate", "gradcheck"])
+def test_negative_seed_is_a_user_error(tmp_path, capsys, monkeypatch, argv, out):
+    # NumPy's own "expected non-negative integer" named no seed
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    out = tmp_path / out
+    small = ["--epochs", "1", "--train-scenes", "2", "--eval-scenes", "1", "--height", "8", "--width", "8"]
+    rc = cli.main([a.format(out=out) for a in argv] + (small if argv[0] != "gradcheck" else []))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_demo_ause_runs_on_tiny_model(tmp_path, capsys):
     rc = cli.main([
         "demo-ause", "--transform", "square", "--epochs", "1", "--train-scenes", "2",
@@ -618,3 +668,15 @@ def test_every_training_and_scene_flag_fills_its_field():
     config = cli._train_config(cli.build_parser().parse_args(argv), 4)
     fields = {("m" if dest == "bins" else dest): value for dest, value in given.items()}
     assert config == toytrain.TrainConfig(seed=4, include_soft=False, **fields)
+
+
+def test_readme_command_lines_parse():
+    # every example in the README's command-line block is a valid argv,
+    # and the block shows each subcommand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("depthuq ")]
+    for argv in lines:
+        args = cli.build_parser().parse_args(cli._inject_config(argv))
+        assert args.subcommand == argv[0]
+    assert sorted({argv[0] for argv in lines}) == sorted(cli.SUBCOMMANDS)

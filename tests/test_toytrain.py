@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
+from scipy import stats
 
 import depthuq.losses
 import depthuq.toytrain
@@ -19,12 +20,12 @@ from depthuq.losses import (
     ranking_loss_variants,
     softmax_backward,
 )
+from depthuq.metrics import DELTA_RATIO, evaluate_uncertainty
 from depthuq.toytrain import (
     _PERM_SEED_STRIDE,
     ABLATION_ROWS,
     HEAD_KINDS,
     SIGMA_BOUND,
-    EpochLog,
     SyntheticScene,
     ToyModel,
     TrainConfig,
@@ -161,18 +162,23 @@ def test_init_model_shapes():
 
 def test_model_validation():
     hyp = linear_hypotheses(1, 10, 4)
-    with pytest.raises(ValueError):
-        ToyModel(head="classification", hypotheses=hyp, w1=np.zeros((2, 3)), b1=np.zeros(3), w2=np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        ToyModel(head="regression", hypotheses=hyp, w1=np.zeros((2, 3)), b1=np.zeros(3), w2=np.zeros((3, 4)))
+    hidden = dict(hypotheses=hyp, w1=np.zeros((2, 3)), b1=np.zeros(3))
+    with pytest.raises(ValueError, match="^5 logits vs 4 hypotheses$"):
+        ToyModel(**hidden, w2=np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="^latent readout length mismatch$"):
+        ToyModel(**hidden, w2=np.zeros((3, 6)), w_out=np.zeros(5))
+    with pytest.raises(ValueError, match="^non-finite model parameters$"):
+        ToyModel(**hidden, w2=np.zeros((3, 6)), w_out=np.full(6, np.nan))
+    # the readout picks the head; a latent size need not match the bins
+    assert ToyModel(**hidden, w2=np.zeros((3, 4))).head == "classification"
+    assert ToyModel(**hidden, w2=np.zeros((3, 6)), w_out=np.zeros(6)).head == "regression"
+    for head in HEAD_KINDS:
+        assert init_model(TrainConfig(head=head, include_soft=head == "classification")).head == head
 
 
 def test_forward_zero_weights_is_uniform():
     hyp = linear_hypotheses(1, 10, 16)
-    m = ToyModel(
-        head="classification", hypotheses=hyp,
-        w1=np.zeros((8, 16)), b1=np.zeros(16), w2=np.zeros((16, 16)),
-    )
+    m = ToyModel(hypotheses=hyp, w1=np.zeros((8, 16)), b1=np.zeros(16), w2=np.zeros((16, 16)))
     scene = generate_scene(4, 4, 8, seed=0)
     depth, unc, vol = forward(m, scene)
     np.testing.assert_allclose(vol, 1 / 16, atol=1e-15)
@@ -186,7 +192,6 @@ def test_forward_single_pixel_by_hand():
         noise_std=np.array([[0.1]]), seed=0,
     )
     m = ToyModel(
-        head="classification",
         hypotheses=DepthHypotheses(np.array([1.0, 3.0])),
         w1=np.array([[2.0]]), b1=np.array([0.5]), w2=np.array([[1.0, -1.0]]),
     )
@@ -232,8 +237,8 @@ def test_training_reduces_loss():
     cfg = TrainConfig(epochs=6, seed=2, train_scenes=16, eval_scenes=2, height=16, width=16)
     train_scenes, _ = make_dataset(cfg)
     model, logs = train(init_model(cfg), train_scenes, cfg)
-    assert logs[-1].mean_total < logs[0].mean_total
-    assert [lg.epoch for lg in logs] == list(range(6))
+    assert logs[-1]["total"] < logs[0]["total"]
+    assert [lg["epoch"] for lg in logs] == list(range(6))
 
 
 def test_training_is_deterministic(tiny_data):
@@ -433,7 +438,7 @@ def test_regression_head_trains(tiny_data):
     w_out_before = m.w_out.copy()
     m, logs = train(m, train_scenes, cfg)
     assert not np.array_equal(m.w_out, w_out_before)
-    assert all(lg.mean_soft == 0.0 for lg in logs)
+    assert all(lg["loss_soft"] == 0.0 for lg in logs)
     depth, unc, p = forward(m, eval_scenes[0])
     assert depth.shape == (8, 8) and unc.shape == (8, 8)
     # the pseudo distribution softmax(z), a simplex like the classifier's
@@ -443,26 +448,98 @@ def test_regression_head_trains(tiny_data):
 
 def test_epoch_log_row_keys(tiny_data):
     train_scenes, _ = tiny_data
-    cfg = TrainConfig(epochs=1, seed=0)
+    cfg = TrainConfig(epochs=2, seed=0)
     _, logs = train(init_model(cfg), train_scenes, cfg)
-    assert set(logs[0].row()) == {
-        "epoch", "lr", "total", "loss_depth", "loss_soft", "loss_rank",
-        "sigma_depth", "sigma_soft", "sigma_rank", "alpha",
-        "grad_sigma_depth", "grad_sigma_soft", "grad_sigma_rank",
-    }
+    for log in logs:
+        assert list(log) == [
+            "epoch", "lr", "total", "loss_depth", "loss_soft", "loss_rank",
+            "sigma_depth", "sigma_soft", "sigma_rank", "alpha",
+            "grad_sigma_depth", "grad_sigma_soft", "grad_sigma_rank",
+        ]
 
 
 def test_evaluate_model_summary(tiny_data):
     train_scenes, eval_scenes = tiny_data
     cfg = TrainConfig(epochs=2, seed=4)
     m, _ = train(init_model(cfg), train_scenes, cfg)
-    summary = evaluate_model(m, eval_scenes)
-    assert summary.n_scenes == 2
-    assert summary.accuracy["rmse"] > 0
-    row = summary.row()
-    assert "scc" in row and "noise_scc" in row and "rmse" in row
+    row = evaluate_model(m, eval_scenes)
+    assert row["rmse"] > 0
+    assert "scc" in row and "noise_scc" in row
     errs, uncs = pooled_errors(m, eval_scenes)
     assert errs.shape == uncs.shape == (2 * 64,)
+
+
+def _oracle_scene_cells(model, scene):
+    """One scene's ``eval.csv`` cells, each from its own formula.
+
+    Accuracy and both SCCs are recomputed here (SCC with SciPy, None
+    when either side is constant); the sparsification areas, AUROC,
+    FPR95 and NLL are read off the scene's ``evaluate_uncertainty``
+    fields by name.
+    """
+    depth, unc, vol = forward(model, scene)
+    keep = valid_mask(scene.gt)
+    p, g, u = depth[keep], scene.gt[keep], unc[keep]
+    pos = p > 0
+    ratio = np.full(p.shape, np.inf)
+    ratio[pos] = np.maximum(p[pos] / g[pos], g[pos] / p[pos])
+
+    def rho(a, b):
+        return None if np.ptp(a) == 0 or np.ptp(b) == 0 else float(stats.spearmanr(a, b)[0])
+
+    rep = evaluate_uncertainty(
+        depth, scene.gt, unc, vol=vol if model.head == "classification" else None, hyp=model.hypotheses
+    )
+    return {
+        "rmse": np.sqrt(np.mean((p - g) ** 2)),
+        "rel": np.mean(np.abs(p - g) / g),
+        "log10": np.mean(np.abs(np.log10(p[pos]) - np.log10(g[pos]))) if pos.any() else None,
+        "sq_rel": np.mean((p - g) ** 2 / g),
+        "log_rms": np.sqrt(np.mean((np.log(p[pos]) - np.log(g[pos])) ** 2)) if pos.any() else None,
+        "delta1": np.mean(ratio < DELTA_RATIO),
+        "delta2": np.mean(ratio < DELTA_RATIO**2),
+        "delta3": np.mean(ratio < DELTA_RATIO**3),
+        "ause_rmse": rep.ause_rmse, "aurg_rmse": rep.aurg_rmse,
+        "ause_rel": rep.ause_rel, "aurg_rel": rep.aurg_rel,
+        "ause_delta1": rep.ause_delta1, "aurg_delta1": rep.aurg_delta1,
+        "scc": rho(np.abs(p - g), u),
+        "auroc": rep.auroc,
+        "fpr95": rep.fpr95,
+        "nll": rep.nll,
+        "noise_scc": rho(unc.ravel(), scene.noise_std.ravel()),
+    }
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+@pytest.mark.parametrize("trained", [True, False], ids=["trained", "zero-weight"])
+def test_evaluate_model_matches_per_scene_oracle(tiny_data, head, trained):
+    # every cell is the mean over scenes of its defined per-scene values;
+    # the zero-weight model's uncertainty is constant, so both SCCs are
+    # undefined on every scene and stay None
+    train_scenes, eval_scenes = tiny_data
+    scenes = [eval_scenes[0], _with_invalid_gt(eval_scenes[1], (1, 1), (4, 6))]
+    cfg = TrainConfig(epochs=1, seed=3, head=head, include_soft=head == "classification")
+    model = init_model(cfg)
+    if trained:
+        train(model, train_scenes, cfg)
+    else:
+        for name in ("w1", "b1", "w2", "w_out"):
+            if getattr(model, name) is not None:
+                setattr(model, name, np.zeros_like(getattr(model, name)))
+    got = evaluate_model(model, scenes)
+    cells = [_oracle_scene_cells(model, scene) for scene in scenes]
+    assert list(got) == list(cells[0])
+    for name, value in got.items():
+        kept = [c[name] for c in cells if c[name] is not None]
+        if kept:
+            assert value == pytest.approx(np.mean(kept), rel=1e-12, abs=1e-15), name
+        else:
+            assert value is None, name
+    assert (got["nll"] is None) == (head == "regression")
+    if trained:
+        assert got["scc"] is not None and got["noise_scc"] is not None
+    else:
+        assert got["scc"] is None and got["noise_scc"] is None
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
@@ -544,7 +621,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     np.testing.assert_array_equal(grads["sigma"], want.grad_sigma)
 
     trained, logs = train(m, [scene, tiny_data[0][1]], cfg)
-    assert len(logs) == 1 and np.isfinite(logs[0].mean_total)
+    assert len(logs) == 1 and np.isfinite(logs[0]["total"])
     trained.check_finite()
 
 
@@ -588,19 +665,15 @@ def _reference_train(model, scenes, config):
             gsig += rep.grad_sigma
             step += 1
         k = len(scenes)
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                lr=lr,
-                mean_total=totals[0] / k,
-                mean_depth=totals[1] / k,
-                mean_soft=totals[2] / k,
-                mean_rank=totals[3] / k,
-                sigma=tuple(float(s) for s in model.sigma),
-                alpha=float(softplus(model.raw_scale)),
-                mean_grad_sigma=tuple(float(g) for g in gsig / k),
-            )
-        )
+        log = {"epoch": epoch, "lr": lr, "total": totals[0] / k}
+        for i, term in enumerate(("depth", "soft", "rank")):
+            log[f"loss_{term}"] = totals[i + 1] / k
+        for i, term in enumerate(("depth", "soft", "rank")):
+            log[f"sigma_{term}"] = float(model.sigma[i])
+        log["alpha"] = float(softplus(model.raw_scale))
+        for i, term in enumerate(("depth", "soft", "rank")):
+            log[f"grad_sigma_{term}"] = float(gsig[i] / k)
+        logs.append(log)
     return model, logs
 
 
@@ -659,7 +732,7 @@ def test_no_max_row_equals_depth_soft_row():
     for ranking in (None, "no-max"):
         cfg = TrainConfig(epochs=2, include_soft=True, ranking=ranking)
         models[ranking], _ = train(init_model(cfg), train_scenes, cfg)
-        rows[ranking] = evaluate_model(models[ranking], eval_scenes).row()
+        rows[ranking] = evaluate_model(models[ranking], eval_scenes)
     nomax, soft = models["no-max"], models[None]
     for name in ("w1", "b1", "w2"):
         assert getattr(nomax, name).tobytes() == getattr(soft, name).tobytes()
@@ -699,7 +772,7 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
             cfg = replace(base, seed=seed, include_soft=soft, ranking=ranking)
             model, _ = original(init_model(cfg), train_scenes, cfg)
             (row,) = [r for r in rows if r["config"] == name and r["seed"] == seed]
-            want = {"config": name, "seed": seed, **evaluate_model(model, eval_scenes).row()}
+            want = {"config": name, "seed": seed, **evaluate_model(model, eval_scenes)}
             assert {k: v for k, v in row.items() if k != "train_s"} == want
     for a, b in zip(rows, by_threads[2]):
         assert {k: v for k, v in a.items() if k != "train_s"} == {
