@@ -177,8 +177,8 @@ def _train_config(args, seed: int) -> toytrain.TrainConfig:
 
 
 def _add_depth_range_flags(p) -> None:
-    p.add_argument("--d-min", type=float, default=toytrain.DEFAULT_D_MIN, help="nearest hypothesis depth (default %(default)s)")
-    p.add_argument("--d-max", type=float, default=toytrain.DEFAULT_D_MAX, help="farthest hypothesis depth (default %(default)s)")
+    p.add_argument("--d-min", type=float, default=toytrain.TrainConfig.d_min, help="nearest hypothesis depth (default %(default)s)")
+    p.add_argument("--d-max", type=float, default=toytrain.TrainConfig.d_max, help="farthest hypothesis depth (default %(default)s)")
 
 
 def _add_camera_flags(p) -> None:
@@ -397,8 +397,6 @@ def cmd_render(args) -> int:
     grid = frustum.load_voxel_grid(args.grid)
     cam = _camera_for(args, args.height, args.width)
     bg = _parse_triple(args.bg, "background")
-    if np.any(bg < 0.0) or np.any(bg > 1.0):
-        raise CLIError(f"background must lie in [0, 1], got {args.bg}")
     if args.pose == "identity":
         pose = frustum.identity_pose()
     else:
@@ -509,7 +507,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", help="depth map (.duv, HxW), gt mode")
     p.add_argument("--rgb", help="color image (.duv, HxWx3, values in [0,1]); default mid-gray")
     _add_camera_flags(p)
-    p.add_argument("--bins", type=int, default=toytrain.DEFAULT_BINS, help="hypothesis count in gt mode (default %(default)s)")
+    p.add_argument("--bins", type=int, default=toytrain.TrainConfig.m, help="hypothesis count in gt mode (default %(default)s)")
     _add_depth_range_flags(p)
     p.add_argument("--resolution", default=str(frustum.DEFAULT_RESOLUTION), help="voxels per axis, N or NX,NY,NZ (default %(default)s)")
     p.add_argument("--out", required=True, help="output base path (writes .idx.duv/.val.duv/.meta.txt)")

@@ -3,19 +3,18 @@
 Depth is predicted as a per-pixel categorical distribution over M fixed
 hypothesis values.  This module owns the hypothesis grid, the expected
 depth read-out, the distance-shaped soft target distributions used for
-the probability loss, and the shared stable softmax.  The softmax
-allocates one array: it shifts z by the row max into a new array, then
-runs ``exp`` and the divide by the row sum in that array.
+the probability loss, and the one stable softmax, which the soft
+labels use too.  The softmax allocates one array: it shifts z by the
+row max into a new array, then runs ``exp`` and the divide by the row
+sum in that array.
 
-Both kernels shift each row by its extreme value before ``exp``.  That
-row max (softmax) or min (soft labels) is taken by ``_bin_extreme`` as
-a ``np.maximum``/``np.minimum`` reduce over the bin axis of a
-bins-first contiguous copy: M elementwise passes over whole pixel
-vectors instead of one short reduction per pixel, about 3x faster on a
-(1024, 16) block.  Max and min are exact and independent of order, so
-the result matches ``x.max(axis=-1)`` bit for bit, NaN and signed zeros
-included.  Row sums keep NumPy's own ``sum(axis=-1)``: their pairwise
-order fixes the rounding the outputs depend on.
+The row max is taken by ``_bin_extreme`` as a ``np.maximum`` reduce
+over the bin axis of a bins-first contiguous copy: M elementwise passes
+over whole pixel vectors instead of one short reduction per pixel,
+about 3x faster on a (1024, 16) block.  Max is exact and independent of
+order, so the result matches ``x.max(axis=-1)`` bit for bit, NaN and
+signed zeros included.  Row sums keep NumPy's own ``sum(axis=-1)``:
+their pairwise order fixes the rounding the outputs depend on.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def linear_hypotheses(d_min: float, d_max: float, m: int) -> DepthHypotheses:
     d_min = float(d_min)
     d_max = float(d_max)
     m = int(m)
-    if not (0.0 < d_min < d_max):
+    if not (0.0 < d_min < d_max < np.inf):
         raise ValueError(f"need 0 < d_min < d_max, got [{d_min}, {d_max}]")
     if m < 2:
         raise ValueError(f"need >= 2 hypotheses, got {m}")
@@ -102,14 +101,13 @@ def expectation_depth(hyp: DepthHypotheses, vol) -> np.ndarray:
     return np.minimum(np.maximum(p @ hyp.values, hyp.d_min), hyp.d_max)
 
 
-def _bin_extreme(x: np.ndarray, reduce: np.ufunc) -> np.ndarray:
-    """Row max or min over the last axis, shaped (..., 1) like keepdims.
+def _bin_extreme(x: np.ndarray) -> np.ndarray:
+    """Row max over the last axis, shaped (..., 1) like keepdims.
 
-    ``reduce`` is ``np.maximum`` or ``np.minimum``; a zero-bin input
-    raises as ``x.max(axis=-1)`` does.
+    A zero-bin input raises as ``x.max(axis=-1)`` does.
     """
     binsfirst = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    return reduce.reduce(binsfirst, axis=0)[..., None]
+    return np.maximum.reduce(binsfirst, axis=0)[..., None]
 
 
 def soft_labels(hyp: DepthHypotheses, gt, gamma: float = DEFAULT_GAMMA) -> SoftLabelVolume:
@@ -124,9 +122,7 @@ def soft_labels(hyp: DepthHypotheses, gt, gamma: float = DEFAULT_GAMMA) -> SoftL
     d = np.asarray(gt, dtype=np.float64)
     valid = valid_mask(d)
     dist = gamma * np.abs(hyp.values - np.where(valid, d, hyp.d_min)[..., None])
-    # subtract the row minimum before exp so gamma*|s-d| can be large
-    w = np.exp(-(dist - _bin_extreme(dist, np.minimum)))
-    y = w / w.sum(axis=-1, keepdims=True)
+    y = softmax_volume(-dist)
     y[~valid] = 0.0
     return SoftLabelVolume(values=y, gamma=float(gamma), valid=valid)
 
@@ -138,7 +134,7 @@ def softmax_volume(z) -> np.ndarray:
     ``z`` is only read.
     """
     zz = np.asarray(z, dtype=np.float64)
-    e = zz - _bin_extreme(zz, np.maximum)
+    e = zz - _bin_extreme(zz)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -54,8 +54,9 @@ class Pinhole:
     w: int
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError(f"focal length must be > 0, got {self.f}")
+        # "all inside" checks, so that NaN fails too
+        if not (0.0 < self.f < np.inf):
+            raise ValueError(f"focal length must be a finite number > 0, got {self.f}")
         if self.h < 1 or self.w < 1:
             raise ValueError(f"bad image extents {self.h}x{self.w}")
         if not (0.0 <= self.cx <= self.w - 1 and 0.0 <= self.cy <= self.h - 1):
@@ -98,8 +99,10 @@ def identity_pose() -> CameraPose:
 def orbit_pose(target, radius: float, azimuth: float, elevation: float = 0.0) -> CameraPose:
     """Camera on a sphere around ``target``, optical axis aimed at it."""
     target = np.asarray(target, dtype=np.float64)
-    if radius <= 0:
-        raise ValueError(f"orbit radius must be > 0, got {radius}")
+    if not (0.0 < radius < np.inf):
+        raise ValueError(f"orbit radius must be a finite number > 0, got {radius}")
+    if not np.all(np.isfinite([azimuth, elevation, *target])):
+        raise ValueError(f"orbit angles and target must be finite, got azimuth {azimuth}, elevation {elevation}, target {target.tolist()}")
     ce, se = np.cos(elevation), np.sin(elevation)
     ca, sa = np.cos(azimuth), np.sin(azimuth)
     offset = radius * np.array([ce * sa, -se, -ce * ca])
@@ -328,7 +331,7 @@ def _check_image(cam: Pinhole, rgb) -> np.ndarray:
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.shape != (cam.h, cam.w, 3):
         raise ValueError(f"image shape {rgb.shape} vs camera {cam.h}x{cam.w}x3")
-    if np.any(rgb < 0.0) or np.any(rgb > 1.0):
+    if not np.all((rgb >= 0.0) & (rgb <= 1.0)):
         raise ValueError("image colors must lie in [0, 1]")
     return rgb
 
@@ -454,12 +457,12 @@ def render(
     ``threads`` below 1 is a ValueError.
     """
     bg = np.asarray(background, dtype=np.float64).reshape(3)
-    if np.any(bg < 0.0) or np.any(bg > 1.0):
-        raise ValueError("background color must lie in [0, 1]")
+    if not np.all((bg >= 0.0) & (bg <= 1.0)):
+        raise ValueError(f"background color must lie in [0, 1], got {bg.tolist()}")
     if step is None:
         step = grid.voxel_size
-    if step <= 0:
-        raise ValueError(f"step length must be > 0, got {step}")
+    if not (0.0 < step < np.inf):
+        raise ValueError(f"step length must be a finite number > 0, got {step}")
     if not (0.0 < min_transmittance < 1.0):
         raise ValueError("termination threshold must lie in (0, 1)")
     if threads < 1:

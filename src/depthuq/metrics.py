@@ -401,9 +401,10 @@ class TransformComparison:
     ause_b: float
 
     @property
-    def delta_scc(self) -> float:
+    def delta_scc(self) -> float | None:
+        """SCC of B minus SCC of A; None when either SCC is undefined."""
         if self.scc_a is None or self.scc_b is None:
-            return float("nan")
+            return None
         return self.scc_b - self.scc_a
 
     @property
@@ -411,10 +412,19 @@ class TransformComparison:
         return self.ause_b - self.ause_a
 
     def verdict(self) -> str:
+        """Both deltas and which of ranks and area moved; SCC and AUSE are O(1), so |delta| <= 1e-12 is rounding."""
+        def moved(delta):
+            return "undefined" if delta is None else "moved" if abs(delta) > 1e-12 else "preserved"
+
+        ranks, area = moved(self.delta_scc), moved(self.delta_ause)
+        reading = f"ranks {ranks}, area {area}: no confound shown"
+        if (ranks, area) == ("preserved", "moved"):
+            reading = "ranks preserved, area not: AUSE comparisons across accuracy regimes are confounded"
+        shown = "undefined" if self.delta_scc is None else f"{self.delta_scc:.3e}"
         return (
-            f"scc: {self.scc_a} -> {self.scc_b} (delta {self.delta_scc:.3e}); "
+            f"scc: {self.scc_a} -> {self.scc_b} (delta {shown}); "
             f"ause-rmse: {self.ause_a:.6f} -> {self.ause_b:.6f} (delta {self.delta_ause:.3e}); "
-            "ranks preserved, area not: AUSE comparisons across accuracy regimes are confounded"
+            + reading
         )
 
 
@@ -487,9 +497,11 @@ def evaluate_uncertainty(
     Degenerate pieces (perfect predictions, single-class outliers,
     all-tied ranks) come back as None rather than fabricated numbers.
     Non-finite uncertainty on a valid pixel is an input error and
-    raises ValueError.  NLL needs the probability volume and
-    hypotheses; omitted otherwise.  A malformed volume raises ValueError.
+    raises ValueError.  NLL is None without a probability volume; a
+    volume without its hypotheses, or a malformed one, raises ValueError.
     """
+    if vol is not None and hyp is None:
+        raise ValueError("a probability volume needs its depth hypotheses for NLL")
     p, g, u = valid_pixels(pred, gt, unc)
     by_unc = _ranking(u, "uncertainty")
     errors = {base: _per_pixel_error(base, p, g) for base in BASE_METRICS}
@@ -510,7 +522,7 @@ def evaluate_uncertainty(
     auroc, fpr95 = auroc_fpr95(by_unc, errors["delta1err"])
 
     nll_value, nll_excluded = None, 0
-    if vol is not None and hyp is not None:
+    if vol is not None:
         nll_value, nll_excluded = nll(vol, gt, hyp)
 
     return UncertaintyReport(

@@ -39,11 +39,6 @@ from .metrics import (
 from .uncertainty import softplus
 
 HEAD_KINDS = ("classification", "regression")
-DEFAULT_BINS = 16
-DEFAULT_D_MIN = 1.0
-DEFAULT_D_MAX = 10.0
-DEFAULT_ETA_LO = 0.02
-DEFAULT_ETA_HI = 1.0
 _PERM_SEED_STRIDE = 1_000_003
 _SCENE_SEED_STRIDE = 10_007
 # box for the loss-weight parameters: a term whose value sits at float
@@ -77,30 +72,16 @@ class SyntheticScene:
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
-def generate_scene(
-    h: int,
-    w: int,
-    f: int,
-    seed: int,
-    eta_lo: float = DEFAULT_ETA_LO,
-    eta_hi: float = DEFAULT_ETA_HI,
-    d_min: float = DEFAULT_D_MIN,
-    d_max: float = DEFAULT_D_MAX,
-) -> SyntheticScene:
+def generate_scene(config: TrainConfig, seed: int) -> SyntheticScene:
     """Ramp-plus-discs depth with column-graded feature noise.
 
+    Size, feature count, noise and depth range come from ``config``.
     Feature j is the degree-j Chebyshev polynomial of the normalized
     depth, plus zero-mean noise of std eta(col) = eta_lo +
     (eta_hi - eta_lo) * col / w.  Deterministic in the seed.
     """
-    if h < 4 or w < 4:
-        raise ValueError(f"image extents must be >= 4, got {h}x{w}")
-    if f < 1:
-        raise ValueError(f"need >= 1 feature channel, got {f}")
-    if not (0.0 <= eta_lo < eta_hi):
-        raise ValueError(f"need 0 <= eta_lo < eta_hi, got {eta_lo}, {eta_hi}")
-    if not (0.0 < d_min < d_max):
-        raise ValueError(f"bad depth range [{d_min}, {d_max}]")
+    h, w, f = config.height, config.width, config.features
+    d_min, d_max = config.d_min, config.d_max
     rng = np.random.default_rng(seed)
 
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
@@ -126,7 +107,7 @@ def generate_scene(
     basis = np.stack(
         [chebyshev.chebval(tn, [0.0] * j + [1.0]) for j in range(1, f + 1)], axis=-1
     )
-    std = eta_lo + (eta_hi - eta_lo) * xs / w
+    std = config.eta_lo + (config.eta_hi - config.eta_lo) * xs / w
     feats = basis + rng.standard_normal((h, w, f)) * std[..., None]
     return SyntheticScene(gt=gt, features=feats, noise_std=std, seed=seed)
 
@@ -134,10 +115,8 @@ def generate_scene(
 def make_dataset(config: TrainConfig):
     """Disjoint train/eval scene lists of ``config``, reproducible from its seed."""
     base = config.seed * _SCENE_SEED_STRIDE
-    size = (config.height, config.width, config.features)
-    ranges = (config.eta_lo, config.eta_hi, config.d_min, config.d_max)
-    train = [generate_scene(*size, base + i, *ranges) for i in range(config.train_scenes)]
-    held = [generate_scene(*size, base + 100_000 + i, *ranges) for i in range(config.eval_scenes)]
+    train = [generate_scene(config, base + i) for i in range(config.train_scenes)]
+    held = [generate_scene(config, base + 100_000 + i) for i in range(config.eval_scenes)]
     return train, held
 
 
@@ -203,10 +182,9 @@ class TrainConfig:
 
     The loss-term switches pick the ablation row.  Each field is named
     after the ``train-toy``/``ablate``/``demo-ause`` flag that fills it
-    (``m`` is ``--bins``, ``include_soft`` is ``--soft``).  The scene
-    counts are checked here, so a run with no scenes fails before it
-    trains; sizes, noise and depth range are checked where they are
-    used, by ``generate_scene``.
+    (``m`` is ``--bins``, ``include_soft`` is ``--soft``).  Every field
+    is checked here, so a bad run fails before it builds a scene or
+    trains.
     """
 
     epochs: int = 10
@@ -217,9 +195,9 @@ class TrainConfig:
     head: str = "classification"
     include_soft: bool = True
     ranking: str | None = "hinge"
-    m: int = DEFAULT_BINS  # hypothesis count, or latent size for regression
-    d_min: float = DEFAULT_D_MIN
-    d_max: float = DEFAULT_D_MAX
+    m: int = 16  # hypothesis count, or latent size for regression
+    d_min: float = 1.0
+    d_max: float = 10.0
     gamma: float = 10.0
     hidden: int = 16
     features: int = 8
@@ -227,8 +205,8 @@ class TrainConfig:
     width: int = 32
     train_scenes: int = 64
     eval_scenes: int = 16
-    eta_lo: float = DEFAULT_ETA_LO
-    eta_hi: float = DEFAULT_ETA_HI
+    eta_lo: float = 0.02
+    eta_hi: float = 1.0
 
     def __post_init__(self):
         if self.seed < 0:
@@ -241,6 +219,16 @@ class TrainConfig:
             raise ValueError("need at least one training scene")
         if self.eval_scenes < 1:
             raise ValueError("need at least one evaluation scene")
+        if self.height < 4 or self.width < 4:
+            raise ValueError(f"image extents must be >= 4, got {self.height}x{self.width}")
+        if self.features < 1:
+            raise ValueError(f"need >= 1 feature channel, got {self.features}")
+        if self.m < 2:
+            raise ValueError(f"need >= 2 hypotheses, got {self.m}")
+        if not (0.0 <= self.eta_lo < self.eta_hi < np.inf):
+            raise ValueError(f"need 0 <= eta_lo < eta_hi, got {self.eta_lo}, {self.eta_hi}")
+        if not (0.0 < self.d_min < self.d_max < np.inf):
+            raise ValueError(f"bad depth range [{self.d_min}, {self.d_max}]")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be a finite number > 0, got {self.lr}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):

@@ -473,6 +473,63 @@ def test_threaded_render_rejects_bad_march_settings(data_dir, tmp_path, capsys, 
     assert not (tmp_path / "bad.ppm").exists()
 
 
+@pytest.fixture(scope="module")
+def volume_grid(tmp_path_factory):
+    # a 12x16x8 probability volume and its grid at resolution 8
+    d = tmp_path_factory.mktemp("volume_grid")
+    vol = np.random.default_rng(2).dirichlet(np.ones(8), size=(12, 16))
+    write_grid(d / "vol.duv", vol)
+    assert cli.main(["voxelize", "--vol", str(d / "vol.duv"), "--resolution", "8", "--out", str(d / "g")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["voxelize", "--focal", "nan"], "focal length must be a finite number > 0, got nan"),
+    (["render", "--focal", "nan"], "focal length must be a finite number > 0, got nan"),
+    (["render", "--step", "nan"], "step length must be a finite number > 0, got nan"),
+    (["render", "--step", "inf"], "step length must be a finite number > 0, got inf"),
+    (["render", "--pose", "orbit", "--radius", "inf"], "orbit radius must be a finite number > 0, got inf"),
+    (["render", "--pose", "orbit", "--radius", "nan"], "orbit radius must be a finite number > 0, got nan"),
+    (["render", "--pose", "orbit", "--azimuth", "nan"], "orbit angles and target must be finite, got azimuth nan, elevation 0.0, target "),
+    (["render", "--pose", "orbit", "--elevation", "inf"], "orbit angles and target must be finite, got azimuth 0.0, elevation inf, target "),
+    (["render", "--bg", "nan,0,0"], "background color must lie in [0, 1], got [nan, 0.0, 0.0]"),
+    (["render", "--bg", "0,1.5,0"], "background color must lie in [0, 1], got [0.0, 1.5, 0.0]"),
+    (["render", "--pose", "orbit", "--target", "0,nan,1"], "orbit angles and target must be finite, got azimuth 0.0, elevation 0.0, target [0.0, nan, 1.0]"),
+], ids=["voxelize-focal-nan", "render-focal-nan", "step-nan", "step-inf", "radius-inf", "radius-nan",
+        "azimuth-nan", "elevation-inf", "bg-nan", "bg-above-one", "target-nan"])
+def test_bad_view_settings_exit_one(volume_grid, tmp_path, capsys, argv, message):
+    # NaN passed the "<= 0" tests: a traceback (exit 2), an all-background
+    # image, one sample per ray, a NaN background cast to bytes, or a bare
+    # "SVD did not converge"
+    out = tmp_path / "out"
+    if argv[0] == "voxelize":
+        argv = argv + ["--vol", str(volume_grid / "vol.duv"), "--resolution", "8", "--out", str(out)]
+    else:
+        argv = argv + ["--grid", str(volume_grid / "g"), "--height", "8", "--width", "8", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--height", "3"], "image extents must be >= 4, got 3x32"),
+    (["--features", "0"], "need >= 1 feature channel, got 0"),
+    (["--eta-lo", "0.5", "--eta-hi", "0.5"], "need 0 <= eta_lo < eta_hi, got 0.5, 0.5"),
+    (["--d-min", "-1"], "bad depth range [-1.0, 10.0]"),
+    (["--eta-hi", "inf"], "need 0 <= eta_lo < eta_hi, got 0.02, inf"),
+    (["--d-max", "inf"], "bad depth range [1.0, inf]"),
+], ids=["extent", "features", "eta", "depth-range", "eta-inf", "depth-inf"])
+def test_bad_scene_field_fails_before_training(tmp_path, capsys, monkeypatch, argv, message):
+    # an infinite noise std trained and reported a divergence; an infinite
+    # depth range exited 2 with an OverflowError from the scene draw
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    rc = cli.main(["train-toy", "--seed", "0", *argv, "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_ablate_rejects_threads_below_one(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = cli.main([
@@ -637,9 +694,9 @@ def test_defaults_and_choices_come_from_the_library():
     assert _option("sparsify", "steps").default == SPARSIFICATION_STEPS
     assert _option("demo-ause", "steps").default == SPARSIFICATION_STEPS
     for subcommand in ("eval", "voxelize"):
-        assert _option(subcommand, "d_min").default == toytrain.DEFAULT_D_MIN
-        assert _option(subcommand, "d_max").default == toytrain.DEFAULT_D_MAX
-    assert _option("voxelize", "bins").default == toytrain.DEFAULT_BINS
+        assert _option(subcommand, "d_min").default == toytrain.TrainConfig.d_min
+        assert _option(subcommand, "d_max").default == toytrain.TrainConfig.d_max
+    assert _option("voxelize", "bins").default == toytrain.TrainConfig.m
     assert _option("voxelize", "resolution").default == str(frustum.DEFAULT_RESOLUTION)
     # each training and scene flag defaults to the TrainConfig field it fills
     fields = {f.name for f in dataclasses.fields(toytrain.TrainConfig)}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,9 @@ def _principal_probe():
 
 
 def test_pinhole_validation():
-    with pytest.raises(ValueError):
-        Pinhole(f=0.0, cx=1.0, cy=1.0, h=4, w=4)
+    for f in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"focal length must be a finite number > 0, got {f}"):
+            Pinhole(f=f, cx=1.0, cy=1.0, h=4, w=4)
     with pytest.raises(ValueError):
         Pinhole(f=5.0, cx=9.0, cy=1.0, h=4, w=4)
     with pytest.raises(ValueError):
@@ -184,8 +187,17 @@ def test_orbit_pose_geometry():
 
 
 def test_orbit_pose_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        orbit_pose(np.zeros(3), radius=0.0, azimuth=0.0)
+    for radius in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"orbit radius must be a finite number > 0, got {radius}"):
+            orbit_pose(np.zeros(3), radius=radius, azimuth=0.0)
+
+
+def test_orbit_pose_rejects_nonfinite_angles_and_target():
+    for azimuth, elevation, target in ((np.nan, 0.0, [0.0, 0.0, 0.0]), (0.0, -np.inf, [0.0, 0.0, 0.0]),
+                                       (0.0, 0.0, [0.0, np.nan, 0.0])):
+        message = f"orbit angles and target must be finite, got azimuth {azimuth}, elevation {elevation}, target {target}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            orbit_pose(target, radius=1.0, azimuth=azimuth, elevation=elevation)
 
 
 def test_unproject_principal_point():
@@ -408,8 +420,9 @@ def test_voxelize_prediction_validation():
         voxelize_prediction(np.zeros((1, 1, 3)), hyp, cam, rgb)
     with pytest.raises(ValueError):
         voxelize_prediction(np.array([[[-0.1, 1.1]]]), hyp, cam, rgb)
-    with pytest.raises(ValueError):
-        voxelize_prediction(np.array([[[0.5, 0.5]]]), hyp, cam, rgb * 2.0 + 2.0)
+    for bad in (2.0, np.nan):
+        with pytest.raises(ValueError, match=r"^image colors must lie in \[0, 1\]$"):
+            voxelize_prediction(np.array([[[0.5, 0.5]]]), hyp, cam, rgb + bad)
 
 
 def test_voxelize_ground_truth_two_plane_split():
@@ -714,10 +727,12 @@ def test_source_pose_rerender_at_aligned_pixel():
 def test_render_validation():
     cam = centered_pinhole(2, 2, 4.0)
     grid = _empty_grid()
-    with pytest.raises(ValueError):
-        render(grid, identity_pose(), cam, background=(2.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        render(grid, identity_pose(), cam, step=0.0)
+    for bg in ((2.0, 0.0, 0.0), (0.0, np.nan, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"background color must lie in [0, 1], got {list(bg)}")):
+            render(grid, identity_pose(), cam, background=bg)
+    for step in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"step length must be a finite number > 0, got {step}"):
+            render(grid, identity_pose(), cam, step=step)
     with pytest.raises(ValueError):
         render(grid, identity_pose(), cam, min_transmittance=1.5)
 

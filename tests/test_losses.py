@@ -527,35 +527,56 @@ def _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout):
     return value_r, value_p, value_u, total, grad_z, grad_a, grad_sigma, grad_readout
 
 
-@pytest.mark.parametrize("invalid", [False, True], ids=["all-valid", "nan-gt"])
-@pytest.mark.parametrize("ranking", [None, "hinge", "no-max", "l1-direct"])
-@pytest.mark.parametrize("readout", [None, np.linspace(-0.6, 1.4, 16)], ids=["classification", "regression"])
-def test_full_backward_matches_oracle_step_bitwise(readout, ranking, invalid):
-    # both routes of full_backward, the view of an all-valid map and the
-    # gather and scatter of a map with NaN GT, give the oracle's bits;
-    # the wide logits put some probabilities under the floor
+def _oracle_instances():
+    """(rng, z, gt, a, sigma, readout, permutation seed) of each input.
+
+    First a 12 x 10 map with 16 bins whose wide logits put some
+    probabilities under the floor, then five seeded 5 x 6 maps with 7
+    bins, each with its own raw scale, loss weights and readout.  The
+    readout serves the regression head only; ``rng`` draws NaN GT.
+    """
     rng = np.random.default_rng(31)
-    hyp = linear_hypotheses(1.0, 10.0, 16)
     z = rng.normal(size=(12, 10, 16)) * 12.0
     gt = rng.uniform(0.5, 10.5, size=(12, 10))
-    if invalid:
-        gt[rng.random(gt.shape) < 0.2] = np.nan
-    targets = loss_targets(hyp, gt, DEFAULT_GAMMA if readout is None else None)
-    assert (targets.n < gt.size) == invalid
-    assert np.any(softmax_volume(z) < PROB_FLOOR)
-    perm = draw_permutation(targets.n, 5) if ranking in ("hinge", "no-max") else None
-    sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, -0.4, sig, hyp, targets, perm, ranking=ranking, readout=readout)
-    want = _oracle_step(z, -0.4, sig, hyp, targets, perm, ranking, readout)
-    got = (rep.value_r, rep.value_p, rep.value_u, rep.total, rep.grad_z, rep.grad_a,
-           rep.grad_sigma, rep.grad_readout)
-    for name, g, o in zip(("value_r", "value_p", "value_u", "total", "grad_z", "grad_a",
-                           "grad_sigma", "grad_readout"), got, want):
-        if o is None:
-            assert g is None, name
-        else:
-            assert np.asarray(g).tobytes() == np.asarray(o).tobytes(), name
-    assert rep.grad_z.shape == z.shape
+    yield rng, z, gt, -0.4, np.array([0.3, -0.2, 0.5]), np.linspace(-0.6, 1.4, 16), 5
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(scale=1.5, size=(5, 6, 7))
+        readout = rng.normal(size=7)
+        gt = rng.uniform(1.0, 10.0, size=(5, 6))
+        yield rng, z, gt, float(rng.normal()), rng.normal(scale=0.5, size=3), readout, seed + 17
+
+
+@pytest.mark.parametrize("invalid", [False, True], ids=["all-valid", "nan-gt"])
+@pytest.mark.parametrize("ranking", [None, "hinge", "no-max", "l1-direct"])
+@pytest.mark.parametrize("regression", [False, True], ids=["classification", "regression"])
+def test_full_backward_matches_oracle_step_bitwise(regression, ranking, invalid):
+    # both routes of full_backward, the view of an all-valid map and the
+    # gather and scatter of a map with NaN GT, give the oracle's bits on
+    # every instance, and the terms it reports active are the targets'
+    floored = False
+    for rng, z, gt, a, sig, readout, perm_seed in _oracle_instances():
+        readout = readout if regression else None
+        hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+        if invalid:
+            gt[rng.random(gt.shape) < 0.2] = np.nan
+        targets = loss_targets(hyp, gt, None if regression else DEFAULT_GAMMA)
+        assert (targets.n < gt.size) == invalid
+        floored |= bool(np.any(softmax_volume(z) < PROB_FLOOR))
+        perm = draw_permutation(targets.n, perm_seed) if ranking in ("hinge", "no-max") else None
+        rep = full_backward(z, a, sig, hyp, targets, perm, ranking=ranking, readout=readout)
+        want = _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout)
+        got = (rep.value_r, rep.value_p, rep.value_u, rep.total, rep.grad_z, rep.grad_a,
+               rep.grad_sigma, rep.grad_readout)
+        for name, g, o in zip(("value_r", "value_p", "value_u", "total", "grad_z", "grad_a",
+                               "grad_sigma", "grad_readout"), got, want):
+            if o is None:
+                assert g is None, name
+            else:
+                assert np.asarray(g).tobytes() == np.asarray(o).tobytes(), name
+        assert rep.grad_z.shape == z.shape
+        assert rep.active == (True, targets.labels is not None, ranking is not None)
+    assert floored
 
 
 def test_loss_targets_are_read_only_views():

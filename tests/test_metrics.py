@@ -435,6 +435,8 @@ def test_evaluate_uncertainty_raises_on_malformed_volume():
     hyp = linear_hypotheses(1.0, 10.0, 4)
     vol = rng.dirichlet(np.ones(4), size=gt.shape)
     assert evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp).nll is not None
+    with pytest.raises(ValueError, match="a probability volume needs its depth hypotheses"):
+        evaluate_uncertainty(pred, gt, unc, vol=vol)
     with pytest.raises(ValueError, match="volume pixels"):
         evaluate_uncertainty(pred, gt, unc, vol=vol[:3], hyp=hyp)
     vol[2, 3, 1] = -0.5
@@ -482,6 +484,23 @@ def test_flaw_demo_sqrt_and_custom_callable():
     cmp2 = ause_flaw_demo(err, unc, lambda e: e + 1.0)
     assert cmp2.transform == "custom"
     assert abs(cmp2.delta_scc) < 1e-12
+
+
+def test_flaw_demo_verdict_says_what_moved():
+    err, unc = _correlated_instance(7)
+    confounded = "; ranks preserved, area not: AUSE comparisons across accuracy regimes are confounded"
+    assert ause_flaw_demo(err, unc, "square").verdict().endswith(confounded)
+    assert ause_flaw_demo(err, unc, "affine", offset=1.0).verdict().endswith(confounded)
+    # a pure rescale leaves the normalized curves, so nothing moves; at
+    # scale 0.3 the AUSE delta is rounding, not a move
+    for scale in (0.5, 0.3):
+        cmp = ause_flaw_demo(err, unc, "affine", scale=scale)
+        assert cmp.verdict().endswith("; ranks preserved, area preserved: no confound shown")
+    # all-tied uncertainty: SCC undefined on both sides, so is its delta
+    tied = ause_flaw_demo(err, np.ones_like(err), "square")
+    assert tied.scc_a is None and tied.delta_scc is None
+    assert "(delta undefined)" in tied.verdict()
+    assert tied.verdict().endswith("; ranks undefined, area moved: no confound shown")
 
 
 def test_flaw_demo_sorts_each_ordering_once(monkeypatch):

@@ -7,19 +7,9 @@ from scipy import stats
 
 import depthuq.losses
 import depthuq.toytrain
-from depthuq.discretize import DEFAULT_GAMMA, DepthHypotheses, linear_hypotheses, softmax_volume
+from depthuq.discretize import DEFAULT_GAMMA, DepthHypotheses, linear_hypotheses
 from depthuq.gridio import read_grid, read_keyvalue, valid_mask
-from depthuq.losses import (
-    LossReport,
-    PairPermutation,
-    clamped_entropy_parts,
-    draw_permutation,
-    full_backward,
-    head_forward,
-    loss_targets,
-    ranking_loss_variants,
-    softmax_backward,
-)
+from depthuq.losses import draw_permutation, full_backward, head_forward, loss_targets
 from depthuq.metrics import DELTA_RATIO, evaluate_uncertainty
 from depthuq.toytrain import (
     _PERM_SEED_STRIDE,
@@ -42,7 +32,7 @@ from depthuq.toytrain import (
     scene_gradients,
     train,
 )
-from depthuq.uncertainty import sigmoid, softplus
+from depthuq.uncertainty import softplus
 
 
 @pytest.fixture(scope="module")
@@ -55,32 +45,26 @@ def _targets(model, scene, config):
     return loss_targets(model.hypotheses, scene.gt, config.gamma if config.include_soft else None)
 
 
+def _scene(h, w, f, seed, **fields):
+    # one scene of an otherwise default config
+    return generate_scene(TrainConfig(height=h, width=w, features=f, **fields), seed)
+
+
 def test_generate_scene_deterministic():
-    a = generate_scene(8, 8, 4, seed=11)
-    b = generate_scene(8, 8, 4, seed=11)
+    a = _scene(8, 8, 4, seed=11)
+    b = _scene(8, 8, 4, seed=11)
     np.testing.assert_array_equal(a.gt, b.gt)
     np.testing.assert_array_equal(a.features, b.features)
     assert a.seed == 11
 
 
-def test_generate_scene_validation():
-    with pytest.raises(ValueError):
-        generate_scene(3, 8, 4, seed=0)
-    with pytest.raises(ValueError):
-        generate_scene(8, 8, 0, seed=0)
-    with pytest.raises(ValueError):
-        generate_scene(8, 8, 4, seed=0, eta_lo=0.5, eta_hi=0.5)
-    with pytest.raises(ValueError):
-        generate_scene(8, 8, 4, seed=0, d_min=-1.0)
-
-
 def test_generate_scene_depth_in_range():
-    s = generate_scene(16, 16, 4, seed=3, d_min=2.0, d_max=7.0)
+    s = _scene(16, 16, 4, seed=3, d_min=2.0, d_max=7.0)
     assert s.gt.min() >= 2.0 and s.gt.max() <= 7.0
 
 
 def test_noise_profile_shape():
-    s = generate_scene(8, 8, 4, seed=0)
+    s = _scene(8, 8, 4, seed=0)
     # constant down each column, strictly increasing left to right
     assert np.ptp(s.noise_std, axis=0).max() == 0.0
     assert np.all(np.diff(s.noise_std[0]) > 0)
@@ -90,7 +74,7 @@ def test_feature_noise_grows_rightward():
     # strip the polynomial basis back off; what remains is the injected
     # noise, whose spread must follow the column profile
     for seed in range(30):
-        s = generate_scene(8, 8, 4, seed=seed)
+        s = _scene(8, 8, 4, seed=seed)
         tn = 2.0 * (s.gt - 1.0) / 9.0 - 1.0
         basis = np.stack(
             [chebyshev.chebval(tn, [0.0] * j + [1.0]) for j in range(1, 5)], axis=-1
@@ -102,7 +86,7 @@ def test_feature_noise_grows_rightward():
 
 
 def test_make_dataset_split_disjoint():
-    # every scene field of the config reaches generate_scene
+    # every scene field of the config shapes the scenes
     cfg = TrainConfig(
         seed=3, train_scenes=3, eval_scenes=2, height=6, width=9, features=3,
         eta_lo=0.1, eta_hi=0.4, d_min=2.0, d_max=7.0,
@@ -112,10 +96,13 @@ def test_make_dataset_split_disjoint():
     train_seeds = {s.seed for s in train_scenes}
     assert train_seeds.isdisjoint({s.seed for s in eval_scenes})
     for scene in train_scenes + eval_scenes:
-        want = generate_scene(6, 9, 3, scene.seed, 0.1, 0.4, 2.0, 7.0)
+        want = generate_scene(cfg, scene.seed)
         assert scene.gt.tobytes() == want.gt.tobytes()
         assert scene.features.tobytes() == want.features.tobytes()
         assert scene.noise_std.tobytes() == want.noise_std.tobytes()
+        assert scene.features.shape == (6, 9, 3)
+        assert scene.gt.min() >= 2.0 and scene.gt.max() <= 7.0
+        np.testing.assert_array_equal(scene.noise_std[-1], 0.1 + (0.4 - 0.1) * np.arange(9.0) / 9)
     assert init_model(cfg).n_features == 3
 
 
@@ -141,6 +128,26 @@ def test_config_validation():
         for value in (np.nan, np.inf, -np.inf, 0.0):
             with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
                 TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(height=3), "image extents must be >= 4, got 3x32"),
+    (dict(width=2), "image extents must be >= 4, got 32x2"),
+    (dict(features=0), "need >= 1 feature channel, got 0"),
+    (dict(m=1), "need >= 2 hypotheses, got 1"),
+    (dict(eta_lo=0.5, eta_hi=0.5), "need 0 <= eta_lo < eta_hi, got 0.5, 0.5"),
+    (dict(eta_lo=np.nan), "need 0 <= eta_lo < eta_hi, got nan, 1.0"),
+    (dict(eta_hi=np.inf), "need 0 <= eta_lo < eta_hi, got 0.02, inf"),
+    (dict(d_min=-1.0), r"bad depth range \[-1.0, 10.0\]"),
+    (dict(d_min=2.0, d_max=2.0), r"bad depth range \[2.0, 2.0\]"),
+    (dict(d_max=np.inf), r"bad depth range \[1.0, inf\]"),
+], ids=["height", "width", "features", "bins", "eta-empty", "eta-nan", "eta-inf", "d-min", "depth-empty",
+        "depth-inf"])
+def test_config_rejects_bad_scene_field(fields, message):
+    # the scene fields and the bin count are checked when the config is
+    # made, before any scene is built
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**fields)
 
 
 def test_lr_schedule():
@@ -179,7 +186,7 @@ def test_model_validation():
 def test_forward_zero_weights_is_uniform():
     hyp = linear_hypotheses(1, 10, 16)
     m = ToyModel(hypotheses=hyp, w1=np.zeros((8, 16)), b1=np.zeros(16), w2=np.zeros((16, 16)))
-    scene = generate_scene(4, 4, 8, seed=0)
+    scene = _scene(4, 4, 8, seed=0)
     depth, unc, vol = forward(m, scene)
     np.testing.assert_allclose(vol, 1 / 16, atol=1e-15)
     np.testing.assert_allclose(depth, 5.5, atol=1e-12)
@@ -205,7 +212,7 @@ def test_forward_single_pixel_by_hand():
 
 def test_forward_feature_mismatch():
     m = init_model(TrainConfig())
-    scene = generate_scene(4, 4, 5, seed=0)
+    scene = _scene(4, 4, 5, seed=0)
     with pytest.raises(ValueError):
         forward(m, scene)
 
@@ -215,7 +222,7 @@ def test_train_rejects_wrong_feature_count():
     # counts instead of failing inside a matmul
     cfg = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="^scene has 5 feature channels, model wants 8$"):
-        train(init_model(cfg), [generate_scene(8, 8, 5, seed=0)], cfg)
+        train(init_model(cfg), [_scene(8, 8, 5, seed=0)], cfg)
 
 
 def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
@@ -302,74 +309,6 @@ def test_network_gradients_match_fd(tiny_data):
         assert abs(got - fd) <= max(1e-7, 1e-4 * abs(fd)), (param, idx, got, fd)
 
 
-# The regression head's former private backward pass, kept as the
-# oracle that the unified ``full_backward(..., readout=...)`` must
-# reproduce bit for bit on fully valid scenes.  Its ranking step calls
-# ``ranking_loss_variants``, the one implementation of that term.
-def _regression_backward(
-    z: np.ndarray,
-    w_out: np.ndarray,
-    a: float,
-    sigma: np.ndarray,
-    gt: np.ndarray,
-    perm: PairPermutation | None,
-    ranking: str | None,
-):
-    """Depth-plus-ranking backward for the latent head.
-
-    Mirrors the classification path: L1 depth on the readout, ranking on
-    the scaled entropy of softmax(z); returns the report plus the
-    readout gradient (which has no slot in the shared report).
-    """
-    n = gt.size
-    w = 1.0 / n
-    zf = z.reshape(n, -1)
-    gv = gt.ravel()
-    depth = zf @ w_out
-    resid = depth - gv
-    value_r = float(np.abs(resid).sum() * w)
-
-    ew = np.exp(-sigma)
-    sgn = np.sign(resid) * (w * ew[0])
-    grad_z_flat = sgn[:, None] * w_out[None, :]
-    grad_wout = sgn @ zf
-
-    value_u = 0.0
-    grad_a = 0.0
-    alpha = float(softplus(a))
-    if ranking is not None:
-        if ranking in ("hinge", "no-max") and (perm is None or perm.n != n):
-            raise ValueError("ranking variant needs a permutation over all pixels")
-        p = softmax_volume(zf)
-        h, dh_dp = clamped_entropy_parts(p)
-        r = np.abs(resid)
-        u = alpha * h
-        rank = ranking_loss_variants(r, u, perm, ranking)
-        value_u = rank.value
-        gu_eff = rank.grad * ew[2]
-        grad_p = (alpha * gu_eff)[:, None] * dh_dp
-        grad_z_flat = grad_z_flat + softmax_backward(p, grad_p)
-        grad_a = float((gu_eff * h).sum() * sigmoid(np.float64(a)))
-
-    active = np.array([True, False, ranking is not None])
-    values = np.array([value_r, 0.0, value_u])
-    total = float(((values * ew + sigma) * active).sum())
-    grad_sigma = np.where(active, -values * ew + 1.0, 0.0)
-    report = LossReport(
-        value_r=value_r,
-        value_p=0.0,
-        value_u=value_u,
-        total=total,
-        grad_z=grad_z_flat.reshape(z.shape),
-        grad_a=grad_a,
-        grad_sigma=grad_sigma,
-        alpha=alpha,
-        active=tuple(bool(x) for x in active),
-        n_valid=n,
-    )
-    return report, grad_wout
-
-
 def _regression_instance(seed, shape=(5, 6), latent=7):
     rng = np.random.default_rng(seed)
     z = rng.normal(scale=1.5, size=shape + (latent,))
@@ -379,23 +318,6 @@ def _regression_instance(seed, shape=(5, 6), latent=7):
     sigma = rng.normal(scale=0.5, size=3)
     perm = draw_permutation(gt.size, seed + 17)
     return z, w_out, a, sigma, gt, perm
-
-
-@pytest.mark.parametrize("ranking", ["hinge", "no-max", "l1-direct", None])
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_readout_backward_matches_regression_oracle(ranking, seed):
-    z, w_out, a, sigma, gt, perm = _regression_instance(seed)
-    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
-    want, want_wout = _regression_backward(z, w_out, a, sigma, gt, perm, ranking)
-    got = full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, None), perm, ranking=ranking, readout=w_out)
-    assert got.value_r == want.value_r
-    assert got.value_u == want.value_u
-    assert got.total == want.total
-    assert got.grad_a == want.grad_a
-    assert got.active == want.active
-    np.testing.assert_array_equal(got.grad_z, want.grad_z)
-    np.testing.assert_array_equal(got.grad_readout, want_wout)
-    np.testing.assert_array_equal(got.grad_sigma, want.grad_sigma)
 
 
 def test_readout_rejects_soft_term():
@@ -786,7 +708,7 @@ def test_ablate_rejects_repeated_seed():
 
 
 def test_forward_is_the_hidden_layer_and_head_forward():
-    scene = generate_scene(6, 5, TrainConfig.features, seed=4)
+    scene = _scene(6, 5, TrainConfig.features, seed=4)
     for head in HEAD_KINDS:
         cfg = TrainConfig(head=head, include_soft=head == "classification", seed=2)
         m = init_model(cfg)
