@@ -33,6 +33,7 @@ from depthuq.toytrain import (
     train,
 )
 from depthuq.uncertainty import softplus
+from test_losses import _oracle_step
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +319,28 @@ def _regression_instance(seed, shape=(5, 6), latent=7):
     sigma = rng.normal(scale=0.5, size=3)
     perm = draw_permutation(gt.size, seed + 17)
     return z, w_out, a, sigma, gt, perm
+
+
+@pytest.mark.parametrize("ranking", ["hinge", "no-max", "l1-direct", None])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_readout_backward_matches_regression_oracle(ranking, seed):
+    # the readout route of full_backward gives the bits of the one oracle
+    # step on each seeded all-valid regression instance
+    z, w_out, a, sigma, gt, perm = _regression_instance(seed)
+    hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+    targets = loss_targets(hyp, gt, None)
+    got = full_backward(z, a, sigma, hyp, targets, perm, ranking=ranking, readout=w_out)
+    value_r, _, value_u, total, grad_z, grad_a, grad_sigma, grad_readout = _oracle_step(
+        z, a, sigma, hyp, targets, perm, ranking, w_out
+    )
+    assert got.value_r == value_r
+    assert got.value_u == value_u
+    assert got.total == total
+    assert got.grad_a == grad_a
+    assert got.active == (True, False, ranking is not None)
+    np.testing.assert_array_equal(got.grad_z, grad_z)
+    np.testing.assert_array_equal(got.grad_readout, grad_readout)
+    np.testing.assert_array_equal(got.grad_sigma, grad_sigma)
 
 
 def test_readout_rejects_soft_term():
