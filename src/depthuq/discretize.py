@@ -9,12 +9,15 @@ row max into a new array, then runs ``exp`` and the divide by the row
 sum in that array.
 
 The row max is taken by ``_bin_extreme`` as a ``np.maximum`` reduce
-over the bin axis of a bins-first contiguous copy: M elementwise passes
-over whole pixel vectors instead of one short reduction per pixel,
-about 3x faster on a (1024, 16) block.  Max is exact and independent of
-order, so the result matches ``x.max(axis=-1)`` bit for bit, NaN and
-signed zeros included.  Row sums keep NumPy's own ``sum(axis=-1)``:
-their pairwise order fixes the rounding the outputs depend on.
+over the bin axis of a bins-first array: M elementwise passes over
+whole pixel vectors instead of one short reduction per pixel, about 3x
+faster on a (1024, 16) block.  A C-ordered input is copied bins-first
+for it; the training step's bins-first input is read as it is.  Max is
+exact and independent of order, so the result matches
+``x.max(axis=-1)`` bit for bit, NaN and signed zeros included.  Row
+sums keep NumPy's own ``sum(axis=-1)``, whose order follows the memory
+layout: pairwise on a C-ordered input, bin by bin on a bins-first one
+(the layout rule is in the ``losses`` module docstring).
 """
 
 from __future__ import annotations
@@ -115,13 +118,21 @@ def soft_labels(hyp: DepthHypotheses, gt, gamma: float = DEFAULT_GAMMA) -> SoftL
 
     y_m ∝ exp(-gamma * |s_m - d|), normalized per pixel.  Larger gamma
     concentrates mass on the nearest hypothesis.  Invalid pixels (NaN
-    or <= 0 GT) get an all-zero row and valid=False.
+    or <= 0 GT) get an all-zero row and valid=False.  A gamma so large
+    that gamma * |s_m - d| overflows for every hypothesis of a valid
+    pixel is a ValueError: that row would be NaN.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
     d = np.asarray(gt, dtype=np.float64)
     valid = valid_mask(d)
-    dist = gamma * np.abs(hyp.values - np.where(valid, d, hyp.d_min)[..., None])
+    with np.errstate(over="ignore"):
+        dist = gamma * np.abs(hyp.values - np.where(valid, d, hyp.d_min)[..., None])
+    # the contiguous any() first: the row test runs along the short axis
+    if np.isinf(dist).any() and np.isinf(dist).all(axis=-1).any():
+        raise ValueError(
+            f"gamma {gamma} is too large: gamma * |s - d| overflows for every hypothesis of a pixel"
+        )
     y = softmax_volume(-dist)
     y[~valid] = 0.0
     return SoftLabelVolume(values=y, gamma=float(gamma), valid=valid)

@@ -4,6 +4,7 @@
   extent per axis, then float32 little-endian values in row-major order
   (last axis fastest).  A write/read round trip is bit exact for finite
   payloads; NaN is legal and marks invalid pixels in ground-truth depth.
+  A finite value beyond float32 range is refused, not stored as ±inf.
 * CSV: ASCII, comma separated, LF line endings, a header row.  Floats
   are written in their shortest exact decimal form, so a reparse
   recovers the value bit for bit; integers and booleans as integers;
@@ -47,11 +48,14 @@ class GridFormatError(ValueError):
         self.offset = offset
 
 
-def write_grid(path, values) -> None:
-    """Serialize the array ``values`` to ``path`` in the DUV1 layout.
+def grid_payload(path, values) -> np.ndarray:
+    """The float32 array ``write_grid`` would store at ``path``, or ValueError.
 
     The array's shape gives the extents (rank 1..4, every extent >= 1);
-    entries may be non-finite.
+    entries may be NaN or infinite, but a finite entry outside float32
+    range is a ValueError naming ``path``: the cast would store it as
+    ±inf.  Nothing is opened, so a writer of several grids can check
+    them all before it writes the first.
     """
     arr = np.asarray(values, dtype=np.float64)
     dims = arr.shape
@@ -61,12 +65,26 @@ def write_grid(path, values) -> None:
         raise ValueError(f"grid extents must be >= 1, got {dims}")
     if arr.size > MAX_ELEMENTS:
         raise ValueError(f"grid too large: {arr.size} elements")
-    header = MAGIC + struct.pack("<I", len(dims))
-    header += struct.pack(f"<{len(dims)}I", *dims)
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+    # the cast keeps NaN and ±inf, so any extra inf is an overflow
+    overflow = np.count_nonzero(np.isinf(payload)) - np.count_nonzero(np.isinf(arr))
+    if overflow:
+        raise ValueError(f"{path}: {overflow} finite entries exceed the float32 range")
+    return payload
+
+
+def write_grid(path, values) -> None:
+    """Serialize the array ``values`` to ``path`` in the DUV1 layout.
+
+    ``grid_payload`` checks ``values`` before the file is opened.
+    """
+    payload = grid_payload(path, values)
+    header = MAGIC + struct.pack("<I", payload.ndim)
+    header += struct.pack(f"<{payload.ndim}I", *payload.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 def read_grid(path) -> np.ndarray:

@@ -25,6 +25,20 @@ and ``full_backward`` runs it on the valid pixels.  Every gradient is
 checked against central finite differences of ``head_forward`` by
 ``gradcheck``, so the suite checks the decode that training runs.
 
+Memory layout.  NumPy runs a row reduction or broadcast along the axis
+that is contiguous in memory, and a row sum's bits depend on that
+order, so the math here follows its input's layout.  A C-ordered
+(..., M) input, as ``eval``, ``combine`` and ``gradcheck`` pass, gets
+the pixel-major loops and their pairwise row sums.  The training step
+holds its arrays bins-first, (M, pixels) and (hidden, pixels) in
+memory, and passes (pixels, M) views: every row reduction is then a
+sum of M contiguous pixel vectors, several times faster, and rounds
+differently in the last bits.  Arrays made here copy z's layout
+(``np.empty_like``), since one C-ordered operand sends a whole
+expression to the slow loops.  The ``loss_targets`` labels are
+bins-first for every caller; against a C-ordered z NumPy works in C
+order, so such a caller keeps its bits.
+
 L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
 """
 
@@ -55,7 +69,12 @@ class PairPermutation:
         perm = np.asarray(self.perm, dtype=np.int64)
         if perm.ndim != 1:
             raise ValueError("permutation must be 1-D")
-        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        # O(n): range first, since a negative index would wrap in the
+        # scatter ([0, -1, 1] would mark every slot), then every slot hit
+        seen = np.zeros(perm.size, dtype=bool)
+        if not np.any((perm < 0) | (perm >= perm.size)):
+            seen[perm] = True
+        if not seen.all():
             raise ValueError("not a bijection over valid pixels")
         object.__setattr__(self, "perm", perm)
 
@@ -101,7 +120,7 @@ class LossTargets:
 
     mask: np.ndarray  # finite, positive GT pixels
     gt: np.ndarray  # the valid GT vector, in gt[mask] order
-    labels: np.ndarray | None  # (n, M) soft-label rows, None with the term off
+    labels: np.ndarray | None  # (n, M) view of bins-first rows, None with the term off
 
     def __post_init__(self):
         for name in ("mask", "gt", "labels"):
@@ -118,15 +137,17 @@ def loss_targets(hyp: DepthHypotheses, gt, gamma: float | None) -> LossTargets:
 
     All three depend on the GT, the hypotheses and gamma, never on the
     weights, so ``toytrain.train`` builds them once per scene, and the
-    labels always belong to this mask and one gamma.  Raises ValueError
-    when no pixel is valid.
+    labels always belong to this mask and one gamma.  The labels are
+    ``soft_labels``' rows, bit for bit, copied bins-first for the
+    training step (see the module docstring).  Raises ValueError when
+    no pixel is valid.
     """
     gt = np.asarray(gt, dtype=np.float64)
     mask = valid_mask(gt)
     gv = gt[mask]
     if gv.size == 0:
         raise ValueError("no valid pixels")
-    labels = None if gamma is None else soft_labels(hyp, gv, gamma).values
+    labels = None if gamma is None else np.ascontiguousarray(soft_labels(hyp, gv, gamma).values.T).T
     return LossTargets(mask=mask, gt=gv, labels=labels)
 
 
@@ -332,7 +353,9 @@ def full_backward(
     depth_term = depth_l1(depth, targets.gt)
     grad_depth = depth_term.grad
     grad_depth *= ew[0]
-    grad_p = grad_depth[:, None] * hyp.values if readout is None else None
+    grad_p = None
+    if readout is None:
+        grad_p = np.multiply(grad_depth[:, None], hyp.values, out=np.empty_like(pv))
 
     value_p = 0.0
     if include_soft:
@@ -361,7 +384,7 @@ def full_backward(
     if readout is None:
         gz_valid = softmax_backward(pv, grad_p)
     else:
-        gz_valid = grad_depth[:, None] * readout
+        gz_valid = np.multiply(grad_depth[:, None], readout, out=np.empty_like(pv))
         grad_readout = grad_depth @ zv
         if grad_p is not None:
             gz_valid += softmax_backward(pv, grad_p)

@@ -6,8 +6,10 @@ low-order polynomial lift of that depth corrupted by noise whose std
 grows left to right.  A tiny shared-weight per-pixel network (one tanh
 hidden layer) maps features to either classification logits or a
 regression latent, and plain gradient descent runs on the auto-weighted
-loss total through the exact backward pass of the losses module.  One
-``TrainConfig`` describes a whole run: scenes, model and loss terms.
+loss total through the exact backward pass of the losses module.  The
+hidden layer, z and the chain rule are held bins-first in memory, the
+layout the ``losses`` module docstring describes.  One ``TrainConfig``
+describes a whole run: scenes, model and loss terms.
 
 Results are plain CSV rows: ``train`` returns one dict per epoch, keyed
 and ordered like the ``train_log.csv`` header, and ``evaluate_model``
@@ -28,8 +30,8 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .discretize import DepthHypotheses, linear_hypotheses
-from .gridio import write_grid, write_keyvalue
+from .discretize import DepthHypotheses, linear_hypotheses, soft_labels
+from .gridio import grid_payload, write_grid, write_keyvalue
 from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets, read_only
 from .metrics import (
     accuracy_metrics,
@@ -243,6 +245,12 @@ class TrainConfig:
             raise ValueError(f"unknown ranking variant {self.ranking!r}")
         if self.head == "regression" and self.include_soft:
             raise ValueError("the soft-label term needs the classification head")
+        if self.include_soft:
+            # a depth midway between two hypotheses is the farthest any
+            # scene depth lies from its nearest one; soft_labels raises
+            # when gamma overflows that distance
+            hyp = linear_hypotheses(self.d_min, self.d_max, self.m)
+            soft_labels(hyp, (hyp.values[:-1] + hyp.values[1:]) / 2.0, self.gamma)
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay ** (epoch // self.decay_every)
@@ -263,16 +271,25 @@ def init_model(config: TrainConfig) -> ToyModel:
 
 
 def _hidden_and_z(model: ToyModel, scene: SyntheticScene):
-    """The tanh hidden layer of one scene and the head output z it gives."""
+    """The tanh hidden layer of one scene and the head output z it gives.
+
+    Both come back as (H, W, ·) views of bins-first arrays, (hidden,
+    pixels) and (M, pixels) in memory, the layout the losses run fast
+    on (see the ``losses`` module docstring).  The features are read
+    through a transposed view, never copied.
+    """
     feats = scene.features
     if feats.shape[-1] != model.n_features:
         raise ValueError(
             f"scene has {feats.shape[-1]} feature channels, model wants {model.n_features}"
         )
-    hid = feats @ model.w1
-    hid += model.b1
+    f2 = feats.reshape(-1, feats.shape[-1])
+    hid = model.w1.T @ f2.T
+    hid += model.b1[:, None]
     np.tanh(hid, out=hid)
-    return hid, hid @ model.w2
+    z = model.w2.T @ hid
+    shape = feats.shape[:-1]
+    return hid.T.reshape(*shape, -1), z.T.reshape(*shape, -1)
 
 
 def forward(model: ToyModel, scene: SyntheticScene):
@@ -321,19 +338,18 @@ def scene_gradients(
         readout=model.w_out,
     )
 
-    gz = report.grad_z.reshape(pixels, -1)
-    h2 = hid.reshape(pixels, -1)
+    # the chain rule runs bins-first too: (M, pixels) and (hidden, pixels)
+    gz = report.grad_z.reshape(pixels, -1).T
+    h2 = hid.reshape(pixels, -1).T
     f2 = scene.features.reshape(pixels, -1)
-    grad_w2 = h2.T @ gz
-    grad_h = gz @ model.w2.T
-    # (1 - h^2) * grad_h, the tanh pullback, in one array
+    # (1 - h^2) * d(total)/d(h), the tanh pullback, in one array
     grad_pre = np.square(h2)
     np.subtract(1.0, grad_pre, out=grad_pre)
-    grad_pre *= grad_h
+    grad_pre *= model.w2 @ gz
     grads = {
-        "w1": f2.T @ grad_pre,
-        "b1": grad_pre.sum(axis=0),
-        "w2": grad_w2,
+        "w1": f2.T @ grad_pre.T,
+        "b1": grad_pre.sum(axis=1),
+        "w2": h2 @ gz.T,
         "a": report.grad_a,
         "sigma": report.grad_sigma,
     }
@@ -534,13 +550,21 @@ def save_model(model: ToyModel, directory) -> Path:
     """Grid bundle plus a key=value manifest, written for inspection.
 
     The weights are stored as float32 ``.duv`` grids and ``raw_scale`` at
-    full precision; nothing in the package reads the bundle back.
+    full precision; nothing in the package reads the bundle back.  Every
+    grid passes ``grid_payload`` before the first file is written, so a
+    weight beyond float32 range writes nothing.
     """
     directory = Path(directory)
+    grids = {
+        directory / f"{name}.duv": getattr(model, name)
+        for name in _MODEL_GRIDS
+        if getattr(model, name) is not None
+    }
+    for path, values in grids.items():
+        grid_payload(path, values)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in _MODEL_GRIDS:
-        if getattr(model, name) is not None:
-            write_grid(directory / f"{name}.duv", getattr(model, name))
+    for path, values in grids.items():
+        write_grid(path, values)
     write_keyvalue(
         directory / "manifest.txt",
         {

@@ -519,10 +519,14 @@ def test_bad_view_settings_exit_one(volume_grid, tmp_path, capsys, argv, message
     (["--d-min", "-1"], "bad depth range [-1.0, 10.0]"),
     (["--eta-hi", "inf"], "need 0 <= eta_lo < eta_hi, got 0.02, inf"),
     (["--d-max", "inf"], "bad depth range [1.0, inf]"),
-], ids=["extent", "features", "eta", "depth-range", "eta-inf", "depth-inf"])
+    (["--bins", "2", "--gamma", "1e308"],
+     "gamma 1e+308 is too large: gamma * |s - d| overflows for every hypothesis of a pixel"),
+], ids=["extent", "features", "eta", "depth-range", "eta-inf", "depth-inf", "gamma-overflow"])
 def test_bad_scene_field_fails_before_training(tmp_path, capsys, monkeypatch, argv, message):
     # an infinite noise std trained and reported a divergence; an infinite
-    # depth range exited 2 with an OverflowError from the scene draw
+    # depth range exited 2 with an OverflowError from the scene draw; a
+    # gamma that overflows the soft-label distances gave NaN label rows,
+    # reported as a divergence
     monkeypatch.setattr(toytrain, "train", _no_training)
     rc = cli.main(["train-toy", "--seed", "0", *argv, "--out-dir", str(tmp_path / "run")])
     assert rc == 1
@@ -573,6 +577,19 @@ def test_training_rejects_nonfinite_lr_and_gamma(tmp_path, capsys, subcommand, f
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number > 0, got {value}")
     assert not out.exists()
+
+
+def test_train_toy_writes_no_weight_beyond_float32(tmp_path, capsys):
+    # every weight grid held only inf, and the run exited 0
+    out = tmp_path / "out"
+    rc = cli.main([
+        "train-toy", "--seed", "0", "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
+        "--lr", "1e308", "--out-dir", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'model' / 'w1.duv'}: 128 finite entries exceed the float32 range\n"
+    assert list(out.rglob("*")) == []
 
 
 @pytest.mark.parametrize("seeds", ["0,0", "1,0,1"])

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,21 @@ def test_extent_and_size_limits(tmp_path):
     with pytest.raises(ValueError, match="too large"):
         write_grid(tmp_path / "x.duv", np.broadcast_to(np.float64(0.0), (1 << 16, 1 << 16)))
     assert not (tmp_path / "x.duv").exists()
+
+
+def test_finite_entries_beyond_float32_fail_before_the_file_opens(tmp_path):
+    # the float32 cast stored them as +-inf, with only a RuntimeWarning
+    big = float(np.finfo(np.float32).max)
+    path = tmp_path / "x.duv"
+    for values, count in (([1.0, 1e39], 1), ([-1e308, 2.0, 1e300], 2), ([2.0 * big], 1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {count} finite entries"):
+            write_grid(path, values)
+        assert not path.exists()
+    # NaN, +-inf and values that round to the float32 extremes stay legal
+    write_grid(path, [np.nan, np.inf, -np.inf, -big, big * (1.0 + 2.0**-26)])
+    back = read_grid(path)
+    assert np.isnan(back[0]) and back[1:3].tolist() == [np.inf, -np.inf]
+    assert back[3:].tolist() == [-big, big]
 
 
 def test_nan_payload_survives(tmp_path):

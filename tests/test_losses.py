@@ -27,7 +27,7 @@ from depthuq.losses import (
     softmax_backward,
 )
 from depthuq.gridio import valid_mask
-from depthuq.uncertainty import PROB_FLOOR, sigmoid, softplus
+from depthuq.uncertainty import PROB_FLOOR, clamped_entropy, raw_entropy, sigmoid, softplus
 
 
 def test_depth_l1_is_mean():
@@ -190,10 +190,15 @@ def test_hinge_nonnegative_and_shift_invariant(seed):
 
 
 def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        PairPermutation(np.array([0, 0, 1]))
+    # a bare scatter would let the negative cases through: -1 and -3
+    # wrap to the one slot their vector leaves unmarked
+    for perm in ([0, 0, 1], [0, -1, 1], [-3, 1, 2], [0, 1, 3], [3, 0, 1]):
+        with pytest.raises(ValueError, match="^not a bijection over valid pixels$"):
+            PairPermutation(np.array(perm))
     with pytest.raises(ValueError):
         PairPermutation(np.array([[0, 1]]))
+    assert PairPermutation(np.array([2, 0, 1])).n == 3
+    assert PairPermutation(np.array([], dtype=np.int64)).n == 0
 
 
 def test_draw_permutation_deterministic():
@@ -477,13 +482,22 @@ def test_full_backward_decodes_the_clipped_depth_of_head_forward():
     np.testing.assert_array_equal(rep.grad_z, want)
 
 
+def _oracle_softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _oracle_log_and_entropy(p):
+    logp = np.log(np.clip(p, PROB_FLOOR, None))
+    return logp, -(p * logp).sum(axis=-1)
+
+
 def _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout):
     # the step's arithmetic written out plainly: a copy of the valid rows,
     # np.clip, an out-of-place softmax and pullback, a scatter into zeros
     mask = targets.mask
     zv = z[mask]
-    e = np.exp(zv - zv.max(axis=-1, keepdims=True))
-    pv = e / e.sum(axis=-1, keepdims=True)
+    pv = _oracle_softmax(zv)
     depth = np.clip(pv @ hyp.values, hyp.d_min, hyp.d_max) if readout is None else zv @ readout
     alpha = float(softplus(a))
     ew = np.exp(-sig)
@@ -500,8 +514,7 @@ def _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout):
     value_u = 0.0
     grad_a = 0.0
     if ranking is not None:
-        logp = np.log(np.clip(pv, PROB_FLOOR, None))
-        h = -(pv * logp).sum(axis=-1)
+        logp, h = _oracle_log_and_entropy(pv)
         dh_dp = -(logp + (pv > PROB_FLOOR))
         rank = ranking_loss_variants(np.abs(depth - targets.gt), alpha * h, perm, ranking)
         value_u = rank.value
@@ -525,6 +538,36 @@ def _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout):
     active = (True, targets.labels is not None, ranking is not None)
     total, grad_sigma = auto_weighted_total([value_r, value_p, value_u], sig, active)
     return value_r, value_p, value_u, total, grad_z, grad_a, grad_sigma, grad_readout
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 16), (12, 10, 16)])
+def test_decode_parts_keep_the_oracle_bits_on_c_ordered_input(shape):
+    # eval, combine --entropy-out and gradcheck pass C-ordered (..., M)
+    # arrays and get the bits of the oracle step's plain formulas; the
+    # bins-first layout of a training step gives the same values up to
+    # row-sum rounding (7e-16 relative, 5e-16 in the entropy, on these inputs)
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    z = rng.normal(scale=12.0, size=shape)
+    z.flat[0] = 80.0  # puts the rest of the first row under the floor
+    p = _oracle_softmax(z)
+    _, h = _oracle_log_and_entropy(p)
+    assert np.any(p < PROB_FLOOR)
+    assert softmax_volume(z).tobytes() == p.tobytes()
+    assert clamped_entropy(p).tobytes() == h.tobytes()
+    assert raw_entropy(p).tobytes() == h.tobytes()
+    hyp = linear_hypotheses(1.0, 10.0, shape[-1])
+    gt = rng.uniform(0.5, 11.0, size=shape[:-1])
+    gt.flat[0] = np.nan
+    valid = valid_mask(gt)
+    labels = _oracle_softmax(-DEFAULT_GAMMA * np.abs(hyp.values - np.where(valid, gt, 1.0)[..., None]))
+    labels[~valid] = 0.0
+    assert soft_labels(hyp, gt).values.tobytes() == labels.tobytes()
+
+    binsfirst = np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
+    assert binsfirst.strides[-1] == max(binsfirst.strides)
+    p_bf = softmax_volume(binsfirst)
+    np.testing.assert_allclose(p_bf, p, rtol=1e-14, atol=1e-300)
+    np.testing.assert_allclose(clamped_entropy(p_bf), h, rtol=1e-14, atol=1e-15)
 
 
 def _oracle_instances():

@@ -8,6 +8,8 @@ surface in a traced benchmark run.
 
 import ast
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +81,35 @@ def test_frustum_sample_counts_sit_where_the_tracer_reads_them(monkeypatch):
         assert base.ndim == 1 and base.dtype.kind == "i"
         assert base.shape[0] == frac.shape[0] == a.shape[0] == pm.shape[0]
     assert sum(a.size for _, (a, _) in trilerps) > 0
+
+
+def _counting(calls, key, fn):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_tiny_ablate_calls_every_training_target(monkeypatch):
+    # the --trace 1 split of ablate-grid reads these self times; a target
+    # inlined away or left uncalled would read 0 while its work went on
+    from depthuq import toytrain
+
+    wanted = [
+        (module, attribute) for module, attribute, *_ in TARGETS
+        if module in ("depthuq.toytrain", "depthuq.losses", "depthuq.discretize")
+    ]
+    modules = [m for n, m in sys.modules.items() if n == "depthuq" or n.startswith("depthuq.")]
+    calls = Counter()
+    for module_name, attribute in wanted:
+        original = getattr(importlib.import_module(module_name), attribute)
+        counted = _counting(calls, (module_name, attribute), original)
+        # every binding, as the tracer swaps them: ``from .x import f`` copies too
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    base = toytrain.TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
+    toytrain.ablate([0], base=base)
+    assert wanted and [key for key in wanted if calls[key] == 0] == []

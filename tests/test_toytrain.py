@@ -31,9 +31,15 @@ from depthuq.toytrain import (
     save_model,
     scene_gradients,
     train,
+    _hidden_and_z,
 )
 from depthuq.uncertainty import softplus
 from test_losses import _oracle_step
+
+
+# bins-first training arrays against the pixel-major formulas: their
+# row sums round differently, measured at most 2e-15 apart on these runs
+PIXEL_MAJOR_TOL = dict(rtol=1e-12, atol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -570,12 +576,16 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     trained.check_finite()
 
 
-def _reference_train(model, scenes, config):
+def _reference_train(model, scenes, config, bins_first=True):
     """``train`` with the loss targets rebuilt on every step.
 
     Nothing is built ahead of the steps: each one makes its scene's
     ``loss_targets`` and a permutation over its valid count, and the
-    chain rule and update are spelled out here.
+    chain rule and update are spelled out here.  ``bins_first`` takes
+    the hidden layer and z from ``_hidden_and_z`` and runs the chain
+    rule on (hidden, pixels) and (M, pixels) arrays, as ``train`` does;
+    otherwise every array is pixel-major, the plain formulas whose row
+    sums round differently.
     """
     logs = []
     step = 0
@@ -584,8 +594,11 @@ def _reference_train(model, scenes, config):
         totals = np.zeros(4)
         gsig = np.zeros(3)
         for scene in scenes:
-            hid = np.tanh(scene.features @ model.w1 + model.b1)
-            z = hid @ model.w2
+            if bins_first:
+                hid, z = _hidden_and_z(model, scene)
+            else:
+                hid = np.tanh(scene.features @ model.w1 + model.b1)
+                z = hid @ model.w2
             perm = None
             if config.ranking in ("hinge", "no-max"):
                 n_valid = int(np.count_nonzero(valid_mask(scene.gt)))
@@ -598,10 +611,16 @@ def _reference_train(model, scenes, config):
             gz = rep.grad_z.reshape(pixels, -1)
             h2 = hid.reshape(pixels, -1)
             f2 = scene.features.reshape(pixels, -1)
-            grad_pre = (gz @ model.w2.T) * (1.0 - h2**2)
-            model.w1 -= lr * (f2.T @ grad_pre)
-            model.b1 -= lr * grad_pre.sum(axis=0)
-            model.w2 -= lr * (h2.T @ gz)
+            if bins_first:
+                grad_pre = (model.w2 @ gz.T) * (1.0 - h2.T**2)
+                model.w1 -= lr * (f2.T @ grad_pre.T)
+                model.b1 -= lr * grad_pre.sum(axis=1)
+                model.w2 -= lr * (h2.T @ gz)
+            else:
+                grad_pre = (gz @ model.w2.T) * (1.0 - h2**2)
+                model.w1 -= lr * (f2.T @ grad_pre)
+                model.b1 -= lr * grad_pre.sum(axis=0)
+                model.w2 -= lr * (h2.T @ gz)
             model.raw_scale -= lr * rep.grad_a
             model.sigma = np.clip(model.sigma - lr * rep.grad_sigma, -SIGMA_BOUND, SIGMA_BOUND)
             if rep.grad_readout is not None:
@@ -645,6 +664,14 @@ def test_train_targets_match_default_backward_path(tiny_data, head, soft, rankin
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.raw_scale == want.raw_scale
     assert got_logs == want_logs
+    # the pixel-major formulas: the same run up to row-sum rounding
+    near, near_logs = _reference_train(init_model(cfg), scenes, cfg, bins_first=False)
+    for name in ("w1", "b1", "w2", "sigma", "w_out"):
+        if getattr(got, name) is not None:
+            np.testing.assert_allclose(getattr(got, name), getattr(near, name), **PIXEL_MAJOR_TOL)
+    np.testing.assert_allclose(got.raw_scale, near.raw_scale, **PIXEL_MAJOR_TOL)
+    for row, near_row in zip(got_logs, near_logs, strict=True):
+        np.testing.assert_allclose(list(row.values()), list(near_row.values()), **PIXEL_MAJOR_TOL)
 
 
 @pytest.mark.parametrize("soft", [True, False])
@@ -736,12 +763,42 @@ def test_forward_is_the_hidden_layer_and_head_forward():
         cfg = TrainConfig(head=head, include_soft=head == "classification", seed=2)
         m = init_model(cfg)
         m.raw_scale = 0.7
-        z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
+        _, z = _hidden_and_z(m, scene)
         want = head_forward(z, 0.7, m.hypotheses, m.w_out)
         got = forward(m, scene)
         assert len(got) == 3
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+        # the pixel-major z: the same decode up to row-sum rounding
+        z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
+        for g, w in zip(got, head_forward(z, 0.7, m.hypotheses, m.w_out)):
+            np.testing.assert_allclose(g, w, **PIXEL_MAJOR_TOL)
+
+
+def test_scene_gradients_run_bins_first(tiny_data, monkeypatch):
+    # z, grad_z and the label rows are (pixels, M) views of (M, pixels)
+    # arrays, so the losses' row reductions run along contiguous pixel
+    # vectors; a C-ordered operand anywhere in the step sends it back to
+    # the slow M-element loops and breaks this layout
+    seen = []
+    original = depthuq.toytrain.full_backward
+
+    def spy(z, *args, **kwargs):
+        report = original(z, *args, **kwargs)
+        seen.append((z.strides, report.grad_z.strides))
+        return report
+
+    monkeypatch.setattr(depthuq.toytrain, "full_backward", spy)
+    scene = tiny_data[0][0]
+    h, w = scene.gt.shape
+    for head in HEAD_KINDS:
+        cfg = TrainConfig(head=head, include_soft=head == "classification")
+        m = init_model(cfg)
+        targets = _targets(m, scene, cfg)
+        scene_gradients(m, scene, cfg, 0, targets)
+        if targets.labels is not None:
+            assert targets.labels.strides == (8, 8 * h * w)
+    assert seen == [((8 * w, 8, 8 * h * w),) * 2] * len(HEAD_KINDS)
 
 
 def test_scene_arrays_are_read_only(tiny_data):
