@@ -27,6 +27,7 @@ depend on the block length.  Samples and colors are kept column-major
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -451,10 +452,10 @@ def render(
     dilated occupancy map of ``_occupancy``; the others would read
     alpha 0.  Each pass of ``_march`` takes ``MARCH_BLOCK`` samples per
     ray, at the positions of repeated ``t += step``; the image does not
-    depend on the block length.  With ``threads`` > 1 the rays are split
-    into that many chunks (at most one per ray) marched in parallel;
-    rays are independent, so the image does not depend on it.
-    ``threads`` below 1 is a ValueError.
+    depend on the block length.  The rays are split into ``threads``
+    chunks (at most one per ray), marched by one thread pool of
+    min(``threads``, chunks, CPUs) workers; rays are independent, so
+    the image depends on neither.  ``threads`` below 1 is a ValueError.
     """
     bg = np.asarray(background, dtype=np.float64).reshape(3)
     if not np.all((bg >= 0.0) & (bg <= 1.0)):
@@ -472,18 +473,15 @@ def render(
     flat_a, flat_pm = dense_a.reshape(-1), dense_pm.reshape(-1, 3)  # (nvox, 3) column view
     occ = _occupancy(dense_a)  # read-only, shared by every chunk
     dirs = np.asfortranarray(camera_rays(cam, pose))
-    threads = min(threads, dirs.shape[0])  # no empty chunks
+    chunks = np.array_split(dirs, min(threads, dirs.shape[0]))  # no empty chunks
 
     def march(rays):
         return _march(
             grid, flat_a, flat_pm, occ, pose.translation, rays, bg, step, min_transmittance
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out_c = np.concatenate(list(pool.map(march, np.array_split(dirs, threads))))
-    else:
-        out_c = march(dirs)
+    with ThreadPoolExecutor(max_workers=min(threads, len(chunks), os.cpu_count() or 1)) as pool:
+        out_c = np.concatenate(list(pool.map(march, chunks)))
     return out_c.reshape(cam.h, cam.w, 3)
 
 

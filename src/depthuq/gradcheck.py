@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DEFAULT_GAMMA, linear_hypotheses, soft_labels, softmax_volume
+from .discretize import linear_hypotheses, soft_labels, softmax_volume
 from .losses import (
     auto_weighted_total,
     depth_l1,
@@ -48,6 +48,8 @@ KINK_CLEARANCE = 1e-4
 MAX_REDRAWS = 200
 # hypotheses of every instance; the regression decode ignores them
 _HYP = linear_hypotheses(1.0, 10.0, 4)
+# soft-label sharpness of every classification instance
+_GAMMA = 20.0
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def _check_soft_label_l1(rng):
         mask = _mask_with_min(rng, (3, 4), 2)
         gt = rng.uniform(1.2, 9.8, mask.shape)
         vol = softmax_volume(rng.normal(size=mask.shape + (4,)))[mask]
-        y = soft_labels(_HYP, gt).values[mask]
+        y = soft_labels(_HYP, gt, _GAMMA).values[mask]
         return (vol, y), y - vol
 
     vol, y = _redraw(rng, draw)
@@ -195,7 +197,7 @@ def _draw_total(rng, regression):
     resid = (depth - gt)[mask]
     kinks = [resid, _margins(np.abs(resid), unc[mask], perm.perm)]
     if not regression:
-        kinks.append((soft_labels(_HYP, gt).values - p)[mask].ravel())
+        kinks.append((soft_labels(_HYP, gt, _GAMMA).values - p)[mask].ravel())
     inputs = dict(z=z, a=a, sigma=sigma, readout=readout)
     return (inputs, mask, gt, perm, np.abs(resid)), np.concatenate(kinks)
 
@@ -203,7 +205,7 @@ def _draw_total(rng, regression):
 def _check_total(rng, regression, wrt):
     """``full_backward``'s gradient wrt input ``wrt`` against the forward total."""
     inputs, mask, gt, perm, frozen = _redraw(rng, lambda rng: _draw_total(rng, regression))
-    targets = loss_targets(_HYP, np.where(mask, gt, np.nan), None if regression else DEFAULT_GAMMA)
+    targets = loss_targets(_HYP, np.where(mask, gt, np.nan), None if regression else _GAMMA)
     report = full_backward(hyp=_HYP, targets=targets, perm=perm, **inputs)
     numeric = central_difference(
         lambda x: _total_forward(

@@ -22,6 +22,7 @@ trains the five distinct models among them (``full_nomax`` is
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -48,13 +49,15 @@ _SCENE_SEED_STRIDE = 10_007
 # stationary sigma, and an unbounded walk overflows exp() mid-run.
 # Inactive for every configuration with nonzero term values.
 SIGMA_BOUND = 20.0
+# the largest weight a float32 checkpoint can hold (``gridio.grid_payload``)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss total went non-finite; carries the epoch it happened in."""
+    """Loss total went non-finite or a weight left float32 range; carries the epoch."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged (non-finite total) in epoch {epoch}")
+    def __init__(self, epoch: int, reason: str = "non-finite total"):
+        super().__init__(f"training diverged ({reason}) in epoch {epoch}")
         self.epoch = epoch
 
 
@@ -166,11 +169,14 @@ class ToyModel:
     def head(self) -> str:
         return "classification" if self.w_out is None else "regression"
 
-    def check_finite(self):
+    def _parameters(self) -> list:
         parts = [self.w1, self.b1, self.w2, self.sigma, np.atleast_1d(self.raw_scale)]
         if self.w_out is not None:
             parts.append(self.w_out)
-        if not all(np.all(np.isfinite(p)) for p in parts):
+        return parts
+
+    def check_finite(self):
+        if not all(np.all(np.isfinite(p)) for p in self._parameters()):
             raise ValueError("non-finite model parameters")
 
     @property
@@ -225,12 +231,9 @@ class TrainConfig:
             raise ValueError(f"image extents must be >= 4, got {self.height}x{self.width}")
         if self.features < 1:
             raise ValueError(f"need >= 1 feature channel, got {self.features}")
-        if self.m < 2:
-            raise ValueError(f"need >= 2 hypotheses, got {self.m}")
         if not (0.0 <= self.eta_lo < self.eta_hi < np.inf):
             raise ValueError(f"need 0 <= eta_lo < eta_hi, got {self.eta_lo}, {self.eta_hi}")
-        if not (0.0 < self.d_min < self.d_max < np.inf):
-            raise ValueError(f"bad depth range [{self.d_min}, {self.d_max}]")
+        hyp = linear_hypotheses(self.d_min, self.d_max, self.m)
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be a finite number > 0, got {self.lr}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
@@ -249,7 +252,6 @@ class TrainConfig:
             # a depth midway between two hypotheses is the farthest any
             # scene depth lies from its nearest one; soft_labels raises
             # when gamma overflows that distance
-            hyp = linear_hypotheses(self.d_min, self.d_max, self.m)
             soft_labels(hyp, (hyp.values[:-1] + hyp.values[1:]) / 2.0, self.gamma)
 
     def lr_at(self, epoch: int) -> float:
@@ -366,8 +368,10 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     valid GT, soft-label rows at ``config.gamma`` when the soft-label
     term is on) are built once, before the first step, and reused by
     every epoch: at the defaults (64 scenes of 32 x 32, 16 bins) the
-    label rows hold 8 MiB for the run.  Aborts with the epoch
-    index if the total goes non-finite.  Returns the trained model
+    label rows hold 8 MiB for the run.  Raises ``TrainingDivergedError``
+    with the epoch index if the total goes non-finite or a step leaves a
+    weight beyond the float32 range, which ``save_model`` could not
+    store.  Returns the trained model
     (mutated in place) and one ``train_log.csv`` row per epoch: a dict
     keyed and ordered like that file's header (the mean loss total and
     terms over the epoch's steps, the loss weights and ``alpha`` after
@@ -399,6 +403,10 @@ def train(model: ToyModel, scenes, config: TrainConfig):
             )
             if "w_out" in grads:
                 model.w_out = model.w_out - lr * grads["w_out"]
+            # checked before the next step decodes: a huge finite weight
+            # overflows z to inf and the softmax to NaN
+            if not all(np.abs(p).max() <= _FLOAT32_MAX for p in model._parameters()):
+                raise TrainingDivergedError(epoch, "a weight left the float32 range")
             totals += (report.total, report.value_r, report.value_p, report.value_u)
             gsig += grads["sigma"]
             step += 1
@@ -412,7 +420,6 @@ def train(model: ToyModel, scenes, config: TrainConfig):
             "grad_sigma_depth": grad_sigma[0], "grad_sigma_soft": grad_sigma[1],
             "grad_sigma_rank": grad_sigma[2],
         })
-    model.check_finite()
     return model, rows
 
 
@@ -479,8 +486,9 @@ def ablate(seeds, base: TrainConfig | None = None, threads: int = 1):
     Returns one flat dict per (configuration, seed), seeds outer and
     ``ABLATION_ROWS`` inner, in a fixed order regardless of ``threads``;
     each run is self-contained, so threading only changes wall-clock,
-    never the numbers.  ``threads`` below 1 and a repeated seed are
-    ValueErrors.
+    never the numbers.  The runs go through one thread pool of
+    min(``threads``, runs, CPUs) workers, one worker included.
+    ``threads`` below 1 and a repeated seed are ValueErrors.
 
     Each distinct model trains once per seed, five runs for six rows:
     a run is keyed by (seed, soft-label term, effective ranking), and
@@ -520,11 +528,8 @@ def ablate(seeds, base: TrainConfig | None = None, threads: int = 1):
         model, _ = train(model, train_scenes, cfg)
         return evaluate_model(model, eval_scenes), time.perf_counter() - started
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(runs, pool.map(run, runs)))
-    else:
-        results = {key: run(key) for key in runs}
+    with ThreadPoolExecutor(max_workers=min(threads, len(runs), os.cpu_count() or 1)) as pool:
+        results = dict(zip(runs, pool.map(run, runs)))
     rows = []
     for name, key, owns in keyed_rows:
         metrics, train_s = results[key]

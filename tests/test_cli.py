@@ -1,5 +1,6 @@
 import dataclasses
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -516,9 +517,9 @@ def test_bad_view_settings_exit_one(volume_grid, tmp_path, capsys, argv, message
     (["--height", "3"], "image extents must be >= 4, got 3x32"),
     (["--features", "0"], "need >= 1 feature channel, got 0"),
     (["--eta-lo", "0.5", "--eta-hi", "0.5"], "need 0 <= eta_lo < eta_hi, got 0.5, 0.5"),
-    (["--d-min", "-1"], "bad depth range [-1.0, 10.0]"),
+    (["--d-min", "-1"], "need 0 < d_min < d_max, got [-1.0, 10.0]"),
     (["--eta-hi", "inf"], "need 0 <= eta_lo < eta_hi, got 0.02, inf"),
-    (["--d-max", "inf"], "bad depth range [1.0, inf]"),
+    (["--d-max", "inf"], "need 0 < d_min < d_max, got [1.0, inf]"),
     (["--bins", "2", "--gamma", "1e308"],
      "gamma 1e+308 is too large: gamma * |s - d| overflows for every hypothesis of a pixel"),
 ], ids=["extent", "features", "eta", "depth-range", "eta-inf", "depth-inf", "gamma-overflow"])
@@ -580,7 +581,8 @@ def test_training_rejects_nonfinite_lr_and_gamma(tmp_path, capsys, subcommand, f
 
 
 def test_train_toy_writes_no_weight_beyond_float32(tmp_path, capsys):
-    # every weight grid held only inf, and the run exited 0
+    # every weight grid held only inf, and the run exited 0; training now
+    # stops at the step that leaves a weight beyond the float32 range
     out = tmp_path / "out"
     rc = cli.main([
         "train-toy", "--seed", "0", "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
@@ -588,8 +590,26 @@ def test_train_toy_writes_no_weight_beyond_float32(tmp_path, capsys):
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == f"error: {out / 'model' / 'w1.duv'}: 128 finite entries exceed the float32 range\n"
-    assert list(out.rglob("*")) == []
+    assert err == "error: training diverged (a weight left the float32 range) in epoch 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["ablate", "demo-ause"])
+def test_training_stops_when_a_weight_leaves_float32(tmp_path, capsys, subcommand):
+    # both exited 0 after an overflow RuntimeWarning from the softmax,
+    # reporting every SCC as undefined
+    out = tmp_path / "out.csv"
+    extra = ["--seeds", "0"] if subcommand == "ablate" else ["--seed", "0", "--transform", "square"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # process-wide, so ablate's pool threads too
+        rc = cli.main([
+            subcommand, *extra, "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
+            "--lr", "1e308", "--out", str(out),
+        ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: training diverged (a weight left the float32 range) in epoch 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", ["0,0", "1,0,1"])

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -707,6 +708,46 @@ def test_render_pool_has_one_worker_per_ray_at_most(monkeypatch):
     img = render(grid, poses[1], cam, threads=100)
     assert sorted(chunks) == [1, 1, 1, 1]
     assert np.array_equal(img, single)
+
+
+class _SerialPool:
+    """Stands in for ``ThreadPoolExecutor``: starts no thread, runs each job
+    in the caller and records every pool's [max_workers, jobs]."""
+
+    def __init__(self):
+        self.pools = []
+
+    def __call__(self, max_workers):
+        self.pools.append([max_workers, 0])
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.pools[-1][1] = len(jobs)
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("threads, cpus, workers, chunks", [
+    (1, 4, 1, 1), (3, 2, 2, 3), (100_000, 4, 4, 16), (100_000, None, 1, 16),
+])
+def test_render_pool_is_bounded_by_cpus(monkeypatch, threads, cpus, workers, chunks):
+    # one pool path for every thread count; the chunk count follows
+    # --threads alone, so the image does not depend on the host
+    grid, _, poses = _march_scene((9, 8, 7), "prediction")
+    cam = centered_pinhole(4, 4, 4.0)
+    want = render(grid, poses[1], cam)
+    pool = _SerialPool()
+    monkeypatch.setattr(frustum, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    img = render(grid, poses[1], cam, threads=threads)
+    assert pool.pools == [[workers, chunks]]
+    assert img.tobytes() == want.tobytes()
 
 
 def test_source_pose_rerender_at_aligned_pixel():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthuq.discretize import (
-    DEFAULT_GAMMA,
     DepthHypotheses,
     expectation_depth,
     linear_hypotheses,
@@ -28,6 +27,8 @@ from depthuq.losses import (
 )
 from depthuq.gridio import valid_mask
 from depthuq.uncertainty import PROB_FLOOR, clamped_entropy, raw_entropy, sigmoid, softplus
+
+GAMMA = 20.0  # soft-label sharpness of every instance here
 
 
 def test_depth_l1_is_mean():
@@ -62,8 +63,8 @@ def test_depth_l1_masks_invalid_gt():
     # full_backward masks once; the NaN pixel leaves no trace
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(10)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
-    kept = full_backward(z_kept, 0.4, sig, hyp, loss_targets(hyp, gt_kept, DEFAULT_GAMMA), perm)
+    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, GAMMA), perm)
+    kept = full_backward(z_kept, 0.4, sig, hyp, loss_targets(hyp, gt_kept, GAMMA), perm)
     assert rep.n_valid == gt.size - 1 == kept.n_valid
     np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
     np.testing.assert_array_equal(rep.grad_z[np.isfinite(gt)], kept.grad_z)
@@ -76,7 +77,7 @@ def test_depth_l1_rejects_empty_mask():
         depth_l1(np.array([]), np.array([]))
     hyp, _, gt, _ = _small_instance(11)
     with pytest.raises(ValueError, match="no valid pixels"):
-        loss_targets(hyp, np.full_like(gt, np.nan), DEFAULT_GAMMA)
+        loss_targets(hyp, np.full_like(gt, np.nan), GAMMA)
 
 
 def test_soft_label_l1_zero_on_match():
@@ -101,10 +102,10 @@ def test_soft_label_l1_uses_label_validity():
     # a NaN-GT pixel has an all-zero label row; full_backward must drop
     # it rather than fit the row
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(12)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
-    kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt_kept, DEFAULT_GAMMA), perm)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
+    kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt_kept, GAMMA), perm)
     assert rep.value_p == kept.value_p
-    lab = soft_labels(hyp, gt_kept).values
+    lab = soft_labels(hyp, gt_kept, GAMMA).values
     assert rep.value_p == soft_label_l1(softmax_volume(z_kept), lab).value
     np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
 
@@ -290,7 +291,7 @@ def _small_instance(seed):
 def test_full_backward_total_identity():
     hyp, z, gt, perm = _small_instance(0)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
+    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, GAMMA), perm)
     expect = float(((rep.values() * np.exp(-sig)) + sig).sum())
     assert abs(rep.total - expect) < 1e-12
     assert rep.n_valid == 6
@@ -349,9 +350,9 @@ def test_loss_targets_keep_valid_pixels_and_their_label_rows():
 def test_full_backward_rejects_targets_of_another_grid():
     hyp, z, gt, perm = _small_instance(8)
     with pytest.raises(ValueError, match="targets"):
-        full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt.T, DEFAULT_GAMMA), perm)
+        full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt.T, GAMMA), perm)
     # soft labels over another hypothesis count do not fit the logits
-    other = loss_targets(linear_hypotheses(1.0, 10.0, 4), gt, DEFAULT_GAMMA)
+    other = loss_targets(linear_hypotheses(1.0, 10.0, 4), gt, GAMMA)
     with pytest.raises(ValueError, match="matching"):
         full_backward(z, 0.0, np.zeros(3), hyp, other, perm)
 
@@ -366,14 +367,14 @@ def test_full_backward_drops_soft_term():
 
 def test_full_backward_drops_ranking_term():
     hyp, z, gt, _ = _small_instance(3)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), None, ranking=None)
+    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), None, ranking=None)
     assert rep.value_u == 0.0 and rep.grad_a == 0.0
     assert rep.grad_sigma[2] == 0.0
 
 
 def test_full_backward_requires_perm_for_pairs():
     hyp, z, gt, _ = _small_instance(4)
-    targets = loss_targets(hyp, gt, DEFAULT_GAMMA)
+    targets = loss_targets(hyp, gt, GAMMA)
     with pytest.raises(ValueError):
         full_backward(z, 0.0, np.zeros(3), hyp, targets, None, ranking="hinge")
     with pytest.raises(ValueError):
@@ -384,7 +385,7 @@ def test_full_backward_rejects_shape_mismatch():
     hyp = linear_hypotheses(1, 10, 4)
     with pytest.raises(ValueError):
         full_backward(
-            np.zeros((2, 5)), 0.0, np.zeros(3), hyp, loss_targets(hyp, np.full(2, 5.0), DEFAULT_GAMMA),
+            np.zeros((2, 5)), 0.0, np.zeros(3), hyp, loss_targets(hyp, np.full(2, 5.0), GAMMA),
             PairPermutation(np.arange(2)),
         )
 
@@ -404,7 +405,7 @@ def test_full_backward_sigma_grad_matches_fd():
     # are honest here
     hyp, z, gt, perm = _small_instance(5)
     sig = np.array([0.2, -0.4, 0.1])
-    targets = loss_targets(hyp, gt, DEFAULT_GAMMA)
+    targets = loss_targets(hyp, gt, GAMMA)
     rep = full_backward(z, 0.3, sig, hyp, targets, perm)
     h = 1e-6
     for k in range(3):
@@ -421,7 +422,7 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
     # so central differences on a are honest too
     hyp, z, gt, _ = _small_instance(6)
     a = 0.7
-    targets = loss_targets(hyp, gt, DEFAULT_GAMMA)
+    targets = loss_targets(hyp, gt, GAMMA)
     rep = full_backward(z, a, np.zeros(3), hyp, targets, None, ranking="l1-direct")
     h = 1e-6
     tp = full_backward(z, a + h, np.zeros(3), hyp, targets, None, ranking="l1-direct").total
@@ -431,7 +432,7 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
 
 def test_full_backward_alpha_is_softplus():
     hyp, z, gt, perm = _small_instance(7)
-    rep = full_backward(z, -1.3, np.zeros(3), hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm)
+    rep = full_backward(z, -1.3, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
     assert abs(rep.alpha - float(softplus(-1.3))) < 1e-15
 
 
@@ -448,7 +449,7 @@ def test_head_forward_decode(readout):
 def test_head_forward_is_the_forward_full_backward_trains(readout):
     hyp, z, gt, perm = _small_instance(4)
     sig = np.array([0.3, -0.2, 0.5])
-    targets = loss_targets(hyp, gt, DEFAULT_GAMMA if readout is None else None)
+    targets = loss_targets(hyp, gt, GAMMA if readout is None else None)
     rep = full_backward(z, 0.4, sig, hyp, targets, perm, readout=readout)
     depth, unc, _ = head_forward(z, 0.4, hyp, readout)
     d, u, g = depth.ravel(), unc.ravel(), gt.ravel()
@@ -559,15 +560,62 @@ def test_decode_parts_keep_the_oracle_bits_on_c_ordered_input(shape):
     gt = rng.uniform(0.5, 11.0, size=shape[:-1])
     gt.flat[0] = np.nan
     valid = valid_mask(gt)
-    labels = _oracle_softmax(-DEFAULT_GAMMA * np.abs(hyp.values - np.where(valid, gt, 1.0)[..., None]))
+    labels = _oracle_softmax(-GAMMA * np.abs(hyp.values - np.where(valid, gt, 1.0)[..., None]))
     labels[~valid] = 0.0
-    assert soft_labels(hyp, gt).values.tobytes() == labels.tobytes()
+    assert soft_labels(hyp, gt, GAMMA).values.tobytes() == labels.tobytes()
 
-    binsfirst = np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
+    binsfirst = _bins_first(z)
     assert binsfirst.strides[-1] == max(binsfirst.strides)
     p_bf = softmax_volume(binsfirst)
     np.testing.assert_allclose(p_bf, p, rtol=1e-14, atol=1e-300)
     np.testing.assert_allclose(clamped_entropy(p_bf), h, rtol=1e-14, atol=1e-15)
+
+
+def _bins_first(x):
+    """A (..., M) view of a bins-first copy of ``x``, as the training step passes."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+def _same_bits(got, want):
+    # equal shape, equal values with NaN matching NaN, and equal sign bits
+    # (so -0.0 and 0.0 differ)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("m", [2, 3, 16, 32, 129])
+def test_softmax_volume_matches_oracle_bitwise(m, lead):
+    # the row max is NumPy's own, exact and independent of order, so
+    # either layout keeps the oracle's bits, special values included
+    rng = np.random.default_rng(m * 31 + len(lead))
+    for trial in range(40):
+        x = rng.normal(scale=3.0, size=lead + (m,))
+        # half the trials are special values only, the rest a sprinkling
+        share = 1.0 if trial % 2 else 0.3
+        special = rng.random(x.shape) < share
+        x[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+        for z in (x, _bins_first(x)):
+            with np.errstate(invalid="ignore"):
+                assert _same_bits(softmax_volume(z), _oracle_softmax(z))
+
+
+def test_softmax_volume_signed_zero_rows():
+    x = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    for z in (x, _bins_first(x)):
+        assert _same_bits(softmax_volume(z), _oracle_softmax(z))
+
+
+def test_softmax_volume_rejects_zero_bins():
+    for z in (np.zeros((4, 0)), _bins_first(np.zeros((4, 0)))):
+        with pytest.raises(ValueError):
+            softmax_volume(z)
 
 
 def _oracle_instances():
@@ -603,7 +651,7 @@ def test_full_backward_matches_oracle_step_bitwise(regression, ranking, invalid)
         hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
         if invalid:
             gt[rng.random(gt.shape) < 0.2] = np.nan
-        targets = loss_targets(hyp, gt, None if regression else DEFAULT_GAMMA)
+        targets = loss_targets(hyp, gt, None if regression else GAMMA)
         assert (targets.n < gt.size) == invalid
         floored |= bool(np.any(softmax_volume(z) < PROB_FLOOR))
         perm = draw_permutation(targets.n, perm_seed) if ranking in ("hinge", "no-max") else None
@@ -643,7 +691,7 @@ def test_step_and_decode_leave_read_only_inputs_unchanged(readout):
     hyp, z, gt, _ = _small_instance(12)
     z.setflags(write=False)
     z_before = z.tobytes()
-    gamma = DEFAULT_GAMMA if readout is None else None
+    gamma = GAMMA if readout is None else None
     gt_nan = gt.copy()
     gt_nan[0, 1] = np.nan
     for targets in (loss_targets(hyp, gt_nan, gamma), loss_targets(hyp, gt, gamma)):

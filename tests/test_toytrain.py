@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats
 
 import depthuq.losses
 import depthuq.toytrain
-from depthuq.discretize import DEFAULT_GAMMA, DepthHypotheses, linear_hypotheses
+from depthuq.discretize import DepthHypotheses, linear_hypotheses
 from depthuq.gridio import read_grid, read_keyvalue, valid_mask
 from depthuq.losses import draw_permutation, full_backward, head_forward, loss_targets
 from depthuq.metrics import DELTA_RATIO, evaluate_uncertainty
@@ -34,6 +35,7 @@ from depthuq.toytrain import (
     _hidden_and_z,
 )
 from depthuq.uncertainty import softplus
+from test_frustum import _SerialPool
 from test_losses import _oracle_step
 
 
@@ -145,9 +147,9 @@ def test_config_validation():
     (dict(eta_lo=0.5, eta_hi=0.5), "need 0 <= eta_lo < eta_hi, got 0.5, 0.5"),
     (dict(eta_lo=np.nan), "need 0 <= eta_lo < eta_hi, got nan, 1.0"),
     (dict(eta_hi=np.inf), "need 0 <= eta_lo < eta_hi, got 0.02, inf"),
-    (dict(d_min=-1.0), r"bad depth range \[-1.0, 10.0\]"),
-    (dict(d_min=2.0, d_max=2.0), r"bad depth range \[2.0, 2.0\]"),
-    (dict(d_max=np.inf), r"bad depth range \[1.0, inf\]"),
+    (dict(d_min=-1.0), r"need 0 < d_min < d_max, got \[-1.0, 10.0\]"),
+    (dict(d_min=2.0, d_max=2.0), r"need 0 < d_min < d_max, got \[2.0, 2.0\]"),
+    (dict(d_max=np.inf), r"need 0 < d_min < d_max, got \[1.0, inf\]"),
 ], ids=["height", "width", "features", "bins", "eta-empty", "eta-nan", "eta-inf", "d-min", "depth-empty",
         "depth-inf"])
 def test_config_rejects_bad_scene_field(fields, message):
@@ -353,7 +355,7 @@ def test_readout_rejects_soft_term():
     z, w_out, a, sigma, gt, perm = _regression_instance(0)
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     with pytest.raises(ValueError, match="soft-label term needs the classification head"):
-        full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, DEFAULT_GAMMA), perm, readout=w_out)
+        full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, 20.0), perm, readout=w_out)
 
 
 def test_readout_masks_invalid_gt():
@@ -511,6 +513,14 @@ def test_save_model_bundle(tmp_path, head):
     assert manifest["head"] == head and float(manifest["raw_scale"]) == m.raw_scale
 
 
+def test_save_model_checks_every_grid_before_writing(tmp_path):
+    m = init_model(TrainConfig(seed=7))
+    m.w2[3, 4] = 1e39
+    with pytest.raises(ValueError, match=r"w2\.duv: 1 finite entries exceed the float32 range$"):
+        save_model(m, tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
 def test_ablate_rows_and_thread_equivalence():
     base = TrainConfig(epochs=2, train_scenes=3, eval_scenes=2, height=8, width=8)
     rows = ablate([0], base=base)
@@ -522,6 +532,18 @@ def test_ablate_rows_and_thread_equivalence():
         a = {k: v for k, v in a.items() if k != "train_s"}
         b = {k: v for k, v in b.items() if k != "train_s"}
         assert a == b
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [(1, 4, 1), (8, 2, 2), (3, None, 1), (100, 64, 5)])
+def test_ablate_pool_is_bounded_by_cpus_and_runs(monkeypatch, threads, cpus, workers):
+    # one pool path for every thread count; five distinct runs per seed
+    base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
+    pool = _SerialPool()
+    monkeypatch.setattr(depthuq.toytrain, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rows = ablate([0], base=base, threads=threads)
+    assert pool.pools == [[workers, 5]]
+    assert [r["config"] for r in rows] == [name for name, _, _ in ABLATION_ROWS]
 
 
 @pytest.mark.parametrize("threads", [0, -3])
