@@ -42,20 +42,6 @@ from .metrics import (
 )
 from .uncertainty import combine_mean, raw_entropy
 
-SUBCOMMANDS = (
-    "eval",
-    "sparsify",
-    "scc",
-    "train-toy",
-    "ablate",
-    "demo-ause",
-    "combine",
-    "voxelize",
-    "render",
-    "gradcheck",
-)
-
-
 class CLIError(Exception):
     """A user-facing problem: report and exit 1, no traceback."""
 
@@ -443,17 +429,7 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="depthuq", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(SUBCOMMANDS) + "}")
-
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text, add_help=True)
-        p.add_argument("--config", help="key=value file preloading any flag of this subcommand")
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("eval", cmd_eval, "accuracy and uncertainty metrics for one prediction")
+def _eval_flags(p) -> None:
     p.add_argument("--pred", required=True, help="predicted depth (.duv, HxW)")
     p.add_argument("--gt", required=True, help="ground-truth depth (.duv, HxW)")
     p.add_argument("--unc", required=True, help="uncertainty map (.duv, HxW)")
@@ -461,7 +437,8 @@ def build_parser() -> _Parser:
     _add_depth_range_flags(p)
     p.add_argument("--out", required=True, help="output CSV (one row)")
 
-    p = add("sparsify", cmd_sparsify, "sparsification curve and its areas")
+
+def _sparsify_flags(p) -> None:
     p.add_argument("--pred", required=True, help="predicted depth (.duv)")
     p.add_argument("--gt", required=True, help="ground-truth depth (.duv)")
     p.add_argument("--unc", required=True, help="uncertainty map (.duv)")
@@ -469,25 +446,29 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=SPARSIFICATION_STEPS, help="removal fractions (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV (fraction,spars,oracle,random)")
 
-    p = add("scc", cmd_scc, "Spearman correlation between error and uncertainty")
+
+def _scc_flags(p) -> None:
     p.add_argument("--err", help="per-pixel error map (.duv); alternative to --pred/--gt")
     p.add_argument("--pred", help="predicted depth (.duv)")
     p.add_argument("--gt", help="ground-truth depth (.duv)")
     p.add_argument("--unc", required=True, help="uncertainty map (.duv)")
     p.add_argument("--out", help="optional CSV (scc,n)")
 
-    p = add("train-toy", cmd_train_toy, "train the synthetic-scene model")
+
+def _train_toy_flags(p) -> None:
     p.add_argument("--seed", type=int, required=True, help="run seed (required; no wall-clock seeding)")
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True, help="directory for model/, train_log.csv, eval.csv")
 
-    p = add("ablate", cmd_ablate, "loss-term ablation grid over seeds")
+
+def _ablate_flags(p) -> None:
     p.add_argument("--seeds", required=True, help="comma-separated run seeds, e.g. 0,1,2,3,4")
     _add_train_flags(p)
     p.add_argument("--threads", type=int, default=1, help="parallel training runs (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV, one row per (config, seed)")
 
-    p = add("demo-ause", cmd_demo_ause, "error-transform counterexample on toy output")
+
+def _demo_ause_flags(p) -> None:
     p.add_argument("--transform", choices=BUILTIN_TRANSFORMS, required=True, help="strictly increasing error transform")
     p.add_argument("--scale", type=float, default=0.5, help="affine scale (default %(default)s)")
     p.add_argument("--offset", type=float, default=0.0, help="affine offset (default %(default)s)")
@@ -496,12 +477,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
     p.add_argument("--out", help="optional CSV with both models' numbers")
 
-    p = add("combine", cmd_combine, "average probability volumes (flip-style fusion)")
+
+def _combine_flags(p) -> None:
     p.add_argument("--vols", nargs="+", required=True, help="one or more probability volumes (.duv)")
     p.add_argument("--out", required=True, help="output mean volume (.duv)")
     p.add_argument("--entropy-out", help="optional unscaled entropy of the mean (.duv)")
 
-    p = add("voxelize", cmd_voxelize, "splat a volume or depth map into frustum voxels")
+
+def _voxelize_flags(p) -> None:
     p.add_argument("--mode", choices=("prediction", "gt"), default="prediction", help="what to splat (default %(default)s)")
     p.add_argument("--vol", help="probability volume (.duv, HxWxM), prediction mode")
     p.add_argument("--gt", help="depth map (.duv, HxW), gt mode")
@@ -512,7 +495,8 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", default=str(frustum.DEFAULT_RESOLUTION), help="voxels per axis, N or NX,NY,NZ (default %(default)s)")
     p.add_argument("--out", required=True, help="output base path (writes .idx.duv/.val.duv/.meta.txt)")
 
-    p = add("render", cmd_render, "ray-march a saved voxel grid to a PPM image")
+
+def _render_flags(p) -> None:
     p.add_argument("--grid", required=True, help="voxel grid base path from voxelize")
     p.add_argument("--out", required=True, help="output image (.ppm)")
     p.add_argument("--height", type=int, default=128, help="image height (default %(default)s)")
@@ -528,17 +512,53 @@ def build_parser() -> _Parser:
     p.add_argument("--min-transmittance", type=float, default=frustum.DEFAULT_MIN_TRANSMITTANCE, help="early-out threshold (default %(default)s)")
     p.add_argument("--threads", type=int, default=1, help="row-parallel rendering (default %(default)s)")
 
-    p = add("gradcheck", cmd_gradcheck, "finite-difference check of every analytic gradient")
+
+def _gradcheck_flags(p) -> None:
     p.add_argument("--trials", type=int, default=100, help="random instances per check (default %(default)s)")
     p.add_argument("--seed", type=int, required=True, help="instance seed (required; no wall-clock seeding)")
     p.add_argument("--out", help="optional CSV summary (no timings, reruns match bytewise)")
 
+
+# name -> (handler, help text, the function that adds its flags)
+_COMMANDS = {
+    "eval": (cmd_eval, "accuracy and uncertainty metrics for one prediction", _eval_flags),
+    "sparsify": (cmd_sparsify, "sparsification curve and its areas", _sparsify_flags),
+    "scc": (cmd_scc, "Spearman correlation between error and uncertainty", _scc_flags),
+    "train-toy": (cmd_train_toy, "train the synthetic-scene model", _train_toy_flags),
+    "ablate": (cmd_ablate, "loss-term ablation grid over seeds", _ablate_flags),
+    "demo-ause": (cmd_demo_ause, "error-transform counterexample on toy output", _demo_ause_flags),
+    "combine": (cmd_combine, "average probability volumes (flip-style fusion)", _combine_flags),
+    "voxelize": (cmd_voxelize, "splat a volume or depth map into frustum voxels", _voxelize_flags),
+    "render": (cmd_render, "ray-march a saved voxel grid to a PPM image", _render_flags),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of every analytic gradient", _gradcheck_flags),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
+def build_parser(only: str | None = None) -> _Parser:
+    """The argparse tree: every subcommand with its help text.
+
+    Every subcommand gets its flags, or only the one named by ``only``
+    (the others keep just their help line, all that ``depthuq --help``
+    prints).  Each flag costs argparse a help formatter and a
+    terminal-size query, so ``main`` builds the flags of the invoked
+    subcommand alone.
+    """
+    parser = _Parser(prog="depthuq", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(SUBCOMMANDS) + "}")
+    for name, (fn, help_text, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, add_help=True)
+        p.set_defaults(func=fn)
+        if only in (None, name):
+            p.add_argument("--config", help="key=value file preloading any flag of this subcommand")
+            add_flags(p)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # the flags of the invoked subcommand only; every flag for anything else
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         if not argv:
             raise CLIError("a subcommand is required; see --help")

@@ -59,6 +59,12 @@ class SoftLabelVolume:
     valid: np.ndarray
 
 
+def float_array(x) -> np.ndarray:
+    """``x`` as an array that keeps a float32 or float64 dtype; anything else becomes float64."""
+    a = np.asarray(x)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
+
+
 def linear_hypotheses(d_min: float, d_max: float, m: int) -> DepthHypotheses:
     """Endpoint-inclusive linear grid of ``m`` depths over [d_min, d_max]."""
     d_min = float(d_min)
@@ -84,12 +90,13 @@ def expectation_depth(hyp: DepthHypotheses, vol) -> np.ndarray:
     The result is clipped to [d_min, d_max], which only trims float
     round-off (the exact value is a convex combination).
     """
-    p = np.asarray(vol, dtype=np.float64)
+    p = float_array(vol)
     if p.shape[-1] != hyp.m:
         raise ValueError(f"volume has {p.shape[-1]} bins, hypotheses {hyp.m}")
     # maximum then minimum is np.clip's result, NaN included, without
     # its wrapper; no out= here, since a 1-D ``vol`` gives a 0-d value
-    return np.minimum(np.maximum(p @ hyp.values, hyp.d_min), hyp.d_max)
+    depth = p @ hyp.values.astype(p.dtype, copy=False)
+    return np.minimum(np.maximum(depth, hyp.d_min), hyp.d_max)
 
 
 def soft_labels(hyp: DepthHypotheses, gt, gamma: float) -> SoftLabelVolume:
@@ -118,12 +125,13 @@ def soft_labels(hyp: DepthHypotheses, gt, gamma: float) -> SoftLabelVolume:
 
 
 def softmax_volume(z) -> np.ndarray:
-    """Stable softmax along the last axis; rows sum to 1 within 1e-12.
+    """Stable softmax along the last axis, at ``z``'s float precision.
 
-    ``exp`` and the divide run in the shifted array, the one new array;
-    ``z`` is only read.
+    Rows sum to 1 within a few units of that precision's last place:
+    about 1e-15 for float64, 1e-6 for float32.  ``exp`` and the divide
+    run in the shifted array, the one new array; ``z`` is only read.
     """
-    zz = np.asarray(z, dtype=np.float64)
+    zz = float_array(z)
     e = zz - zz.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)

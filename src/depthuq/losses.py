@@ -39,6 +39,17 @@ expression to the slow loops.  The ``loss_targets`` labels are
 bins-first for every caller; against a C-ordered z NumPy works in C
 order, so such a caller keeps its bits.
 
+Precision.  The math here follows its input's dtype too, by one rule
+(``discretize.float_array``): a float32 or float64 array keeps its
+dtype, anything else becomes float64.  The toy model trains in
+float32, the precision its checkpoints store; ``eval``, ``combine``
+and ``gradcheck`` pass float64 and keep their bits.  One float64
+operand sends a whole float32 expression back to float64, so the
+scalars that meet these arrays (the exp(-sigma) weights, alpha, 1/n)
+are Python floats, which NumPy treats as "weak" and casts to the
+array's dtype, and the hypothesis vector is cast to the array's dtype
+where the two meet.
+
 L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
 """
 
@@ -48,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DepthHypotheses, expectation_depth, soft_labels, softmax_volume
+from .discretize import DepthHypotheses, expectation_depth, float_array, soft_labels, softmax_volume
 from .gridio import valid_mask
 from .uncertainty import clamped_entropy, clamped_entropy_parts, sigmoid, softplus
 
@@ -132,23 +143,27 @@ class LossTargets:
         return self.gt.size
 
 
-def loss_targets(hyp: DepthHypotheses, gt, gamma: float | None) -> LossTargets:
+def loss_targets(hyp: DepthHypotheses, gt, gamma: float | None, dtype=np.float64) -> LossTargets:
     """Valid-GT mask, valid GT vector and soft labels; no labels for ``gamma=None``.
 
     All three depend on the GT, the hypotheses and gamma, never on the
     weights, so ``toytrain.train`` builds them once per scene, and the
     labels always belong to this mask and one gamma.  The labels are
-    ``soft_labels``' rows, bit for bit, copied bins-first for the
-    training step (see the module docstring).  Raises ValueError when
-    no pixel is valid.
+    ``soft_labels``' rows, computed in float64 and copied bins-first at
+    ``dtype`` (the precision of the model they train; see the module
+    docstring), so at float64 they are those rows bit for bit.  The GT
+    vector is stored at ``dtype`` too.  Raises ValueError when no pixel
+    is valid.
     """
     gt = np.asarray(gt, dtype=np.float64)
     mask = valid_mask(gt)
     gv = gt[mask]
     if gv.size == 0:
         raise ValueError("no valid pixels")
-    labels = None if gamma is None else np.ascontiguousarray(soft_labels(hyp, gv, gamma).values.T).T
-    return LossTargets(mask=mask, gt=gv, labels=labels)
+    labels = None
+    if gamma is not None:
+        labels = soft_labels(hyp, gv, gamma).values.T.astype(dtype, order="C").T
+    return LossTargets(mask=mask, gt=gv.astype(dtype, copy=False), labels=labels)
 
 
 def depth_l1(pred, gt) -> LossValue:
@@ -156,8 +171,8 @@ def depth_l1(pred, gt) -> LossValue:
 
     Gradient wrt pred is sign(pred-gt) / n.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
+    pred = float_array(pred)
+    gt = float_array(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
     w = _mean_weight(pred.size)
@@ -170,8 +185,8 @@ def soft_label_l1(probs, labels) -> LossValue:
 
     Gradient is wrt the probability rows.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    p = float_array(probs)
+    y = float_array(labels)
     if p.ndim != 2 or p.shape != y.shape:
         raise ValueError(f"want matching (n, M) rows, got {p.shape} vs {y.shape}")
     w = _mean_weight(p.shape[0])
@@ -190,8 +205,8 @@ def ranking_loss_variants(err, unc, perm: PairPermutation | None, variant: str =
     The gradient is wrt ``unc``; the error branch is a constant
     (stop-gradient).  ``l1-direct`` uses no pairs, so ``perm`` may be None.
     """
-    r = np.asarray(err, dtype=np.float64)
-    u = np.asarray(unc, dtype=np.float64)
+    r = float_array(err)
+    u = float_array(unc)
     if r.shape != u.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {u.shape}")
     w = _mean_weight(r.size)
@@ -213,7 +228,7 @@ def ranking_loss_variants(err, unc, perm: PairPermutation | None, variant: str =
         return LossValue(value=float(margin.sum() * w), grad=np.zeros_like(u))
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    active = (margin > 0.0).astype(np.float64)
+    active = (margin > 0.0).astype(u.dtype)
     # u_k enters its own pair with -1 and its inverse partner's with +1
     return LossValue(
         value=float(np.maximum(margin, 0.0).sum() * w), grad=w * (-active + active[inv])
@@ -260,7 +275,7 @@ def _decode(z, hyp: DepthHypotheses, readout):
     it).  Regression: z @ readout, softmax(z) the pseudo distribution.
     """
     p = softmax_volume(z)
-    depth = expectation_depth(hyp, p) if readout is None else np.asarray(z) @ readout
+    depth = expectation_depth(hyp, p) if readout is None else float_array(z) @ readout
     return p, depth
 
 
@@ -318,7 +333,7 @@ def full_backward(
     ``ranking=None``, drop that term from the total entirely (its sigma
     stops moving too).
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = float_array(z)
     mask = targets.mask
     if z.shape[:-1] != mask.shape:
         raise ValueError(f"logit pixels {z.shape[:-1]} vs targets {mask.shape}")
@@ -327,7 +342,7 @@ def full_backward(
         if z.shape[-1] != hyp.m:
             raise ValueError(f"logit bins {z.shape[-1]} vs hypotheses {hyp.m}")
     else:
-        readout = np.asarray(readout, dtype=np.float64)
+        readout = float_array(readout)
         if readout.shape != z.shape[-1:]:
             raise ValueError(f"latent size {z.shape[-1]} vs readout {readout.shape}")
         if include_soft:
@@ -337,7 +352,7 @@ def full_backward(
         raise ValueError("sigma must hold 3 weights")
 
     alpha = float(softplus(a))
-    ew = np.exp(-sig)
+    ew = np.exp(-sig).tolist()  # Python floats: they keep z's dtype
 
     # decode the valid rows: a product over the whole map, masked
     # afterwards, need not give the same bits.  With every pixel valid
@@ -355,7 +370,8 @@ def full_backward(
     grad_depth *= ew[0]
     grad_p = None
     if readout is None:
-        grad_p = np.multiply(grad_depth[:, None], hyp.values, out=np.empty_like(pv))
+        values = hyp.values.astype(pv.dtype, copy=False)
+        grad_p = np.multiply(grad_depth[:, None], values, out=np.empty_like(pv))
 
     value_p = 0.0
     if include_soft:

@@ -7,9 +7,12 @@ grows left to right.  A tiny shared-weight per-pixel network (one tanh
 hidden layer) maps features to either classification logits or a
 regression latent, and plain gradient descent runs on the auto-weighted
 loss total through the exact backward pass of the losses module.  The
-hidden layer, z and the chain rule are held bins-first in memory, the
-layout the ``losses`` module docstring describes.  One ``TrainConfig``
-describes a whole run: scenes, model and loss terms.
+model trains in float32, the precision ``save_model`` stores, so the
+checkpoint is exactly the model that was evaluated.  The hidden layer,
+z and the chain rule are held bins-first in memory, at the weights'
+dtype: the layout and precision rules the ``losses`` module docstring
+describes.  One ``TrainConfig`` describes a whole run: scenes, model
+and loss terms.
 
 Results are plain CSV rows: ``train`` returns one dict per epoch, keyed
 and ordered like the ``train_log.csv`` header, and ``evaluate_model``
@@ -31,8 +34,8 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .discretize import DepthHypotheses, linear_hypotheses, soft_labels
-from .gridio import grid_payload, write_grid, write_keyvalue
+from .discretize import DepthHypotheses, float_array, linear_hypotheses, soft_labels
+from .gridio import grid_payload, valid_mask, write_grid, write_keyvalue
 from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets, read_only
 from .metrics import (
     accuracy_metrics,
@@ -83,7 +86,9 @@ def generate_scene(config: TrainConfig, seed: int) -> SyntheticScene:
     Size, feature count, noise and depth range come from ``config``.
     Feature j is the degree-j Chebyshev polynomial of the normalized
     depth, plus zero-mean noise of std eta(col) = eta_lo +
-    (eta_hi - eta_lo) * col / w.  Deterministic in the seed.
+    (eta_hi - eta_lo) * col / w.  Deterministic in the seed.  The
+    features are computed in float64 and stored in float32, the
+    precision the model trains in; GT and noise stay float64.
     """
     h, w, f = config.height, config.width, config.features
     d_min, d_max = config.d_min, config.d_max
@@ -114,7 +119,7 @@ def generate_scene(config: TrainConfig, seed: int) -> SyntheticScene:
     )
     std = config.eta_lo + (config.eta_hi - config.eta_lo) * xs / w
     feats = basis + rng.standard_normal((h, w, f)) * std[..., None]
-    return SyntheticScene(gt=gt, features=feats, noise_std=std, seed=seed)
+    return SyntheticScene(gt=gt, features=feats.astype(np.float32), noise_std=std, seed=seed)
 
 
 def make_dataset(config: TrainConfig):
@@ -132,7 +137,10 @@ class ToyModel:
     The classification head emits one logit per depth hypothesis; the
     regression head emits a latent vector read out by ``w_out`` (its
     softmax doubles as the pseudo probability for uncertainty).  The
-    readout picks the head: none for classification.
+    readout picks the head: none for classification.  The network
+    weights (``w1``, ``b1``, ``w2``, ``w_out``) share one dtype, float32
+    or float64 (anything else becomes float64), and the forward and
+    backward run at it; ``sigma`` and ``raw_scale`` are float64.
     """
 
     hypotheses: DepthHypotheses
@@ -144,9 +152,9 @@ class ToyModel:
     sigma: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
+        self.b1 = float_array(self.b1)
+        self.w1 = float_array(self.w1)
+        self.w2 = float_array(self.w2)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if self.w1.ndim != 2 or self.b1.shape != (self.w1.shape[1],):
             raise ValueError("hidden layer shapes inconsistent")
@@ -158,9 +166,12 @@ class ToyModel:
                     f"{self.w2.shape[1]} logits vs {self.hypotheses.m} hypotheses"
                 )
         else:
-            self.w_out = np.asarray(self.w_out, dtype=np.float64)
+            self.w_out = float_array(self.w_out)
             if self.w_out.shape != (self.w2.shape[1],):
                 raise ValueError("latent readout length mismatch")
+        dtypes = {w.dtype.name for w in self._weights()}
+        if len(dtypes) != 1:
+            raise ValueError(f"network weights mix dtypes {sorted(dtypes)}")
         if self.sigma.shape != (3,):
             raise ValueError("sigma must hold 3 weights")
         self.check_finite()
@@ -169,11 +180,15 @@ class ToyModel:
     def head(self) -> str:
         return "classification" if self.w_out is None else "regression"
 
-    def _parameters(self) -> list:
-        parts = [self.w1, self.b1, self.w2, self.sigma, np.atleast_1d(self.raw_scale)]
+    def _weights(self) -> list:
+        """The network weights, which share one dtype."""
+        parts = [self.w1, self.b1, self.w2]
         if self.w_out is not None:
             parts.append(self.w_out)
         return parts
+
+    def _parameters(self) -> list:
+        return [*self._weights(), self.sigma, np.atleast_1d(self.raw_scale)]
 
     def check_finite(self):
         if not all(np.all(np.isfinite(p)) for p in self._parameters()):
@@ -259,17 +274,22 @@ class TrainConfig:
 
 
 def init_model(config: TrainConfig) -> ToyModel:
-    """Small random weights, zero bias, raw scale and sigmas at zero."""
+    """Small random float32 weights, zero bias, raw scale and sigmas at zero.
+
+    Each weight matrix is drawn in float64 and rounded once to float32.
+    """
     rng = np.random.default_rng(config.seed)
     hyp = linear_hypotheses(config.d_min, config.d_max, config.m)
     hd, nf = config.hidden, config.features
     w1 = rng.standard_normal((nf, hd)) / np.sqrt(nf)
-    b1 = np.zeros(hd)
     w2 = rng.standard_normal((hd, config.m)) / np.sqrt(hd)
     w_out = None
     if config.head == "regression":
-        w_out = rng.standard_normal(config.m) / np.sqrt(config.m)
-    return ToyModel(hypotheses=hyp, w1=w1, b1=b1, w2=w2, w_out=w_out)
+        w_out = (rng.standard_normal(config.m) / np.sqrt(config.m)).astype(np.float32)
+    return ToyModel(
+        hypotheses=hyp, w1=w1.astype(np.float32), b1=np.zeros(hd, np.float32),
+        w2=w2.astype(np.float32), w_out=w_out,
+    )
 
 
 def _hidden_and_z(model: ToyModel, scene: SyntheticScene):
@@ -367,11 +387,11 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     from the run seed.  Each scene's ``losses.loss_targets`` (mask,
     valid GT, soft-label rows at ``config.gamma`` when the soft-label
     term is on) are built once, before the first step, and reused by
-    every epoch: at the defaults (64 scenes of 32 x 32, 16 bins) the
-    label rows hold 8 MiB for the run.  Raises ``TrainingDivergedError``
-    with the epoch index if the total goes non-finite or a step leaves a
-    weight beyond the float32 range, which ``save_model`` could not
-    store.  Returns the trained model
+    every epoch, at the model's dtype: at the defaults (64 scenes of
+    32 x 32, 16 bins, float32) the label rows hold 4 MiB for the run.
+    Raises ``TrainingDivergedError`` with the epoch index if the total
+    goes non-finite or a step leaves a weight beyond the float32 range,
+    which ``save_model`` could not store.  Returns the trained model
     (mutated in place) and one ``train_log.csv`` row per epoch: a dict
     keyed and ordered like that file's header (the mean loss total and
     terms over the epoch's steps, the loss weights and ``alpha`` after
@@ -381,7 +401,8 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     if not scenes:
         raise ValueError("need at least one training scene")
     gamma = config.gamma if config.include_soft else None
-    targets = [loss_targets(model.hypotheses, scene.gt, gamma) for scene in scenes]
+    dtype = model.w1.dtype
+    targets = [loss_targets(model.hypotheses, scene.gt, gamma, dtype) for scene in scenes]
     rows = []
     step = 0
     for epoch in range(config.epochs):
@@ -394,15 +415,18 @@ def train(model: ToyModel, scenes, config: TrainConfig):
                 report, grads = scene_gradients(model, scene, config, step_seed, scene_target)
             except NonFiniteLossError as exc:
                 raise TrainingDivergedError(epoch) from exc
-            model.w1 -= lr * grads["w1"]
-            model.b1 -= lr * grads["b1"]
-            model.w2 -= lr * grads["w2"]
+            # a float32 weight may overflow to inf here; the range check
+            # below turns that into TrainingDivergedError, not a warning
+            with np.errstate(over="ignore"):
+                model.w1 -= lr * grads["w1"]
+                model.b1 -= lr * grads["b1"]
+                model.w2 -= lr * grads["w2"]
+                if "w_out" in grads:
+                    model.w_out = model.w_out - lr * grads["w_out"]
             model.raw_scale -= lr * grads["a"]
             model.sigma = np.minimum(
                 np.maximum(model.sigma - lr * grads["sigma"], -SIGMA_BOUND), SIGMA_BOUND
             )
-            if "w_out" in grads:
-                model.w_out = model.w_out - lr * grads["w_out"]
             # checked before the next step decodes: a huge finite weight
             # overflows z to inf and the softmax to NaN
             if not all(np.abs(p).max() <= _FLOAT32_MAX for p in model._parameters()):
@@ -455,13 +479,18 @@ def evaluate_model(model: ToyModel, scenes) -> dict:
 
 
 def pooled_errors(model: ToyModel, scenes):
-    """Absolute errors and uncertainties over all pixels of all scenes."""
+    """Absolute errors and uncertainties over the valid pixels of all scenes.
+
+    A pixel counts where its GT is valid, the rule ``metrics.valid_pixels``
+    uses (``gridio.valid_mask``: finite and positive).
+    """
     errs = []
     uncs = []
     for scene in scenes:
         depth, unc, _ = forward(model, scene)
-        errs.append(np.abs(depth - scene.gt).ravel())
-        uncs.append(unc.ravel())
+        mask = valid_mask(scene.gt)
+        errs.append(np.abs(depth[mask] - scene.gt[mask]))
+        uncs.append(unc[mask])
     return np.concatenate(errs), np.concatenate(uncs)
 
 

@@ -764,6 +764,37 @@ def test_every_training_and_scene_flag_fills_its_field():
     assert config == toytrain.TrainConfig(seed=4, include_soft=False, **fields)
 
 
+def _help_texts(parser, name):
+    sub = next(a for a in parser._actions if a.dest == "subcommand")
+    return parser.format_help(), sub.choices[name].format_help()
+
+
+@pytest.mark.parametrize("name", cli.SUBCOMMANDS)
+def test_one_subcommand_parser_keeps_every_help_byte(name):
+    # the parser main builds for one subcommand gives the same top-level
+    # and subcommand help as the full tree, and no other subcommand's flags
+    one = cli.build_parser(name)
+    assert _help_texts(one, name) == _help_texts(cli.build_parser(), name)
+    sub = next(a for a in one._actions if a.dest == "subcommand")
+    assert [len(sub.choices[other]._actions) for other in cli.SUBCOMMANDS if other != name] == [1] * 9
+
+
+def test_main_builds_the_flags_of_the_invoked_subcommand(monkeypatch, tmp_path):
+    built = []
+    original = cli.build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return original(only)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["scc", "--err", str(tmp_path / "missing.duv"), "--unc", "x.duv"]) == 1
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert cli.main(["--seed", "0"]) == 1
+    assert built == ["scc", None, None]
+
+
 def test_readme_command_lines_parse():
     # every example in the README's command-line block is a valid argv,
     # and the block shows each subcommand

@@ -495,18 +495,20 @@ def _oracle_log_and_entropy(p):
 
 def _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout):
     # the step's arithmetic written out plainly: a copy of the valid rows,
-    # np.clip, an out-of-place softmax and pullback, a scatter into zeros
+    # np.clip, an out-of-place softmax and pullback, a scatter into zeros;
+    # at z's dtype, with Python-float scalars and the hypotheses cast to it
     mask = targets.mask
     zv = z[mask]
     pv = _oracle_softmax(zv)
-    depth = np.clip(pv @ hyp.values, hyp.d_min, hyp.d_max) if readout is None else zv @ readout
+    values = hyp.values.astype(z.dtype)
+    depth = np.clip(pv @ values, hyp.d_min, hyp.d_max) if readout is None else zv @ readout
     alpha = float(softplus(a))
-    ew = np.exp(-sig)
+    ew = [float(v) for v in np.exp(-sig)]
     w = 1.0 / targets.n
     resid = depth - targets.gt
     value_r = float(np.abs(resid).sum() * w)
     grad_depth = np.sign(resid) * w * ew[0]
-    grad_p = grad_depth[:, None] * hyp.values if readout is None else None
+    grad_p = grad_depth[:, None] * values if readout is None else None
     value_p = 0.0
     if targets.labels is not None:
         diff = targets.labels - pv
@@ -668,6 +670,49 @@ def test_full_backward_matches_oracle_step_bitwise(regression, ranking, invalid)
         assert rep.grad_z.shape == z.shape
         assert rep.active == (True, targets.labels is not None, ranking is not None)
     assert floored
+
+
+def test_float32_step_matches_oracle_step_bitwise():
+    # a float32 step keeps the oracle's bits when the oracle runs at
+    # float32 too; a float64 scalar or operand anywhere in full_backward
+    # rounds the products differently and breaks this
+    for regression in (False, True):
+        for ranking in (None, "hinge", "l1-direct"):
+            for rng, z, gt, a, sig, readout, perm_seed in _oracle_instances():
+                z = z.astype(np.float32)
+                readout = readout.astype(np.float32) if regression else None
+                hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
+                gt[rng.random(gt.shape) < 0.2] = np.nan
+                targets = loss_targets(hyp, gt, None if regression else GAMMA, np.float32)
+                perm = draw_permutation(targets.n, perm_seed) if ranking == "hinge" else None
+                rep = full_backward(z, a, sig, hyp, targets, perm, ranking=ranking, readout=readout)
+                want = _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout)
+                got = (rep.value_r, rep.value_p, rep.value_u, rep.total, rep.grad_z, rep.grad_a,
+                       rep.grad_sigma, rep.grad_readout)
+                for name, g, o in zip(("value_r", "value_p", "value_u", "total", "grad_z", "grad_a",
+                                       "grad_sigma", "grad_readout"), got, want):
+                    if o is None:
+                        assert g is None, name
+                    else:
+                        assert np.asarray(g).tobytes() == np.asarray(o).tobytes(), name
+                assert rep.grad_z.dtype == np.float32
+                if regression:
+                    assert rep.grad_readout.dtype == np.float32
+
+
+def test_loss_targets_follow_the_model_dtype():
+    # the GT vector and the label rows at the requested dtype, the rows
+    # computed in float64 and rounded once, bins-first in memory
+    hyp = linear_hypotheses(1.0, 10.0, 5)
+    gt = np.array([[2.5, np.nan, 3.3], [7.25, 9.0, 1.7]])
+    wide = loss_targets(hyp, gt, 7.0)
+    narrow = loss_targets(hyp, gt, 7.0, np.float32)
+    assert wide.gt.dtype == wide.labels.dtype == np.float64
+    assert narrow.gt.dtype == narrow.labels.dtype == np.float32
+    assert narrow.gt.tobytes() == wide.gt.astype(np.float32).tobytes()
+    assert narrow.labels.tobytes("A") == wide.labels.astype(np.float32).tobytes("A")
+    assert narrow.labels.strides == (4, 4 * narrow.n)
+    np.testing.assert_array_equal(narrow.mask, wide.mask)
 
 
 def test_loss_targets_are_read_only_views():

@@ -8,6 +8,8 @@ surface in a traced benchmark run.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -35,6 +37,28 @@ TARGETS = _traced_targets()
 def test_tracer_has_targets():
     assert TARGETS
     assert all(module.startswith("depthuq.") for module, *_ in TARGETS)
+
+
+def test_cli_import_loads_every_traced_module():
+    # ``Tracer.install`` reads ``sys.modules[module]`` for every target
+    # once the worker has imported ``depthuq.cli`` and run one warm-up
+    # operation.  A ``voxel-render`` warm-up loads none of metrics,
+    # toytrain or losses by itself, so only the import loads them for a
+    # traced run; a module it leaves unloaded raises KeyError there.
+    # Subcommand-lazy imports (ROADMAP item 14) need the tracer changed
+    # first.
+    import depthuq
+
+    src = str(Path(depthuq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    modules = sorted({module for module, *_ in TARGETS})
+    code = f"import sys, depthuq.cli; print(' '.join(m for m in {modules!r} if m not in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    missing = out.stdout.split()
+    assert missing == [], (
+        f"import depthuq.cli leaves {missing} unloaded; the tracer would raise KeyError "
+        "(see ROADMAP item 14 before making imports lazy)"
+    )
 
 
 @pytest.mark.parametrize(

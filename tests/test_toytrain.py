@@ -41,7 +41,12 @@ from test_losses import _oracle_step
 
 # bins-first training arrays against the pixel-major formulas: their
 # row sums round differently, measured at most 2e-15 apart on these runs
+# (float64 models)
 PIXEL_MAJOR_TOL = dict(rtol=1e-12, atol=1e-14)
+# one float32 step against the float64 step on the same weights, as a
+# share of each gradient's largest entry: about 80 float32 ulps, against
+# at most 9e-7 measured over 20 seeds of either head and every ranking
+FLOAT32_STEP_TOL = 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +55,18 @@ def tiny_data():
 
 
 def _targets(model, scene, config):
-    # the loss targets train builds for a scene
-    return loss_targets(model.hypotheses, scene.gt, config.gamma if config.include_soft else None)
+    # the loss targets train builds for a scene, at the model's dtype
+    gamma = config.gamma if config.include_soft else None
+    return loss_targets(model.hypotheses, scene.gt, gamma, model.w1.dtype)
+
+
+def _float64(model):
+    # a float64 copy of a (float32) model, for the checks at 1e-12
+    weights = {
+        name: getattr(model, name).astype(np.float64)
+        for name in ("w1", "b1", "w2", "w_out") if getattr(model, name) is not None
+    }
+    return replace(model, sigma=model.sigma.copy(), **weights)
 
 
 def _scene(h, w, f, seed, **fields):
@@ -110,6 +125,9 @@ def test_make_dataset_split_disjoint():
         assert scene.features.tobytes() == want.features.tobytes()
         assert scene.noise_std.tobytes() == want.noise_std.tobytes()
         assert scene.features.shape == (6, 9, 3)
+        # features at the precision the model trains in, GT and noise float64
+        assert scene.features.dtype == np.float32
+        assert scene.gt.dtype == scene.noise_std.dtype == np.float64
         assert scene.gt.min() >= 2.0 and scene.gt.max() <= 7.0
         np.testing.assert_array_equal(scene.noise_std[-1], 0.1 + (0.4 - 0.1) * np.arange(9.0) / 9)
     assert init_model(cfg).n_features == 3
@@ -174,6 +192,40 @@ def test_init_model_shapes():
     assert m.w_out is None and m.raw_scale == 0.0
     r = init_model(TrainConfig(head="regression", include_soft=False))
     assert r.w_out is not None and r.w_out.shape == (16,)
+
+
+def test_init_model_rounds_the_draws_to_float32():
+    # the RNG stream is unchanged: the weights are the float64 draws,
+    # rounded once
+    for head in HEAD_KINDS:
+        cfg = TrainConfig(head=head, include_soft=head == "classification", seed=5)
+        m = init_model(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        w1 = rng.standard_normal((cfg.features, cfg.hidden)) / np.sqrt(cfg.features)
+        w2 = rng.standard_normal((cfg.hidden, cfg.m)) / np.sqrt(cfg.hidden)
+        assert m.w1.tobytes() == w1.astype(np.float32).tobytes()
+        assert m.w2.tobytes() == w2.astype(np.float32).tobytes()
+        assert m.b1.dtype == np.float32 and not m.b1.any()
+        if head == "regression":
+            w_out = rng.standard_normal(cfg.m) / np.sqrt(cfg.m)
+            assert m.w_out.tobytes() == w_out.astype(np.float32).tobytes()
+        assert m.sigma.dtype == np.float64 and isinstance(m.raw_scale, float)
+
+
+def test_model_weights_share_one_dtype():
+    hyp = linear_hypotheses(1, 10, 4)
+    f32, f64 = np.float32, np.float64
+    for dtype in (f32, f64):
+        m = ToyModel(hyp, np.zeros((2, 3), dtype), np.zeros(3, dtype), np.zeros((3, 6), dtype), np.zeros(6, dtype))
+        assert {w.dtype for w in (m.w1, m.b1, m.w2, m.w_out)} == {np.dtype(dtype)}
+        assert m.sigma.dtype == f64
+    # anything but float32 or float64 becomes float64
+    m = ToyModel(hyp, np.zeros((2, 3), int), np.zeros(3, np.float16), [[0.0] * 4] * 3)
+    assert {w.dtype for w in (m.w1, m.b1, m.w2)} == {np.dtype(f64)}
+    with pytest.raises(ValueError, match=r"^network weights mix dtypes \['float32', 'float64'\]$"):
+        ToyModel(hyp, np.zeros((2, 3), f32), np.zeros(3, f32), np.zeros((3, 4), f64))
+    with pytest.raises(ValueError, match="^network weights mix dtypes"):
+        ToyModel(hyp, np.zeros((2, 3), f32), np.zeros(3, f32), np.zeros((3, 6), f32), np.zeros(6, f64))
 
 
 def test_model_validation():
@@ -243,8 +295,10 @@ def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
     # nonzero weights cannot move by less than an ulp
     np.testing.assert_array_equal(m.w1, before[0])
     np.testing.assert_array_equal(m.w2, before[2])
-    # zero-initialized parameters pick up at most the subnormal step itself
-    assert np.max(np.abs(m.b1 - before[1])) < 1e-290
+    # zero-initialized parameters pick up at most the subnormal step
+    # itself (float32 rounds it to 0; compared as a Python float, since a
+    # float32 comparison would round 1e-290 to 0 too)
+    assert float(np.max(np.abs(m.b1 - before[1]))) < 1e-290
     assert np.max(np.abs(m.sigma - before[3])) < 1e-290
     assert abs(m.raw_scale - before[4]) < 1e-290
 
@@ -299,15 +353,16 @@ def test_network_gradients_match_fd(tiny_data):
     # ranking off: every remaining branch is differentiable through the
     # net, so plain central differences on the weights are honest
     train_scenes, _ = tiny_data
+    # (in float64: a 1e-6 step is a few float32 ulps of a weight)
     cfg = TrainConfig(ranking=None, seed=3)
-    m = init_model(cfg)
+    m = _float64(init_model(cfg))
     scene = train_scenes[1]
     targets = _targets(m, scene, cfg)
     _, grads = scene_gradients(m, scene, cfg, step_seed=0, targets=targets)
     h = 1e-6
 
     def total_with(param, idx, delta):
-        probe = init_model(cfg)
+        probe = _float64(init_model(cfg))
         getattr(probe, param)[idx] += delta
         rep, _ = scene_gradients(probe, scene, cfg, step_seed=0, targets=targets)
         return rep.total
@@ -316,6 +371,54 @@ def test_network_gradients_match_fd(tiny_data):
         fd = (total_with(param, idx, h) - total_with(param, idx, -h)) / (2 * h)
         got = grads[param][idx]
         assert abs(got - fd) <= max(1e-7, 1e-4 * abs(fd)), (param, idx, got, fd)
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_float32_step_stays_float32(tiny_data, head):
+    # the step of a float32 model keeps grad_z and the network gradients
+    # in float32, and the bits of the oracle step run at float32: a
+    # float64 scalar or operand anywhere in full_backward would cast
+    # them, or round the products differently
+    scene = _with_invalid_gt(tiny_data[0][0], (2, 3))  # the gather route: C-ordered rows
+    cfg = TrainConfig(seed=2, head=head, include_soft=head == "classification")
+    m = init_model(cfg)
+    m.sigma = np.array([0.3, -0.2, 0.4])
+    m.raw_scale = -0.3
+    targets = _targets(m, scene, cfg)
+    report, grads = scene_gradients(m, scene, cfg, step_seed=5, targets=targets)
+    names = ["w1", "b1", "w2"] + (["w_out"] if head == "regression" else [])
+    assert report.grad_z.dtype == np.float32
+    assert [grads[name].dtype for name in names] == [np.dtype(np.float32)] * len(names)
+    _, z = _hidden_and_z(m, scene)
+    want = _oracle_step(
+        z, m.raw_scale, m.sigma, m.hypotheses, targets, draw_permutation(targets.n, 5), cfg.ranking, m.w_out
+    )
+    assert report.total == want[3] and report.grad_a == want[5]
+    assert report.grad_z.tobytes() == want[4].tobytes()
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_float32_step_tracks_the_float64_step(tiny_data, head):
+    # the same weights and scene at both precisions: the gradients agree
+    # to FLOAT32_STEP_TOL of their largest entry, the total and the sigma
+    # gradients to 1e-6 (measured 7e-8 and 1.4e-7); the raw-scale
+    # gradient sums signed pair terms, so cancellation leaves it 1e-3
+    # (measured 8.5e-5)
+    scene = tiny_data[0][1]
+    cfg = TrainConfig(seed=3, head=head, include_soft=head == "classification")
+    m32 = init_model(cfg)
+    m32.sigma = np.array([0.3, -0.2, 0.4])
+    m32.raw_scale = 0.3
+    m64 = _float64(m32)
+    r32, g32 = scene_gradients(m32, scene, cfg, 7, _targets(m32, scene, cfg))
+    r64, g64 = scene_gradients(m64, scene, cfg, 7, _targets(m64, scene, cfg))
+    assert g32["w1"].dtype == np.float32 and g64["w1"].dtype == np.float64
+    assert r32.total == pytest.approx(r64.total, rel=1e-6, abs=0)
+    np.testing.assert_allclose(g32["sigma"], g64["sigma"], rtol=1e-6, atol=0)
+    assert g32["a"] == pytest.approx(g64["a"], rel=1e-3, abs=0)
+    pairs = [(r32.grad_z, r64.grad_z)] + [(g32[k], g64[k]) for k in ("w1", "b1", "w2", "w_out") if k in g64]
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT32_STEP_TOL * np.abs(want).max())
 
 
 def _regression_instance(seed, shape=(5, 6), latent=7):
@@ -395,7 +498,9 @@ def test_regression_head_trains(tiny_data):
     depth, unc, p = forward(m, eval_scenes[0])
     assert depth.shape == (8, 8) and unc.shape == (8, 8)
     # the pseudo distribution softmax(z), a simplex like the classifier's
-    assert p.shape == (8, 8, 16)
+    assert p.shape == (8, 8, 16) and p.dtype == np.float32
+    # at 1e-12 in float64, the precision that bound is written for
+    _, _, p = forward(_float64(m), eval_scenes[0])
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -422,6 +527,29 @@ def test_evaluate_model_summary(tiny_data):
     assert errs.shape == uncs.shape == (2 * 64,)
 
 
+def test_pooled_errors_drop_invalid_gt(tiny_data):
+    # a pair of 32 x 32 scenes, the top half of one's GT missing: the
+    # 512 invalid pixels are left out, by the valid-GT rule of the metrics
+    cfg = TrainConfig(train_scenes=1, eval_scenes=2, seed=1)
+    _, scenes = make_dataset(cfg)
+    gt = scenes[1].gt.copy()
+    gt[:16] = np.nan
+    gt[20, 3] = -1.0
+    scenes[1] = replace(scenes[1], gt=gt)
+    model = init_model(cfg)
+    errs, uncs = pooled_errors(model, scenes)
+    assert errs.shape == uncs.shape == (2 * 1024 - 513,)
+    assert np.isfinite(errs).all() and np.isfinite(uncs).all()
+    want_e, want_u = [], []
+    for scene in scenes:
+        depth, unc, _ = forward(model, scene)
+        keep = valid_mask(scene.gt)
+        want_e.append(np.abs(depth[keep] - scene.gt[keep]))
+        want_u.append(unc[keep])
+    assert errs.tobytes() == np.concatenate(want_e).tobytes()
+    assert uncs.tobytes() == np.concatenate(want_u).tobytes()
+
+
 def _oracle_scene_cells(model, scene):
     """One scene's ``eval.csv`` cells, each from its own formula.
 
@@ -431,6 +559,8 @@ def _oracle_scene_cells(model, scene):
     fields by name.
     """
     depth, unc, vol = forward(model, scene)
+    # the metrics read their inputs as float64, so the formulas do too
+    depth, unc = depth.astype(np.float64), unc.astype(np.float64)
     keep = valid_mask(scene.gt)
     p, g, u = depth[keep], scene.gt[keep], unc[keep]
     pos = p > 0
@@ -513,8 +643,22 @@ def test_save_model_bundle(tmp_path, head):
     assert manifest["head"] == head and float(manifest["raw_scale"]) == m.raw_scale
 
 
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_saved_grids_are_the_trained_weights(tiny_data, tmp_path, head):
+    # the checkpoint holds the evaluated model bit for bit: training runs
+    # in the float32 the grids store, so nothing is rounded on the way out
+    cfg = TrainConfig(epochs=1, seed=2, head=head, include_soft=head == "classification")
+    m, _ = train(init_model(cfg), tiny_data[0], cfg)
+    save_model(m, tmp_path / "m")
+    for name in ("w1", "b1", "w2") + (("w_out",) if head == "regression" else ()):
+        stored = read_grid(tmp_path / "m" / f"{name}.duv")
+        assert stored.astype(np.float32).tobytes() == getattr(m, name).tobytes(), name
+        np.testing.assert_array_equal(stored, getattr(m, name))
+
+
 def test_save_model_checks_every_grid_before_writing(tmp_path):
-    m = init_model(TrainConfig(seed=7))
+    # a float64 model: a float32 weight cannot hold 1e39
+    m = _float64(init_model(TrainConfig(seed=7)))
     m.w2[3, 4] = 1e39
     with pytest.raises(ValueError, match=r"w2\.duv: 1 finite entries exceed the float32 range$"):
         save_model(m, tmp_path / "m")
@@ -583,7 +727,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
 
     z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
     want = full_backward(
-        z, m.raw_scale, m.sigma, m.hypotheses, loss_targets(m.hypotheses, scene.gt, cfg.gamma),
+        z, m.raw_scale, m.sigma, m.hypotheses, _targets(m, scene, cfg),
         draw_permutation(63, 11), ranking=ranking,
     )
     assert report.n_valid == want.n_valid == 63
@@ -686,8 +830,10 @@ def test_train_targets_match_default_backward_path(tiny_data, head, soft, rankin
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.raw_scale == want.raw_scale
     assert got_logs == want_logs
-    # the pixel-major formulas: the same run up to row-sum rounding
-    near, near_logs = _reference_train(init_model(cfg), scenes, cfg, bins_first=False)
+    # the pixel-major formulas: the same run up to row-sum rounding, for
+    # a float64 model, the precision that tolerance is written for
+    got, got_logs = train(_float64(init_model(cfg)), scenes, cfg)
+    near, near_logs = _reference_train(_float64(init_model(cfg)), scenes, cfg, bins_first=False)
     for name in ("w1", "b1", "w2", "sigma", "w_out"):
         if getattr(got, name) is not None:
             np.testing.assert_allclose(getattr(got, name), getattr(near, name), **PIXEL_MAJOR_TOL)
@@ -791,9 +937,11 @@ def test_forward_is_the_hidden_layer_and_head_forward():
         assert len(got) == 3
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-        # the pixel-major z: the same decode up to row-sum rounding
+        # the pixel-major z: the same decode up to row-sum rounding, for
+        # a float64 model, the precision that tolerance is written for
+        m = _float64(m)
         z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
-        for g, w in zip(got, head_forward(z, 0.7, m.hypotheses, m.w_out)):
+        for g, w in zip(forward(m, scene), head_forward(z, 0.7, m.hypotheses, m.w_out)):
             np.testing.assert_allclose(g, w, **PIXEL_MAJOR_TOL)
 
 
@@ -816,11 +964,13 @@ def test_scene_gradients_run_bins_first(tiny_data, monkeypatch):
     for head in HEAD_KINDS:
         cfg = TrainConfig(head=head, include_soft=head == "classification")
         m = init_model(cfg)
+        k = m.w1.itemsize  # strides in bytes, at the model's dtype
         targets = _targets(m, scene, cfg)
         scene_gradients(m, scene, cfg, 0, targets)
         if targets.labels is not None:
-            assert targets.labels.strides == (8, 8 * h * w)
-    assert seen == [((8 * w, 8, 8 * h * w),) * 2] * len(HEAD_KINDS)
+            assert targets.labels.strides == (k, k * h * w)
+        assert seen.pop() == ((k * w, k, k * h * w),) * 2
+    assert seen == []
 
 
 def test_scene_arrays_are_read_only(tiny_data):
