@@ -206,14 +206,16 @@ def _check_total(rng, regression, wrt):
     """``full_backward``'s gradient wrt input ``wrt`` against the forward total."""
     inputs, mask, gt, perm, frozen = _redraw(rng, lambda rng: _draw_total(rng, regression))
     targets = loss_targets(_HYP, np.where(mask, gt, np.nan), None if regression else _GAMMA)
-    report = full_backward(hyp=_HYP, targets=targets, perm=perm, **inputs)
+    # full_backward takes the valid rows of z, and its z gradient covers them only
+    valid_rows = {**inputs, "z": inputs["z"][mask]}
+    report = full_backward(hyp=_HYP, targets=targets, perm=perm, **valid_rows)
     numeric = central_difference(
         lambda x: _total_forward(
             hyp=_HYP, targets=targets, perm=perm, frozen_err=frozen, **{**inputs, wrt: x}
         ),
         inputs[wrt],
     )
-    return getattr(report, f"grad_{wrt}"), numeric
+    return getattr(report, f"grad_{wrt}"), numeric[mask] if wrt == "z" else numeric
 
 
 def _check_auto_total(rng):

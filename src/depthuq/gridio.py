@@ -19,8 +19,10 @@
 * PPM: binary P6, 8 bits per channel, values clamped to [0, 1] and
   rounded half-up.
 
-In-memory arrays are float64; conversion to float32 happens only at the
-file boundary.
+Readers return float64 arrays.  ``write_grid`` takes a real array of
+any float dtype and rounds each value to float32 once, at the file
+boundary, so a float32 array (the toy model's weights and features are
+float32 in memory) is stored bit for bit.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ Three terms drive training:
                           matches uncertainty to error by value.
 
 ``auto_weighted_total`` combines them as  sum_i L_i * exp(-sigma_i) + sigma_i
-with learned sigma_i.  Each term function takes valid-pixel vectors the
-caller has already masked and returns its mean over those pixels with
-the exact gradient, so each term's math exists once.  ``full_backward``
-composes the four on the ``loss_targets`` of one GT map, scales each
+with learned sigma_i.  Each term function takes valid-pixel vectors and
+returns its mean over those pixels with the exact gradient, so each
+term's math exists once.  ``full_backward`` composes the four on one
+row of z per valid pixel of a GT map's ``loss_targets`` (the caller
+applies the mask once, where its features enter the step), scales each
 term's gradient by its exp(-sigma) weight, and pulls the
 probability-space gradient back through the softmax in closed form,
 giving exact gradients wrt either head's output z, the raw scale a and
@@ -321,22 +322,20 @@ def full_backward(
 ) -> LossReport:
     """Forward + exact backward for the whole loss of either head.
 
-    The valid rows of z go through ``head_forward``'s ``_decode``:
-    classification logits, or a regression latent whose readout
-    gradient is reported.  When every GT pixel is valid those rows are
-    all of z, decoded through a (pixels, M) view with no copy, and the
-    gradient comes back without a scatter.  The uncertainty is the
-    scaled entropy of softmax(z) for both heads.  The term functions
-    run on the valid pixels; the auto-weighted total yields gradients
-    wrt z (through the softmax Jacobian), the raw scale a (through
-    softplus), and the sigmas.  Targets without soft labels, or
-    ``ranking=None``, drop that term from the total entirely (its sigma
-    stops moving too).
+    z holds one row per valid pixel of ``targets``, shape (targets.n, M)
+    in ``targets.gt`` order: the caller applies the GT mask where its
+    features enter the step.  Those rows go through ``head_forward``'s
+    ``_decode``: classification logits, or a regression latent whose
+    readout gradient is reported.  The uncertainty is the scaled entropy
+    of softmax(z) for both heads.  The auto-weighted total of the term
+    functions yields gradients wrt z (through the softmax Jacobian, in
+    z's shape), the raw scale a (through softplus), and the sigmas.
+    Targets without soft labels, or ``ranking=None``, drop that term
+    from the total entirely (its sigma stops moving too).
     """
     z = float_array(z)
-    mask = targets.mask
-    if z.shape[:-1] != mask.shape:
-        raise ValueError(f"logit pixels {z.shape[:-1]} vs targets {mask.shape}")
+    if z.shape[:-1] != targets.gt.shape:
+        raise ValueError(f"logit rows {z.shape[:-1]} vs targets {targets.gt.shape}")
     include_soft = targets.labels is not None
     if readout is None:
         if z.shape[-1] != hyp.m:
@@ -354,13 +353,7 @@ def full_backward(
     alpha = float(softplus(a))
     ew = np.exp(-sig).tolist()  # Python floats: they keep z's dtype
 
-    # decode the valid rows: a product over the whole map, masked
-    # afterwards, need not give the same bits.  With every pixel valid
-    # the valid rows are z's own rows in the same order, so a view of
-    # them decodes to the same bits as the copy z[mask] would
-    all_valid = targets.n == mask.size
-    zv = z.reshape(-1, z.shape[-1]) if all_valid else z[mask]
-    pv, depth = _decode(zv, hyp, readout)
+    pv, depth = _decode(z, hyp, readout)
 
     # d(weighted depth term)/d(depth); the probability-space gradient
     # accumulates every term that flows through p, each scaled in place
@@ -398,17 +391,12 @@ def full_backward(
 
     grad_readout = None
     if readout is None:
-        gz_valid = softmax_backward(pv, grad_p)
+        grad_z = softmax_backward(pv, grad_p)
     else:
-        gz_valid = np.multiply(grad_depth[:, None], readout, out=np.empty_like(pv))
-        grad_readout = grad_depth @ zv
+        grad_z = np.multiply(grad_depth[:, None], readout, out=np.empty_like(pv))
+        grad_readout = grad_depth @ z
         if grad_p is not None:
-            gz_valid += softmax_backward(pv, grad_p)
-    if all_valid:
-        grad_z = gz_valid.reshape(z.shape)
-    else:
-        grad_z = np.zeros_like(z)
-        grad_z[mask] = gz_valid
+            grad_z += softmax_backward(pv, grad_p)
 
     active = (True, include_soft, ranking is not None)
     total, grad_sigma = auto_weighted_total(

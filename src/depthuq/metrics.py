@@ -317,15 +317,15 @@ def spearman(err, unc) -> float | None:
     """Rank correlation between two pixel vectors; None when undefined.
 
     Average ranks on both sides, then Pearson.  Returns None when either
-    input is completely tied (zero rank variance).  Non-finite values
-    raise ValueError.
+    input is completely tied (zero rank variance), one pixel included.
+    No pixels and non-finite values raise ValueError.
     """
     a = _ranking(err, "err")
     b = _ranking(unc, "unc")
     if a.ranks.size != b.ranks.size:
         raise ValueError(f"length mismatch {a.ranks.size} vs {b.ranks.size}")
-    if a.ranks.size < 2:
-        raise ValueError("need >= 2 pixels")
+    if a.ranks.size == 0:
+        raise ValueError("need >= 1 pixel")
     if a.ends.size == 1 or b.ends.size == 1:
         return None
     return float(np.corrcoef(a.ranks, b.ranks)[0, 1])

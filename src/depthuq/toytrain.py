@@ -292,26 +292,22 @@ def init_model(config: TrainConfig) -> ToyModel:
     )
 
 
-def _hidden_and_z(model: ToyModel, scene: SyntheticScene):
-    """The tanh hidden layer of one scene and the head output z it gives.
+def _hidden_and_z(model: ToyModel, f2: np.ndarray):
+    """The tanh hidden layer of (pixels, F) feature rows and the head output z.
 
-    Both come back as (H, W, ·) views of bins-first arrays, (hidden,
-    pixels) and (M, pixels) in memory, the layout the losses run fast
-    on (see the ``losses`` module docstring).  The features are read
-    through a transposed view, never copied.
+    The hidden layer comes back bins-first, (hidden, pixels), and z as a
+    (pixels, M) view of an (M, pixels) array: the layout the losses run
+    fast on (see the ``losses`` module docstring).  The feature rows are
+    read through a transposed view, never copied.
     """
-    feats = scene.features
-    if feats.shape[-1] != model.n_features:
+    if f2.shape[-1] != model.n_features:
         raise ValueError(
-            f"scene has {feats.shape[-1]} feature channels, model wants {model.n_features}"
+            f"scene has {f2.shape[-1]} feature channels, model wants {model.n_features}"
         )
-    f2 = feats.reshape(-1, feats.shape[-1])
     hid = model.w1.T @ f2.T
     hid += model.b1[:, None]
     np.tanh(hid, out=hid)
-    z = model.w2.T @ hid
-    shape = feats.shape[:-1]
-    return hid.T.reshape(*shape, -1), z.T.reshape(*shape, -1)
+    return hid, (model.w2.T @ hid).T
 
 
 def forward(model: ToyModel, scene: SyntheticScene):
@@ -321,29 +317,31 @@ def forward(model: ToyModel, scene: SyntheticScene):
     probability volume of the classification head and the pseudo
     distribution of the regression head.
     """
-    _, z = _hidden_and_z(model, scene)
+    feats = scene.features
+    _, z = _hidden_and_z(model, feats.reshape(-1, feats.shape[-1]))
+    z = z.reshape(*feats.shape[:-1], -1)
     return head_forward(z, model.raw_scale, model.hypotheses, model.w_out)
 
 
 def scene_gradients(
     model: ToyModel,
-    scene: SyntheticScene,
+    features: np.ndarray,
     config: TrainConfig,
     step_seed: int,
     targets: LossTargets,
 ):
     """One scene's loss report and parameter gradients.
 
-    ``forward``'s hidden layer and z, then the exact backward of the
-    losses module: d(total)/d(z) for either head (plus the readout
-    gradient of the regression head); the chain rule through the
-    two-layer net does the rest.  Training and the finite-difference
-    spot checks share this code path.  ``targets`` are the scene's
-    ``losses.loss_targets``, and the pair permutation covers their
-    valid pixels only.
+    ``features`` are the scene's valid feature rows,
+    ``scene.features[targets.mask]`` for its ``losses.loss_targets``;
+    the step, pair permutation included, covers those pixels only.
+    ``forward``'s hidden layer and z on those rows, then the exact
+    backward of the losses module: d(total)/d(z) for either head (plus
+    the readout gradient of the regression head); the chain rule
+    through the two-layer net does the rest.  Training and the
+    finite-difference spot checks share this code path.
     """
-    hid, z = _hidden_and_z(model, scene)
-    pixels = scene.gt.size
+    hid, z = _hidden_and_z(model, features)
 
     perm = None
     if config.ranking in ("hinge", "no-max"):
@@ -361,17 +359,15 @@ def scene_gradients(
     )
 
     # the chain rule runs bins-first too: (M, pixels) and (hidden, pixels)
-    gz = report.grad_z.reshape(pixels, -1).T
-    h2 = hid.reshape(pixels, -1).T
-    f2 = scene.features.reshape(pixels, -1)
+    gz = report.grad_z.T
     # (1 - h^2) * d(total)/d(h), the tanh pullback, in one array
-    grad_pre = np.square(h2)
+    grad_pre = np.square(hid)
     np.subtract(1.0, grad_pre, out=grad_pre)
     grad_pre *= model.w2 @ gz
     grads = {
-        "w1": f2.T @ grad_pre.T,
+        "w1": features.T @ grad_pre.T,
         "b1": grad_pre.sum(axis=1),
-        "w2": h2 @ gz.T,
+        "w2": hid @ gz.T,
         "a": report.grad_a,
         "sigma": report.grad_sigma,
     }
@@ -386,9 +382,11 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     Scene order is fixed; the pair permutation is redrawn every step
     from the run seed.  Each scene's ``losses.loss_targets`` (mask,
     valid GT, soft-label rows at ``config.gamma`` when the soft-label
-    term is on) are built once, before the first step, and reused by
-    every epoch, at the model's dtype: at the defaults (64 scenes of
-    32 x 32, 16 bins, float32) the label rows hold 4 MiB for the run.
+    term is on) and its valid feature rows are built once, before the
+    first step, and reused by every epoch, the targets at the model's
+    dtype: at the defaults (64 scenes of 32 x 32, 16 bins, 8 features,
+    float32) the label rows hold 4 MiB and the feature rows 2 MiB for
+    the run.
     Raises ``TrainingDivergedError`` with the epoch index if the total
     goes non-finite or a step leaves a weight beyond the float32 range,
     which ``save_model`` could not store.  Returns the trained model
@@ -403,16 +401,17 @@ def train(model: ToyModel, scenes, config: TrainConfig):
     gamma = config.gamma if config.include_soft else None
     dtype = model.w1.dtype
     targets = [loss_targets(model.hypotheses, scene.gt, gamma, dtype) for scene in scenes]
+    features = [scene.features[t.mask] for scene, t in zip(scenes, targets)]
     rows = []
     step = 0
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
         totals = np.zeros(4)
         gsig = np.zeros(3)
-        for scene, scene_target in zip(scenes, targets):
+        for scene_features, scene_target in zip(features, targets):
             step_seed = config.seed * _PERM_SEED_STRIDE + step
             try:
-                report, grads = scene_gradients(model, scene, config, step_seed, scene_target)
+                report, grads = scene_gradients(model, scene_features, config, step_seed, scene_target)
             except NonFiniteLossError as exc:
                 raise TrainingDivergedError(epoch) from exc
             # a float32 weight may overflow to inf here; the range check

@@ -60,14 +60,17 @@ def _scene_with_invalid_pixel(seed):
 
 
 def test_depth_l1_masks_invalid_gt():
-    # full_backward masks once; the NaN pixel leaves no trace
+    # the targets mask once; the NaN pixel leaves no trace, and its row
+    # of z is not taken
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(10)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, GAMMA), perm)
+    targets = loss_targets(hyp, gt, GAMMA)
+    rep = full_backward(z[targets.mask], 0.4, sig, hyp, targets, perm)
     kept = full_backward(z_kept, 0.4, sig, hyp, loss_targets(hyp, gt_kept, GAMMA), perm)
     assert rep.n_valid == gt.size - 1 == kept.n_valid
-    np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
-    np.testing.assert_array_equal(rep.grad_z[np.isfinite(gt)], kept.grad_z)
+    with pytest.raises(ValueError, match="targets"):
+        full_backward(z.reshape(-1, z.shape[-1]), 0.4, sig, hyp, targets, perm)
+    np.testing.assert_array_equal(rep.grad_z, kept.grad_z)
     assert rep.value_r == kept.value_r
     assert rep.total == kept.total
 
@@ -102,12 +105,13 @@ def test_soft_label_l1_uses_label_validity():
     # a NaN-GT pixel has an all-zero label row; full_backward must drop
     # it rather than fit the row
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(12)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
+    targets = loss_targets(hyp, gt, GAMMA)
+    rep = full_backward(z[targets.mask], 0.0, np.zeros(3), hyp, targets, perm)
     kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt_kept, GAMMA), perm)
     assert rep.value_p == kept.value_p
     lab = soft_labels(hyp, gt_kept, GAMMA).values
     assert rep.value_p == soft_label_l1(softmax_volume(z_kept), lab).value
-    np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
+    np.testing.assert_array_equal(rep.grad_z, kept.grad_z)
 
 
 def test_hinge_pair_oracle():
@@ -280,6 +284,8 @@ def test_clamped_entropy_at_floor():
 
 
 def _small_instance(seed):
+    # a 2 x 3 map with every GT pixel valid: full_backward takes all of
+    # z's rows, z.reshape(-1, 5)
     rng = np.random.default_rng(seed)
     hyp = linear_hypotheses(1.0, 10.0, 5)
     z = rng.normal(size=(2, 3, 5))
@@ -291,7 +297,7 @@ def _small_instance(seed):
 def test_full_backward_total_identity():
     hyp, z, gt, perm = _small_instance(0)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, GAMMA), perm)
+    rep = full_backward(z.reshape(-1, 5), 0.4, sig, hyp, loss_targets(hyp, gt, GAMMA), perm)
     expect = float(((rep.values() * np.exp(-sig)) + sig).sum())
     assert abs(rep.total - expect) < 1e-12
     assert rep.n_valid == 6
@@ -303,7 +309,7 @@ def test_full_backward_terms_match_single_ops():
     # each term on the same valid-pixel vectors must agree exactly
     hyp, z, gt, perm = _small_instance(1)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z, 0.4, sig, hyp, loss_targets(hyp, gt, 20.0), perm)
+    rep = full_backward(z.reshape(-1, 5), 0.4, sig, hyp, loss_targets(hyp, gt, 20.0), perm)
     p = softmax_volume(z).reshape(-1, 5)
     d = p @ hyp.values
     g = gt.reshape(-1)
@@ -321,7 +327,7 @@ def test_full_backward_exact_global_fit():
     # same for the labels, gt sits on a hypothesis: every term and every
     # z/a gradient is exactly zero
     hyp = DepthHypotheses(np.array([1.0, 2.0, 3.0]))
-    z = np.tile(np.array([-800.0, 0.0, -800.0]), (2, 2, 1))
+    z = np.tile(np.array([-800.0, 0.0, -800.0]), (4, 1))
     gt = np.full((2, 2), 2.0)
     rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, 800.0), PairPermutation(np.arange(4)))
     assert rep.value_r == 0.0 and rep.value_p == 0.0 and rep.value_u == 0.0
@@ -348,18 +354,23 @@ def test_loss_targets_keep_valid_pixels_and_their_label_rows():
 
 
 def test_full_backward_rejects_targets_of_another_grid():
+    # z takes one row per valid pixel of its targets: the whole map, or
+    # the rows of a map with another valid count, do not fit
     hyp, z, gt, perm = _small_instance(8)
     with pytest.raises(ValueError, match="targets"):
-        full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt.T, GAMMA), perm)
+        full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
+    gt[0, 1] = np.nan
+    with pytest.raises(ValueError, match="targets"):
+        full_backward(z.reshape(-1, 5), 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
     # soft labels over another hypothesis count do not fit the logits
     other = loss_targets(linear_hypotheses(1.0, 10.0, 4), gt, GAMMA)
     with pytest.raises(ValueError, match="matching"):
-        full_backward(z, 0.0, np.zeros(3), hyp, other, perm)
+        full_backward(z[other.mask], 0.0, np.zeros(3), hyp, other, draw_permutation(other.n, 8))
 
 
 def test_full_backward_drops_soft_term():
     hyp, z, gt, perm = _small_instance(2)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, None), perm)
+    rep = full_backward(z.reshape(-1, 5), 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, None), perm)
     assert rep.value_p == 0.0
     assert rep.grad_sigma[1] == 0.0
     assert rep.active == (True, False, True)
@@ -367,7 +378,7 @@ def test_full_backward_drops_soft_term():
 
 def test_full_backward_drops_ranking_term():
     hyp, z, gt, _ = _small_instance(3)
-    rep = full_backward(z, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), None, ranking=None)
+    rep = full_backward(z.reshape(-1, 5), 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), None, ranking=None)
     assert rep.value_u == 0.0 and rep.grad_a == 0.0
     assert rep.grad_sigma[2] == 0.0
 
@@ -375,10 +386,10 @@ def test_full_backward_drops_ranking_term():
 def test_full_backward_requires_perm_for_pairs():
     hyp, z, gt, _ = _small_instance(4)
     targets = loss_targets(hyp, gt, GAMMA)
-    with pytest.raises(ValueError):
-        full_backward(z, 0.0, np.zeros(3), hyp, targets, None, ranking="hinge")
-    with pytest.raises(ValueError):
-        full_backward(z, 0.0, np.zeros(3), hyp, targets, PairPermutation(np.arange(3)))
+    with pytest.raises(ValueError, match="needs a pair permutation"):
+        full_backward(z.reshape(-1, 5), 0.0, np.zeros(3), hyp, targets, None, ranking="hinge")
+    with pytest.raises(ValueError, match="permutation covers 3 pixels"):
+        full_backward(z.reshape(-1, 5), 0.0, np.zeros(3), hyp, targets, PairPermutation(np.arange(3)))
 
 
 def test_full_backward_rejects_shape_mismatch():
@@ -406,6 +417,7 @@ def test_full_backward_sigma_grad_matches_fd():
     hyp, z, gt, perm = _small_instance(5)
     sig = np.array([0.2, -0.4, 0.1])
     targets = loss_targets(hyp, gt, GAMMA)
+    z = z.reshape(-1, 5)
     rep = full_backward(z, 0.3, sig, hyp, targets, perm)
     h = 1e-6
     for k in range(3):
@@ -423,6 +435,7 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
     hyp, z, gt, _ = _small_instance(6)
     a = 0.7
     targets = loss_targets(hyp, gt, GAMMA)
+    z = z.reshape(-1, 5)
     rep = full_backward(z, a, np.zeros(3), hyp, targets, None, ranking="l1-direct")
     h = 1e-6
     tp = full_backward(z, a + h, np.zeros(3), hyp, targets, None, ranking="l1-direct").total
@@ -432,7 +445,7 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
 
 def test_full_backward_alpha_is_softplus():
     hyp, z, gt, perm = _small_instance(7)
-    rep = full_backward(z, -1.3, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
+    rep = full_backward(z.reshape(-1, 5), -1.3, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
     assert abs(rep.alpha - float(softplus(-1.3))) < 1e-15
 
 
@@ -450,7 +463,7 @@ def test_head_forward_is_the_forward_full_backward_trains(readout):
     hyp, z, gt, perm = _small_instance(4)
     sig = np.array([0.3, -0.2, 0.5])
     targets = loss_targets(hyp, gt, GAMMA if readout is None else None)
-    rep = full_backward(z, 0.4, sig, hyp, targets, perm, readout=readout)
+    rep = full_backward(z[targets.mask], 0.4, sig, hyp, targets, perm, readout=readout)
     depth, unc, _ = head_forward(z, 0.4, hyp, readout)
     d, u, g = depth.ravel(), unc.ravel(), gt.ravel()
     assert abs(rep.value_r - depth_l1(d, g).value) < 1e-12
@@ -473,11 +486,10 @@ def test_full_backward_decodes_the_clipped_depth_of_head_forward():
     gt[7, 7] = np.nan
     targets = loss_targets(hyp, gt, None)
     sig = np.array([0.3, 0.0, 0.0])
-    rep = full_backward(z, 0.4, sig, hyp, targets, None, ranking=None)
+    rep = full_backward(z[targets.mask], 0.4, sig, hyp, targets, None, ranking=None)
     depth_term = depth_l1(head_forward(z, 0.4, hyp)[0][targets.mask], targets.gt)
     assert rep.value_r == depth_term.value
-    want = np.zeros_like(z)
-    want[targets.mask] = softmax_backward(
+    want = softmax_backward(
         softmax_volume(z)[targets.mask], (depth_term.grad * np.exp(-sig[0]))[:, None] * hyp.values
     )
     np.testing.assert_array_equal(rep.grad_z, want)
@@ -644,8 +656,8 @@ def _oracle_instances():
 @pytest.mark.parametrize("ranking", [None, "hinge", "no-max", "l1-direct"])
 @pytest.mark.parametrize("regression", [False, True], ids=["classification", "regression"])
 def test_full_backward_matches_oracle_step_bitwise(regression, ranking, invalid):
-    # both routes of full_backward, the view of an all-valid map and the
-    # gather and scatter of a map with NaN GT, give the oracle's bits on
+    # the rows of an all-valid map, a view, and the valid rows of a map
+    # with NaN GT, a copy, give the oracle's bits at the valid pixels on
     # every instance, and the terms it reports active are the targets'
     floored = False
     for rng, z, gt, a, sig, readout, perm_seed in _oracle_instances():
@@ -657,17 +669,19 @@ def test_full_backward_matches_oracle_step_bitwise(regression, ranking, invalid)
         assert (targets.n < gt.size) == invalid
         floored |= bool(np.any(softmax_volume(z) < PROB_FLOOR))
         perm = draw_permutation(targets.n, perm_seed) if ranking in ("hinge", "no-max") else None
-        rep = full_backward(z, a, sig, hyp, targets, perm, ranking=ranking, readout=readout)
+        rows = z[targets.mask] if invalid else z.reshape(-1, z.shape[-1])
+        rep = full_backward(rows, a, sig, hyp, targets, perm, ranking=ranking, readout=readout)
         want = _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout)
         got = (rep.value_r, rep.value_p, rep.value_u, rep.total, rep.grad_z, rep.grad_a,
                rep.grad_sigma, rep.grad_readout)
+        want = want[:4] + (want[4][targets.mask],) + want[5:]
         for name, g, o in zip(("value_r", "value_p", "value_u", "total", "grad_z", "grad_a",
                                "grad_sigma", "grad_readout"), got, want):
             if o is None:
                 assert g is None, name
             else:
                 assert np.asarray(g).tobytes() == np.asarray(o).tobytes(), name
-        assert rep.grad_z.shape == z.shape
+        assert rep.grad_z.shape == (targets.n, z.shape[-1])
         assert rep.active == (True, targets.labels is not None, ranking is not None)
     assert floored
 
@@ -685,8 +699,11 @@ def test_float32_step_matches_oracle_step_bitwise():
                 gt[rng.random(gt.shape) < 0.2] = np.nan
                 targets = loss_targets(hyp, gt, None if regression else GAMMA, np.float32)
                 perm = draw_permutation(targets.n, perm_seed) if ranking == "hinge" else None
-                rep = full_backward(z, a, sig, hyp, targets, perm, ranking=ranking, readout=readout)
+                rep = full_backward(
+                    z[targets.mask], a, sig, hyp, targets, perm, ranking=ranking, readout=readout
+                )
                 want = _oracle_step(z, a, sig, hyp, targets, perm, ranking, readout)
+                want = want[:4] + (want[4][targets.mask],) + want[5:]
                 got = (rep.value_r, rep.value_p, rep.value_u, rep.total, rep.grad_z, rep.grad_a,
                        rep.grad_sigma, rep.grad_readout)
                 for name, g, o in zip(("value_r", "value_p", "value_u", "total", "grad_z", "grad_a",
@@ -731,8 +748,8 @@ def test_loss_targets_are_read_only_views():
 
 @pytest.mark.parametrize("readout", [None, np.linspace(0.2, 1.4, 5)], ids=["classification", "regression"])
 def test_step_and_decode_leave_read_only_inputs_unchanged(readout):
-    # read-only z and targets, on the gather route (one NaN GT pixel) and
-    # the view route (every pixel valid): nothing writes into them
+    # read-only z rows and targets, a copy of the valid rows (one NaN GT
+    # pixel) and a view of every row: nothing writes into them
     hyp, z, gt, _ = _small_instance(12)
     z.setflags(write=False)
     z_before = z.tobytes()
@@ -740,9 +757,11 @@ def test_step_and_decode_leave_read_only_inputs_unchanged(readout):
     gt_nan = gt.copy()
     gt_nan[0, 1] = np.nan
     for targets in (loss_targets(hyp, gt_nan, gamma), loss_targets(hyp, gt, gamma)):
-        arrays = [arr for arr in (targets.mask, targets.gt, targets.labels) if arr is not None]
+        rows = z[targets.mask] if targets.n < gt.size else z.reshape(-1, 5)
+        rows.setflags(write=False)
+        arrays = [arr for arr in (rows, targets.mask, targets.gt, targets.labels) if arr is not None]
         before = [arr.tobytes() for arr in arrays]
-        full_backward(z, 0.2, np.zeros(3), hyp, targets, draw_permutation(targets.n, 3), readout=readout)
+        full_backward(rows, 0.2, np.zeros(3), hyp, targets, draw_permutation(targets.n, 3), readout=readout)
         assert [arr.tobytes() for arr in arrays] == before
     head_forward(z, 0.2, hyp, readout)
     softmax_volume(z)

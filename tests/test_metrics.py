@@ -179,8 +179,10 @@ def test_spearman_undefined_on_ties():
 
 
 def test_spearman_input_validation():
-    with pytest.raises(ValueError):
-        spearman([1.0], [2.0])
+    # no pixel at all is an input error; one pixel is completely tied
+    with pytest.raises(ValueError, match="need >= 1 pixel"):
+        spearman([], [])
+    assert spearman([1.0], [2.0]) is None
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 

@@ -60,6 +60,11 @@ def _targets(model, scene, config):
     return loss_targets(model.hypotheses, scene.gt, gamma, model.w1.dtype)
 
 
+def _rows(scene, targets):
+    # the valid feature rows train selects for a scene, once per run
+    return scene.features[targets.mask]
+
+
 def _float64(model):
     # a float64 copy of a (float32) model, for the checks at 1e-12
     weights = {
@@ -331,7 +336,8 @@ def test_sigma_gradient_rule(tiny_data):
     m = init_model(cfg)
     m.sigma = np.array([0.3, -0.2, 0.4])
     targets = _targets(m, train_scenes[0], cfg)
-    report, grads = scene_gradients(m, train_scenes[0], cfg, step_seed=5, targets=targets)
+    rows = _rows(train_scenes[0], targets)
+    report, grads = scene_gradients(m, rows, cfg, step_seed=5, targets=targets)
     np.testing.assert_allclose(
         grads["sigma"], 1.0 - report.values() * np.exp(-m.sigma), atol=1e-12
     )
@@ -343,8 +349,8 @@ def test_sigma_gradient_rule(tiny_data):
         m_lo = init_model(cfg)
         m_lo.sigma = m.sigma.copy()
         m_lo.sigma[k] -= h
-        t_hi, _ = scene_gradients(m_hi, train_scenes[0], cfg, step_seed=5, targets=targets)
-        t_lo, _ = scene_gradients(m_lo, train_scenes[0], cfg, step_seed=5, targets=targets)
+        t_hi, _ = scene_gradients(m_hi, rows, cfg, step_seed=5, targets=targets)
+        t_lo, _ = scene_gradients(m_lo, rows, cfg, step_seed=5, targets=targets)
         fd = (t_hi.total - t_lo.total) / (2 * h)
         assert abs(grads["sigma"][k] - fd) < 1e-5
 
@@ -358,13 +364,14 @@ def test_network_gradients_match_fd(tiny_data):
     m = _float64(init_model(cfg))
     scene = train_scenes[1]
     targets = _targets(m, scene, cfg)
-    _, grads = scene_gradients(m, scene, cfg, step_seed=0, targets=targets)
+    rows = _rows(scene, targets)
+    _, grads = scene_gradients(m, rows, cfg, step_seed=0, targets=targets)
     h = 1e-6
 
     def total_with(param, idx, delta):
         probe = _float64(init_model(cfg))
         getattr(probe, param)[idx] += delta
-        rep, _ = scene_gradients(probe, scene, cfg, step_seed=0, targets=targets)
+        rep, _ = scene_gradients(probe, rows, cfg, step_seed=0, targets=targets)
         return rep.total
 
     for param, idx in (("w2", (0, 0)), ("w2", (7, 11)), ("w1", (2, 5)), ("b1", (4,))):
@@ -376,25 +383,31 @@ def test_network_gradients_match_fd(tiny_data):
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_float32_step_stays_float32(tiny_data, head):
     # the step of a float32 model keeps grad_z and the network gradients
-    # in float32, and the bits of the oracle step run at float32: a
+    # in float32, and on C-ordered copies of the step's z rows
+    # full_backward gives the bits of the oracle step run at float32: a
     # float64 scalar or operand anywhere in full_backward would cast
     # them, or round the products differently
-    scene = _with_invalid_gt(tiny_data[0][0], (2, 3))  # the gather route: C-ordered rows
+    scene = _with_invalid_gt(tiny_data[0][0], (2, 3))
     cfg = TrainConfig(seed=2, head=head, include_soft=head == "classification")
     m = init_model(cfg)
     m.sigma = np.array([0.3, -0.2, 0.4])
     m.raw_scale = -0.3
     targets = _targets(m, scene, cfg)
-    report, grads = scene_gradients(m, scene, cfg, step_seed=5, targets=targets)
+    rows = _rows(scene, targets)
+    report, grads = scene_gradients(m, rows, cfg, step_seed=5, targets=targets)
     names = ["w1", "b1", "w2"] + (["w_out"] if head == "regression" else [])
     assert report.grad_z.dtype == np.float32
     assert [grads[name].dtype for name in names] == [np.dtype(np.float32)] * len(names)
-    _, z = _hidden_and_z(m, scene)
-    want = _oracle_step(
-        z, m.raw_scale, m.sigma, m.hypotheses, targets, draw_permutation(targets.n, 5), cfg.ranking, m.w_out
-    )
-    assert report.total == want[3] and report.grad_a == want[5]
-    assert report.grad_z.tobytes() == want[4].tobytes()
+    z = np.ascontiguousarray(_hidden_and_z(m, rows)[1])
+    assert z.dtype == np.float32
+    perm = draw_permutation(targets.n, 5)
+    args = (m.raw_scale, m.sigma, m.hypotheses, targets, perm)
+    got = full_backward(z, *args, ranking=cfg.ranking, readout=m.w_out)
+    z_map = np.zeros(scene.gt.shape + z.shape[-1:], np.float32)
+    z_map[targets.mask] = z
+    want = _oracle_step(z_map, *args, cfg.ranking, m.w_out)
+    assert got.total == want[3] and got.grad_a == want[5]
+    assert got.grad_z.tobytes() == want[4][targets.mask].tobytes()
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
@@ -410,8 +423,9 @@ def test_float32_step_tracks_the_float64_step(tiny_data, head):
     m32.sigma = np.array([0.3, -0.2, 0.4])
     m32.raw_scale = 0.3
     m64 = _float64(m32)
-    r32, g32 = scene_gradients(m32, scene, cfg, 7, _targets(m32, scene, cfg))
-    r64, g64 = scene_gradients(m64, scene, cfg, 7, _targets(m64, scene, cfg))
+    t32, t64 = _targets(m32, scene, cfg), _targets(m64, scene, cfg)
+    r32, g32 = scene_gradients(m32, _rows(scene, t32), cfg, 7, t32)
+    r64, g64 = scene_gradients(m64, _rows(scene, t64), cfg, 7, t64)
     assert g32["w1"].dtype == np.float32 and g64["w1"].dtype == np.float64
     assert r32.total == pytest.approx(r64.total, rel=1e-6, abs=0)
     np.testing.assert_allclose(g32["sigma"], g64["sigma"], rtol=1e-6, atol=0)
@@ -440,7 +454,7 @@ def test_readout_backward_matches_regression_oracle(ranking, seed):
     z, w_out, a, sigma, gt, perm = _regression_instance(seed)
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     targets = loss_targets(hyp, gt, None)
-    got = full_backward(z, a, sigma, hyp, targets, perm, ranking=ranking, readout=w_out)
+    got = full_backward(z.reshape(-1, z.shape[-1]), a, sigma, hyp, targets, perm, ranking=ranking, readout=w_out)
     value_r, _, value_u, total, grad_z, grad_a, grad_sigma, grad_readout = _oracle_step(
         z, a, sigma, hyp, targets, perm, ranking, w_out
     )
@@ -449,7 +463,7 @@ def test_readout_backward_matches_regression_oracle(ranking, seed):
     assert got.total == total
     assert got.grad_a == grad_a
     assert got.active == (True, False, ranking is not None)
-    np.testing.assert_array_equal(got.grad_z, grad_z)
+    np.testing.assert_array_equal(got.grad_z, grad_z[targets.mask])
     np.testing.assert_array_equal(got.grad_readout, grad_readout)
     np.testing.assert_array_equal(got.grad_sigma, grad_sigma)
 
@@ -458,19 +472,26 @@ def test_readout_rejects_soft_term():
     z, w_out, a, sigma, gt, perm = _regression_instance(0)
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     with pytest.raises(ValueError, match="soft-label term needs the classification head"):
-        full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, 20.0), perm, readout=w_out)
+        full_backward(z.reshape(-1, z.shape[-1]), a, sigma, hyp, loss_targets(hyp, gt, 20.0), perm, readout=w_out)
 
 
 def test_readout_masks_invalid_gt():
+    # the valid rows of a map with one NaN GT pixel give the bits of a GT
+    # vector that never had the pixel
     z, w_out, a, sigma, gt, _ = _regression_instance(5)
     hyp = linear_hypotheses(1.0, 10.0, z.shape[-1])
     gt[1, 2] = np.nan
     perm = draw_permutation(gt.size - 1, 3)
-    rep = full_backward(z, a, sigma, hyp, loss_targets(hyp, gt, None), perm, readout=w_out)
+    targets = loss_targets(hyp, gt, None)
+    rep = full_backward(z[targets.mask], a, sigma, hyp, targets, perm, readout=w_out)
     assert rep.n_valid == gt.size - 1
     assert np.isfinite(rep.total)
-    np.testing.assert_array_equal(rep.grad_z[1, 2], 0.0)
     assert np.all(np.isfinite(rep.grad_readout))
+    keep = np.isfinite(gt)
+    kept = full_backward(z[keep], a, sigma, hyp, loss_targets(hyp, gt[keep], None), perm, readout=w_out)
+    assert rep.total == kept.total
+    np.testing.assert_array_equal(rep.grad_z, kept.grad_z)
+    np.testing.assert_array_equal(rep.grad_readout, kept.grad_readout)
 
 
 def test_regression_head_diverges_at_huge_lr(tiny_data):
@@ -723,18 +744,23 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     scene = _with_invalid_gt(tiny_data[0][0], (2, 3))
     cfg = TrainConfig(epochs=1, seed=2, ranking=ranking)
     m = init_model(cfg)
-    report, grads = scene_gradients(m, scene, cfg, step_seed=11, targets=_targets(m, scene, cfg))
+    targets = _targets(m, scene, cfg)
+    report, grads = scene_gradients(m, _rows(scene, targets), cfg, step_seed=11, targets=targets)
 
-    z = np.tanh(scene.features @ m.w1 + m.b1) @ m.w2
+    # the 63 valid pixels dropped out by hand: their feature rows, bins-first
+    # as the step holds them, and their GT vector
+    keep = valid_mask(scene.gt)
+    f2 = scene.features[keep]
+    z = (m.w2.T @ np.tanh(m.w1.T @ f2.T + m.b1[:, None])).T
+    kept = loss_targets(m.hypotheses, scene.gt[keep], cfg.gamma, np.float32)
     want = full_backward(
-        z, m.raw_scale, m.sigma, m.hypotheses, _targets(m, scene, cfg),
-        draw_permutation(63, 11), ranking=ranking,
+        z, m.raw_scale, m.sigma, m.hypotheses, kept, draw_permutation(63, 11), ranking=ranking,
     )
     assert report.n_valid == want.n_valid == 63
     assert report.total == want.total
     assert report.grad_a == want.grad_a
+    assert report.grad_z.shape == (63, cfg.m)
     np.testing.assert_array_equal(report.grad_z, want.grad_z)
-    np.testing.assert_array_equal(report.grad_z[2, 3], 0.0)
     np.testing.assert_array_equal(grads["sigma"], want.grad_sigma)
 
     trained, logs = train(m, [scene, tiny_data[0][1]], cfg)
@@ -743,16 +769,17 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
 
 
 def _reference_train(model, scenes, config, bins_first=True):
-    """``train`` with the loss targets rebuilt on every step.
+    """``train`` with the invalid pixels dropped by hand on every step.
 
-    Nothing is built ahead of the steps: each one makes its scene's
-    ``loss_targets`` and a permutation over its valid count, and the
-    chain rule and update are spelled out here.  ``bins_first`` takes
-    the hidden layer and z from ``_hidden_and_z`` and runs the chain
-    rule on (hidden, pixels) and (M, pixels) arrays, as ``train`` does;
-    otherwise every array is pixel-major, the plain formulas whose row
-    sums round differently.
+    Nothing is built ahead of the steps: each one keeps its scene's
+    valid pixels, as feature rows and a GT vector, makes that vector's
+    ``loss_targets`` and a permutation over its length, and spells out
+    the hidden layer, the chain rule and the update.  ``bins_first``
+    holds the hidden layer and z as (hidden, pixels) and (M, pixels)
+    arrays, as ``train`` does; otherwise every array is pixel-major, the
+    plain formulas whose row sums round differently.
     """
+    gamma = config.gamma if config.include_soft else None
     logs = []
     step = 0
     for epoch in range(config.epochs):
@@ -760,33 +787,33 @@ def _reference_train(model, scenes, config, bins_first=True):
         totals = np.zeros(4)
         gsig = np.zeros(3)
         for scene in scenes:
+            keep = valid_mask(scene.gt)
+            f2, gt = scene.features[keep], scene.gt[keep]
             if bins_first:
-                hid, z = _hidden_and_z(model, scene)
+                hid = np.tanh(model.w1.T @ f2.T + model.b1[:, None])
+                z = (model.w2.T @ hid).T
             else:
-                hid = np.tanh(scene.features @ model.w1 + model.b1)
+                hid = np.tanh(f2 @ model.w1 + model.b1)
                 z = hid @ model.w2
             perm = None
             if config.ranking in ("hinge", "no-max"):
-                n_valid = int(np.count_nonzero(valid_mask(scene.gt)))
-                perm = draw_permutation(n_valid, config.seed * _PERM_SEED_STRIDE + step)
+                perm = draw_permutation(gt.size, config.seed * _PERM_SEED_STRIDE + step)
             rep = full_backward(
-                z, model.raw_scale, model.sigma, model.hypotheses, _targets(model, scene, config),
+                z, model.raw_scale, model.sigma, model.hypotheses,
+                loss_targets(model.hypotheses, gt, gamma, model.w1.dtype),
                 perm, ranking=config.ranking, readout=model.w_out,
             )
-            pixels = scene.gt.size
-            gz = rep.grad_z.reshape(pixels, -1)
-            h2 = hid.reshape(pixels, -1)
-            f2 = scene.features.reshape(pixels, -1)
+            gz = rep.grad_z
             if bins_first:
-                grad_pre = (model.w2 @ gz.T) * (1.0 - h2.T**2)
+                grad_pre = (model.w2 @ gz.T) * (1.0 - hid**2)
                 model.w1 -= lr * (f2.T @ grad_pre.T)
                 model.b1 -= lr * grad_pre.sum(axis=1)
-                model.w2 -= lr * (h2.T @ gz)
+                model.w2 -= lr * (hid @ gz)
             else:
-                grad_pre = (gz @ model.w2.T) * (1.0 - h2**2)
+                grad_pre = (gz @ model.w2.T) * (1.0 - hid**2)
                 model.w1 -= lr * (f2.T @ grad_pre)
                 model.b1 -= lr * grad_pre.sum(axis=0)
-                model.w2 -= lr * (h2.T @ gz)
+                model.w2 -= lr * (hid.T @ gz)
             model.raw_scale -= lr * rep.grad_a
             model.sigma = np.clip(model.sigma - lr * rep.grad_sigma, -SIGMA_BOUND, SIGMA_BOUND)
             if rep.grad_readout is not None:
@@ -840,6 +867,33 @@ def test_train_targets_match_default_backward_path(tiny_data, head, soft, rankin
     np.testing.assert_allclose(got.raw_scale, near.raw_scale, **PIXEL_MAJOR_TOL)
     for row, near_row in zip(got_logs, near_logs, strict=True):
         np.testing.assert_allclose(list(row.values()), list(near_row.values()), **PIXEL_MAJOR_TOL)
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_sparse_gt_run_equals_valid_pixel_reference(tiny_data, head):
+    # sparse GT (ROADMAP item 13): a run on scenes with invalid GT over
+    # part of their pixels equals, in every parameter and every epoch row,
+    # the loop that drops those pixels by hand and draws its pairs over
+    # the pixels it keeps; the step on valid rows holds them bins-first,
+    # as a dense step does
+    scenes = list(tiny_data[0])
+    rng = np.random.default_rng(13)
+    scenes[0] = _with_invalid_gt(scenes[0], np.s_[:3])  # the top rows, like a scanline gap
+    gt = scenes[2].gt.copy()
+    gt[rng.random(gt.shape) < 0.7] = np.nan  # a random dropout
+    scenes[2] = replace(scenes[2], gt=gt)
+    keep = np.zeros(scenes[4].gt.shape, dtype=bool)
+    keep[5, 1] = keep[2, 6] = keep[7, 7] = True  # three valid pixels
+    scenes[4] = replace(scenes[4], gt=np.where(keep, scenes[4].gt, np.nan))
+    assert [int(valid_mask(scenes[i].gt).sum()) for i in (0, 4)] == [40, 3]
+    cfg = TrainConfig(epochs=3, seed=5, head=head, include_soft=head == "classification")
+    got, got_logs = train(init_model(cfg), scenes, cfg)
+    want, want_logs = _reference_train(init_model(cfg), scenes, cfg)
+    for name in ("w1", "b1", "w2", "sigma", "w_out"):
+        if getattr(want, name) is not None:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.raw_scale == want.raw_scale
+    assert got_logs == want_logs
 
 
 @pytest.mark.parametrize("soft", [True, False])
@@ -931,8 +985,8 @@ def test_forward_is_the_hidden_layer_and_head_forward():
         cfg = TrainConfig(head=head, include_soft=head == "classification", seed=2)
         m = init_model(cfg)
         m.raw_scale = 0.7
-        _, z = _hidden_and_z(m, scene)
-        want = head_forward(z, 0.7, m.hypotheses, m.w_out)
+        _, z = _hidden_and_z(m, scene.features.reshape(-1, scene.features.shape[-1]))
+        want = head_forward(z.reshape(6, 5, -1), 0.7, m.hypotheses, m.w_out)
         got = forward(m, scene)
         assert len(got) == 3
         for g, w in zip(got, want):
@@ -947,9 +1001,10 @@ def test_forward_is_the_hidden_layer_and_head_forward():
 
 def test_scene_gradients_run_bins_first(tiny_data, monkeypatch):
     # z, grad_z and the label rows are (pixels, M) views of (M, pixels)
-    # arrays, so the losses' row reductions run along contiguous pixel
-    # vectors; a C-ordered operand anywhere in the step sends it back to
-    # the slow M-element loops and breaks this layout
+    # arrays over the valid pixels, so the losses' row reductions run
+    # along contiguous pixel vectors, on a scene with invalid GT too; a
+    # C-ordered operand anywhere in the step sends it back to the slow
+    # M-element loops and breaks this layout
     seen = []
     original = depthuq.toytrain.full_backward
 
@@ -959,17 +1014,16 @@ def test_scene_gradients_run_bins_first(tiny_data, monkeypatch):
         return report
 
     monkeypatch.setattr(depthuq.toytrain, "full_backward", spy)
-    scene = tiny_data[0][0]
-    h, w = scene.gt.shape
-    for head in HEAD_KINDS:
-        cfg = TrainConfig(head=head, include_soft=head == "classification")
-        m = init_model(cfg)
-        k = m.w1.itemsize  # strides in bytes, at the model's dtype
-        targets = _targets(m, scene, cfg)
-        scene_gradients(m, scene, cfg, 0, targets)
-        if targets.labels is not None:
-            assert targets.labels.strides == (k, k * h * w)
-        assert seen.pop() == ((k * w, k, k * h * w),) * 2
+    for scene in (tiny_data[0][0], _with_invalid_gt(tiny_data[0][0], (2, 3), (7, 0))):
+        for head in HEAD_KINDS:
+            cfg = TrainConfig(head=head, include_soft=head == "classification")
+            m = init_model(cfg)
+            k = m.w1.itemsize  # strides in bytes, at the model's dtype
+            targets = _targets(m, scene, cfg)
+            scene_gradients(m, _rows(scene, targets), cfg, 0, targets)
+            if targets.labels is not None:
+                assert targets.labels.strides == (k, k * targets.n)
+            assert seen.pop() == ((k, k * targets.n),) * 2
     assert seen == []
 
 
