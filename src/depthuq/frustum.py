@@ -13,16 +13,23 @@ is conserved exactly; samples on the cloud hull land exactly on voxel
 centers.  The splat and the ray march share one trilinear corner
 stencil over flat voxel indices: the splat scatters through it, into
 accumulators over only the voxels it touches, and the march gathers
-through it.  The march reads the stencil only where a per-render
-occupancy map, alpha > 0 dilated by one cell, says that some corner
-holds alpha; every sample position is still visited, so
+through it.  The splat takes each coordinate axis as its own array and
+finds bounds, lattice coordinates and low corners per axis; on the
+hypothesis planes a sample's X depends only on its column and plane,
+its Y on its row and plane and its Z on its plane, so that work runs on
+small arrays, and only the flat low corner and the corner weights are
+broadcast to every sample.  The march reads the stencil only where a
+per-render occupancy map, alpha > 0 dilated by one cell, says that
+some corner holds alpha; every sample position is still visited, so
 skipping empty cells does not change the image.
 
 The march advances every live ray by ``MARCH_BLOCK`` samples per pass.
 Sample positions come from a sequential ``cumsum`` of the step, so they
-are exactly those of repeated ``t += step``, and the image does not
-depend on the block length.  Samples and colors are kept column-major
-(each axis and channel contiguous) from the splat through the march.
+are exactly those of repeated ``t += step``; transmittance is a running
+product over the block, and color is added one compositing sample at a
+time in march order, so the image does not depend on the block length.
+Samples and colors are kept column-major (each axis and channel
+contiguous) from the splat through the march.
 """
 
 from __future__ import annotations
@@ -128,21 +135,28 @@ def orbit_pose(target, radius: float, azimuth: float, elevation: float = 0.0) ->
     return CameraPose(rotation=r, translation=center)
 
 
-def unproject(cam: Pinhole, h, w, depth):
-    """Pixel plus depth to camera-frame 3-D point(s).
+def _camera_axes(cam: Pinhole, h, w, depth):
+    """X, Y and Z of ``unproject``, each broadcast only over what it reads.
 
-    X = (w - cx) * depth / f, Y = (h - cy) * depth / f, Z = depth.
-    Broadcasts over arrays; the last axis of the result holds (X, Y, Z).
+    X = (w - cx) * depth / f reads (w, depth), Y = (h - cy) * depth / f
+    reads (h, depth) and Z = depth.
     """
     h = np.asarray(h, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
     if not np.all(depth > 0):
         raise ValueError("depth must be > 0")
-    x = (w - cam.cx) * depth / cam.f
-    y = (h - cam.cy) * depth / cam.f
-    z = np.broadcast_to(depth, x.shape).astype(np.float64)
-    return np.stack([x, y, z], axis=-1)
+    return (w - cam.cx) * depth / cam.f, (h - cam.cy) * depth / cam.f, depth
+
+
+def unproject(cam: Pinhole, h, w, depth):
+    """Pixel plus depth to camera-frame 3-D point(s).
+
+    X = (w - cx) * depth / f, Y = (h - cy) * depth / f, Z = depth.
+    Broadcasts over arrays; the last axis of the result holds (X, Y, Z).
+    """
+    x, y, z = _camera_axes(cam, h, w, depth)
+    return np.stack([x, y, np.broadcast_to(z, x.shape)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -226,10 +240,13 @@ class SparseVoxelGrid:
         return a, np.moveaxis(pm, 0, -1)
 
 
-def _frame_bounds(points: np.ndarray, res: np.ndarray):
-    """Half-cell padded bounds: cloud hull points sit on voxel centers."""
-    plo = points.min(axis=0)
-    phi = points.max(axis=0)
+def _frame_bounds(axes, res: np.ndarray):
+    """Half-cell padded bounds: cloud hull points sit on voxel centers.
+
+    ``axes`` holds the samples' X, Y and Z coordinates, one array each.
+    """
+    plo = np.array([x.min() for x in axes])
+    phi = np.array([x.max() for x in axes])
     span = phi - plo
     cell = np.where(span > 0, span / np.maximum(res - 1, 1), 1.0)
     lo = plo - cell / 2.0
@@ -237,31 +254,44 @@ def _frame_bounds(points: np.ndarray, res: np.ndarray):
     return lo, hi
 
 
-def _low_corner(g: np.ndarray, res: np.ndarray):
-    """Clamp-to-edge low corner of center-lattice points.
+def _lattice_corner(g: np.ndarray, n):
+    """Clamp-to-edge low corner of center-lattice coordinates ``g``.
 
-    Returns the flat voxel index (i*ny + j)*nz + k of each point's low
-    corner and the point's fraction past it per axis.  The corner is
-    clamped to res - 2, so its +1 neighbors are always in-grid.
+    ``n`` is the axis length, or one length per column of ``g``.  Returns
+    the corner as an integral float and the fraction past it.  The corner
+    is clamped to n - 2, so its +1 neighbor is always in-grid.
     """
-    frac = np.clip(g, 0.0, res - 1.0)  # guards float spill at the hull
+    frac = np.clip(g, 0.0, n - 1.0)  # guards float spill at the hull
     i0 = np.floor(frac)
-    np.minimum(i0, res - 2.0, out=i0)  # keep the +1 corner addressable
+    np.minimum(i0, n - 2.0, out=i0)  # keep the +1 corner addressable
     frac -= i0
+    return i0, frac
+
+
+def _flat_corner(i0, res: np.ndarray) -> np.ndarray:
+    """Flat voxel index (i*ny + j)*nz + k of X, Y and Z corners that broadcast."""
     _, ny, nz = (int(n) for n in res)
     # integral floats: exact in float64, so one int cast of the flat index
-    return ((i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]).astype(np.int64), frac
+    return ((i0[0] * ny + i0[1]) * nz + i0[2]).astype(np.int64)
 
 
-def _corners(frac: np.ndarray, res: np.ndarray):
+def _low_corner(g: np.ndarray, res: np.ndarray):
+    """Flat low corners and (N, 3) fractions of (N, 3) center-lattice points."""
+    i0, frac = _lattice_corner(g, res)
+    return _flat_corner(i0.T, res), frac
+
+
+def _corners(frac, res: np.ndarray):
     """The 8 trilinear corners of points at ``frac`` past their low corner.
 
-    Yields each corner's flat offset and per-point weight (wx * wy) * wz,
-    whose per-axis factors are frac or 1 - frac.  Corners come one at a
-    time, so temporaries stay one point count in size.
+    ``frac`` holds the X, Y and Z fractions, one array each, which
+    broadcast to the points' shape.  Yields each corner's flat offset and
+    per-point weight (wx * wy) * wz, whose per-axis factors are frac or
+    1 - frac.  Corners come one at a time, so temporaries stay one point
+    count in size.
     """
     _, ny, nz = (int(n) for n in res)
-    wx, wy, wz = ((1.0 - frac[:, ax], frac[:, ax]) for ax in range(3))
+    wx, wy, wz = ((1.0 - f, f) for f in frac)
     for ox in (0, 1):
         for oy in (0, 1):
             wxy = wx[ox] * wy[oy]
@@ -269,8 +299,16 @@ def _corners(frac: np.ndarray, res: np.ndarray):
                 yield (ox * ny + oy) * nz + oz, wxy * wz[oz]
 
 
-def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) -> SparseVoxelGrid:
+def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGrid:
     """Trilinear 8-neighbor scatter of sample mass into a fresh grid.
+
+    ``rgb`` (N, 3) and ``mass`` (N,) hold the N samples.  ``axes`` holds
+    their X, Y and Z coordinates as three arrays that broadcast to a
+    shape whose C-order ravel is the sample order: the columns of (N, 3)
+    points, or arrays that each vary only along what their coordinate
+    depends on.  Bounds, lattice coordinates and low corners are worked
+    out on those arrays; only the flat low corner and the corner weights
+    are broadcast to the N samples.
 
     Mass accumulates only over the touched voxels: the low corners
     dilated by one cell toward the high side, numbered in flat-index
@@ -284,14 +322,15 @@ def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) ->
     )
     if res.shape != (3,) or np.any(res < 2):
         raise ValueError(f"resolution must be >= 2 per axis, got {res.tolist()}")
-    if points.shape[0] == 0:
+    if mass.shape[0] == 0:
         raise ValueError("no samples to voxelize")
-    lo, hi = _frame_bounds(points, res)
+    lo, hi = _frame_bounds(axes, res)
     cell = (hi - lo) / res
 
-    g = (points - lo) / cell - 0.5  # continuous center-lattice coordinate
+    g = [(x - l) / c - 0.5 for x, l, c in zip(axes, lo, cell)]  # center-lattice coordinates
+    i0, frac = zip(*map(_lattice_corner, g, res))
+    base = _flat_corner(i0, res).reshape(-1)
     n = int(np.prod(res))
-    base, frac = _low_corner(g, res)
     touched = np.zeros(tuple(res), dtype=bool)
     touched.reshape(-1)[base] = True
     touched[1:] |= touched[:-1]
@@ -305,6 +344,7 @@ def _splat(points: np.ndarray, mass: np.ndarray, rgb: np.ndarray, resolution) ->
     acc_c = np.zeros((3, k))  # channel-major: one bincount per row
     for off, wgt in _corners(frac, res):
         key = compact[base + off]
+        wgt = wgt.reshape(-1)
         wgt *= mass
         acc_a += np.bincount(key, weights=wgt, minlength=k)
         for ch in range(3):
@@ -346,7 +386,11 @@ def voxelize_prediction(
     depth and its probability deposited trilinearly; voxel color is the
     mass-weighted average of contributing source pixels.  Alphas clamp
     to [0, 1] after accumulation; ``deposited_mass`` keeps the
-    pre-clamp total.
+    pre-clamp total.  A sample's X depends only on its column and
+    hypothesis, its Y on its row and hypothesis and its Z on its
+    hypothesis, so ``unproject``'s formulas run on (M, 1, W), (M, H, 1)
+    and (M, 1, 1) arrays; broadcast, they order the samples
+    m * H * W + pixel, as the mass and the colors.
     """
     vol = np.asarray(vol, dtype=np.float64)
     if vol.shape != (cam.h, cam.w, hyp.m):
@@ -354,16 +398,12 @@ def voxelize_prediction(
     check_probabilities(vol)
     rgb = _check_image(cam, rgb)
 
-    ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
-    n_pix = cam.h * cam.w
-    # sample m * n_pix + pixel; column-major, so each axis and channel is contiguous
-    pts = np.empty((hyp.m * n_pix, 3), order="F")
-    cols = np.empty((hyp.m * n_pix, 3), order="F")
-    for m in range(hyp.m):
-        rows = slice(m * n_pix, (m + 1) * n_pix)
-        pts[rows] = unproject(cam, ys, xs, hyp.values[m]).reshape(-1, 3)
-        cols[rows] = rgb.reshape(-1, 3)
-    return _splat(pts, np.moveaxis(vol, -1, 0).ravel(), cols, resolution)
+    rows, cols = np.arange(cam.h)[:, None], np.arange(cam.w)
+    axes = _camera_axes(cam, rows, cols, hyp.values[:, None, None])
+    colors = np.empty((vol.size, 3), order="F")  # each channel contiguous
+    for ch in range(3):
+        colors[:, ch].reshape(hyp.m, -1)[:] = rgb[..., ch].reshape(-1)
+    return _splat(colors, np.moveaxis(vol, -1, 0).ravel(), axes, resolution)
 
 
 def voxelize_ground_truth(
@@ -397,7 +437,7 @@ def voxelize_ground_truth(
     mass = np.concatenate([w_lo, 1.0 - w_lo])
     cols = np.concatenate([cv, cv])
     nonzero = mass > 0.0  # a weightless plane sample would only skew the bounds
-    return _splat(pts[nonzero], mass[nonzero], cols[nonzero], resolution), skipped
+    return _splat(cols[nonzero], mass[nonzero], pts[nonzero].T, resolution), skipped
 
 
 def _occupancy(dense_a: np.ndarray) -> np.ndarray:
@@ -423,7 +463,7 @@ def _trilerp(flat_a, flat_pm, res, base, frac):
     chans = [flat_pm[:, ch] for ch in range(3)]
     a = np.zeros(base.shape[0])
     pm = np.zeros((base.shape[0], 3), order="F")
-    for off, wgt in _corners(frac, res):
+    for off, wgt in _corners(frac.T, res):
         key = base + off
         a += wgt * flat_a[key]
         for ch in range(3):
@@ -498,9 +538,11 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
     Every live ray advances by ``MARCH_BLOCK`` samples per pass.  A
     block's sample positions come from a sequential ``cumsum`` over
     [t, step, step, ...], which gives exactly the t of repeated
-    ``t += step``; transmittance and color are running products and sums
-    over the block, read at the sample where the ray stops.  A sample
-    that does not composite multiplies by 1.0 and adds 0.0, so the image
+    ``t += step``.  Transmittance is a running product over the block,
+    read at the sample where the ray stops; a sample that does not
+    composite multiplies by 1.0.  Color is added by ``np.add.at``, one
+    term per compositing sample before the stop, in march order: the
+    terms of repeated C += T * a_s * c_s in their order.  So the image
     does not depend on the block length.  Only samples whose low corner
     is set in ``occ`` are interpolated; the rest have all eight corners
     at alpha 0 and would not composite.
@@ -545,8 +587,8 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
             frac_near[:, ax] = frac[:, ax][near_alpha]
         a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], frac_near)
         contrib = a > 0
-        # sample j of a block goes to column j + 1 of the running arrays,
-        # whose column j holds the value before sample j
+        # sample j of a block goes to column j + 1 of the running product,
+        # whose column j holds the transmittance before sample j
         row, col = row[near_alpha][contrib], col[near_alpha][contrib] + 1
         a = a[contrib]
         a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
@@ -559,14 +601,12 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
         # a ray stops after the last sample within far whose transmittance
         # before it is still >= min_transmittance
         taken = np.count_nonzero(ok & (run[:, :-1] >= min_transmittance), axis=1)
-        rows = np.arange(n)
-        trans[live] = run[rows, taken]
+        trans[live] = run[np.arange(n), taken]
+        kept = col <= taken[row]  # composited before the ray stops
+        ray, weight, a = live[row[kept]], weight[kept], a[kept]
+        src = np.flatnonzero(contrib)[kept]
         for ch in range(3):
-            run[:] = 0.0
-            run[:, 0] = out_c[live, ch]
-            run[row, col] = weight * (pm[contrib, ch] / a)
-            np.cumsum(run, axis=1, out=run)
-            out_c[live, ch] = run[rows, taken]
+            np.add.at(out_c[:, ch], ray, weight * (pm[:, ch][src] / a))
 
         t = ts[:, -1] + step
         going = (taken == MARCH_BLOCK) & (t <= far[live]) & (trans[live] >= min_transmittance)

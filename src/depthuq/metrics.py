@@ -23,8 +23,9 @@ without a valid pixel raises ValueError too, and so does a probability
 volume of the wrong shape or with a negative or non-finite entry.
 
 Per-image metrics; undefined entries (single-class AUROC, all-tied SCC,
-log metrics with no positive prediction, NLL with no valid pixel in the
-hypothesis range) are reported as None, never as 0 or NaN.
+sparsification areas of one pixel, log metrics with no positive
+prediction, NLL with no valid pixel in the hypothesis range) are
+reported as None, never as 0 or NaN.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ BASE_METRICS = ("rmse", "rel", "delta1err")
 class DegenerateMetricError(ValueError):
     """The metric is undefined on this input, which is not itself wrong.
 
-    Raised by the sparsification normaliser when the full-set base
-    metric is zero (nothing to normalize by).
+    Raised by the sparsification sweep when there is one pixel (nothing
+    to remove) or the full-set base metric is zero (nothing to normalize
+    by).
     """
 
 
@@ -241,6 +243,8 @@ def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
     """
     check_steps(steps)
     n = pixel_err.size
+    if n < 2:
+        raise DegenerateMetricError("one pixel; nothing to remove")
     x = pixel_err**2 if err_metric == "rmse" else pixel_err
     fractions = np.arange(steps, dtype=np.float64) / steps
     # keep at least one pixel (tiny-N guard)
@@ -318,7 +322,9 @@ def spearman(err, unc) -> float | None:
 
     Average ranks on both sides, then Pearson.  Returns None when either
     input is completely tied (zero rank variance), one pixel included.
-    No pixels and non-finite values raise ValueError.
+    Untied inputs in the same or the reverse order give exactly 1.0 or
+    -1.0, which Pearson's rounding can miss by an ulp.  No pixels and
+    non-finite values raise ValueError.
     """
     a = _ranking(err, "err")
     b = _ranking(unc, "unc")
@@ -328,6 +334,11 @@ def spearman(err, unc) -> float | None:
         raise ValueError("need >= 1 pixel")
     if a.ends.size == 1 or b.ends.size == 1:
         return None
+    if a.ends.size == b.ends.size == a.ranks.size:  # untied: the orders decide
+        if np.array_equal(a.order, b.order):
+            return 1.0
+        if np.array_equal(a.order, b.order[::-1]):
+            return -1.0
     return float(np.corrcoef(a.ranks, b.ranks)[0, 1])
 
 

@@ -161,6 +161,45 @@ def test_eval_one_valid_pixel_leaves_scc_undefined(tmp_path, capsys, vol):
     assert dict(zip(header.split(","), row.split(",")))["scc"] == ""
 
 
+def _eval_row(argv, out):
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("vol", [False, True], ids=["no-vol", "vol"])
+def test_eval_one_valid_pixel_leaves_sparsification_undefined(tmp_path, vol):
+    # nothing can be removed from one pixel: every AUSE and AURG is None
+    argv = ["eval", *_one_valid_pixel(tmp_path)]
+    if vol:
+        argv.append(f"--vol={tmp_path / 'vol.duv'}")
+    row = _eval_row(argv, tmp_path / "m.csv")
+    for base in ("rmse", "rel", "delta1"):
+        assert row[f"ause_{base}"] == row[f"aurg_{base}"] == "", base
+
+
+def test_sparsify_one_valid_pixel_exits_one(tmp_path, capsys):
+    argv = ["sparsify", *_one_valid_pixel(tmp_path), "--out", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == 1
+    assert "error: one pixel; nothing to remove" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_eval_scc_of_two_reversed_pixels_is_exactly_minus_one(tmp_path, capsys):
+    # two valid GT pixels whose uncertainty ranks their errors in reverse
+    gt = np.full((4, 4), np.nan)
+    gt[0, 1], gt[3, 2] = 2.0, 5.0
+    pred = np.full((4, 4), 4.0)
+    pred[0, 1], pred[3, 2] = 2.1, 5.5  # errors 0.1 and 0.5
+    unc = np.full((4, 4), 0.5)
+    unc[0, 1], unc[3, 2] = 0.9, 0.2
+    for name, grid in (("gt", gt), ("pred", pred), ("unc", unc)):
+        write_grid(tmp_path / f"{name}.duv", grid)
+    argv = ["eval", *(f"--{name}={tmp_path / name}.duv" for name in ("pred", "gt", "unc"))]
+    assert _eval_row(argv, tmp_path / "m.csv")["scc"] == "-1.0"
+    assert " scc=-1.0 " in capsys.readouterr().out
+
+
 def test_scc_one_pixel_is_undefined(tmp_path, capsys):
     pred_gt_unc = _one_valid_pixel(tmp_path)
     err = np.full((4, 4), np.nan)

@@ -34,7 +34,7 @@ def _splat_oracle(points, mass, rgb, resolution):
     res = np.array(
         [resolution] * 3 if np.isscalar(resolution) else list(resolution), dtype=np.int64
     )
-    lo, hi = _frame_bounds(points, res)
+    lo, hi = _frame_bounds(points.T, res)
     cell = (hi - lo) / res
     g = (points - lo) / cell - 0.5
     g = np.clip(g, 0.0, res - 1.0)
@@ -55,6 +55,12 @@ def _splat_oracle(points, mass, rgb, resolution):
         alpha=np.clip(raw, None, 1.0), color=np.clip(acc_c[keep] / raw[:, None], 0.0, 1.0),
         deposited_mass=float(acc_a.sum()),
     )
+
+
+def _splat_oracle_on_axes(rgb, mass, axes, resolution):
+    # ``_splat``'s arguments, with the coordinate arrays broadcast to (N, 3) points
+    pts = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
+    return _splat_oracle(pts, mass, rgb, resolution)
 
 
 def _trilerp_oracle(dense_a, dense_pm, res, g):
@@ -263,7 +269,7 @@ def test_splat_lattice_points_land_exactly():
     # hull-on-centers framing: integer-spaced points on the x axis each
     # own one voxel outright
     pts = np.array([[float(k), 0.0, 0.0] for k in range(5)])
-    grid = _splat(pts, np.full(5, 0.5), np.tile([1.0, 0.0, 0.0], (5, 1)), (5, 2, 2))
+    grid = _splat(np.tile([1.0, 0.0, 0.0], (5, 1)), np.full(5, 0.5), pts.T, (5, 2, 2))
     assert grid.n_voxels == 5
     order = np.argsort(grid.indices[:, 0])
     np.testing.assert_array_equal(grid.indices[order, 0], np.arange(5))
@@ -272,7 +278,7 @@ def test_splat_lattice_points_land_exactly():
 
 def test_splat_midpoint_splits_evenly():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    grid = _splat(pts, np.array([0.0, 0.0, 0.5]), np.tile([0.0, 1.0, 0.0], (3, 1)), (2, 2, 2))
+    grid = _splat(np.tile([0.0, 1.0, 0.0], (3, 1)), np.array([0.0, 0.0, 0.5]), pts.T, (2, 2, 2))
     # the two anchor samples carry no mass; the midpoint splits 50/50
     assert grid.n_voxels == 2
     np.testing.assert_allclose(np.sort(grid.alpha), [0.25, 0.25], atol=1e-12)
@@ -285,7 +291,7 @@ def test_splat_conserves_mass():
         pts = rng.uniform(-2, 2, size=(n, 3))
         mass = rng.uniform(0.05, 0.9, size=n)
         rgb = rng.uniform(size=(n, 3))
-        grid = _splat(pts, mass, rgb, (6, 5, 4))
+        grid = _splat(rgb, mass, pts.T, (6, 5, 4))
         assert abs(grid.deposited_mass - mass.sum()) < 1e-9
 
 
@@ -306,7 +312,7 @@ def test_splat_matches_add_at_oracle(resolution, n):
     # n=3000 puts several (7^3 grid) to thousands (2^3 grid) of samples per voxel
     rng = np.random.default_rng([n, np.prod(resolution)])
     pts, mass, rgb = _cloud(rng, n)
-    got = _splat(pts, mass, rgb, resolution)
+    got = _splat(rgb, mass, pts.T, resolution)
     ref = _splat_oracle(pts, mass, rgb, resolution)
     assert got.resolution == ref.resolution
     np.testing.assert_array_equal(got.lo, ref.lo)
@@ -342,7 +348,7 @@ def test_splat_sparse_clamped_corners_match_oracle_bitwise(res):
     base, _ = _low_corner(pts, top + 1.0)
     assert np.unique(base).size == len(pts) and clamp.any()
 
-    got = _splat(pts, mass, rgb, res)
+    got = _splat(rgb, mass, pts.T, res)
     ref = _splat_oracle(pts, mass, rgb, res)
     assert 0 < got.n_voxels <= 8 * len(pts) < np.prod(res) // 2  # a sparse touched set
     np.testing.assert_array_equal(got.indices, ref.indices)
@@ -386,7 +392,7 @@ def test_orbit_renders_match_oracle_path(tmp_path, monkeypatch):
         return _trilerp_oracle(flat_a.reshape(shape), flat_pm.reshape(shape + (3,)), res, g)
 
     with monkeypatch.context() as patch:
-        patch.setattr(frustum, "_splat", _splat_oracle)
+        patch.setattr(frustum, "_splat", _splat_oracle_on_axes)
         patch.setattr(frustum, "_trilerp", oracle_trilerp)
         ref_grid = voxelize_prediction(vol, hyp, cam, rgb, resolution=(9, 8, 7))
         target = (ref_grid.lo + ref_grid.hi) / 2.0
@@ -411,6 +417,34 @@ def test_voxelize_prediction_single_pixel():
     assert abs(grid.deposited_mass - 1.0) < 1e-12
     assert abs(grid.alpha.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(grid.color, [[0.2, 0.4, 0.6]] * grid.n_voxels)
+
+
+PREDICTION_CASES = {
+    # name: (camera, hypotheses, resolution, random colors or mid-gray)
+    "tuple-res": (centered_pinhole(12, 16, 14.0), linear_hypotheses(1.0, 6.0, 6), (9, 6, 5), True),
+    "off-centre": (Pinhole(f=11.0, cx=2.75, cy=9.5, h=12, w=16), linear_hypotheses(0.5, 4.0, 5), 7, True),
+    "two-planes": (Pinhole(f=6.0, cx=4.5, cy=1.0, h=5, w=7), DepthHypotheses(np.array([1.5, 4.0])), (4, 6, 3), True),
+    "one-pixel": (Pinhole(f=5.0, cx=0.0, cy=0.0, h=1, w=1), linear_hypotheses(1.0, 3.0, 4), (3, 2, 4), True),
+    "gray": (centered_pinhole(10, 8, 9.0), linear_hypotheses(2.0, 9.0, 7), 6, False),
+}
+
+
+@pytest.mark.parametrize("case", PREDICTION_CASES)
+def test_voxelize_prediction_matches_splat_of_unprojected_points(case):
+    # per-axis coordinates give the bits of unprojecting every sample
+    cam, hyp, res, colored = PREDICTION_CASES[case]
+    rng = np.random.default_rng(list(case.encode()))
+    vol = rng.dirichlet(np.ones(hyp.m), size=(cam.h, cam.w))
+    rgb = rng.uniform(size=(cam.h, cam.w, 3)) if colored else np.full((cam.h, cam.w, 3), 0.5)
+    ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
+    pts = np.concatenate([unproject(cam, ys, xs, d).reshape(-1, 3) for d in hyp.values])
+    colors = np.tile(rgb.reshape(-1, 3), (hyp.m, 1))
+    want = _splat(colors, np.moveaxis(vol, -1, 0).ravel(), pts.T, res)
+    got = voxelize_prediction(vol, hyp, cam, rgb, resolution=res)
+    assert got.resolution == want.resolution and got.n_voxels > 0
+    for field in ("lo", "hi", "indices", "alpha", "color"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert got.deposited_mass == want.deposited_mass
 
 
 def test_voxelize_prediction_validation():
@@ -652,6 +686,34 @@ def test_block_march_matches_step_oracle(res, mode, threads, monkeypatch):
             want = _oracle_render(monkeypatch, grid, pose, cam, background=(0.1, 0.2, 0.3), **kwargs)
             got = render(grid, pose, cam, background=(0.1, 0.2, 0.3), threads=threads, **kwargs)
             assert np.array_equal(got, want), (kwargs, pose.translation)
+
+
+@pytest.mark.parametrize("block", [16, 5])
+def test_block_march_stops_and_exits_mid_block_like_step_oracle(block, monkeypatch):
+    # a 12-cell-deep box of translucent voxels in front of the camera:
+    # rays composite several samples per block, and either fall below the
+    # threshold or leave the box before the block ends
+    res = (7, 6, 12)
+    rng = np.random.default_rng(29)
+    idx = np.argwhere(rng.uniform(size=res) < 0.6)
+    grid = SparseVoxelGrid(
+        lo=np.array([-1.0, -1.0, 2.0]), hi=np.array([1.0, 1.0, 6.0]), resolution=res,
+        indices=idx, alpha=rng.uniform(0.2, 0.5, size=len(idx)),
+        color=np.column_stack([rng.uniform(size=len(idx)), np.zeros(len(idx)), rng.uniform(size=len(idx))]),
+    )
+    cam = centered_pinhole(9, 11, 8.0)
+    monkeypatch.setattr(frustum, "MARCH_BLOCK", block)
+    target = (grid.lo + grid.hi) / 2.0
+    kwargs = dict(background=(0.0, 1.0, 0.0), min_transmittance=0.05)
+    for pose in (identity_pose(), orbit_pose(target, 6.0, np.deg2rad(20.0), 0.3)):
+        want = _oracle_render(monkeypatch, grid, pose, cam, **kwargs)
+        # voxels hold no green, so the green channel is the final transmittance
+        trans = want[..., 1]
+        assert np.any(trans < 0.05)  # rays that stopped at the threshold
+        assert np.any((trans >= 0.05) & (trans < 1.0))  # rays that left the box
+        for threads in (1, 2):
+            got = render(grid, pose, cam, threads=threads, **kwargs)
+            assert np.array_equal(got, want), (block, threads, pose.translation)
 
 
 def test_block_march_continues_at_exact_threshold(monkeypatch):

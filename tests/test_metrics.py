@@ -167,6 +167,21 @@ def test_spearman_perfect_and_reversed():
     assert abs(spearman([1, 2, 3], [30, 20, 10]) + 1.0) < 1e-15
 
 
+def test_spearman_is_exact_for_equal_and_reversed_orders():
+    # Pearson of the rank vectors misses -1 by an ulp on two reversed pixels
+    assert float(np.corrcoef([1.0, 2.0], [2.0, 1.0])[0, 1]) != -1.0
+    assert spearman([0.1, 0.5], [0.9, 0.2]) == -1.0
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 100, 1001):
+        err = rng.permutation(n) * 0.25
+        unc = np.exp(err)  # the same order on other values
+        assert spearman(err, unc) == 1.0
+        assert spearman(err, -unc) == -1.0
+    # ties keep Pearson's value, whatever it rounds to
+    tied_a, tied_b = [1.0, 2.0, 2.0, 3.0], [3.0, 2.0, 2.0, 1.0]
+    assert spearman(tied_a, tied_b) == float(np.corrcoef([1.0, 2.5, 2.5, 4.0], [4.0, 2.5, 2.5, 1.0])[0, 1])
+
+
 def test_spearman_tie_oracle():
     s = spearman([1.0, 2.0, 2.0, 3.0], [10.0, 20.0, 30.0, 40.0])
     assert abs(s - 3.0 / np.sqrt(10.0)) < 1e-12
@@ -346,6 +361,11 @@ def test_spearman_matches_rankdata_bitwise(case):
     s = spearman(a, b)
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         assert s is None
+    elif np.unique(ra).size == np.unique(rb).size == ra.size and (
+        np.array_equal(ra, rb) or np.array_equal(ra, ra.size + 1 - rb)
+    ):
+        # untied ranks in the same or the reverse order: exactly +-1
+        assert s == (1.0 if np.array_equal(ra, rb) else -1.0)
     else:
         assert s == float(np.corrcoef(ra, rb)[0, 1])
 
