@@ -10,14 +10,14 @@ emission-absorption compositing.
 Voxel bounds are padded by half a cell around the sample cloud, so
 every sample keeps its full 8-neighbor stencil in-grid and splat mass
 is conserved exactly; samples on the cloud hull land exactly on voxel
-centers.  The splat and the ray march share one trilinear corner
-stencil over flat voxel indices: the splat scatters through it, into
-accumulators over only the voxels it touches, and the march gathers
-through it.  The splat takes each coordinate axis as its own array and
-finds bounds, lattice coordinates and low corners per axis; on the
-hypothesis planes a sample's X depends only on its column and plane,
-its Y on its row and plane and its Z on its plane, so that work runs on
-small arrays, and only the flat low corner and the corner weights are
+centers.  The splat and the ray march share one low-corner routine and
+one trilinear corner stencil over flat voxel indices: the splat
+scatters through it, into accumulators over only the voxels it touches,
+and the march gathers through it.  Every per-sample quantity is one
+array per axis or per color channel.  On the hypothesis planes a
+sample's X depends only on its column and plane, its Y on its row and
+plane and its Z on its plane, so the splat's geometry runs on small
+arrays, and only the flat low corner and the corner weights are
 broadcast to every sample.  The march reads the stencil only where a
 per-render occupancy map, alpha > 0 dilated by one cell, says that
 some corner holds alpha; every sample position is still visited, so
@@ -28,12 +28,11 @@ Sample positions come from a sequential ``cumsum`` of the step, so they
 are exactly those of repeated ``t += step``; transmittance is a running
 product over the block, and color is added one compositing sample at a
 time in march order, so the image does not depend on the block length.
-Samples and colors are kept column-major (each axis and channel
-contiguous) from the splat through the march.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .discretize import DepthHypotheses, bilinear_bin_weights, check_probabilities
-from .gridio import keyvalue_numbers, read_grid, read_keyvalue, valid_mask, write_grid, write_keyvalue
+from .gridio import MAX_ELEMENTS, keyvalue_numbers, read_grid, read_keyvalue, valid_mask, write_grid, write_keyvalue
 
 ALPHA_EPSILON = 1e-4
 DEFAULT_RESOLUTION = 96
@@ -159,6 +158,17 @@ def unproject(cam: Pinhole, h, w, depth):
     return np.stack([x, y, np.broadcast_to(z, x.shape)], axis=-1)
 
 
+def _check_resolution(resolution) -> tuple[int, int, int]:
+    """Three axis lengths >= 2, at most ``MAX_ELEMENTS`` voxels (the ``.duv`` bound)."""
+    res = tuple(int(n) for n in resolution)
+    if len(res) != 3 or any(n < 2 for n in res):
+        raise ValueError(f"resolution must be >= 2 per axis, got {res}")
+    count = math.prod(res)  # Python ints: the product cannot wrap
+    if count > MAX_ELEMENTS:
+        raise ValueError(f"resolution {res} has {count} voxels, more than {MAX_ELEMENTS}")
+    return res
+
+
 @dataclass(frozen=True)
 class SparseVoxelGrid:
     """Axis-aligned sparse opacity grid with per-voxel color.
@@ -183,20 +193,18 @@ class SparseVoxelGrid:
         idx = np.asarray(self.indices, dtype=np.int64).reshape(-1, 3)
         alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
         color = np.asarray(self.color, dtype=np.float64).reshape(-1, 3)
-        res = tuple(int(n) for n in self.resolution)
         if lo.shape != (3,) or hi.shape != (3,):
             raise ValueError("bounds must be 3-vectors")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("bounds must be finite")
         if np.any(hi <= lo):
             raise ValueError("upper bound must exceed lower bound")
-        if len(res) != 3 or any(n < 2 for n in res):
-            raise ValueError(f"resolution must be >= 2 per axis, got {res}")
+        res = _check_resolution(self.resolution)
         if not (idx.shape[0] == alpha.shape[0] == color.shape[0]):
             raise ValueError("index/alpha/color row counts differ")
         if idx.size and (np.any(idx < 0) or np.any(idx >= np.array(res))):
             raise ValueError("voxel index outside resolution")
-        seen = np.zeros(int(np.prod(res)), dtype=bool)  # unsorted duplicate check
+        seen = np.zeros(math.prod(res), dtype=bool)  # unsorted duplicate check
         seen[np.ravel_multi_index(tuple(idx.T), res)] = True
         if np.count_nonzero(seen) != idx.shape[0]:
             raise ValueError("duplicate voxel index")
@@ -226,18 +234,18 @@ class SparseVoxelGrid:
         return float(np.prod(self.cell) ** (1.0 / 3.0))
 
     def dense(self):
-        """Dense alpha plus premultiplied color for fast ray lookup.
+        """Raveled dense alpha and (3, voxels) premultiplied color.
 
-        The color grid has shape ``resolution + (3,)`` but is stored
-        channel-major, so each channel is one contiguous voxel array.
+        Both are indexed by flat voxel index, as the ray march reads them;
+        each color channel is one contiguous voxel array.
         """
-        a = np.zeros(self.resolution)
-        pm = np.zeros((3,) + self.resolution)
+        a = np.zeros(math.prod(self.resolution))
+        pm = np.zeros((3, a.size))
         flat = np.ravel_multi_index(tuple(self.indices.T), self.resolution)
-        a.reshape(-1)[flat] = self.alpha
+        a[flat] = self.alpha
         for ch in range(3):
-            pm[ch].reshape(-1)[flat] = self.alpha * self.color[:, ch]
-        return a, np.moveaxis(pm, 0, -1)
+            pm[ch][flat] = self.alpha * self.color[:, ch]
+        return a, pm
 
 
 def _frame_bounds(axes, res: np.ndarray):
@@ -257,9 +265,9 @@ def _frame_bounds(axes, res: np.ndarray):
 def _lattice_corner(g: np.ndarray, n):
     """Clamp-to-edge low corner of center-lattice coordinates ``g``.
 
-    ``n`` is the axis length, or one length per column of ``g``.  Returns
-    the corner as an integral float and the fraction past it.  The corner
-    is clamped to n - 2, so its +1 neighbor is always in-grid.
+    ``n`` is the axis length.  Returns the corner as an integral float
+    and the fraction past it.  The corner is clamped to n - 2, so its +1
+    neighbor is always in-grid.
     """
     frac = np.clip(g, 0.0, n - 1.0)  # guards float spill at the hull
     i0 = np.floor(frac)
@@ -268,17 +276,16 @@ def _lattice_corner(g: np.ndarray, n):
     return i0, frac
 
 
-def _flat_corner(i0, res: np.ndarray) -> np.ndarray:
-    """Flat voxel index (i*ny + j)*nz + k of X, Y and Z corners that broadcast."""
+def _low_corner(g, res: np.ndarray):
+    """Flat low corners and X, Y and Z fractions of center-lattice coordinates.
+
+    ``g`` holds one coordinate array per axis; they broadcast to the
+    points' shape, as does the returned flat index (i*ny + j)*nz + k.
+    """
+    i0, frac = zip(*map(_lattice_corner, g, res))
     _, ny, nz = (int(n) for n in res)
     # integral floats: exact in float64, so one int cast of the flat index
-    return ((i0[0] * ny + i0[1]) * nz + i0[2]).astype(np.int64)
-
-
-def _low_corner(g: np.ndarray, res: np.ndarray):
-    """Flat low corners and (N, 3) fractions of (N, 3) center-lattice points."""
-    i0, frac = _lattice_corner(g, res)
-    return _flat_corner(i0.T, res), frac
+    return ((i0[0] * ny + i0[1]) * nz + i0[2]).astype(np.int64), frac
 
 
 def _corners(frac, res: np.ndarray):
@@ -304,11 +311,11 @@ def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGr
 
     ``rgb`` (N, 3) and ``mass`` (N,) hold the N samples.  ``axes`` holds
     their X, Y and Z coordinates as three arrays that broadcast to a
-    shape whose C-order ravel is the sample order: the columns of (N, 3)
-    points, or arrays that each vary only along what their coordinate
-    depends on.  Bounds, lattice coordinates and low corners are worked
-    out on those arrays; only the flat low corner and the corner weights
-    are broadcast to the N samples.
+    shape whose C-order ravel is the sample order: three (N,) arrays, or
+    arrays that each vary only along what their coordinate depends on.
+    Bounds, lattice coordinates and low corners are worked out on those
+    arrays; only the flat low corner and the corner weights are
+    broadcast to the N samples.
 
     Mass accumulates only over the touched voxels: the low corners
     dilated by one cell toward the high side, numbered in flat-index
@@ -317,21 +324,18 @@ def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGr
     same bits; ``deposited_mass`` is summed over the full grid, untouched
     voxels included, so it is too.
     """
-    res = np.array(
-        [resolution] * 3 if np.isscalar(resolution) else list(resolution), dtype=np.int64
-    )
-    if res.shape != (3,) or np.any(res < 2):
-        raise ValueError(f"resolution must be >= 2 per axis, got {res.tolist()}")
+    shape = _check_resolution([resolution] * 3 if np.isscalar(resolution) else resolution)
+    res = np.array(shape, dtype=np.int64)
     if mass.shape[0] == 0:
         raise ValueError("no samples to voxelize")
     lo, hi = _frame_bounds(axes, res)
     cell = (hi - lo) / res
 
     g = [(x - l) / c - 0.5 for x, l, c in zip(axes, lo, cell)]  # center-lattice coordinates
-    i0, frac = zip(*map(_lattice_corner, g, res))
-    base = _flat_corner(i0, res).reshape(-1)
-    n = int(np.prod(res))
-    touched = np.zeros(tuple(res), dtype=bool)
+    base, frac = _low_corner(g, res)
+    base = base.reshape(-1)
+    n = math.prod(shape)
+    touched = np.zeros(shape, dtype=bool)
     touched.reshape(-1)[base] = True
     touched[1:] |= touched[:-1]
     touched[:, 1:] |= touched[:, :-1]
@@ -354,13 +358,13 @@ def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGr
     full_a[touched] = acc_a
     deposited = float(full_a.sum())
     keep = np.flatnonzero(acc_a > ALPHA_EPSILON)
-    idx = np.stack(np.unravel_index(touched[keep], tuple(res)), axis=1)
+    idx = np.stack(np.unravel_index(touched[keep], shape), axis=1)
     raw = acc_a[keep]
     color = acc_c[:, keep].T / raw[:, None]
     return SparseVoxelGrid(
         lo=lo,
         hi=hi,
-        resolution=tuple(int(n) for n in res),
+        resolution=shape,
         indices=idx,
         alpha=np.clip(raw, None, 1.0),
         color=np.clip(color, 0.0, 1.0),
@@ -424,29 +428,23 @@ def voxelize_ground_truth(
     skipped = int(gt.size - ok.sum())
     if not ok.any():
         raise ValueError("no in-range pixels to voxelize")
-    ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
-    yv, xv, dv = ys[ok], xs[ok], gt[ok]
-    cv = rgb[ok]
-    lo_idx, w_lo = bilinear_bin_weights(hyp, dv)
-    pts = np.concatenate(
-        [
-            unproject(cam, yv, xv, hyp.values[lo_idx]),
-            unproject(cam, yv, xv, hyp.values[lo_idx + 1]),
-        ]
-    )
-    mass = np.concatenate([w_lo, 1.0 - w_lo])
-    cols = np.concatenate([cv, cv])
-    nonzero = mass > 0.0  # a weightless plane sample would only skew the bounds
-    return _splat(cols[nonzero], mass[nonzero], pts[nonzero].T, resolution), skipped
+    rows, cols = np.nonzero(ok)
+    lo_idx, w_lo = bilinear_bin_weights(hyp, gt[rows, cols])
+    mass = np.concatenate([w_lo, 1.0 - w_lo])  # the near plane's samples, then the far plane's
+    keep = mass > 0.0  # a weightless plane sample would only skew the bounds
+    rows, cols = np.tile(rows, 2)[keep], np.tile(cols, 2)[keep]
+    planes = np.concatenate([lo_idx, lo_idx + 1])[keep]
+    axes = _camera_axes(cam, rows, cols, hyp.values[planes])
+    return _splat(rgb[rows, cols], mass[keep], axes, resolution), skipped
 
 
-def _occupancy(dense_a: np.ndarray) -> np.ndarray:
+def _occupancy(flat_a: np.ndarray, res) -> np.ndarray:
     """Raveled map: does any of the 8 corners above this low corner hold alpha?
 
-    Alpha > 0 dilated by one cell toward the low side on each axis, so
-    entry i0 covers the corners i0 + {0, 1}^3 of the trilinear stencil.
+    Alpha > 0 on the ``res`` grid, dilated by one cell toward the low side
+    on each axis: entry i0 covers the corners i0 + {0, 1}^3 of the stencil.
     """
-    occ = dense_a > 0
+    occ = flat_a.reshape(res) > 0
     occ[:-1] |= occ[1:]
     occ[:, :-1] |= occ[:, 1:]
     occ[:, :, :-1] |= occ[:, :, 1:]
@@ -454,20 +452,19 @@ def _occupancy(dense_a: np.ndarray) -> np.ndarray:
 
 
 def _trilerp(flat_a, flat_pm, res, base, frac):
-    """Clamp-to-edge trilinear read of raveled alpha and premultiplied color.
+    """Clamp-to-edge trilinear read of the arrays of ``SparseVoxelGrid.dense()``.
 
     ``base`` and ``frac`` are the flat low corners and per-axis fractions
-    of ``_low_corner``, one row per sample.  Color is gathered one channel
-    at a time and returned column-major.
+    of ``_low_corner``, one entry per sample.  Returns alpha (n,) and
+    premultiplied color (3, n), gathered one channel at a time.
     """
-    chans = [flat_pm[:, ch] for ch in range(3)]
     a = np.zeros(base.shape[0])
-    pm = np.zeros((base.shape[0], 3), order="F")
-    for off, wgt in _corners(frac.T, res):
+    pm = np.zeros((3, base.shape[0]))
+    for off, wgt in _corners(frac, res):
         key = base + off
         a += wgt * flat_a[key]
         for ch in range(3):
-            pm[:, ch] += wgt * chans[ch][key]
+            pm[ch] += wgt * flat_pm[ch][key]
     return a, pm
 
 
@@ -509,9 +506,8 @@ def render(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
-    dense_a, dense_pm = grid.dense()
-    flat_a, flat_pm = dense_a.reshape(-1), dense_pm.reshape(-1, 3)  # (nvox, 3) column view
-    occ = _occupancy(dense_a)  # read-only, shared by every chunk
+    flat_a, flat_pm = grid.dense()
+    occ = _occupancy(flat_a, grid.resolution)  # read-only, shared by every chunk
     dirs = np.asfortranarray(camera_rays(cam, pose))
     chunks = np.array_split(dirs, min(threads, dirs.shape[0]))  # no empty chunks
 
@@ -577,15 +573,10 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
         row, col = np.nonzero(ok)
         ray = live[row]
         t_ok = ts[ok]  # row-major, as nonzero
-        g = np.empty((row.size, 3), order="F")
-        for ax in range(3):
-            g[:, ax] = (origin[ax] + t_ok * dirs[:, ax][ray] - grid.lo[ax]) / cell[ax] - 0.5
+        g = [(origin[ax] + t_ok * dirs[:, ax][ray] - grid.lo[ax]) / cell[ax] - 0.5 for ax in range(3)]
         base, frac = _low_corner(g, res)
         near_alpha = occ[base]
-        frac_near = np.empty((np.count_nonzero(near_alpha), 3), order="F")
-        for ax in range(3):
-            frac_near[:, ax] = frac[:, ax][near_alpha]
-        a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], frac_near)
+        a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], [f[near_alpha] for f in frac])
         contrib = a > 0
         # sample j of a block goes to column j + 1 of the running product,
         # whose column j holds the transmittance before sample j
@@ -606,7 +597,7 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
         ray, weight, a = live[row[kept]], weight[kept], a[kept]
         src = np.flatnonzero(contrib)[kept]
         for ch in range(3):
-            np.add.at(out_c[:, ch], ray, weight * (pm[:, ch][src] / a))
+            np.add.at(out_c[:, ch], ray, weight * (pm[ch][src] / a))
 
         t = ts[:, -1] + step
         going = (taken == MARCH_BLOCK) & (t <= far[live]) & (trans[live] >= min_transmittance)

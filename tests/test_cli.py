@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from depthuq import cli, frustum, toytrain
-from depthuq.gridio import read_grid, read_keyvalue, write_grid
+from depthuq.gridio import read_grid, read_keyvalue, write_grid, write_keyvalue
 from depthuq.losses import RANKING_VARIANTS
 from depthuq.metrics import BASE_METRICS, SPARSIFICATION_STEPS
 
@@ -531,6 +531,35 @@ def test_render_malformed_grid_exits_one(data_dir, tmp_path, capsys, corrupt, me
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "bad.ppm").exists()
+
+
+@pytest.mark.parametrize("side", [1_000_000, 3_000_000_000])
+def test_render_outsized_resolution_exits_one(tmp_path, capsys, side):
+    # 10^18 voxels, or 2.7 * 10^28, which also wraps in int64: either is
+    # refused by count before a full-grid array is made
+    base = tmp_path / "g"
+    write_grid(f"{base}.idx.duv", np.zeros((1, 3)))
+    write_grid(f"{base}.val.duv", np.full((1, 4), 0.5))
+    write_keyvalue(f"{base}.meta.txt", {"lo": np.zeros(3), "hi": np.ones(3), "resolution": (side,) * 3,
+                                        "deposited_mass": 0.5, "voxels": 1})
+    rc = cli.main(["render", "--grid", str(base), "--height", "4", "--width", "4",
+                   "--out", str(tmp_path / "view.ppm")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and f"has {side ** 3} voxels, more than" in err
+    assert not (tmp_path / "view.ppm").exists()
+
+
+@pytest.mark.parametrize("resolution, voxels", [("100000000000000000000", 10 ** 60),
+                                                ("3000000000,3000000000,3000000000", 27 * 10 ** 27)],
+                         ids=["cube-1e20", "tuple-3e9"])
+def test_voxelize_outsized_resolution_exits_one(data_dir, tmp_path, capsys, resolution, voxels):
+    rc = cli.main(["voxelize", "--vol", str(data_dir / "vol.duv"), "--resolution", resolution,
+                   "--out", str(tmp_path / "g")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and f"has {voxels} voxels, more than" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_render_threads_match_single(data_dir, tmp_path):

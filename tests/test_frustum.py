@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from depthuq import frustum
-from depthuq.discretize import DepthHypotheses, linear_hypotheses
+from depthuq.discretize import DepthHypotheses, bilinear_bin_weights, linear_hypotheses
 from depthuq.frustum import (
     ALPHA_EPSILON,
     CameraPose,
@@ -109,15 +109,15 @@ def _march_oracle(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transm
         ai = np.nonzero(active)[0]
         pos = origin[None, :] + t[ai, None] * dirs[ai]
         g = (pos - grid.lo[None, :]) / cell[None, :] - 0.5
-        base, frac = _low_corner(g, res)
+        base, frac = _low_corner(g.T, res)
         near_alpha = occ[base]
-        a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], frac[near_alpha])
+        a, pm = _trilerp(flat_a, flat_pm, res, base[near_alpha], [f[near_alpha] for f in frac])
         contrib = a > 0
         if np.any(contrib):
             ci = ai[near_alpha][contrib]
             a = a[contrib]
             a_s = 1.0 - (1.0 - np.clip(a, 0.0, 1.0)) ** exponent
-            c_s = pm[contrib] / a[:, None]
+            c_s = pm.T[contrib] / a[:, None]
             out_c[ci] += (trans[ci] * a_s)[:, None] * c_s
             trans[ci] *= 1.0 - a_s
         t[ai] += step
@@ -345,7 +345,7 @@ def test_splat_sparse_clamped_corners_match_oracle_bitwise(res):
     pts = np.concatenate([[np.zeros(3)], pts, [top]]).astype(np.float64)
     mass = rng.uniform(0.05, 0.9, size=len(pts))
     rgb = rng.uniform(size=(len(pts), 3))
-    base, _ = _low_corner(pts, top + 1.0)
+    base, _ = _low_corner(pts.T, top + 1.0)
     assert np.unique(base).size == len(pts) and clamp.any()
 
     got = _splat(rgb, mass, pts.T, res)
@@ -370,11 +370,12 @@ def test_trilerp_matches_oracle_bitwise(resolution):
         rng.integers(0, res, size=(50, 3)).astype(np.float64),
         np.array([[0.0, 0.0, 0.0], resf - 1.0, -resf, 2.0 * resf]),
     ])
-    base, frac = _low_corner(g, resf)
-    a, pm = _trilerp(dense_a.reshape(-1), dense_pm.reshape(-1, 3), resf, base, frac)
+    base, frac = _low_corner(g.T, resf)
+    flat_pm = np.moveaxis(dense_pm, -1, 0).reshape(3, -1)  # the (3, voxels) color of dense()
+    a, pm = _trilerp(dense_a.reshape(-1), flat_pm, resf, base, frac)
     ref_a, ref_pm = _trilerp_oracle(dense_a, dense_pm, resf, g)
     np.testing.assert_array_equal(a, ref_a)
-    np.testing.assert_array_equal(pm, ref_pm)
+    np.testing.assert_array_equal(pm.T, ref_pm)
 
 
 def test_orbit_renders_match_oracle_path(tmp_path, monkeypatch):
@@ -388,8 +389,10 @@ def test_orbit_renders_match_oracle_path(tmp_path, monkeypatch):
     def oracle_trilerp(flat_a, flat_pm, res, base, frac):
         # the clamped lattice point is exactly low corner + fraction
         shape = tuple(int(n) for n in res)
-        g = np.stack(np.unravel_index(base, shape), axis=1) + frac
-        return _trilerp_oracle(flat_a.reshape(shape), flat_pm.reshape(shape + (3,)), res, g)
+        g = np.stack(np.unravel_index(base, shape), axis=1) + np.stack(frac, axis=1)
+        dense_pm = np.moveaxis(flat_pm.reshape((3,) + shape), 0, -1)
+        a, pm = _trilerp_oracle(flat_a.reshape(shape), dense_pm, res, g)
+        return a, pm.T
 
     with monkeypatch.context() as patch:
         patch.setattr(frustum, "_splat", _splat_oracle_on_axes)
@@ -485,6 +488,49 @@ def test_voxelize_ground_truth_skips_and_drops_empty_planes():
         voxelize_ground_truth(np.full((1, 2), np.nan), hyp, cam, np.full((1, 2, 3), 0.5))
 
 
+def _ground_truth_by_points(gt, hyp, cam, rgb, resolution):
+    # the two-plane split with every kept sample unprojected to an (n, 3)
+    # point; returns the grid, the skipped pixels and the dropped samples
+    ok = np.isfinite(gt) & (gt > 0) & (gt >= hyp.d_min) & (gt <= hyp.d_max)
+    ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
+    lo_idx, w_lo = bilinear_bin_weights(hyp, gt[ok])
+    pts = np.concatenate([unproject(cam, ys[ok], xs[ok], hyp.values[lo_idx + k]) for k in (0, 1)])
+    mass = np.concatenate([w_lo, 1.0 - w_lo])
+    keep = mass > 0.0
+    colors = np.concatenate([rgb[ok], rgb[ok]])
+    grid = _splat(colors[keep], mass[keep], pts[keep].T, resolution)
+    return grid, int(gt.size - ok.sum()), int(np.count_nonzero(~keep))
+
+
+GROUND_TRUTH_CASES = {
+    # name: (camera, hypotheses, resolution)
+    "off-centre": (Pinhole(f=11.0, cx=2.75, cy=9.5, h=12, w=16), linear_hypotheses(1.0, 6.0, 6), (9, 6, 5)),
+    "two-planes": (Pinhole(f=6.0, cx=4.5, cy=1.0, h=5, w=7), DepthHypotheses(np.array([1.5, 4.0])), 4),
+    "one-row": (centered_pinhole(1, 9, 5.0), linear_hypotheses(2.0, 9.0, 7), (5, 2, 6)),
+}
+
+
+@pytest.mark.parametrize("case", GROUND_TRUTH_CASES)
+def test_voxelize_ground_truth_matches_splat_of_unprojected_points(case):
+    # NaN, inf, non-positive and out-of-range GT is skipped; GT on a plane
+    # (the end planes included) leaves a zero-weight sample to drop
+    cam, hyp, res = GROUND_TRUTH_CASES[case]
+    rng = np.random.default_rng(list(case.encode()))
+    gt = rng.uniform(hyp.d_min - 1.0, hyp.d_max + 1.0, size=(cam.h, cam.w)).ravel()
+    spots = rng.permutation(gt.size)
+    gt[spots[:4]] = [np.nan, np.inf, 0.0, -1.0]
+    gt[spots[4:7]] = [hyp.d_min, hyp.d_max, hyp.values[hyp.m // 2]]
+    gt = gt.reshape(cam.h, cam.w)
+    rgb = rng.uniform(size=(cam.h, cam.w, 3))
+    want, want_skipped, dropped = _ground_truth_by_points(gt, hyp, cam, rgb, res)
+    got, skipped = voxelize_ground_truth(gt, hyp, cam, rgb, resolution=res)
+    assert dropped >= 3 and skipped == want_skipped >= 4
+    assert got.resolution == want.resolution and got.n_voxels > 0
+    for field in ("lo", "hi", "indices", "alpha", "color"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert got.deposited_mass == want.deposited_mass
+
+
 def test_render_empty_grid_is_background():
     cam = centered_pinhole(4, 6, 8.0)
     bg = (0.2, 0.5, 0.9)
@@ -525,7 +571,9 @@ def test_render_opaque_back_stops_ray():
 def _back_to_front_reference(grid, cam, pose, bg, step):
     # per ray: the same sample points as render, composited back to front
     # through _trilerp_oracle; min_transmittance is taken as 0
-    dense_a, dense_pm = grid.dense()
+    flat_a, flat_pm = grid.dense()
+    dense_a = flat_a.reshape(grid.resolution)
+    dense_pm = np.moveaxis(flat_pm.reshape((3,) + grid.resolution), 0, -1)
     dirs = camera_rays(cam, pose)
     origin = pose.translation
     resf = np.array(grid.resolution, dtype=np.float64)
@@ -597,7 +645,7 @@ def test_occupancy_lookup_matches_corner_brute_force(res):
             idx[rng.integers(n), ax] = 0
             idx[rng.integers(n), ax] = res[ax] - 1
         dense_a[tuple(idx.T)] = rng.uniform(0.1, 1.0, size=n)
-        occ = frustum._occupancy(dense_a)
+        occ = frustum._occupancy(dense_a.reshape(-1), res)
         corners = np.stack(np.meshgrid(*(np.arange(k - 1) for k in res), indexing="ij"), -1)
         corners = corners.reshape(-1, 3)
         # points in every low corner's cell, on its lattice point, and out
@@ -608,7 +656,7 @@ def test_occupancy_lookup_matches_corner_brute_force(res):
             rng.uniform(-1.0, resf + 1.0, size=(100, 3)),
             [resf - 1.0],
         ])
-        base, _ = frustum._low_corner(g, resf)
+        base, _ = frustum._low_corner(g.T, resf)
         i0 = np.minimum(np.floor(np.clip(g, 0.0, resf - 1.0)), resf - 2).astype(np.int64)
         want = np.array([(dense_a[i:i + 2, j:j + 2, k:k + 2] > 0).any() for i, j, k in i0])
         np.testing.assert_array_equal(occ[base], want)

@@ -103,7 +103,8 @@ def test_frustum_sample_counts_sit_where_the_tracer_reads_them(monkeypatch):
     for args, (a, pm) in trilerps:
         base, frac = args[3], args[4]
         assert base.ndim == 1 and base.dtype.kind == "i"
-        assert base.shape[0] == frac.shape[0] == a.shape[0] == pm.shape[0]
+        assert len(frac) == 3 and all(f.shape == base.shape for f in frac)
+        assert base.shape[0] == a.shape[0] == pm.shape[1] and pm.shape[0] == 3
     assert sum(a.size for _, (a, _) in trilerps) > 0
 
 
