@@ -55,7 +55,6 @@ class SoftLabelVolume:
     """
 
     values: np.ndarray
-    gamma: float
     valid: np.ndarray
 
 
@@ -121,7 +120,7 @@ def soft_labels(hyp: DepthHypotheses, gt, gamma: float) -> SoftLabelVolume:
         )
     y = softmax_volume(-dist)
     y[~valid] = 0.0
-    return SoftLabelVolume(values=y, gamma=float(gamma), valid=valid)
+    return SoftLabelVolume(values=y, valid=valid)
 
 
 def softmax_volume(z) -> np.ndarray:

@@ -16,12 +16,12 @@ scatters through it, into accumulators over only the voxels it touches,
 and the march gathers through it.  Every per-sample quantity is one
 array per axis or per color channel.  On the hypothesis planes a
 sample's X depends only on its column and plane, its Y on its row and
-plane and its Z on its plane, so the splat's geometry runs on small
-arrays, and only the flat low corner and the corner weights are
-broadcast to every sample.  The march reads the stencil only where a
-per-render occupancy map, alpha > 0 dilated by one cell, says that
-some corner holds alpha; every sample position is still visited, so
-skipping empty cells does not change the image.
+plane, its Z on its plane and its color on its pixel, so the splat's
+geometry and colors run on small arrays; only the flat low corner and
+the corner weights are broadcast to every sample.  The march reads the
+stencil only where a per-render occupancy map, alpha > 0 dilated by
+one cell, says that some corner holds alpha; every sample position is
+still visited, so skipping empty cells does not change the image.
 
 The march advances every live ray by ``MARCH_BLOCK`` samples per pass.
 Sample positions come from a sequential ``cumsum`` of the step, so they
@@ -48,6 +48,7 @@ DEFAULT_RESOLUTION = 96
 DEFAULT_MIN_TRANSMITTANCE = 1e-3
 ORTHONORMAL_TOL = 1e-9
 MARCH_BLOCK = 16  # samples per ray per pass of the ray march
+MAX_AXIS = 2**24 + 1  # voxel indices up to 2**24 are exact in float32 .duv storage
 
 
 @dataclass(frozen=True)
@@ -159,13 +160,16 @@ def unproject(cam: Pinhole, h, w, depth):
 
 
 def _check_resolution(resolution) -> tuple[int, int, int]:
-    """Three axis lengths >= 2, at most ``MAX_ELEMENTS`` voxels (the ``.duv`` bound)."""
+    """Three axis lengths in [2, ``MAX_AXIS``], at most ``MAX_ELEMENTS`` voxels (``.duv`` bounds)."""
     res = tuple(int(n) for n in resolution)
     if len(res) != 3 or any(n < 2 for n in res):
         raise ValueError(f"resolution must be >= 2 per axis, got {res}")
     count = math.prod(res)  # Python ints: the product cannot wrap
     if count > MAX_ELEMENTS:
         raise ValueError(f"resolution {res} has {count} voxels, more than {MAX_ELEMENTS}")
+    for axis, n in zip("xyz", res):
+        if n > MAX_AXIS:
+            raise ValueError(f"resolution {res}: axis {axis} has {n} cells, more than {MAX_AXIS}")
     return res
 
 
@@ -306,16 +310,15 @@ def _corners(frac, res: np.ndarray):
                 yield (ox * ny + oy) * nz + oz, wxy * wz[oz]
 
 
-def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGrid:
+def _splat(mass: np.ndarray, colors, axes, resolution) -> SparseVoxelGrid:
     """Trilinear 8-neighbor scatter of sample mass into a fresh grid.
 
-    ``rgb`` (N, 3) and ``mass`` (N,) hold the N samples.  ``axes`` holds
-    their X, Y and Z coordinates as three arrays that broadcast to a
-    shape whose C-order ravel is the sample order: three (N,) arrays, or
-    arrays that each vary only along what their coordinate depends on.
-    Bounds, lattice coordinates and low corners are worked out on those
-    arrays; only the flat low corner and the corner weights are
-    broadcast to the N samples.
+    ``mass`` (N,) holds the N samples' masses; ``colors`` their R, G and
+    B and ``axes`` their X, Y and Z, three arrays each that broadcast to
+    a shape whose C-order ravel is the sample order: (N,) arrays, or
+    arrays that each vary only along what they depend on.  Bounds,
+    lattice coordinates and low corners are worked out on the axes; only
+    the flat low corner and the corner weights take the sample shape.
 
     Mass accumulates only over the touched voxels: the low corners
     dilated by one cell toward the high side, numbered in flat-index
@@ -333,6 +336,7 @@ def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGr
 
     g = [(x - l) / c - 0.5 for x, l, c in zip(axes, lo, cell)]  # center-lattice coordinates
     base, frac = _low_corner(g, res)
+    mass = mass.reshape(base.shape)
     base = base.reshape(-1)
     n = math.prod(shape)
     touched = np.zeros(shape, dtype=bool)
@@ -348,11 +352,10 @@ def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGr
     acc_c = np.zeros((3, k))  # channel-major: one bincount per row
     for off, wgt in _corners(frac, res):
         key = compact[base + off]
-        wgt = wgt.reshape(-1)
         wgt *= mass
-        acc_a += np.bincount(key, weights=wgt, minlength=k)
-        for ch in range(3):
-            acc_c[ch] += np.bincount(key, weights=wgt * rgb[:, ch], minlength=k)
+        acc_a += np.bincount(key, weights=wgt.reshape(-1), minlength=k)
+        for acc, c in zip(acc_c, colors):
+            acc += np.bincount(key, weights=(wgt * c).reshape(-1), minlength=k)
 
     full_a = np.zeros(n)
     full_a[touched] = acc_a
@@ -373,12 +376,13 @@ def _splat(rgb: np.ndarray, mass: np.ndarray, axes, resolution) -> SparseVoxelGr
 
 
 def _check_image(cam: Pinhole, rgb) -> np.ndarray:
+    """The checked image as three contiguous (H, W) channels; strided views slow the splat."""
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.shape != (cam.h, cam.w, 3):
         raise ValueError(f"image shape {rgb.shape} vs camera {cam.h}x{cam.w}x3")
     if not np.all((rgb >= 0.0) & (rgb <= 1.0)):
         raise ValueError("image colors must lie in [0, 1]")
-    return rgb
+    return np.ascontiguousarray(np.moveaxis(rgb, -1, 0))
 
 
 def voxelize_prediction(
@@ -394,20 +398,17 @@ def voxelize_prediction(
     hypothesis, its Y on its row and hypothesis and its Z on its
     hypothesis, so ``unproject``'s formulas run on (M, 1, W), (M, H, 1)
     and (M, 1, 1) arrays; broadcast, they order the samples
-    m * H * W + pixel, as the mass and the colors.
+    m * H * W + pixel, as the mass; the image's (H, W) channels broadcast.
     """
     vol = np.asarray(vol, dtype=np.float64)
     if vol.shape != (cam.h, cam.w, hyp.m):
         raise ValueError(f"volume shape {vol.shape} vs {(cam.h, cam.w, hyp.m)}")
     check_probabilities(vol)
-    rgb = _check_image(cam, rgb)
+    colors = _check_image(cam, rgb)
 
     rows, cols = np.arange(cam.h)[:, None], np.arange(cam.w)
     axes = _camera_axes(cam, rows, cols, hyp.values[:, None, None])
-    colors = np.empty((vol.size, 3), order="F")  # each channel contiguous
-    for ch in range(3):
-        colors[:, ch].reshape(hyp.m, -1)[:] = rgb[..., ch].reshape(-1)
-    return _splat(colors, np.moveaxis(vol, -1, 0).ravel(), axes, resolution)
+    return _splat(np.moveaxis(vol, -1, 0).ravel(), colors, axes, resolution)
 
 
 def voxelize_ground_truth(
@@ -422,7 +423,7 @@ def voxelize_ground_truth(
     gt = np.asarray(gt, dtype=np.float64)
     if gt.shape != (cam.h, cam.w):
         raise ValueError(f"depth shape {gt.shape} vs camera {cam.h}x{cam.w}")
-    rgb = _check_image(cam, rgb)
+    colors = _check_image(cam, rgb)
 
     ok = valid_mask(gt) & (gt >= hyp.d_min) & (gt <= hyp.d_max)
     skipped = int(gt.size - ok.sum())
@@ -435,7 +436,7 @@ def voxelize_ground_truth(
     rows, cols = np.tile(rows, 2)[keep], np.tile(cols, 2)[keep]
     planes = np.concatenate([lo_idx, lo_idx + 1])[keep]
     axes = _camera_axes(cam, rows, cols, hyp.values[planes])
-    return _splat(rgb[rows, cols], mass[keep], axes, resolution), skipped
+    return _splat(mass[keep], colors[:, rows, cols], axes, resolution), skipped
 
 
 def _occupancy(flat_a: np.ndarray, res) -> np.ndarray:
@@ -608,7 +609,9 @@ def _march(grid, flat_a, flat_pm, occ, origin, dirs, bg, step, min_transmittance
 
 
 def save_voxel_grid(grid: SparseVoxelGrid, basepath) -> Path:
-    """Index grid + value grid + key=value header next to each other."""
+    """Index grid + value grid + key=value header next to each other; never an empty grid."""
+    if grid.n_voxels == 0:
+        raise ValueError(f"no voxel has alpha above ALPHA_EPSILON ({ALPHA_EPSILON}); nothing to save")
     base = Path(basepath)
     base.parent.mkdir(parents=True, exist_ok=True)
     write_grid(f"{base}.idx.duv", grid.indices.astype(np.float64))

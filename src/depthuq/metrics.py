@@ -449,8 +449,6 @@ def check_affine(scale: float, offset: float) -> None:
 
 
 def _resolve_transform(transform, scale: float = 0.5, offset: float = 0.0):
-    if callable(transform):
-        return "custom", transform
     if transform == "square":
         return "square", lambda e: e**2
     if transform == "sqrt":
@@ -464,17 +462,18 @@ def _resolve_transform(transform, scale: float = 0.5, offset: float = 0.0):
 def ause_flaw_demo(
     err,
     unc,
-    transform,
+    transform: str,
     scale: float = 0.5,
     offset: float = 0.0,
     steps: int = SPARSIFICATION_STEPS,
 ) -> TransformComparison:
     """Error-transform counterexample: SCC is rank-stable, AUSE is not.
 
-    Model B's per-pixel errors are transform(model A's); uncertainties
-    are untouched.  The transform must be strictly increasing on the
-    observed error values (checked), so every ranking — and with it
-    SCC — is preserved, while the RMSE-based sparsification areas move.
+    Model B's per-pixel errors are transform(model A's), the transform
+    one of ``BUILTIN_TRANSFORMS``; uncertainties are untouched.  The
+    transform must be strictly increasing on the observed error values
+    (checked), so every ranking — and with it SCC — is preserved, while
+    the RMSE-based sparsification areas move.
     """
     e = np.asarray(err, dtype=np.float64).ravel()
     u = np.asarray(unc, dtype=np.float64).ravel()

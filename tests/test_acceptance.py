@@ -229,7 +229,7 @@ def test_criterion_09_renderer_probes():
         n = int(rng.integers(5, 60))
         mass = rng.uniform(0.05, 0.9, size=n)
         pts = rng.uniform(-2, 2, size=(n, 3))
-        grid = _splat(rng.uniform(size=(n, 3)), mass, pts.T, (6, 5, 4))
+        grid = _splat(mass, rng.uniform(size=(n, 3)).T, pts.T, (6, 5, 4))
         ok = ok and abs(grid.deposited_mass - mass.sum()) < 1e-9
 
     # voxelize a constant-depth plane at one voxel per pixel and re-render

@@ -562,6 +562,27 @@ def test_voxelize_outsized_resolution_exits_one(data_dir, tmp_path, capsys, reso
     assert list(tmp_path.iterdir()) == []
 
 
+def test_voxelize_axis_beyond_float32_indices_exits_one(data_dir, tmp_path, capsys):
+    # index 2**24 + 1 would not survive the float32 ``.idx.duv``
+    rc = cli.main(["voxelize", "--vol", str(data_dir / "vol.duv"), "--resolution", "16777218,2,2",
+                   "--out", str(tmp_path / "g")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "axis x has 16777218 cells, more than 16777217" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-5], ids=["zero", "below-threshold"])
+def test_voxelize_empty_grid_exits_one_before_writing(tmp_path, capsys, value):
+    # a valid volume whose every voxel stays at or below ALPHA_EPSILON
+    write_grid(tmp_path / "vol.duv", np.full((8, 10, 6), value))
+    rc = cli.main(["voxelize", "--vol", str(tmp_path / "vol.duv"), "--out", str(tmp_path / "out" / "g")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "ALPHA_EPSILON" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["vol.duv"]
+
+
 def test_render_threads_match_single(data_dir, tmp_path):
     base = tmp_path / "g"
     assert cli.main([

@@ -8,6 +8,7 @@ from depthuq import frustum
 from depthuq.discretize import DepthHypotheses, bilinear_bin_weights, linear_hypotheses
 from depthuq.frustum import (
     ALPHA_EPSILON,
+    MAX_AXIS,
     CameraPose,
     Pinhole,
     SparseVoxelGrid,
@@ -26,7 +27,7 @@ from depthuq.frustum import (
     voxelize_ground_truth,
     voxelize_prediction,
 )
-from depthuq.gridio import write_grid, write_ppm
+from depthuq.gridio import write_grid, write_keyvalue, write_ppm
 
 
 def _splat_oracle(points, mass, rgb, resolution):
@@ -57,9 +58,12 @@ def _splat_oracle(points, mass, rgb, resolution):
     )
 
 
-def _splat_oracle_on_axes(rgb, mass, axes, resolution):
-    # ``_splat``'s arguments, with the coordinate arrays broadcast to (N, 3) points
-    pts = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
+def _splat_oracle_on_axes(mass, colors, axes, resolution):
+    # ``_splat``'s arguments, with the coordinate and color arrays broadcast
+    # to (N, 3) points and (N, 3) colors
+    full = np.broadcast_arrays(*axes, *colors)
+    pts = np.stack(full[:3], axis=-1).reshape(-1, 3)
+    rgb = np.stack(full[3:], axis=-1).reshape(-1, 3)
     return _splat_oracle(pts, mass, rgb, resolution)
 
 
@@ -265,11 +269,33 @@ def test_grid_validation():
                         alpha=np.array([0.5, 0.4, 0.6]), color=np.full((3, 3), 0.5))
 
 
+@pytest.mark.parametrize("axis", range(3))
+def test_grid_axis_beyond_float32_indices_is_refused(tmp_path, axis):
+    # ``.duv`` stores voxel indices as float32, exact up to 2**24: index
+    # 2**24 + 1 would load back as 2**24, so 2**24 + 2 cells are refused
+    res = [2, 2, 2]
+    res[axis] = 2**24 + 2
+    idx = np.zeros((1, 3))
+    idx[0, axis] = 2**24 + 1
+    message = f"axis {'xyz'[axis]} has {2**24 + 2} cells, more than {MAX_AXIS}"
+    with pytest.raises(ValueError, match=message):
+        SparseVoxelGrid(lo=np.zeros(3), hi=np.ones(3), resolution=tuple(res), indices=idx,
+                        alpha=np.array([0.5]), color=np.full((1, 3), 0.5))
+    base = tmp_path / "g"
+    write_grid(f"{base}.idx.duv", np.zeros((1, 3)))
+    write_grid(f"{base}.val.duv", np.full((1, 4), 0.5))
+    write_keyvalue(f"{base}.meta.txt", {"lo": np.zeros(3), "hi": np.ones(3), "resolution": res,
+                                        "deposited_mass": 0.5, "voxels": 1})
+    with pytest.raises(ValueError, match=message):
+        load_voxel_grid(base)
+    assert frustum._check_resolution((2, 2, MAX_AXIS)) == (2, 2, 2**24 + 1)
+
+
 def test_splat_lattice_points_land_exactly():
     # hull-on-centers framing: integer-spaced points on the x axis each
     # own one voxel outright
     pts = np.array([[float(k), 0.0, 0.0] for k in range(5)])
-    grid = _splat(np.tile([1.0, 0.0, 0.0], (5, 1)), np.full(5, 0.5), pts.T, (5, 2, 2))
+    grid = _splat(np.full(5, 0.5), np.tile([1.0, 0.0, 0.0], (5, 1)).T, pts.T, (5, 2, 2))
     assert grid.n_voxels == 5
     order = np.argsort(grid.indices[:, 0])
     np.testing.assert_array_equal(grid.indices[order, 0], np.arange(5))
@@ -278,7 +304,7 @@ def test_splat_lattice_points_land_exactly():
 
 def test_splat_midpoint_splits_evenly():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    grid = _splat(np.tile([0.0, 1.0, 0.0], (3, 1)), np.array([0.0, 0.0, 0.5]), pts.T, (2, 2, 2))
+    grid = _splat(np.array([0.0, 0.0, 0.5]), np.tile([0.0, 1.0, 0.0], (3, 1)).T, pts.T, (2, 2, 2))
     # the two anchor samples carry no mass; the midpoint splits 50/50
     assert grid.n_voxels == 2
     np.testing.assert_allclose(np.sort(grid.alpha), [0.25, 0.25], atol=1e-12)
@@ -291,7 +317,7 @@ def test_splat_conserves_mass():
         pts = rng.uniform(-2, 2, size=(n, 3))
         mass = rng.uniform(0.05, 0.9, size=n)
         rgb = rng.uniform(size=(n, 3))
-        grid = _splat(rgb, mass, pts.T, (6, 5, 4))
+        grid = _splat(mass, rgb.T, pts.T, (6, 5, 4))
         assert abs(grid.deposited_mass - mass.sum()) < 1e-9
 
 
@@ -312,7 +338,7 @@ def test_splat_matches_add_at_oracle(resolution, n):
     # n=3000 puts several (7^3 grid) to thousands (2^3 grid) of samples per voxel
     rng = np.random.default_rng([n, np.prod(resolution)])
     pts, mass, rgb = _cloud(rng, n)
-    got = _splat(rgb, mass, pts.T, resolution)
+    got = _splat(mass, rgb.T, pts.T, resolution)
     ref = _splat_oracle(pts, mass, rgb, resolution)
     assert got.resolution == ref.resolution
     np.testing.assert_array_equal(got.lo, ref.lo)
@@ -348,7 +374,7 @@ def test_splat_sparse_clamped_corners_match_oracle_bitwise(res):
     base, _ = _low_corner(pts.T, top + 1.0)
     assert np.unique(base).size == len(pts) and clamp.any()
 
-    got = _splat(rgb, mass, pts.T, res)
+    got = _splat(mass, rgb.T, pts.T, res)
     ref = _splat_oracle(pts, mass, rgb, res)
     assert 0 < got.n_voxels <= 8 * len(pts) < np.prod(res) // 2  # a sparse touched set
     np.testing.assert_array_equal(got.indices, ref.indices)
@@ -442,12 +468,35 @@ def test_voxelize_prediction_matches_splat_of_unprojected_points(case):
     ys, xs = np.mgrid[0 : cam.h, 0 : cam.w].astype(np.float64)
     pts = np.concatenate([unproject(cam, ys, xs, d).reshape(-1, 3) for d in hyp.values])
     colors = np.tile(rgb.reshape(-1, 3), (hyp.m, 1))
-    want = _splat(colors, np.moveaxis(vol, -1, 0).ravel(), pts.T, res)
+    want = _splat(np.moveaxis(vol, -1, 0).ravel(), colors.T, pts.T, res)
     got = voxelize_prediction(vol, hyp, cam, rgb, resolution=res)
     assert got.resolution == want.resolution and got.n_voxels > 0
     for field in ("lo", "hi", "indices", "alpha", "color"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
     assert got.deposited_mass == want.deposited_mass
+
+
+def test_voxelize_prediction_splats_the_image_channels(monkeypatch):
+    # each color channel reaches the splat as one contiguous (H, W) array
+    # that broadcasts over the planes, not as a copy per hypothesis plane
+    rng = np.random.default_rng(5)
+    cam = centered_pinhole(6, 8, 7.0)
+    hyp = linear_hypotheses(1.0, 4.0, 5)
+    vol = rng.dirichlet(np.ones(hyp.m), size=(cam.h, cam.w))
+    rgb = rng.uniform(size=(cam.h, cam.w, 3))
+    calls = []
+
+    def record(mass, colors, axes, resolution):
+        calls.append(colors)
+        return _splat(mass, colors, axes, resolution)
+
+    monkeypatch.setattr(frustum, "_splat", record)
+    voxelize_prediction(vol, hyp, cam, rgb, resolution=6)
+    (colors,) = calls
+    assert len(colors) == 3
+    for ch, c in enumerate(colors):
+        assert c.shape == (cam.h, cam.w) and c.flags.c_contiguous
+        np.testing.assert_array_equal(c, rgb[..., ch])
 
 
 def test_voxelize_prediction_validation():
@@ -498,7 +547,7 @@ def _ground_truth_by_points(gt, hyp, cam, rgb, resolution):
     mass = np.concatenate([w_lo, 1.0 - w_lo])
     keep = mass > 0.0
     colors = np.concatenate([rgb[ok], rgb[ok]])
-    grid = _splat(colors[keep], mass[keep], pts[keep].T, resolution)
+    grid = _splat(mass[keep], colors[keep].T, pts[keep].T, resolution)
     return grid, int(gt.size - ok.sum()), int(np.count_nonzero(~keep))
 
 

@@ -503,9 +503,9 @@ def test_flaw_demo_sqrt_and_custom_callable():
     err, unc = _correlated_instance(9)
     cmp = ause_flaw_demo(err, unc, "sqrt")
     assert abs(cmp.delta_scc) < 1e-12
-    cmp2 = ause_flaw_demo(err, unc, lambda e: e + 1.0)
-    assert cmp2.transform == "custom"
-    assert abs(cmp2.delta_scc) < 1e-12
+    # only the named transforms are accepted; a callable is not one
+    with pytest.raises(ValueError, match="unknown transform"):
+        ause_flaw_demo(err, unc, lambda e: e + 1.0)
 
 
 def test_flaw_demo_verdict_says_what_moved():

@@ -94,7 +94,8 @@ def test_frustum_sample_counts_sit_where_the_tracer_reads_them(monkeypatch):
     splats = _recording(monkeypatch, frustum, "_splat")
     grid = frustum.voxelize_prediction(vol, hyp, cam, rng.uniform(size=(cam.h, cam.w, 3)), 6)
     (args, result), = splats
-    assert args[0].shape == (cam.h * cam.w * hyp.m, 3) and result is grid
+    assert args[0].shape == (cam.h * cam.w * hyp.m,) and result is grid
+    np.testing.assert_array_equal(args[0], np.moveaxis(vol, -1, 0).ravel())  # the mass
 
     trilerps = _recording(monkeypatch, frustum, "_trilerp")
     target = (grid.lo + grid.hi) / 2.0
