@@ -148,17 +148,14 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _train_config(args, seed: int) -> toytrain.TrainConfig:
-    soft = args.soft
-    if soft is None:  # auto: the soft-label term only exists for classification
-        soft = "on" if args.head == "classification" else "off"
-    spelled = dict(
-        seed=seed,
-        m=args.bins,
-        include_soft=(soft == "on"),
-        ranking=None if args.ranking == "none" else args.ranking,
-    )
-    # every other field has a flag of its own name
-    named = (f.name for f in fields(toytrain.TrainConfig) if f.name not in spelled)
+    spelled = dict(seed=seed, m=args.bins)
+    if "ranking" in vars(args):  # ablate has no loss-term flags
+        soft = args.soft
+        if soft is None:  # auto: the soft-label term only exists for classification
+            soft = "on" if args.head == "classification" else "off"
+        spelled.update(include_soft=(soft == "on"), ranking=None if args.ranking == "none" else args.ranking)
+    # every other field but the loss terms has a flag of its own name
+    named = (f.name for f in fields(toytrain.TrainConfig) if f.name not in {*spelled, "include_soft", "ranking"})
     return toytrain.TrainConfig(**{name: getattr(args, name) for name in named}, **spelled)
 
 
@@ -173,7 +170,7 @@ def _add_camera_flags(p) -> None:
     p.add_argument("--cy", type=float, default=None, help="principal point y (default: centered)")
 
 
-def _add_train_flags(p) -> None:
+def _add_train_flags(p, loss_terms: bool = True) -> None:
     """The training and scene flags, one per ``TrainConfig`` field."""
     defaults = toytrain.TrainConfig
     p.add_argument("--epochs", type=int, default=defaults.epochs, help="training epochs (default %(default)s)")
@@ -181,8 +178,9 @@ def _add_train_flags(p) -> None:
     p.add_argument("--lr-decay", type=float, default=defaults.lr_decay, help="decay factor (default %(default)s)")
     p.add_argument("--decay-every", type=int, default=defaults.decay_every, help="epochs between decays (default %(default)s)")
     p.add_argument("--head", choices=toytrain.HEAD_KINDS, default=defaults.head, help="model head (default %(default)s)")
-    p.add_argument("--soft", choices=("on", "off"), default=None, help="soft-label term (default: on for the classification head)")
-    p.add_argument("--ranking", choices=RANKING_VARIANTS + ("none",), default=defaults.ranking, help="uncertainty ranking term (default %(default)s)")
+    if loss_terms:  # ablate has none: it sets both loss terms per row
+        p.add_argument("--soft", choices=("on", "off"), default=None, help="soft-label term (default: on for the classification head)")
+        p.add_argument("--ranking", choices=RANKING_VARIANTS + ("none",), default=defaults.ranking, help="uncertainty ranking term (default %(default)s)")
     p.add_argument("--bins", type=int, default=defaults.m, help="depth hypotheses (default %(default)s)")
     _add_depth_range_flags(p)
     p.add_argument("--gamma", type=float, default=defaults.gamma, help="soft-label sharpness (default %(default)s)")
@@ -291,7 +289,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_ablate(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    rows = toytrain.ablate(seeds, base=_train_config(args, seeds[0]), threads=args.threads)
+    rows = toytrain.ablate(seeds, base=_train_config(args, seeds[0]))
     # timings vary run to run; keep them off disk so reruns match bytewise
     write_csv(args.out, [k for k in rows[0] if k != "train_s"], rows)
     medians = toytrain.ablation_medians(rows)
@@ -463,8 +461,8 @@ def _train_toy_flags(p) -> None:
 
 def _ablate_flags(p) -> None:
     p.add_argument("--seeds", required=True, help="comma-separated run seeds, e.g. 0,1,2,3,4")
-    _add_train_flags(p)
-    p.add_argument("--threads", type=int, default=1, help="parallel training runs (default %(default)s)")
+    _add_train_flags(p, loss_terms=False)
+    p.add_argument("--threads", type=int, choices=(1,), default=1, help="the runs train one after another; only 1 is accepted (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV, one row per (config, seed)")
 
 

@@ -126,8 +126,8 @@ def read_only(a) -> np.ndarray:
 class LossTargets:
     """What the loss terms compare one GT map against; see ``loss_targets``.
 
-    The arrays are read-only views: training steps, threaded ``ablate``
-    runs among them, share one set per scene.
+    The arrays are read-only views: every training step of a run
+    shares one set per scene.
     """
 
     mask: np.ndarray  # finite, positive GT pixels

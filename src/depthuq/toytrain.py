@@ -25,9 +25,7 @@ trains the five distinct models among them (``full_nomax`` is
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -74,8 +72,9 @@ class SyntheticScene:
     seed: int
 
     def __post_init__(self):
-        # read-only views: threaded ablate runs share one scene list, so
-        # a stray in-place write raises instead of corrupting another run
+        # read-only views: the runs of one ablate seed share one scene
+        # list, so a stray in-place write raises instead of corrupting
+        # the runs after it
         for name in ("gt", "features", "noise_std"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
@@ -205,7 +204,8 @@ class TrainConfig:
 
     The loss-term switches pick the ablation row.  Each field is named
     after the ``train-toy``/``ablate``/``demo-ause`` flag that fills it
-    (``m`` is ``--bins``, ``include_soft`` is ``--soft``).  Every field
+    (``m`` is ``--bins``, ``include_soft`` is ``--soft``; ``ablate``
+    has no loss-term flags, since it sets both per row).  Every field
     is checked here, so a bad run fails before it builds a scene or
     trains.
     """
@@ -503,7 +503,7 @@ ABLATION_ROWS = (
 )
 
 
-def ablate(seeds, base: TrainConfig | None = None, threads: int = 1):
+def ablate(seeds, base: TrainConfig | None = None):
     """Loss-term ablation: six configurations on shared scenes per seed.
 
     ``base`` (default ``TrainConfig()``) gives the scenes, the model and
@@ -512,57 +512,43 @@ def ablate(seeds, base: TrainConfig | None = None, threads: int = 1):
     same initialization on the same scene list, so rows differ only in
     the loss terms.
     Returns one flat dict per (configuration, seed), seeds outer and
-    ``ABLATION_ROWS`` inner, in a fixed order regardless of ``threads``;
-    each run is self-contained, so threading only changes wall-clock,
-    never the numbers.  The runs go through one thread pool of
-    min(``threads``, runs, CPUs) workers, one worker included.
-    ``threads`` below 1 and a repeated seed are ValueErrors.
+    ``ABLATION_ROWS`` inner.  The runs train one after another on the
+    caller's thread: a training step is dozens of small NumPy calls,
+    and threads only contended for the interpreter lock.  A repeated
+    seed is a ValueError.
 
     Each distinct model trains once per seed, five runs for six rows:
-    a run is keyed by (seed, soft-label term, effective ranking), and
+    a run of one seed is keyed by (soft-label term, effective ranking), and
     ``no-max`` is keyed as no ranking term.  Over the bijection of
     ``draw_permutation`` each pixel's uncertainty enters one pair with
     +1 and one with -1, so the no-max gradient is exactly zero and that
     arm would train the ``depth_soft`` weights bitwise (only its unused
     rank sigma would move).  The ``full_nomax`` row therefore carries
     the ``depth_soft`` run's metrics, with ``train_s`` None because it
-    had no run of its own.
+    had no run of its own.  ``train_s`` times ``train`` alone.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     seeds = [int(seed) for seed in seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"repeated seed in {seeds}")
-    if base is None:
-        base = TrainConfig()
-    runs = {}  # run key -> (config, train scenes, eval scenes), in first-use order
-    keyed_rows = []  # (row name, run key, whether the row owns the run), in row order
-    for seed in seeds:
-        cfg_seed = replace(base, seed=seed)
+    # the full model's terms at every seed: a base or a seed that some
+    # row cannot take fails here, before the first run trains
+    base = replace(base or TrainConfig(), include_soft=True, ranking="hinge")
+    rows = []
+    for cfg_seed in [replace(base, seed=seed) for seed in seeds]:
         train_scenes, eval_scenes = make_dataset(cfg_seed)
+        trained = {}  # (soft, effective ranking) -> evaluate_model's row
         for name, soft, ranking in ABLATION_ROWS:
             # no-max has a zero gradient: it trains the ranking-free model
-            key = (seed, soft, None if ranking == "no-max" else ranking)
-            owns = key not in runs
-            if owns:
-                cfg = replace(cfg_seed, include_soft=soft, ranking=key[2])
-                runs[key] = (cfg, train_scenes, eval_scenes)
-            keyed_rows.append((name, key, owns))
-
-    def run(key):
-        cfg, train_scenes, eval_scenes = runs[key]
-        model = init_model(cfg)
-        started = time.perf_counter()
-        model, _ = train(model, train_scenes, cfg)
-        return evaluate_model(model, eval_scenes), time.perf_counter() - started
-
-    with ThreadPoolExecutor(max_workers=min(threads, len(runs), os.cpu_count() or 1)) as pool:
-        results = dict(zip(runs, pool.map(run, runs)))
-    rows = []
-    for name, key, owns in keyed_rows:
-        metrics, train_s = results[key]
-        rows.append({"config": name, "seed": key[0], **metrics,
-                     "train_s": train_s if owns else None})
+            key = (soft, None if ranking == "no-max" else ranking)
+            train_s = None
+            if key not in trained:
+                cfg = replace(cfg_seed, include_soft=soft, ranking=key[1])
+                model = init_model(cfg)
+                started = time.perf_counter()
+                model, _ = train(model, train_scenes, cfg)
+                train_s = time.perf_counter() - started
+                trained[key] = evaluate_model(model, eval_scenes)
+            rows.append({"config": name, "seed": cfg_seed.seed, **trained[key], "train_s": train_s})
     return rows
 
 

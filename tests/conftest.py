@@ -14,6 +14,6 @@ def full_ablation():
     flat rows plus the wall-clock the grid took.
     """
     started = time.perf_counter()
-    rows = ablate((0, 1, 2, 3, 4), base=TrainConfig(), threads=1)
+    rows = ablate((0, 1, 2, 3, 4), base=TrainConfig())
     elapsed = time.perf_counter() - started
     return rows, elapsed

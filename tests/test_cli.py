@@ -673,14 +673,35 @@ def test_bad_scene_field_fails_before_training(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "run").exists()
 
 
-def test_ablate_rejects_threads_below_one(tmp_path, capsys):
+def test_ablate_rejects_threads_below_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(toytrain, "train", _no_training)
     out = tmp_path / "rows.csv"
     rc = cli.main([
         "ablate", "--seeds", "0", "--epochs", "1", "--train-scenes", "2", "--eval-scenes", "1",
         "--height", "8", "--width", "8", "--threads", "0", "--out", str(out),
     ])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: threads must be >= 1, got 0")
+    assert capsys.readouterr().err.startswith("error: argument --threads: invalid choice: 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--threads", "2"], None),
+    (["--soft", "off"], None),
+    (["--ranking", "none"], None),
+    ([], "ranking=none\n"),
+], ids=["threads-2", "soft", "ranking", "config-ranking"])
+def test_ablate_refuses_flags_it_does_not_read(tmp_path, capsys, monkeypatch, argv, config):
+    # the runs train one after another, and each row sets its own loss
+    # terms: these flags were taken and ignored
+    monkeypatch.setattr(toytrain, "train", _no_training)
+    if config is not None:
+        (tmp_path / "cfg.txt").write_text(config)
+        argv = ["--config", str(tmp_path / "cfg.txt")]
+    out = tmp_path / "rows.csv"
+    rc = cli.main(["ablate", "--seeds", "0", *argv, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 
@@ -739,7 +760,7 @@ def test_training_stops_when_a_weight_leaves_float32(tmp_path, capsys, subcomman
     out = tmp_path / "out.csv"
     extra = ["--seeds", "0"] if subcommand == "ablate" else ["--seed", "0", "--transform", "square"]
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # process-wide, so ablate's pool threads too
+        warnings.simplefilter("error")
         rc = cli.main([
             subcommand, *extra, "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
             "--lr", "1e308", "--out", str(out),
@@ -879,7 +900,8 @@ def test_defaults_and_choices_come_from_the_library():
     given = {"train-toy": ["--seed", "0", "--out-dir", "x"], "ablate": ["--seeds", "0", "--out", "x"],
              "demo-ause": ["--transform", "square"]}
     for subcommand, argv in given.items():
-        for name in fields:
+        # ablate has no --ranking: it sets the loss terms per row
+        for name in fields - ({"ranking"} if subcommand == "ablate" else set()):
             flag = "bins" if name == "m" else name
             assert _option(subcommand, flag).default == getattr(toytrain.TrainConfig, name), (subcommand, flag)
         # and with every flag at its default, the config is TrainConfig's own
@@ -894,7 +916,7 @@ def test_every_training_and_scene_flag_fills_its_field():
         "height": 7, "width": 6, "features": 3, "train_scenes": 2, "eval_scenes": 1,
         "eta_lo": 0.1, "eta_hi": 0.3,
     }
-    argv = ["ablate", "--seeds", "4", "--out", "x", "--soft", "off"]
+    argv = ["train-toy", "--seed", "4", "--out-dir", "x", "--soft", "off"]
     for dest, value in given.items():
         argv += [f"--{dest.replace('_', '-')}", str(value)]
     config = cli._train_config(cli.build_parser().parse_args(argv), 4)

@@ -1,4 +1,4 @@
-import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +35,6 @@ from depthuq.toytrain import (
     _hidden_and_z,
 )
 from depthuq.uncertainty import softplus
-from test_frustum import _SerialPool
 from test_losses import _oracle_step
 
 
@@ -692,29 +691,39 @@ def test_ablate_rows_and_thread_equivalence():
     assert [r["config"] for r in rows] == [name for name, _, _ in ABLATION_ROWS]
     assert all(r["seed"] == 0 for r in rows)
     assert all("scc" in r and "rmse" in r and "train_s" in r for r in rows)
-    threaded = ablate([0], base=base, threads=3)
-    for a, b in zip(rows, threaded):
-        a = {k: v for k, v in a.items() if k != "train_s"}
-        b = {k: v for k, v in b.items() if k != "train_s"}
-        assert a == b
 
 
-@pytest.mark.parametrize("threads, cpus, workers", [(1, 4, 1), (8, 2, 2), (3, None, 1), (100, 64, 5)])
-def test_ablate_pool_is_bounded_by_cpus_and_runs(monkeypatch, threads, cpus, workers):
-    # one pool path for every thread count; five distinct runs per seed
+def test_ablate_starts_no_thread(monkeypatch):
+    # the runs train one after another on the caller's thread; a pool
+    # started a worker even for one thread
+    def refuse(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
-    pool = _SerialPool()
-    monkeypatch.setattr(depthuq.toytrain, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    rows = ablate([0], base=base, threads=threads)
-    assert pool.pools == [[workers, 5]]
+    rows = ablate([0], base=base)
     assert [r["config"] for r in rows] == [name for name, _, _ in ABLATION_ROWS]
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_ablate_rejects_threads_below_one(threads):
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        ablate([0], threads=threads)
+def test_ablate_train_s_times_train_alone(monkeypatch):
+    # a fake clock that only training and evaluation move: train_s must
+    # hold the training's 1 s, not the evaluation's 100 s after it
+    clock = [0.0]
+
+    def fake_train(model, scenes, config):
+        clock[0] += 1.0
+        return model, []
+
+    def fake_evaluate(model, scenes):
+        clock[0] += 100.0
+        return {"scc": 0.5}
+
+    monkeypatch.setattr(depthuq.toytrain.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(depthuq.toytrain, "train", fake_train)
+    monkeypatch.setattr(depthuq.toytrain, "evaluate_model", fake_evaluate)
+    base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
+    rows = ablate([0, 1], base=base)
+    assert [r["train_s"] for r in rows] == [1.0, 1.0, 1.0, 1.0, None, 1.0] * 2
 
 
 def test_ablation_medians():
@@ -948,13 +957,10 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
     ablate([0], base=base)
     assert len(calls) == 5
     seeds = [3, 1]
-    by_threads = {}
-    for threads in (1, 2):
-        calls.clear()
-        by_threads[threads] = ablate(seeds, base=base, threads=threads)
-        assert len(calls) == 10 and len(set(calls)) == 10
-        assert "no-max" not in {ranking for _, _, ranking in calls}
-    rows = by_threads[1]
+    calls.clear()
+    rows = ablate(seeds, base=base)
+    assert len(calls) == 10 and len(set(calls)) == 10
+    assert "no-max" not in {ranking for _, _, ranking in calls}
     assert [(r["config"], r["seed"]) for r in rows] == [
         (name, seed) for seed in seeds for name, _, _ in ABLATION_ROWS
     ]
@@ -968,10 +974,6 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
             (row,) = [r for r in rows if r["config"] == name and r["seed"] == seed]
             want = {"config": name, "seed": seed, **evaluate_model(model, eval_scenes)}
             assert {k: v for k, v in row.items() if k != "train_s"} == want
-    for a, b in zip(rows, by_threads[2]):
-        assert {k: v for k, v in a.items() if k != "train_s"} == {
-            k: v for k, v in b.items() if k != "train_s"
-        }
 
 
 def test_ablate_rejects_repeated_seed():
@@ -1041,7 +1043,7 @@ def test_scene_arrays_are_read_only(tiny_data):
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_train_and_evaluate_leave_scenes_unchanged(tiny_data, head):
-    # threaded ablate runs share the scene lists; nothing may write into them
+    # the runs of one ablate seed share the scene lists; nothing may write into them
     train_scenes, eval_scenes = tiny_data
     scenes = train_scenes + eval_scenes
     before = [(s.gt.tobytes(), s.features.tobytes(), s.noise_std.tobytes()) for s in scenes]
