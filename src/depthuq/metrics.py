@@ -8,11 +8,13 @@ negative log-likelihood.  ``ause_flaw_demo`` packages the constructive
 counterexample showing AUSE moves under accuracy-preserving error
 transforms while SCC does not.
 
-Every rank metric is a sweep over one stable descending sort per
-ordering: average ranks come from its tie groups, AUROC from those
-ranks, FPR95 from cumulative outlier counts at tie-group ends (the ROC
-sweep of Fawcett 2006), and each sparsification curve from tail sums of
-the sorted per-pixel errors (Ilg et al. 2018).  Plain NumPy at run time.
+Every rank metric is a sweep over a ``_Ranking``, a score vector and
+its stable descending order (``_ranking`` holds the module's one sort);
+its tie groups and average ranks are built on first use.  SCC and AUROC
+read the ranks, FPR95 cumulative outlier counts at tie-group ends (the
+ROC sweep of Fawcett 2006), and a sparsification curve tail sums of the
+per-pixel errors in two orders: the uncertainty's, and the errors' own,
+which is the oracle (Ilg et al. 2018).  Plain NumPy at run time.
 
 Input policy, shared by ``valid_pixels`` and ``_require_finite``: a
 pixel is valid where its GT is finite and positive, and per-image
@@ -20,7 +22,10 @@ metrics read valid pixels only.  A non-finite prediction or uncertainty
 on a valid pixel, or a non-finite entry of a vector handed to a rank
 metric, raises ValueError with the count of such entries; an image
 without a valid pixel raises ValueError too, and so does a probability
-volume of the wrong shape or with a negative or non-finite entry.
+volume of the wrong shape or with a negative or non-finite entry.  So
+does an error that overflows, per pixel (with the count), squared or
+summed, rather than give NaN areas; only float64 calls reach that, as
+float32 ``.duv`` errors square below 1.2e77.
 
 Per-image metrics; undefined entries (single-class AUROC, all-tied SCC,
 sparsification areas of one pixel, log metrics with no positive
@@ -30,7 +35,8 @@ reported as None, never as 0 or NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +47,7 @@ DELTA_RATIO = 1.25
 SPARSIFICATION_STEPS = 50
 NLL_FLOOR = 1e-12
 BASE_METRICS = ("rmse", "rel", "delta1err")
+_COUNT = {"count": True}  # a report's pixel counts stay out of its row
 
 
 class DegenerateMetricError(ValueError):
@@ -52,8 +59,15 @@ class DegenerateMetricError(ValueError):
     """
 
 
+class _Report:
+    """A per-image report whose CSV row is its fields less the pixel counts."""
+
+    def row(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if "count" not in f.metadata}
+
+
 @dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(_Report):
     """The eight standard depth metrics plus bookkeeping counts."""
 
     rmse: float
@@ -64,20 +78,8 @@ class AccuracyReport:
     delta1: float
     delta2: float
     delta3: float
-    n_valid: int
-    n_log_excluded: int  # valid pixels with pred <= 0, skipped by log metrics
-
-    def row(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "rel": self.rel,
-            "log10": self.log10,
-            "sq_rel": self.sq_rel,
-            "log_rms": self.log_rms,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-        }
+    n_valid: int = field(metadata=_COUNT)
+    n_log_excluded: int = field(metadata=_COUNT)  # valid pred <= 0, skipped by log metrics
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class SparsificationCurve:
 
 
 @dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(_Report):
     """Uncertainty-quality summary; None marks undefined entries."""
 
     ause_rmse: float | None
@@ -104,21 +106,7 @@ class UncertaintyReport:
     auroc: float | None
     fpr95: float | None
     nll: float | None
-    nll_excluded: int
-
-    def row(self) -> dict:
-        return {
-            "ause_rmse": self.ause_rmse,
-            "aurg_rmse": self.aurg_rmse,
-            "ause_rel": self.ause_rel,
-            "aurg_rel": self.aurg_rel,
-            "ause_delta1": self.ause_delta1,
-            "aurg_delta1": self.aurg_delta1,
-            "scc": self.scc,
-            "auroc": self.auroc,
-            "fpr95": self.fpr95,
-            "nll": self.nll,
-        }
+    nll_excluded: int = field(metadata=_COUNT)
 
 
 def valid_pixels(pred, gt, unc=None):
@@ -126,8 +114,8 @@ def valid_pixels(pred, gt, unc=None):
 
     The input check of every per-image metric but ``nll``, which masks
     the full volume itself: shapes must match, the image must hold a
-    valid pixel, and the prediction and uncertainty must be finite there.  ``unc`` comes back as None when
-    not given.
+    valid pixel, and the prediction and uncertainty must be finite
+    there.  ``unc`` comes back as None when not given.
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -220,32 +208,63 @@ def _per_pixel_error(err_metric: str, p: np.ndarray, g: np.ndarray) -> np.ndarra
     raise ValueError(f"unknown base metric {err_metric!r}, want one of {BASE_METRICS}")
 
 
-def _descending(score: np.ndarray) -> np.ndarray:
-    # stable sort leaves ties in ascending pixel index
-    return np.argsort(-score, kind="stable")
-
-
 def check_steps(steps: int) -> None:
     """A sparsification curve needs the full set and at least one removal."""
     if steps < 2:
         raise ValueError(f"need >= 2 removal steps, got {steps}")
 
 
-def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
-    """Shared removal sweep for both orderings and the flaw demo.
+@dataclass(frozen=True)
+class _Ranking:
+    """A finite score vector and its stable descending order.
 
-    ``by_unc`` is the pixel order by uncertainty, highest first;
-    ``by_err``, the oracle order by ``pixel_err``, is sorted here unless
-    the caller already holds it.  Each
-    ordering's kept-pixel sums are the tail sums of its sorted errors (or
-    squared errors for RMSE), summed from the low end so that short tails
-    do not cancel; each curve is normalized by its own full-set value.
+    Rank metrics and sparsification curves take one in place of a score
+    vector, so that each ordering of an image is sorted once.
+    """
+
+    values: np.ndarray
+    order: np.ndarray  # pixel indices, highest score first, ties by index
+
+    @cached_property
+    def ends(self) -> np.ndarray:  # exclusive end of each tie group in ``order``
+        s = self.values[self.order]
+        return np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+
+    @cached_property
+    def ranks(self) -> np.ndarray:  # 1-based average ascending ranks, per pixel
+        n, ends = self.values.size, self.ends
+        counts = np.diff(ends, prepend=0)
+        # a tie group at descending positions [a, a + c) spans ascending ranks
+        # n - a - c + 1 .. n - a; the mean is an exact half-integer
+        ranks = np.empty(n)
+        ranks[self.order] = np.repeat(n - (ends - counts) - (counts - 1) / 2.0, counts)
+        return ranks
+
+
+def _ranking(values, name: str) -> _Ranking:
+    if isinstance(values, _Ranking):
+        return values
+    v = _require_finite(np.asarray(values, dtype=np.float64).ravel(), name)
+    # stable sort leaves ties in ascending pixel index
+    return _Ranking(values=v, order=np.argsort(-v, kind="stable"))
+
+
+def _sparsify_curve(err_metric, err: _Ranking, unc: _Ranking, steps):
+    """The removal sweep behind every sparsification curve.
+
+    ``err`` ranks the per-pixel errors (its order is the oracle's) and
+    ``unc`` the uncertainty.  Each ordering's kept-pixel sums are tail
+    sums of the errors (squared for RMSE) in its order, summed from the
+    low end so that short tails do not cancel; each curve is normalized
+    by its own full-set value, which must be finite.
     """
     check_steps(steps)
-    n = pixel_err.size
+    n = err.values.size
     if n < 2:
         raise DegenerateMetricError("one pixel; nothing to remove")
-    x = pixel_err**2 if err_metric == "rmse" else pixel_err
+    x = err.values
+    if err_metric == "rmse":
+        x = _require_finite(x**2, "squared error")
     fractions = np.arange(steps, dtype=np.float64) / steps
     # keep at least one pixel (tiny-N guard)
     drop = np.minimum(np.ceil(fractions * n).astype(np.int64), n - 1)
@@ -255,8 +274,10 @@ def _sparsify_curve(err_metric, pixel_err, by_unc, steps, by_err=None):
         value = tail[drop] / (n - drop)
         return np.sqrt(value) if err_metric == "rmse" else value
 
-    spars = removal(by_unc)
-    oracle = removal(_descending(pixel_err) if by_err is None else by_err)
+    spars = removal(unc.order)
+    oracle = removal(err.order)
+    if not np.isfinite((spars[0], oracle[0])).all():
+        raise ValueError(f"the {err_metric} error sum overflows")
     if spars[0] == 0.0:
         raise DegenerateMetricError("full-set base metric is 0; nothing to normalize by")
     return SparsificationCurve(
@@ -275,11 +296,13 @@ def sparsification(
     At fraction k/steps the ceil(k/steps * N) highest-uncertainty pixels
     (ties resolved toward the lower pixel index) are dropped, the base
     metric recomputed on the remainder and normalized by its full-set
-    value.  The oracle column drops by true per-pixel error instead.
+    value.  The oracle column drops by true per-pixel error instead,
+    ties again toward the lower index.  An error that overflows, per
+    pixel, squared or summed, raises ValueError.
     """
     p, g, u = valid_pixels(pred, gt, unc)
-    pixel_err = _per_pixel_error(err_metric, p, g)
-    return _sparsify_curve(err_metric, pixel_err, _descending(u), steps)
+    err = _ranking(_per_pixel_error(err_metric, p, g), f"{err_metric} error")
+    return _sparsify_curve(err_metric, err, _ranking(u, "uncertainty"), steps)
 
 
 def ause_aurg(curve: SparsificationCurve):
@@ -287,34 +310,6 @@ def ause_aurg(curve: SparsificationCurve):
     ause = float(np.mean(curve.spars - curve.oracle))
     aurg = float(np.mean(1.0 - curve.spars))
     return ause, aurg
-
-
-@dataclass(frozen=True)
-class _Ranking:
-    """One stable descending sort of a finite score vector.
-
-    ``spearman`` and ``auroc_fpr95`` take one in place of a score vector,
-    so that one image's uncertainty is sorted once for all rank metrics.
-    """
-
-    order: np.ndarray  # pixel indices, highest score first
-    ends: np.ndarray  # exclusive end of each tie group within ``order``
-    ranks: np.ndarray  # 1-based average ascending ranks, per pixel
-
-
-def _ranking(values, name: str) -> _Ranking:
-    if isinstance(values, _Ranking):
-        return values
-    v = _require_finite(np.asarray(values, dtype=np.float64).ravel(), name)
-    order = _descending(v)
-    s = v[order]
-    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
-    counts = np.diff(ends, prepend=0)
-    # a tie group at descending positions [a, a + c) spans ascending ranks
-    # n - a - c + 1 .. n - a; the mean is an exact half-integer
-    ranks = np.empty(v.size)
-    ranks[order] = np.repeat(v.size - (ends - counts) - (counts - 1) / 2.0, counts)
-    return _Ranking(order=order, ends=ends, ranks=ranks)
 
 
 def spearman(err, unc) -> float | None:
@@ -328,13 +323,14 @@ def spearman(err, unc) -> float | None:
     """
     a = _ranking(err, "err")
     b = _ranking(unc, "unc")
-    if a.ranks.size != b.ranks.size:
-        raise ValueError(f"length mismatch {a.ranks.size} vs {b.ranks.size}")
-    if a.ranks.size == 0:
+    n = a.values.size
+    if n != b.values.size:
+        raise ValueError(f"length mismatch {n} vs {b.values.size}")
+    if n == 0:
         raise ValueError("need >= 1 pixel")
     if a.ends.size == 1 or b.ends.size == 1:
         return None
-    if a.ends.size == b.ends.size == a.ranks.size:  # untied: the orders decide
+    if a.ends.size == b.ends.size == n:  # untied: the orders decide
         if np.array_equal(a.order, b.order):
             return 1.0
         if np.array_equal(a.order, b.order[::-1]):
@@ -353,8 +349,8 @@ def auroc_fpr95(scores, outlier):
     """
     r = _ranking(scores, "scores")
     y = np.asarray(outlier).astype(bool).ravel()
-    if r.ranks.size != y.size:
-        raise ValueError(f"length mismatch {r.ranks.size} vs {y.size}")
+    if r.values.size != y.size:
+        raise ValueError(f"length mismatch {r.values.size} vs {y.size}")
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -488,8 +484,8 @@ def ause_flaw_demo(
 
     # one sort per ordering, shared by the curves and SCC
     by_err, by_err_b, by_unc = _ranking(e, "err"), _ranking(e_b, "err"), _ranking(u, "unc")
-    curve_a = _sparsify_curve("rmse", e, by_unc.order, steps, by_err.order)
-    curve_b = _sparsify_curve("rmse", e_b, by_unc.order, steps, by_err_b.order)
+    curve_a = _sparsify_curve("rmse", by_err, by_unc, steps)
+    curve_b = _sparsify_curve("rmse", by_err_b, by_unc, steps)
     return TransformComparison(
         transform=name,
         scc_a=spearman(by_err, by_unc),
@@ -514,22 +510,20 @@ def evaluate_uncertainty(
         raise ValueError("a probability volume needs its depth hypotheses for NLL")
     p, g, u = valid_pixels(pred, gt, unc)
     by_unc = _ranking(u, "uncertainty")
-    errors = {base: _per_pixel_error(base, p, g) for base in BASE_METRICS}
-    # |pred - gt| is both the RMSE oracle's pixel error and SCC's error
-    by_err = _ranking(errors["rmse"], "err")
+    by_err = {b: _ranking(_per_pixel_error(b, p, g), f"{b} error") for b in BASE_METRICS}
 
     areas = {}
     for base in BASE_METRICS:
-        oracle = by_err.order if base == "rmse" else None
         try:
-            curve = _sparsify_curve(base, errors[base], by_unc.order, SPARSIFICATION_STEPS, oracle)
+            curve = _sparsify_curve(base, by_err[base], by_unc, SPARSIFICATION_STEPS)
             areas[base] = ause_aurg(curve)
         except DegenerateMetricError:
             areas[base] = (None, None)
 
-    scc = spearman(by_err, by_unc)
+    # |pred - gt| is both the RMSE oracle's pixel error and SCC's error
+    scc = spearman(by_err["rmse"], by_unc)
     # the delta1err pixel error is the delta1 outlier indicator
-    auroc, fpr95 = auroc_fpr95(by_unc, errors["delta1err"])
+    auroc, fpr95 = auroc_fpr95(by_unc, by_err["delta1err"].values)
 
     nll_value, nll_excluded = None, 0
     if vol is not None:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import depthuq
+from depthuq import metrics
 from depthuq.discretize import DepthHypotheses, linear_hypotheses
 from depthuq.metrics import (
     BASE_METRICS,
     DegenerateMetricError,
-    _descending,
     _ranking,
     _sparsify_curve,
     accuracy_metrics,
@@ -370,6 +370,10 @@ def test_spearman_matches_rankdata_bitwise(case):
         assert s == float(np.corrcoef(ra, rb)[0, 1])
 
 
+def _curve(err_metric, err, unc, steps):
+    return _sparsify_curve(err_metric, _ranking(err, "err"), _ranking(unc, "unc"), steps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 40).flatmap(lambda n: st.tuples(_tied_values(n), _tied_values(n))),
@@ -385,15 +389,15 @@ def test_sparsify_curve_matches_loop(case, err_metric, steps):
         err = (err > err.min()).astype(np.float64)
     if not err.any():
         with pytest.raises(DegenerateMetricError):
-            _sparsify_curve(err_metric, err, _descending(unc), steps)
+            _curve(err_metric, err, unc, steps)
         return
-    curve = _sparsify_curve(err_metric, err, _descending(unc), steps)
+    curve = _curve(err_metric, err, unc, steps)
     spars, oracle = _sparsify_loop(err_metric, err, unc, steps)
     assert curve.spars[0] == 1.0 and curve.oracle[0] == 1.0
     np.testing.assert_allclose(curve.spars, spars, rtol=0, atol=1e-12)
     np.testing.assert_allclose(curve.oracle, oracle, rtol=0, atol=1e-12)
     # the error itself as uncertainty is the oracle ordering, exactly
-    assert ause_aurg(_sparsify_curve(err_metric, err, _descending(err), steps))[0] == 0.0
+    assert ause_aurg(_curve(err_metric, err, err, steps))[0] == 0.0
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -542,6 +546,64 @@ def test_flaw_demo_sorts_each_ordering_once(monkeypatch):
     assert got == want
 
 
+def test_evaluate_uncertainty_sorts_each_ordering_once(monkeypatch):
+    # four orderings (u and the three base errors) feed the three curves,
+    # SCC and AUROC/FPR95; only SCC and AUROC read average ranks
+    rng = np.random.default_rng(8)
+    gt = rng.uniform(1.5, 9.5, size=(12, 10))
+    pred = gt + rng.normal(scale=1.0, size=gt.shape)
+    unc = np.abs(pred - gt) + rng.normal(scale=0.3, size=gt.shape)
+    want = evaluate_uncertainty(pred, gt, unc)
+    calls, made = [], {}
+    argsort, ranking = np.argsort, metrics._ranking
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    def recording_ranking(values, name):
+        r = ranking(values, name)
+        made[id(r)] = r
+        return r
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    monkeypatch.setattr(metrics, "_ranking", recording_ranking)
+    got = evaluate_uncertainty(pred, gt, unc)
+    assert len(calls) == 4
+    assert got == want
+    assert len(made) == 4
+    ranked = [r.values for r in made.values() if "ranks" in vars(r)]
+    assert len(ranked) == 2
+    np.testing.assert_array_equal(ranked[0], unc.ravel())
+    np.testing.assert_array_equal(ranked[1], np.abs(pred - gt).ravel())
+
+
+def _tied_flip_reports():
+    # integer uncertainties tie; the flip moves tied pixels past each other
+    rng = np.random.default_rng(5)
+    gt = rng.uniform(1.5, 9.5, size=(4, 5))
+    pred = gt + rng.normal(scale=1.0, size=gt.shape)
+    unc = np.round(np.abs(pred - gt) + rng.normal(scale=0.5, size=gt.shape))
+    assert np.unique(unc).size < unc.size
+    return evaluate_uncertainty(pred, gt, unc), evaluate_uncertainty(pred[::-1], gt[::-1], unc[::-1])
+
+
+def test_rank_metrics_ignore_the_order_inside_tie_groups():
+    a, b = _tied_flip_reports()
+    assert a.auroc is not None and a.scc is not None
+    assert (a.scc, a.auroc, a.fpr95) == (b.scc, b.auroc, b.fpr95)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: sparsification drops tied pixels in pixel-index order",
+)
+def test_sparsification_areas_ignore_the_order_inside_tie_groups():
+    a, b = _tied_flip_reports()
+    for key in ("ause_rmse", "aurg_rmse", "ause_rel", "aurg_rel", "ause_delta1", "aurg_delta1"):
+        assert getattr(b, key) == pytest.approx(getattr(a, key), rel=0, abs=1e-12), key
+
+
 def test_flaw_demo_rejects_non_monotone_transform():
     err = np.array([0.5, 1.5, 2.5])
     unc = np.array([1.0, 2.0, 3.0])
@@ -592,6 +654,39 @@ def test_evaluate_uncertainty_matches_single_metrics():
     with_vol = evaluate_uncertainty(pred, gt, unc, vol=vol, hyp=hyp)
     assert (with_vol.nll, with_vol.nll_excluded) == nll(vol, gt, hyp)
     assert with_vol.nll is not None
+
+
+def test_overflowing_errors_raise_instead_of_nan_areas():
+    rng = np.random.default_rng(2)
+    gt = rng.uniform(1.5, 9.5, size=(6, 5))
+    pred = gt + rng.normal(scale=1.0, size=gt.shape)
+    unc = rng.uniform(size=gt.shape)
+    # |e| / gt overflows: Rel's pixel error is inf
+    huge, small = pred.copy(), gt.copy()
+    huge[0, 0], small[0, 0] = 1e308, 0.5
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="rel error is non-finite on 1 "):
+            evaluate_uncertainty(huge, small, unc)
+        with pytest.raises(ValueError, match="rel error is non-finite on 1 "):
+            sparsification("rel", huge, small, unc)
+        # |e| and |e| / gt are finite, |e|^2 is not
+        big = pred.copy()
+        big[0, 0] = big[1, 1] = 1e200
+        with pytest.raises(ValueError, match="squared error is non-finite on 2 "):
+            evaluate_uncertainty(big, gt, unc)
+        with pytest.raises(ValueError, match="squared error is non-finite on 2 "):
+            sparsification("rmse", big, gt, unc)
+        with pytest.raises(ValueError, match="squared error is non-finite on 1 "):
+            ause_flaw_demo(np.array([1.0, 1e200, 2.0]), np.array([0.1, 0.2, 0.3]), "affine")
+        # each squared error is finite, their sum is not
+        big[0, 0] = big[1, 1] = 1.2e154
+        with pytest.raises(ValueError, match="the rmse error sum overflows"):
+            evaluate_uncertainty(big, gt, unc)
+        # each Rel error is finite, their sum is not
+        huge[0, 0] = huge[1, 1] = 1.7e308
+        small[0, 0] = small[1, 1] = 1.0
+        with pytest.raises(ValueError, match="the rel error sum overflows"):
+            sparsification("rel", huge, small, unc)
 
 
 def test_nonfinite_uncertainty_is_rejected():
