@@ -267,7 +267,7 @@ def _train_toy_model(args):
     """Build the seeded scenes, train one model; return it, its logs, the eval scenes."""
     config = _train_config(args, args.seed)
     train_scenes, eval_scenes = toytrain.make_dataset(config)
-    model, logs = toytrain.train(toytrain.init_model(config), train_scenes, config)
+    [(model, logs)] = toytrain.train([(toytrain.init_model(config), config)], train_scenes)
     return model, logs, eval_scenes
 
 
@@ -462,7 +462,7 @@ def _train_toy_flags(p) -> None:
 def _ablate_flags(p) -> None:
     p.add_argument("--seeds", required=True, help="comma-separated run seeds, e.g. 0,1,2,3,4")
     _add_train_flags(p, loss_terms=False)
-    p.add_argument("--threads", type=int, choices=(1,), default=1, help="the runs train one after another; only 1 is accepted (default %(default)s)")
+    p.add_argument("--threads", type=int, choices=(1,), default=1, help="a seed's runs train in one loop on one thread; only 1 is accepted (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV, one row per (config, seed)")
 
 

@@ -56,7 +56,7 @@ L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,22 +73,30 @@ class NonFiniteLossError(ValueError):
 
 @dataclass(frozen=True)
 class PairPermutation:
-    """Bijection over the valid-pixel vector used to build ranking pairs."""
+    """Bijection over the valid-pixel vector used to build ranking pairs.
+
+    ``inverse`` is its inverse, ``perm[inverse] == arange(n)``, built
+    once by the bijection check.  Both are read-only views: the runs of
+    one ``toytrain.train`` call share each step's permutation.
+    """
 
     perm: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
         if perm.ndim != 1:
             raise ValueError("permutation must be 1-D")
         # O(n): range first, since a negative index would wrap in the
-        # scatter ([0, -1, 1] would mark every slot), then every slot hit
-        seen = np.zeros(perm.size, dtype=bool)
+        # scatter ([0, -1, 1] would fill every slot), then the scatter of
+        # the positions; a slot left at -1 means a repeated entry
+        inverse = np.full(perm.size, -1, dtype=np.int64)
         if not np.any((perm < 0) | (perm >= perm.size)):
-            seen[perm] = True
-        if not seen.all():
+            inverse[perm] = np.arange(perm.size)
+        if np.any(inverse < 0):
             raise ValueError("not a bijection over valid pixels")
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", read_only(perm))
+        object.__setattr__(self, "inverse", read_only(inverse))
 
     @property
     def n(self) -> int:
@@ -126,8 +134,8 @@ def read_only(a) -> np.ndarray:
 class LossTargets:
     """What the loss terms compare one GT map against; see ``loss_targets``.
 
-    The arrays are read-only views: every training step of a run
-    shares one set per scene.
+    The arrays are read-only views: every training step of every run
+    of one ``toytrain.train`` call shares one set per scene.
     """
 
     mask: np.ndarray  # finite, positive GT pixels
@@ -221,18 +229,15 @@ def ranking_loss_variants(err, unc, perm: PairPermutation | None, variant: str =
         raise ValueError("ranking variant needs a pair permutation")
     if perm.n != r.size:
         raise ValueError(f"permutation covers {perm.n} pixels, the vectors {r.size}")
-    perm = perm.perm
-    margin = (r - r[perm]) - (u - u[perm])
+    margin = (r - r[perm.perm]) - (u - u[perm.perm])
     if variant == "no-max":
         # signed differences: the -1 and +1 each u_k gets from its two
         # pairs cancel over a bijection, and the sum telescopes to zero
         return LossValue(value=float(margin.sum() * w), grad=np.zeros_like(u))
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
     active = (margin > 0.0).astype(u.dtype)
     # u_k enters its own pair with -1 and its inverse partner's with +1
     return LossValue(
-        value=float(np.maximum(margin, 0.0).sum() * w), grad=w * (-active + active[inv])
+        value=float(np.maximum(margin, 0.0).sum() * w), grad=w * (-active + active[perm.inverse])
     )
 
 

@@ -12,15 +12,19 @@ checkpoint is exactly the model that was evaluated.  The hidden layer,
 z and the chain rule are held bins-first in memory, at the weights'
 dtype: the layout and precision rules the ``losses`` module docstring
 describes.  One ``TrainConfig`` describes a whole run: scenes, model
-and loss terms.
+and loss terms.  ``train`` takes a list of runs that differ only in
+their loss terms and steps them in lockstep over one scene list, so
+what the runs share (each scene's loss targets and valid feature rows,
+each step's pair permutation) is built once; each run's arithmetic is
+the arithmetic of that run trained alone.
 
-Results are plain CSV rows: ``train`` returns one dict per epoch, keyed
-and ordered like the ``train_log.csv`` header, and ``evaluate_model``
+Results are plain CSV rows: ``train`` returns one dict per run and
+epoch, keyed and ordered like the ``train_log.csv`` header, and ``evaluate_model``
 returns the ``eval.csv`` row, the scene means of every metric.  The
 ablation harness reports the six loss configurations of interest on
 shared scenes, one such row each plus its configuration and seed; it
 trains the five distinct models among them (``full_nomax`` is
-``depth_soft``).
+``depth_soft``) in one ``train`` call per seed.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from numpy.polynomial import chebyshev
 
 from .discretize import DepthHypotheses, float_array, linear_hypotheses, soft_labels
 from .gridio import grid_payload, valid_mask, write_grid, write_keyvalue
-from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, draw_permutation, full_backward, head_forward, loss_targets, read_only
+from .losses import RANKING_VARIANTS, LossTargets, NonFiniteLossError, PairPermutation, draw_permutation, full_backward, head_forward, loss_targets, read_only
 from .metrics import (
     accuracy_metrics,
     evaluate_uncertainty,
@@ -74,7 +78,7 @@ class SyntheticScene:
     def __post_init__(self):
         # read-only views: the runs of one ablate seed share one scene
         # list, so a stray in-place write raises instead of corrupting
-        # the runs after it
+        # the other runs
         for name in ("gt", "features", "noise_std"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
@@ -327,26 +331,23 @@ def scene_gradients(
     model: ToyModel,
     features: np.ndarray,
     config: TrainConfig,
-    step_seed: int,
+    perm: PairPermutation | None,
     targets: LossTargets,
 ):
     """One scene's loss report and parameter gradients.
 
     ``features`` are the scene's valid feature rows,
     ``scene.features[targets.mask]`` for its ``losses.loss_targets``;
-    the step, pair permutation included, covers those pixels only.
-    ``forward``'s hidden layer and z on those rows, then the exact
-    backward of the losses module: d(total)/d(z) for either head (plus
-    the readout gradient of the regression head); the chain rule
-    through the two-layer net does the rest.  Training and the
-    finite-difference spot checks share this code path.
+    the step covers those pixels only.  ``perm`` is the step's pair
+    permutation over them, which only the pair variants (hinge,
+    no-max) read; it may be None for the others.  The step draws
+    nothing itself.  ``forward``'s hidden layer and z on those rows,
+    then the exact backward of the losses module: d(total)/d(z) for
+    either head (plus the readout gradient of the regression head);
+    the chain rule through the two-layer net does the rest.  Training
+    and the finite-difference spot checks share this code path.
     """
     hid, z = _hidden_and_z(model, features)
-
-    perm = None
-    if config.ranking in ("hinge", "no-max"):
-        perm = draw_permutation(targets.n, step_seed)
-
     report = full_backward(
         z,
         model.raw_scale,
@@ -376,74 +377,113 @@ def scene_gradients(
     return report, grads
 
 
-def train(model: ToyModel, scenes, config: TrainConfig):
-    """Plain gradient descent, one step per scene visit.
+def _check_lockstep(runs):
+    """ValueError unless the runs differ only in their loss terms."""
+    model, config = runs[0]
+    loss_terms = {"include_soft": None, "ranking": None}
+    for other, other_config in runs[1:]:
+        if {**vars(other_config), **loss_terms} != {**vars(config), **loss_terms}:
+            raise ValueError("runs trained together may differ only in include_soft and ranking")
+        if other.w1.dtype != model.w1.dtype or not np.array_equal(
+            other.hypotheses.values, model.hypotheses.values
+        ):
+            raise ValueError("runs trained together need models of one dtype and one hypothesis grid")
 
-    Scene order is fixed; the pair permutation is redrawn every step
-    from the run seed.  Each scene's ``losses.loss_targets`` (mask,
-    valid GT, soft-label rows at ``config.gamma`` when the soft-label
-    term is on) and its valid feature rows are built once, before the
-    first step, and reused by every epoch, the targets at the model's
-    dtype: at the defaults (64 scenes of 32 x 32, 16 bins, 8 features,
-    float32) the label rows hold 4 MiB and the feature rows 2 MiB for
-    the run.
-    Raises ``TrainingDivergedError`` with the epoch index if the total
-    goes non-finite or a step leaves a weight beyond the float32 range,
-    which ``save_model`` could not store.  Returns the trained model
-    (mutated in place) and one ``train_log.csv`` row per epoch: a dict
-    keyed and ordered like that file's header (the mean loss total and
-    terms over the epoch's steps, the loss weights and ``alpha`` after
-    it, the mean sigma gradients).
+
+def _descend(model: ToyModel, grads, lr: float, epoch: int):
+    """One gradient-descent update of ``model`` in place."""
+    # a float32 weight may overflow to inf here; the range check
+    # below turns that into TrainingDivergedError, not a warning
+    with np.errstate(over="ignore"):
+        model.w1 -= lr * grads["w1"]
+        model.b1 -= lr * grads["b1"]
+        model.w2 -= lr * grads["w2"]
+        if "w_out" in grads:
+            model.w_out = model.w_out - lr * grads["w_out"]
+    model.raw_scale -= lr * grads["a"]
+    model.sigma = np.minimum(
+        np.maximum(model.sigma - lr * grads["sigma"], -SIGMA_BOUND), SIGMA_BOUND
+    )
+    # checked before the next step decodes: a huge finite weight
+    # overflows z to inf and the softmax to NaN
+    if not all(np.abs(p).max() <= _FLOAT32_MAX for p in model._parameters()):
+        raise TrainingDivergedError(epoch, "a weight left the float32 range")
+
+
+def train(runs, scenes):
+    """Plain gradient descent for ``runs``, a list of ``(model, config)``, in lockstep.
+
+    The runs share one scene list and differ only in their loss terms:
+    configs that differ in a field other than ``include_soft`` and
+    ``ranking``, or models that differ in dtype or hypotheses, are a
+    ValueError before the first step.  Each run takes one step per
+    scene visit (for each epoch, then each scene, then each run) and
+    does the arithmetic of that run trained alone, in the same order,
+    so its results are a one-run call's bit for bit.  What the runs
+    share is built once.  Each scene's ``losses.loss_targets`` (mask,
+    valid GT and, when some run has the soft-label term, soft-label rows
+    at the shared gamma, which the other runs read without labels) and
+    its valid feature rows are built before the first step, the targets
+    at the models' dtype: at the defaults (64 scenes of 32 x 32, 16
+    bins, 8 features, float32) one 4 MiB label set and one 2 MiB
+    feature set per call.  Each step's pair permutation is drawn once
+    from the shared seed, when some run ranks with pairs.
+    Raises ``TrainingDivergedError`` with the epoch index if a run's
+    total goes non-finite or a step leaves a weight beyond the float32
+    range, which ``save_model`` could not store; the first run to
+    diverge in step order raises.  Returns one ``(model, rows)`` per
+    run, in order: the trained model (mutated in place) and one
+    ``train_log.csv`` row per epoch, a dict keyed and ordered like that
+    file's header (the mean loss total and terms over the epoch's
+    steps, the loss weights and ``alpha`` after it, the mean sigma
+    gradients).
     """
+    runs = list(runs)
     scenes = list(scenes)
+    if not runs:
+        raise ValueError("need at least one run to train")
     if not scenes:
         raise ValueError("need at least one training scene")
-    gamma = config.gamma if config.include_soft else None
-    dtype = model.w1.dtype
-    targets = [loss_targets(model.hypotheses, scene.gt, gamma, dtype) for scene in scenes]
-    features = [scene.features[t.mask] for scene, t in zip(scenes, targets)]
-    rows = []
+    _check_lockstep(runs)
+    first, config = runs[0]
+    gamma = config.gamma if any(cfg.include_soft for _, cfg in runs) else None
+    labelled = [loss_targets(first.hypotheses, scene.gt, gamma, first.w1.dtype) for scene in scenes]
+    bare = labelled if gamma is None else [replace(t, labels=None) for t in labelled]
+    features = [scene.features[t.mask] for scene, t in zip(scenes, labelled)]
+    draws = any(cfg.ranking in ("hinge", "no-max") for _, cfg in runs)
+    logs = [[] for _ in runs]
     step = 0
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
-        totals = np.zeros(4)
-        gsig = np.zeros(3)
-        for scene_features, scene_target in zip(features, targets):
-            step_seed = config.seed * _PERM_SEED_STRIDE + step
-            try:
-                report, grads = scene_gradients(model, scene_features, config, step_seed, scene_target)
-            except NonFiniteLossError as exc:
-                raise TrainingDivergedError(epoch) from exc
-            # a float32 weight may overflow to inf here; the range check
-            # below turns that into TrainingDivergedError, not a warning
-            with np.errstate(over="ignore"):
-                model.w1 -= lr * grads["w1"]
-                model.b1 -= lr * grads["b1"]
-                model.w2 -= lr * grads["w2"]
-                if "w_out" in grads:
-                    model.w_out = model.w_out - lr * grads["w_out"]
-            model.raw_scale -= lr * grads["a"]
-            model.sigma = np.minimum(
-                np.maximum(model.sigma - lr * grads["sigma"], -SIGMA_BOUND), SIGMA_BOUND
-            )
-            # checked before the next step decodes: a huge finite weight
-            # overflows z to inf and the softmax to NaN
-            if not all(np.abs(p).max() <= _FLOAT32_MAX for p in model._parameters()):
-                raise TrainingDivergedError(epoch, "a weight left the float32 range")
-            totals += (report.total, report.value_r, report.value_p, report.value_u)
-            gsig += grads["sigma"]
+        totals = np.zeros((len(runs), 4))
+        gsig = np.zeros((len(runs), 3))
+        for scene_features, with_labels, without_labels in zip(features, labelled, bare):
+            perm = None
+            if draws:
+                perm = draw_permutation(with_labels.n, config.seed * _PERM_SEED_STRIDE + step)
+            for (model, cfg), run_totals, run_gsig in zip(runs, totals, gsig):
+                targets = with_labels if cfg.include_soft else without_labels
+                try:
+                    report, grads = scene_gradients(model, scene_features, cfg, perm, targets)
+                except NonFiniteLossError as exc:
+                    raise TrainingDivergedError(epoch) from exc
+                _descend(model, grads, lr, epoch)
+                run_totals += (report.total, report.value_r, report.value_p, report.value_u)
+                run_gsig += grads["sigma"]
             step += 1
         k = len(scenes)
-        sigma, grad_sigma = model.sigma.tolist(), (gsig / k).tolist()
-        rows.append({
-            "epoch": epoch, "lr": lr, "total": totals[0] / k,
-            "loss_depth": totals[1] / k, "loss_soft": totals[2] / k, "loss_rank": totals[3] / k,
-            "sigma_depth": sigma[0], "sigma_soft": sigma[1], "sigma_rank": sigma[2],
-            "alpha": float(softplus(model.raw_scale)),
-            "grad_sigma_depth": grad_sigma[0], "grad_sigma_soft": grad_sigma[1],
-            "grad_sigma_rank": grad_sigma[2],
-        })
-    return model, rows
+        for (model, _), rows, run_totals, run_gsig in zip(runs, logs, totals, gsig):
+            mean = run_totals / k
+            sigma, grad_sigma = model.sigma.tolist(), (run_gsig / k).tolist()
+            rows.append({
+                "epoch": epoch, "lr": lr, "total": mean[0],
+                "loss_depth": mean[1], "loss_soft": mean[2], "loss_rank": mean[3],
+                "sigma_depth": sigma[0], "sigma_soft": sigma[1], "sigma_rank": sigma[2],
+                "alpha": float(softplus(model.raw_scale)),
+                "grad_sigma_depth": grad_sigma[0], "grad_sigma_soft": grad_sigma[1],
+                "grad_sigma_rank": grad_sigma[2],
+            })
+    return [(model, rows) for (model, _), rows in zip(runs, logs)]
 
 
 def _none_mean(values):
@@ -512,10 +552,7 @@ def ablate(seeds, base: TrainConfig | None = None):
     same initialization on the same scene list, so rows differ only in
     the loss terms.
     Returns one flat dict per (configuration, seed), seeds outer and
-    ``ABLATION_ROWS`` inner.  The runs train one after another on the
-    caller's thread: a training step is dozens of small NumPy calls,
-    and threads only contended for the interpreter lock.  A repeated
-    seed is a ValueError.
+    ``ABLATION_ROWS`` inner.  A repeated seed is a ValueError.
 
     Each distinct model trains once per seed, five runs for six rows:
     a run of one seed is keyed by (soft-label term, effective ranking), and
@@ -525,7 +562,15 @@ def ablate(seeds, base: TrainConfig | None = None):
     arm would train the ``depth_soft`` weights bitwise (only its unused
     rank sigma would move).  The ``full_nomax`` row therefore carries
     the ``depth_soft`` run's metrics, with ``train_s`` None because it
-    had no run of its own.  ``train_s`` times ``train`` alone.
+    had no run of its own.
+    The five runs of a seed train in one ``train`` call on the caller's
+    thread (a step is dozens of small NumPy calls, and threads only
+    contended for the interpreter lock), in lockstep: one soft-label
+    set (4 MiB at the defaults) and one feature-row set (2 MiB) per
+    seed, one pair permutation per step.  Each trained row's
+    ``train_s`` is the seconds of that call, the same for the five.
+    When two runs diverge, the error names the epoch of the first to
+    diverge in step order.
     """
     seeds = [int(seed) for seed in seeds]
     if len(set(seeds)) != len(seeds):
@@ -533,22 +578,25 @@ def ablate(seeds, base: TrainConfig | None = None):
     # the full model's terms at every seed: a base or a seed that some
     # row cannot take fails here, before the first run trains
     base = replace(base or TrainConfig(), include_soft=True, ranking="hinge")
+    # (soft-label term, effective ranking) of each row, and the distinct
+    # runs among them; no-max has a zero gradient: it trains the
+    # ranking-free model
+    row_keys = [(soft, None if ranking == "no-max" else ranking) for _, soft, ranking in ABLATION_ROWS]
+    keys = list(dict.fromkeys(row_keys))
     rows = []
     for cfg_seed in [replace(base, seed=seed) for seed in seeds]:
         train_scenes, eval_scenes = make_dataset(cfg_seed)
-        trained = {}  # (soft, effective ranking) -> evaluate_model's row
-        for name, soft, ranking in ABLATION_ROWS:
-            # no-max has a zero gradient: it trains the ranking-free model
-            key = (soft, None if ranking == "no-max" else ranking)
-            train_s = None
-            if key not in trained:
-                cfg = replace(cfg_seed, include_soft=soft, ranking=key[1])
-                model = init_model(cfg)
-                started = time.perf_counter()
-                model, _ = train(model, train_scenes, cfg)
-                train_s = time.perf_counter() - started
-                trained[key] = evaluate_model(model, eval_scenes)
-            rows.append({"config": name, "seed": cfg_seed.seed, **trained[key], "train_s": train_s})
+        configs = [replace(cfg_seed, include_soft=soft, ranking=ranking) for soft, ranking in keys]
+        runs = [(init_model(cfg), cfg) for cfg in configs]
+        started = time.perf_counter()
+        trained = train(runs, train_scenes)
+        train_s = time.perf_counter() - started
+        evaluated = {key: evaluate_model(model, eval_scenes) for key, (model, _) in zip(keys, trained)}
+        for (name, _, ranking), key in zip(ABLATION_ROWS, row_keys):
+            rows.append({
+                "config": name, "seed": cfg_seed.seed, **evaluated[key],
+                "train_s": None if ranking == "no-max" else train_s,
+            })
     return rows
 
 

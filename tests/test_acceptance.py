@@ -142,7 +142,7 @@ def trained_full_model():
     cfg = TrainConfig(seed=0)
     train_scenes, eval_scenes = make_dataset(cfg)
     model = init_model(cfg)
-    model, _ = train(model, train_scenes, cfg)
+    [(model, _)] = train([(model, cfg)], train_scenes)
     return pooled_errors(model, eval_scenes)
 
 

@@ -692,7 +692,7 @@ def test_ablate_rejects_threads_below_one(tmp_path, capsys, monkeypatch):
     ([], "ranking=none\n"),
 ], ids=["threads-2", "soft", "ranking", "config-ranking"])
 def test_ablate_refuses_flags_it_does_not_read(tmp_path, capsys, monkeypatch, argv, config):
-    # the runs train one after another, and each row sets its own loss
+    # the runs of a seed train in one call, and each row sets its own loss
     # terms: these flags were taken and ignored
     monkeypatch.setattr(toytrain, "train", _no_training)
     if config is not None:

@@ -206,6 +206,17 @@ def test_permutation_rejects_non_bijection():
     assert PairPermutation(np.array([], dtype=np.int64)).n == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 37])
+def test_permutation_keeps_its_inverse(n):
+    # the hinge gradient reads it in place of a scatter of its own
+    p = draw_permutation(n, n + 4)
+    assert p.inverse.dtype == np.int64
+    np.testing.assert_array_equal(p.perm[p.inverse], np.arange(n))
+    np.testing.assert_array_equal(p.inverse[p.perm], np.arange(n))
+    assert PairPermutation(np.array([2, 0, 1])).inverse.tolist() == [1, 2, 0]
+    assert not p.perm.flags.writeable and not p.inverse.flags.writeable
+
+
 def test_draw_permutation_deterministic():
     a = draw_permutation(50, 123)
     b = draw_permutation(50, 123)

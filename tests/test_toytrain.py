@@ -1,4 +1,5 @@
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -287,7 +288,7 @@ def test_train_rejects_wrong_feature_count():
     # counts instead of failing inside a matmul
     cfg = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="^scene has 5 feature channels, model wants 8$"):
-        train(init_model(cfg), [_scene(8, 8, 5, seed=0)], cfg)
+        train([(init_model(cfg), cfg)], [_scene(8, 8, 5, seed=0)])
 
 
 def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
@@ -295,7 +296,7 @@ def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
     cfg = TrainConfig(epochs=1, lr=1e-300, seed=1)
     m = init_model(cfg)
     before = (m.w1.copy(), m.b1.copy(), m.w2.copy(), m.sigma.copy(), m.raw_scale)
-    train(m, train_scenes, cfg)
+    train([(m, cfg)], train_scenes)
     # nonzero weights cannot move by less than an ulp
     np.testing.assert_array_equal(m.w1, before[0])
     np.testing.assert_array_equal(m.w2, before[2])
@@ -310,7 +311,7 @@ def test_vanishing_lr_leaves_parameters_in_place(tiny_data):
 def test_training_reduces_loss():
     cfg = TrainConfig(epochs=6, seed=2, train_scenes=16, eval_scenes=2, height=16, width=16)
     train_scenes, _ = make_dataset(cfg)
-    model, logs = train(init_model(cfg), train_scenes, cfg)
+    [(model, logs)] = train([(init_model(cfg), cfg)], train_scenes)
     assert logs[-1]["total"] < logs[0]["total"]
     assert [lg["epoch"] for lg in logs] == list(range(6))
 
@@ -318,8 +319,8 @@ def test_training_reduces_loss():
 def test_training_is_deterministic(tiny_data):
     train_scenes, _ = tiny_data
     cfg = TrainConfig(epochs=2, seed=4)
-    m1, logs1 = train(init_model(cfg), train_scenes, cfg)
-    m2, logs2 = train(init_model(cfg), train_scenes, cfg)
+    [(m1, logs1)] = train([(init_model(cfg), cfg)], train_scenes)
+    [(m2, logs2)] = train([(init_model(cfg), cfg)], train_scenes)
     np.testing.assert_array_equal(m1.w1, m2.w1)
     np.testing.assert_array_equal(m1.w2, m2.w2)
     np.testing.assert_array_equal(m1.sigma, m2.sigma)
@@ -336,7 +337,8 @@ def test_sigma_gradient_rule(tiny_data):
     m.sigma = np.array([0.3, -0.2, 0.4])
     targets = _targets(m, train_scenes[0], cfg)
     rows = _rows(train_scenes[0], targets)
-    report, grads = scene_gradients(m, rows, cfg, step_seed=5, targets=targets)
+    perm = draw_permutation(targets.n, 5)
+    report, grads = scene_gradients(m, rows, cfg, perm, targets)
     np.testing.assert_allclose(
         grads["sigma"], 1.0 - report.values() * np.exp(-m.sigma), atol=1e-12
     )
@@ -348,8 +350,8 @@ def test_sigma_gradient_rule(tiny_data):
         m_lo = init_model(cfg)
         m_lo.sigma = m.sigma.copy()
         m_lo.sigma[k] -= h
-        t_hi, _ = scene_gradients(m_hi, rows, cfg, step_seed=5, targets=targets)
-        t_lo, _ = scene_gradients(m_lo, rows, cfg, step_seed=5, targets=targets)
+        t_hi, _ = scene_gradients(m_hi, rows, cfg, perm, targets)
+        t_lo, _ = scene_gradients(m_lo, rows, cfg, perm, targets)
         fd = (t_hi.total - t_lo.total) / (2 * h)
         assert abs(grads["sigma"][k] - fd) < 1e-5
 
@@ -364,13 +366,13 @@ def test_network_gradients_match_fd(tiny_data):
     scene = train_scenes[1]
     targets = _targets(m, scene, cfg)
     rows = _rows(scene, targets)
-    _, grads = scene_gradients(m, rows, cfg, step_seed=0, targets=targets)
+    _, grads = scene_gradients(m, rows, cfg, None, targets)
     h = 1e-6
 
     def total_with(param, idx, delta):
         probe = _float64(init_model(cfg))
         getattr(probe, param)[idx] += delta
-        rep, _ = scene_gradients(probe, rows, cfg, step_seed=0, targets=targets)
+        rep, _ = scene_gradients(probe, rows, cfg, None, targets)
         return rep.total
 
     for param, idx in (("w2", (0, 0)), ("w2", (7, 11)), ("w1", (2, 5)), ("b1", (4,))):
@@ -393,13 +395,13 @@ def test_float32_step_stays_float32(tiny_data, head):
     m.raw_scale = -0.3
     targets = _targets(m, scene, cfg)
     rows = _rows(scene, targets)
-    report, grads = scene_gradients(m, rows, cfg, step_seed=5, targets=targets)
+    perm = draw_permutation(targets.n, 5)
+    report, grads = scene_gradients(m, rows, cfg, perm, targets)
     names = ["w1", "b1", "w2"] + (["w_out"] if head == "regression" else [])
     assert report.grad_z.dtype == np.float32
     assert [grads[name].dtype for name in names] == [np.dtype(np.float32)] * len(names)
     z = np.ascontiguousarray(_hidden_and_z(m, rows)[1])
     assert z.dtype == np.float32
-    perm = draw_permutation(targets.n, 5)
     args = (m.raw_scale, m.sigma, m.hypotheses, targets, perm)
     got = full_backward(z, *args, ranking=cfg.ranking, readout=m.w_out)
     z_map = np.zeros(scene.gt.shape + z.shape[-1:], np.float32)
@@ -423,8 +425,9 @@ def test_float32_step_tracks_the_float64_step(tiny_data, head):
     m32.raw_scale = 0.3
     m64 = _float64(m32)
     t32, t64 = _targets(m32, scene, cfg), _targets(m64, scene, cfg)
-    r32, g32 = scene_gradients(m32, _rows(scene, t32), cfg, 7, t32)
-    r64, g64 = scene_gradients(m64, _rows(scene, t64), cfg, 7, t64)
+    perm = draw_permutation(t32.n, 7)
+    r32, g32 = scene_gradients(m32, _rows(scene, t32), cfg, perm, t32)
+    r64, g64 = scene_gradients(m64, _rows(scene, t64), cfg, perm, t64)
     assert g32["w1"].dtype == np.float32 and g64["w1"].dtype == np.float64
     assert r32.total == pytest.approx(r64.total, rel=1e-6, abs=0)
     np.testing.assert_allclose(g32["sigma"], g64["sigma"], rtol=1e-6, atol=0)
@@ -502,7 +505,7 @@ def test_regression_head_diverges_at_huge_lr(tiny_data):
     m = init_model(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as exc:
-            train(m, train_scenes, cfg)
+            train([(m, cfg)], train_scenes)
     assert isinstance(exc.value.epoch, int)
     assert isinstance(exc.value, RuntimeError)
 
@@ -512,7 +515,7 @@ def test_regression_head_trains(tiny_data):
     cfg = TrainConfig(epochs=2, seed=5, head="regression", include_soft=False)
     m = init_model(cfg)
     w_out_before = m.w_out.copy()
-    m, logs = train(m, train_scenes, cfg)
+    [(m, logs)] = train([(m, cfg)], train_scenes)
     assert not np.array_equal(m.w_out, w_out_before)
     assert all(lg["loss_soft"] == 0.0 for lg in logs)
     depth, unc, p = forward(m, eval_scenes[0])
@@ -527,7 +530,7 @@ def test_regression_head_trains(tiny_data):
 def test_epoch_log_row_keys(tiny_data):
     train_scenes, _ = tiny_data
     cfg = TrainConfig(epochs=2, seed=0)
-    _, logs = train(init_model(cfg), train_scenes, cfg)
+    [(_, logs)] = train([(init_model(cfg), cfg)], train_scenes)
     for log in logs:
         assert list(log) == [
             "epoch", "lr", "total", "loss_depth", "loss_soft", "loss_rank",
@@ -539,7 +542,7 @@ def test_epoch_log_row_keys(tiny_data):
 def test_evaluate_model_summary(tiny_data):
     train_scenes, eval_scenes = tiny_data
     cfg = TrainConfig(epochs=2, seed=4)
-    m, _ = train(init_model(cfg), train_scenes, cfg)
+    [(m, _)] = train([(init_model(cfg), cfg)], train_scenes)
     row = evaluate_model(m, eval_scenes)
     assert row["rmse"] > 0
     assert "scc" in row and "noise_scc" in row
@@ -624,7 +627,7 @@ def test_evaluate_model_matches_per_scene_oracle(tiny_data, head, trained):
     cfg = TrainConfig(epochs=1, seed=3, head=head, include_soft=head == "classification")
     model = init_model(cfg)
     if trained:
-        train(model, train_scenes, cfg)
+        train([(model, cfg)], train_scenes)
     else:
         for name in ("w1", "b1", "w2", "w_out"):
             if getattr(model, name) is not None:
@@ -668,7 +671,7 @@ def test_saved_grids_are_the_trained_weights(tiny_data, tmp_path, head):
     # the checkpoint holds the evaluated model bit for bit: training runs
     # in the float32 the grids store, so nothing is rounded on the way out
     cfg = TrainConfig(epochs=1, seed=2, head=head, include_soft=head == "classification")
-    m, _ = train(init_model(cfg), tiny_data[0], cfg)
+    [(m, _)] = train([(init_model(cfg), cfg)], tiny_data[0])
     save_model(m, tmp_path / "m")
     for name in ("w1", "b1", "w2") + (("w_out",) if head == "regression" else ()):
         stored = read_grid(tmp_path / "m" / f"{name}.duv")
@@ -694,8 +697,8 @@ def test_ablate_rows_and_thread_equivalence():
 
 
 def test_ablate_starts_no_thread(monkeypatch):
-    # the runs train one after another on the caller's thread; a pool
-    # started a worker even for one thread
+    # the runs train in one call on the caller's thread; a pool started
+    # a worker even for one thread
     def refuse(self):
         raise AssertionError("started a thread")
 
@@ -707,12 +710,13 @@ def test_ablate_starts_no_thread(monkeypatch):
 
 def test_ablate_train_s_times_train_alone(monkeypatch):
     # a fake clock that only training and evaluation move: train_s must
-    # hold the training's 1 s, not the evaluation's 100 s after it
+    # hold the seed's one training call's 1 s, not the evaluations' 100 s
+    # each after it
     clock = [0.0]
 
-    def fake_train(model, scenes, config):
+    def fake_train(runs, scenes):
         clock[0] += 1.0
-        return model, []
+        return [(model, []) for model, _ in runs]
 
     def fake_evaluate(model, scenes):
         clock[0] += 100.0
@@ -754,7 +758,8 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     cfg = TrainConfig(epochs=1, seed=2, ranking=ranking)
     m = init_model(cfg)
     targets = _targets(m, scene, cfg)
-    report, grads = scene_gradients(m, _rows(scene, targets), cfg, step_seed=11, targets=targets)
+    perm = draw_permutation(targets.n, 11)
+    report, grads = scene_gradients(m, _rows(scene, targets), cfg, perm, targets)
 
     # the 63 valid pixels dropped out by hand: their feature rows, bins-first
     # as the step holds them, and their GT vector
@@ -763,7 +768,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     z = (m.w2.T @ np.tanh(m.w1.T @ f2.T + m.b1[:, None])).T
     kept = loss_targets(m.hypotheses, scene.gt[keep], cfg.gamma, np.float32)
     want = full_backward(
-        z, m.raw_scale, m.sigma, m.hypotheses, kept, draw_permutation(63, 11), ranking=ranking,
+        z, m.raw_scale, m.sigma, m.hypotheses, kept, perm, ranking=ranking,
     )
     assert report.n_valid == want.n_valid == 63
     assert report.total == want.total
@@ -772,7 +777,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     np.testing.assert_array_equal(report.grad_z, want.grad_z)
     np.testing.assert_array_equal(grads["sigma"], want.grad_sigma)
 
-    trained, logs = train(m, [scene, tiny_data[0][1]], cfg)
+    [(trained, logs)] = train([(m, cfg)], [scene, tiny_data[0][1]])
     assert len(logs) == 1 and np.isfinite(logs[0]["total"])
     trained.check_finite()
 
@@ -860,7 +865,7 @@ def test_train_targets_match_default_backward_path(tiny_data, head, soft, rankin
     scenes = list(tiny_data[0][:4])
     scenes[1] = _with_invalid_gt(scenes[1], (0, 0), (5, 6))
     cfg = TrainConfig(epochs=3, seed=9, head=head, include_soft=soft, ranking=ranking)
-    got, got_logs = train(init_model(cfg), scenes, cfg)
+    [(got, got_logs)] = train([(init_model(cfg), cfg)], scenes)
     want, want_logs = _reference_train(init_model(cfg), scenes, cfg)
     for name in ("w1", "b1", "w2", "sigma", "w_out"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -868,7 +873,7 @@ def test_train_targets_match_default_backward_path(tiny_data, head, soft, rankin
     assert got_logs == want_logs
     # the pixel-major formulas: the same run up to row-sum rounding, for
     # a float64 model, the precision that tolerance is written for
-    got, got_logs = train(_float64(init_model(cfg)), scenes, cfg)
+    [(got, got_logs)] = train([(_float64(init_model(cfg)), cfg)], scenes)
     near, near_logs = _reference_train(_float64(init_model(cfg)), scenes, cfg, bins_first=False)
     for name in ("w1", "b1", "w2", "sigma", "w_out"):
         if getattr(got, name) is not None:
@@ -896,7 +901,7 @@ def test_sparse_gt_run_equals_valid_pixel_reference(tiny_data, head):
     scenes[4] = replace(scenes[4], gt=np.where(keep, scenes[4].gt, np.nan))
     assert [int(valid_mask(scenes[i].gt).sum()) for i in (0, 4)] == [40, 3]
     cfg = TrainConfig(epochs=3, seed=5, head=head, include_soft=head == "classification")
-    got, got_logs = train(init_model(cfg), scenes, cfg)
+    [(got, got_logs)] = train([(init_model(cfg), cfg)], scenes)
     want, want_logs = _reference_train(init_model(cfg), scenes, cfg)
     for name in ("w1", "b1", "w2", "sigma", "w_out"):
         if getattr(want, name) is not None:
@@ -918,7 +923,7 @@ def test_soft_labels_built_once_per_scene_and_run(tiny_data, monkeypatch, soft):
     monkeypatch.setattr(depthuq.losses, "soft_labels", counted)
     scenes = tiny_data[0]
     cfg = TrainConfig(epochs=3, seed=1, include_soft=soft)
-    train(init_model(cfg), scenes, cfg)
+    train([(init_model(cfg), cfg)], scenes)
     assert len(calls) == (len(scenes) if soft else 0)
 
 
@@ -934,7 +939,7 @@ def test_no_max_row_equals_depth_soft_row():
     models, rows = {}, {}
     for ranking in (None, "no-max"):
         cfg = TrainConfig(epochs=2, include_soft=True, ranking=ranking)
-        models[ranking], _ = train(init_model(cfg), train_scenes, cfg)
+        [(models[ranking], _)] = train([(init_model(cfg), cfg)], train_scenes)
         rows[ranking] = evaluate_model(models[ranking], eval_scenes)
     nomax, soft = models["no-max"], models[None]
     for name in ("w1", "b1", "w2"):
@@ -948,18 +953,23 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
     base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
     original = depthuq.toytrain.train
     calls = []
+    batches = []
 
-    def counted(model, scenes, config):
-        calls.append((config.seed, config.include_soft, config.ranking))
-        return original(model, scenes, config)
+    def counted(runs, scenes):
+        batches.append(len(runs))
+        calls.extend((config.seed, config.include_soft, config.ranking) for _, config in runs)
+        return original(runs, scenes)
 
     monkeypatch.setattr(depthuq.toytrain, "train", counted)
     ablate([0], base=base)
-    assert len(calls) == 5
+    assert len(calls) == 5 and batches == [5]
     seeds = [3, 1]
     calls.clear()
+    batches.clear()
     rows = ablate(seeds, base=base)
     assert len(calls) == 10 and len(set(calls)) == 10
+    # one training call per seed, holding that seed's runs only
+    assert batches == [5, 5] and [seed for seed, _, _ in calls] == [3] * 5 + [1] * 5
     assert "no-max" not in {ranking for _, _, ranking in calls}
     assert [(r["config"], r["seed"]) for r in rows] == [
         (name, seed) for seed in seeds for name, _, _ in ABLATION_ROWS
@@ -970,10 +980,104 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
         train_scenes, eval_scenes = make_dataset(replace(base, seed=seed))
         for name, soft, ranking in ABLATION_ROWS:
             cfg = replace(base, seed=seed, include_soft=soft, ranking=ranking)
-            model, _ = original(init_model(cfg), train_scenes, cfg)
+            [(model, _)] = original([(init_model(cfg), cfg)], train_scenes)
             (row,) = [r for r in rows if r["config"] == name and r["seed"] == seed]
             want = {"config": name, "seed": seed, **evaluate_model(model, eval_scenes)}
             assert {k: v for k, v in row.items() if k != "train_s"} == want
+
+
+def test_ablate_shares_targets_and_permutations(monkeypatch):
+    # one seed's five runs share each training scene's loss targets and
+    # each step's pair permutation; every run still takes its own step
+    calls = Counter()
+    for name in ("loss_targets", "draw_permutation", "scene_gradients"):
+        original = getattr(depthuq.toytrain, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(depthuq.toytrain, name, counted)
+    base = TrainConfig(epochs=2, train_scenes=3, eval_scenes=1, height=8, width=8)
+    ablate([0], base=base)
+    steps = base.epochs * base.train_scenes
+    assert calls == {"loss_targets": 3, "draw_permutation": steps, "scene_gradients": 5 * steps}
+
+
+# the loss terms each head can train, run together in one call
+_LOCKSTEP_TERMS = {
+    "classification": [
+        (False, None), (True, None), (False, "hinge"), (True, "hinge"), (True, "no-max"), (True, "l1-direct"),
+    ],
+    "regression": [(False, None), (False, "hinge"), (False, "no-max"), (False, "l1-direct")],
+}
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "invalid-gt"])
+def test_lockstep_runs_equal_runs_trained_alone(tiny_data, head, precision, sparse):
+    # each run of a multi-run call is that run trained alone, bit for
+    # bit: weights, sigma, raw scale and every epoch row
+    scenes = list(tiny_data[0][:4])
+    if sparse:
+        scenes[2] = _with_invalid_gt(scenes[2], (0, 0), (5, 6), (7, 1))
+    cast = _float64 if precision == "float64" else (lambda model: model)
+    configs = [
+        TrainConfig(epochs=3, seed=9, head=head, include_soft=soft, ranking=ranking)
+        for soft, ranking in _LOCKSTEP_TERMS[head]
+    ]
+    together = train([(cast(init_model(cfg)), cfg) for cfg in configs], scenes)
+    assert len(together) == len(configs)
+    for cfg, (got, got_logs) in zip(configs, together):
+        [(want, want_logs)] = train([(cast(init_model(cfg)), cfg)], scenes)
+        assert got.w1.dtype == np.dtype(precision)
+        for name in ("w1", "b1", "w2", "w_out", "sigma"):
+            if getattr(want, name) is not None:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (cfg.ranking, name)
+        assert np.float64(got.raw_scale).tobytes() == np.float64(want.raw_scale).tobytes()
+        assert got_logs == want_logs
+
+
+def test_train_rejects_runs_that_cannot_step_together(tiny_data):
+    scenes = tiny_data[0][:2]
+    cfg = TrainConfig(epochs=1, seed=1)
+    first = init_model(cfg)
+    before = first.w1.copy()
+    for other in (
+        replace(cfg, lr=0.1), replace(cfg, seed=2), replace(cfg, epochs=2), replace(cfg, gamma=5.0),
+        replace(cfg, head="regression", include_soft=False),
+    ):
+        with pytest.raises(ValueError, match="^runs trained together may differ only in include_soft and ranking$"):
+            train([(first, cfg), (init_model(other), other)], scenes)
+    other_grid = replace(init_model(cfg), hypotheses=linear_hypotheses(1.0, 12.0, cfg.m))
+    for other in (_float64(init_model(cfg)), other_grid):
+        with pytest.raises(ValueError, match="^runs trained together need models of one dtype and one hypothesis grid$"):
+            train([(first, cfg), (other, replace(cfg, ranking=None))], scenes)
+    with pytest.raises(ValueError, match="^need at least one run to train$"):
+        train([], scenes)
+    # rejected before the first step
+    assert first.w1.tobytes() == before.tobytes()
+
+
+def test_first_run_to_diverge_raises_with_its_own_epoch():
+    # at this learning rate both regression runs diverge, the
+    # ranking-free one first (epoch 4 against the hinge run's 5, as
+    # measured); listed second, it still raises, with its own epoch
+    base = TrainConfig(
+        epochs=8, lr=5e8, lr_decay=1.0, seed=0, head="regression", include_soft=False,
+        train_scenes=4, eval_scenes=1, height=8, width=8,
+    )
+    scenes, _ = make_dataset(base)
+    configs = [replace(base, ranking="hinge"), replace(base, ranking=None)]
+    epochs = []
+    for runs in [[(init_model(cfg), cfg)] for cfg in configs] + [[(init_model(cfg), cfg) for cfg in configs]]:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as exc:
+            train(runs, scenes)
+        epochs.append(exc.value.epoch)
+    hinge_alone, plain_alone, together = epochs
+    assert plain_alone < hinge_alone
+    assert together == plain_alone
 
 
 def test_ablate_rejects_repeated_seed():
@@ -1022,7 +1126,7 @@ def test_scene_gradients_run_bins_first(tiny_data, monkeypatch):
             m = init_model(cfg)
             k = m.w1.itemsize  # strides in bytes, at the model's dtype
             targets = _targets(m, scene, cfg)
-            scene_gradients(m, _rows(scene, targets), cfg, 0, targets)
+            scene_gradients(m, _rows(scene, targets), cfg, draw_permutation(targets.n, 0), targets)
             if targets.labels is not None:
                 assert targets.labels.strides == (k, k * targets.n)
             assert seen.pop() == ((k, k * targets.n),) * 2
@@ -1048,6 +1152,6 @@ def test_train_and_evaluate_leave_scenes_unchanged(tiny_data, head):
     scenes = train_scenes + eval_scenes
     before = [(s.gt.tobytes(), s.features.tobytes(), s.noise_std.tobytes()) for s in scenes]
     cfg = TrainConfig(epochs=1, seed=2, head=head, include_soft=head == "classification")
-    model, _ = train(init_model(cfg), train_scenes, cfg)
+    [(model, _)] = train([(init_model(cfg), cfg)], train_scenes)
     evaluate_model(model, eval_scenes)
     assert [(s.gt.tobytes(), s.features.tobytes(), s.noise_std.tobytes()) for s in scenes] == before

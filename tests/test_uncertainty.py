@@ -91,6 +91,17 @@ def test_sigmoid_is_softplus_slope():
         assert abs(sigmoid(np.array(x)) - fd) < 1e-9
 
 
+def test_sigmoid_scalar_path_matches_array_path():
+    # a 0-d input skips the mask and scatter, with the same bits
+    xs = [0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 750.0, -750.0]
+    want = sigmoid(np.array(xs))
+    for x, w in zip(xs, want):
+        for scalar in (x, np.float64(x), np.array(x)):
+            got = sigmoid(scalar)
+            assert np.ndim(got) == 0
+            assert np.float64(got).tobytes() == w.tobytes(), (x, type(scalar))
+
+
 def test_pseudo_uncertainty_constant_logits():
     u = _pseudo_uncertainty(np.zeros(5), UncertaintyScale(10.0))
     alpha = UncertaintyScale(10.0).alpha
