@@ -67,24 +67,12 @@ def softplus(x):
 
 
 def sigmoid(x):
-    """Derivative of softplus.
-
-    A 0-d input (a training step's raw scale) skips the mask and
-    scatter; the formula and ``np.exp`` are the array path's, and so
-    are the bits.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        if x >= 0:
-            return 1.0 / (1.0 + np.exp(-x))
-        ex = np.exp(x)
-        return ex / (1.0 + ex)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Derivative of softplus, of one scalar (a training step's raw scale)."""
+    x = np.float64(x)
+    if x >= 0:
+        return 1.0 / (1.0 + np.exp(-x))
+    ex = np.exp(x)
+    return ex / (1.0 + ex)
 
 
 @dataclass(frozen=True)

@@ -91,11 +91,13 @@ def test_sigmoid_is_softplus_slope():
         assert abs(sigmoid(np.array(x)) - fd) < 1e-9
 
 
-def test_sigmoid_scalar_path_matches_array_path():
-    # a 0-d input skips the mask and scatter, with the same bits
-    xs = [0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 750.0, -750.0]
-    want = sigmoid(np.array(xs))
-    for x, w in zip(xs, want):
+def test_sigmoid_matches_masked_array_formula():
+    # the scalar branches give the bits of the overflow-safe array formula
+    xs = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 750.0, -750.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = np.exp(xs)
+        want = np.where(xs >= 0, 1.0 / (1.0 + np.exp(-xs)), ex / (1.0 + ex))
+    for x, w in zip(xs.tolist(), want):
         for scalar in (x, np.float64(x), np.array(x)):
             got = sigmoid(scalar)
             assert np.ndim(got) == 0
