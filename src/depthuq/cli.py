@@ -290,8 +290,7 @@ def cmd_train_toy(args) -> int:
 def cmd_ablate(args) -> int:
     seeds = _parse_seeds(args.seeds)
     rows = toytrain.ablate(seeds, base=_train_config(args, seeds[0]))
-    # timings vary run to run; keep them off disk so reruns match bytewise
-    write_csv(args.out, [k for k in rows[0] if k != "train_s"], rows)
+    write_csv(args.out, rows[0], rows)
     medians = toytrain.ablation_medians(rows)
     print(f"wrote {args.out}")
     for name, value in medians.items():

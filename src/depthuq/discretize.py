@@ -46,18 +46,6 @@ class DepthHypotheses:
         return float(self.values[-1])
 
 
-@dataclass(frozen=True)
-class SoftLabelVolume:
-    """Per-pixel target distributions peaked at the hypothesis nearest GT.
-
-    ``valid`` is False where the ground truth was missing; those rows
-    are all zero and must be excluded from losses.
-    """
-
-    values: np.ndarray
-    valid: np.ndarray
-
-
 def float_array(x) -> np.ndarray:
     """``x`` as an array that keeps a float32 or float64 dtype; anything else becomes float64."""
     a = np.asarray(x)
@@ -98,29 +86,29 @@ def expectation_depth(hyp: DepthHypotheses, vol) -> np.ndarray:
     return np.minimum(np.maximum(depth, hyp.d_min), hyp.d_max)
 
 
-def soft_labels(hyp: DepthHypotheses, gt, gamma: float) -> SoftLabelVolume:
-    """Distance-shaped target distribution for each valid GT pixel.
+def soft_labels(hyp: DepthHypotheses, gt, gamma: float) -> np.ndarray:
+    """Distance-shaped target distribution for each GT depth, along a new last axis.
 
     y_m ∝ exp(-gamma * |s_m - d|), normalized per pixel.  Larger gamma
-    concentrates mass on the nearest hypothesis.  Invalid pixels (NaN
-    or <= 0 GT) get an all-zero row and valid=False.  A gamma so large
-    that gamma * |s_m - d| overflows for every hypothesis of a valid
-    pixel is a ValueError: that row would be NaN.
+    concentrates mass on the nearest hypothesis.  Every depth must be
+    valid (finite and > 0): the caller masks missing GT first, as
+    ``losses.loss_targets`` does, and any other depth is a ValueError.
+    So is a gamma so large that gamma * |s_m - d| overflows for every
+    hypothesis of a pixel: that row would be NaN.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
     d = np.asarray(gt, dtype=np.float64)
-    valid = valid_mask(d)
+    if not valid_mask(d).all():
+        raise ValueError("soft labels need GT depths that are finite and > 0")
     with np.errstate(over="ignore"):
-        dist = gamma * np.abs(hyp.values - np.where(valid, d, hyp.d_min)[..., None])
+        dist = gamma * np.abs(hyp.values - d[..., None])
     # the contiguous any() first: the row test runs along the short axis
     if np.isinf(dist).any() and np.isinf(dist).all(axis=-1).any():
         raise ValueError(
             f"gamma {gamma} is too large: gamma * |s - d| overflows for every hypothesis of a pixel"
         )
-    y = softmax_volume(-dist)
-    y[~valid] = 0.0
-    return SoftLabelVolume(values=y, valid=valid)
+    return softmax_volume(-dist)
 
 
 def softmax_volume(z) -> np.ndarray:

@@ -144,7 +144,7 @@ def _check_soft_label_l1(rng):
         mask = _mask_with_min(rng, (3, 4), 2)
         gt = rng.uniform(1.2, 9.8, mask.shape)
         vol = softmax_volume(rng.normal(size=mask.shape + (4,)))[mask]
-        y = soft_labels(_HYP, gt, _GAMMA).values[mask]
+        y = soft_labels(_HYP, gt, _GAMMA)[mask]
         return (vol, y), y - vol
 
     vol, y = _redraw(rng, draw)
@@ -197,7 +197,7 @@ def _draw_total(rng, regression):
     resid = (depth - gt)[mask]
     kinks = [resid, _margins(np.abs(resid), unc[mask], perm.perm)]
     if not regression:
-        kinks.append((soft_labels(_HYP, gt, _GAMMA).values - p)[mask].ravel())
+        kinks.append((soft_labels(_HYP, gt, _GAMMA) - p)[mask].ravel())
     inputs = dict(z=z, a=a, sigma=sigma, readout=readout)
     return (inputs, mask, gt, perm, np.abs(resid)), np.concatenate(kinks)
 
@@ -239,9 +239,6 @@ _CHECKS = (
     ("regression_total_wrt_readout", lambda rng: _check_total(rng, True, "readout")),
     ("auto_total_wrt_sigma", _check_auto_total),
 )
-
-CHECK_NAMES = tuple(name for name, _ in _CHECKS)
-
 
 def run_gradient_suite(trials: int = 100, seed: int = 0) -> list[GradCheckResult]:
     """Run every check for ``trials`` random instances each."""

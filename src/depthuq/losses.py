@@ -171,7 +171,7 @@ def loss_targets(hyp: DepthHypotheses, gt, gamma: float | None, dtype=np.float64
         raise ValueError("no valid pixels")
     labels = None
     if gamma is not None:
-        labels = soft_labels(hyp, gv, gamma).values.T.astype(dtype, order="C").T
+        labels = soft_labels(hyp, gv, gamma).T.astype(dtype, order="C").T
     return LossTargets(mask=mask, gt=gv.astype(dtype, copy=False), labels=labels)
 
 
@@ -297,7 +297,10 @@ def head_forward(z, a, hyp: DepthHypotheses, readout=None):
 
 @dataclass
 class LossReport:
-    """Values of the three terms, the weighted total, and all gradients."""
+    """Values of the three terms, the weighted total, and all gradients.
+
+    A term dropped from the total has value 0.0 and sigma gradient 0.0.
+    """
 
     value_r: float
     value_p: float
@@ -306,13 +309,7 @@ class LossReport:
     grad_z: np.ndarray
     grad_a: float
     grad_sigma: np.ndarray
-    alpha: float
-    active: tuple[bool, bool, bool]
-    n_valid: int
     grad_readout: np.ndarray | None = None  # latent readout, regression only
-
-    def values(self) -> np.ndarray:
-        return np.array([self.value_r, self.value_p, self.value_u], dtype=np.float64)
 
 
 def full_backward(
@@ -403,9 +400,8 @@ def full_backward(
         if grad_p is not None:
             grad_z += softmax_backward(pv, grad_p)
 
-    active = (True, include_soft, ranking is not None)
     total, grad_sigma = auto_weighted_total(
-        [depth_term.value, value_p, value_u], sig, active
+        [depth_term.value, value_p, value_u], sig, (True, include_soft, ranking is not None)
     )
     return LossReport(
         value_r=depth_term.value,
@@ -415,8 +411,5 @@ def full_backward(
         grad_z=grad_z,
         grad_a=grad_a,
         grad_sigma=grad_sigma,
-        alpha=alpha,
-        active=active,
-        n_valid=targets.n,
         grad_readout=grad_readout,
     )

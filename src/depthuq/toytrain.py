@@ -29,7 +29,6 @@ trains the five distinct models among them (``full_nomax`` is
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -561,16 +560,13 @@ def ablate(seeds, base: TrainConfig | None = None):
     +1 and one with -1, so the no-max gradient is exactly zero and that
     arm would train the ``depth_soft`` weights bitwise (only its unused
     rank sigma would move).  The ``full_nomax`` row therefore carries
-    the ``depth_soft`` run's metrics, with ``train_s`` None because it
-    had no run of its own.
+    the ``depth_soft`` run's metrics.
     The five runs of a seed train in one ``train`` call on the caller's
     thread (a step is dozens of small NumPy calls, and threads only
     contended for the interpreter lock), in lockstep: one soft-label
     set (4 MiB at the defaults) and one feature-row set (2 MiB) per
-    seed, one pair permutation per step.  Each trained row's
-    ``train_s`` is the seconds of that call, the same for the five.
-    When two runs diverge, the error names the epoch of the first to
-    diverge in step order.
+    seed, one pair permutation per step.  When two runs diverge, the
+    error names the epoch of the first to diverge in step order.
     """
     seeds = [int(seed) for seed in seeds]
     if len(set(seeds)) != len(seeds):
@@ -588,15 +584,10 @@ def ablate(seeds, base: TrainConfig | None = None):
         train_scenes, eval_scenes = make_dataset(cfg_seed)
         configs = [replace(cfg_seed, include_soft=soft, ranking=ranking) for soft, ranking in keys]
         runs = [(init_model(cfg), cfg) for cfg in configs]
-        started = time.perf_counter()
         trained = train(runs, train_scenes)
-        train_s = time.perf_counter() - started
         evaluated = {key: evaluate_model(model, eval_scenes) for key, (model, _) in zip(keys, trained)}
-        for (name, _, ranking), key in zip(ABLATION_ROWS, row_keys):
-            rows.append({
-                "config": name, "seed": cfg_seed.seed, **evaluated[key],
-                "train_s": None if ranking == "no-max" else train_s,
-            })
+        for (name, _, _), key in zip(ABLATION_ROWS, row_keys):
+            rows.append({"config": name, "seed": cfg_seed.seed, **evaluated[key]})
     return rows
 
 

@@ -9,13 +9,10 @@ Evaluation (``losses.head_forward``) and ``raw_entropy`` take the
 floor-clamped entropy of ``clamped_entropy``; a training step with the
 ranking term on takes it, with its gradient, from
 ``clamped_entropy_parts``.  The toy model keeps a as ``raw_scale`` and
-reads alpha as ``softplus(raw_scale)``; ``UncertaintyScale`` gives the
-same alpha for a bare a.
+reads alpha as ``softplus(raw_scale)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,17 +70,6 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
     ex = np.exp(x)
     return ex / (1.0 + ex)
-
-
-@dataclass(frozen=True)
-class UncertaintyScale:
-    """Learnable output scale: raw parameter a, effective alpha = softplus(a)."""
-
-    raw: float = 0.0
-
-    @property
-    def alpha(self) -> float:
-        return float(softplus(self.raw))
 
 
 def raw_entropy(vol) -> np.ndarray:

@@ -390,7 +390,7 @@ def test_ablate_tiny_grid(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 7  # 6 configurations, one seed
-    assert lines[0] == "config,seed," + EVAL_HEADER  # no train_s: timings stay off disk
+    assert lines[0] == "config,seed," + EVAL_HEADER
     assert lines[1].startswith("depth_only,0,")
 
 

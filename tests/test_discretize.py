@@ -78,22 +78,23 @@ def test_expectation_bounds_on_simplexes(seed, m):
 
 def test_soft_labels_symmetric():
     hyp = DepthHypotheses(np.array([1.0, 3.0]))
-    y = soft_labels(hyp, np.array([2.0]), gamma=20.0).values
+    y = soft_labels(hyp, np.array([2.0]), gamma=20.0)
     np.testing.assert_allclose(y[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_soft_labels_known_triple():
     # distances 0, 1, 2 at gamma 1
     hyp = DepthHypotheses(np.array([1.0, 2.0, 3.0]))
-    y = soft_labels(hyp, np.array([1.0]), gamma=1.0).values[0]
+    y = soft_labels(hyp, np.array([1.0]), gamma=1.0)[0]
     np.testing.assert_allclose(y, [0.66524, 0.24473, 0.09003], atol=1e-5)
 
 
-def test_soft_labels_invalid_rows_zeroed():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_soft_labels_reject_invalid_depth(bad):
+    # the caller masks missing GT; a depth that is not finite and > 0 is an error
     hyp = linear_hypotheses(1, 10, 4)
-    lab = soft_labels(hyp, np.array([2.0, np.nan, -1.0]), gamma=20.0)
-    assert lab.valid.tolist() == [True, False, False]
-    np.testing.assert_array_equal(lab.values[1:], 0.0)
+    with pytest.raises(ValueError, match="^soft labels need GT depths that are finite and > 0$"):
+        soft_labels(hyp, np.array([[2.0, bad], [3.0, 4.0]]), gamma=20.0)
 
 
 def test_soft_labels_reject_bad_gamma():
@@ -113,16 +114,16 @@ def test_soft_labels_rows_are_proper(seed):
     hyp = linear_hypotheses(1.0, 10.0, int(rng.integers(2, 24)))
     gt = rng.uniform(1.0, 10.0, size=(5, 3))
     lab = soft_labels(hyp, gt, gamma=float(rng.uniform(0.1, 60)))
-    sums = lab.values.sum(axis=-1)
+    sums = lab.sum(axis=-1)
     assert np.all(np.abs(sums - 1.0) < 1e-6)
     # peak sits on the nearest hypothesis
     nearest = np.argmin(np.abs(gt[..., None] - hyp.values), axis=-1)
-    np.testing.assert_array_equal(np.argmax(lab.values, axis=-1), nearest)
+    np.testing.assert_array_equal(np.argmax(lab, axis=-1), nearest)
 
 
 def test_soft_labels_monotone_in_distance():
     hyp = linear_hypotheses(1.0, 10.0, 10)
-    y = soft_labels(hyp, np.array([4.3]), gamma=7.0).values[0]
+    y = soft_labels(hyp, np.array([4.3]), gamma=7.0)[0]
     dist = np.abs(hyp.values - 4.3)
     order = np.argsort(dist)
     assert np.all(np.diff(y[order]) < 0)
@@ -130,7 +131,7 @@ def test_soft_labels_monotone_in_distance():
 
 def test_soft_labels_survive_huge_gamma():
     hyp = linear_hypotheses(1.0, 10.0, 16)
-    y = soft_labels(hyp, np.array([5.5]), gamma=1e6).values[0]
+    y = soft_labels(hyp, np.array([5.5]), gamma=1e6)[0]
     assert np.isfinite(y).all() and abs(y.sum() - 1.0) < 1e-9
 
 
@@ -185,13 +186,12 @@ def test_soft_labels_match_last_axis_formula_bitwise(gamma):
     gt[0, :4] = [np.nan, -1.0, 0.0, np.inf]
     gt[1, :2] = [-0.0, hyp.values[3]]
     valid = np.isfinite(gt) & (gt > 0)
-    dist = gamma * np.abs(hyp.values - np.where(valid, gt, hyp.d_min)[..., None])
-    w = np.exp(-(dist - dist.min(axis=-1, keepdims=True)))
-    want = w / w.sum(axis=-1, keepdims=True)
-    want[~valid] = 0.0
-    got = soft_labels(hyp, gt, gamma)
-    assert got.values.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(got.valid, valid)
+    # the masked GT vector, as losses.loss_targets passes it, and a whole valid map
+    for d in (gt[valid], np.where(valid, gt, hyp.d_min)):
+        dist = gamma * np.abs(hyp.values - d[..., None])
+        w = np.exp(-(dist - dist.min(axis=-1, keepdims=True)))
+        want = w / w.sum(axis=-1, keepdims=True)
+        assert soft_labels(hyp, d, gamma).tobytes() == want.tobytes()
 
 
 def test_bilinear_weights_midpoint():

@@ -65,9 +65,10 @@ def test_depth_l1_masks_invalid_gt():
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(10)
     sig = np.array([0.3, -0.2, 0.5])
     targets = loss_targets(hyp, gt, GAMMA)
+    kept_targets = loss_targets(hyp, gt_kept, GAMMA)
     rep = full_backward(z[targets.mask], 0.4, sig, hyp, targets, perm)
-    kept = full_backward(z_kept, 0.4, sig, hyp, loss_targets(hyp, gt_kept, GAMMA), perm)
-    assert rep.n_valid == gt.size - 1 == kept.n_valid
+    kept = full_backward(z_kept, 0.4, sig, hyp, kept_targets, perm)
+    assert targets.n == gt.size - 1 == kept_targets.n
     with pytest.raises(ValueError, match="targets"):
         full_backward(z.reshape(-1, z.shape[-1]), 0.4, sig, hyp, targets, perm)
     np.testing.assert_array_equal(rep.grad_z, kept.grad_z)
@@ -102,14 +103,14 @@ def test_soft_label_l1_partial():
 
 
 def test_soft_label_l1_uses_label_validity():
-    # a NaN-GT pixel has an all-zero label row; full_backward must drop
-    # it rather than fit the row
+    # a NaN-GT pixel gets no label row: the soft term is that of the
+    # scene without the pixel
     hyp, z, gt, perm, z_kept, gt_kept = _scene_with_invalid_pixel(12)
     targets = loss_targets(hyp, gt, GAMMA)
     rep = full_backward(z[targets.mask], 0.0, np.zeros(3), hyp, targets, perm)
     kept = full_backward(z_kept, 0.0, np.zeros(3), hyp, loss_targets(hyp, gt_kept, GAMMA), perm)
     assert rep.value_p == kept.value_p
-    lab = soft_labels(hyp, gt_kept, GAMMA).values
+    lab = soft_labels(hyp, gt_kept, GAMMA)
     assert rep.value_p == soft_label_l1(softmax_volume(z_kept), lab).value
     np.testing.assert_array_equal(rep.grad_z, kept.grad_z)
 
@@ -308,11 +309,15 @@ def _small_instance(seed):
 def test_full_backward_total_identity():
     hyp, z, gt, perm = _small_instance(0)
     sig = np.array([0.3, -0.2, 0.5])
-    rep = full_backward(z.reshape(-1, 5), 0.4, sig, hyp, loss_targets(hyp, gt, GAMMA), perm)
-    expect = float(((rep.values() * np.exp(-sig)) + sig).sum())
+    targets = loss_targets(hyp, gt, GAMMA)
+    rep = full_backward(z.reshape(-1, 5), 0.4, sig, hyp, targets, perm)
+    values = np.array([rep.value_r, rep.value_p, rep.value_u])
+    expect = float(((values * np.exp(-sig)) + sig).sum())
     assert abs(rep.total - expect) < 1e-12
-    assert rep.n_valid == 6
-    assert rep.active == (True, True, True)
+    assert targets.n == 6
+    # every term is active: a dropped term's sigma gradient would be 0
+    np.testing.assert_allclose(rep.grad_sigma, 1.0 - values * np.exp(-sig), rtol=0, atol=1e-15)
+    assert np.all(rep.grad_sigma != 0.0)
 
 
 def test_full_backward_terms_match_single_ops():
@@ -325,10 +330,10 @@ def test_full_backward_terms_match_single_ops():
     d = p @ hyp.values
     g = gt.reshape(-1)
     assert rep.value_r == depth_l1(d, g).value
-    assert rep.value_p == soft_label_l1(p, soft_labels(hyp, g, 20.0).values).value
+    assert rep.value_p == soft_label_l1(p, soft_labels(hyp, g, 20.0)).value
     h, _ = clamped_entropy_parts(p)
-    assert rep.value_u == ranking_loss_variants(np.abs(d - g), rep.alpha * h, perm, "hinge").value
-    total, grad_sigma = auto_weighted_total(rep.values(), sig)
+    assert rep.value_u == ranking_loss_variants(np.abs(d - g), float(softplus(0.4)) * h, perm, "hinge").value
+    total, grad_sigma = auto_weighted_total([rep.value_r, rep.value_p, rep.value_u], sig)
     assert rep.total == total
     np.testing.assert_array_equal(rep.grad_sigma, grad_sigma)
 
@@ -350,7 +355,7 @@ def test_full_backward_exact_global_fit():
 
 def test_loss_targets_keep_valid_pixels_and_their_label_rows():
     # NaN, zero, negative and infinite GT are all invalid; the label rows
-    # are those of the full map's soft labels at the valid pixels, bit for bit
+    # are the closed-form soft labels of the valid pixels, bit for bit
     hyp = linear_hypotheses(1.0, 10.0, 5)
     gt = np.array([[2.5, np.nan, 0.0], [-1.0, np.inf, 7.25], [9.9, 1.0, -np.inf]])
     mask = valid_mask(gt)
@@ -358,7 +363,9 @@ def test_loss_targets_keep_valid_pixels_and_their_label_rows():
     np.testing.assert_array_equal(targets.mask, mask)
     assert mask.sum() == targets.n == 4
     np.testing.assert_array_equal(targets.gt, gt[mask])
-    assert targets.labels.tobytes() == soft_labels(hyp, gt, 7.0).values[mask].tobytes()
+    dist = 7.0 * np.abs(hyp.values - gt[mask][:, None])
+    w = np.exp(-(dist - dist.min(axis=-1, keepdims=True)))
+    assert targets.labels.tobytes() == (w / w.sum(axis=-1, keepdims=True)).tobytes()
     assert loss_targets(hyp, gt, None).labels is None
     with pytest.raises(ValueError, match="no valid pixels"):
         loss_targets(hyp, np.array([[np.nan, 0.0], [-2.0, np.inf]]), 7.0)
@@ -384,7 +391,6 @@ def test_full_backward_drops_soft_term():
     rep = full_backward(z.reshape(-1, 5), 0.0, np.zeros(3), hyp, loss_targets(hyp, gt, None), perm)
     assert rep.value_p == 0.0
     assert rep.grad_sigma[1] == 0.0
-    assert rep.active == (True, False, True)
 
 
 def test_full_backward_drops_ranking_term():
@@ -457,7 +463,12 @@ def test_full_backward_alpha_grad_matches_fd_l1_direct():
 def test_full_backward_alpha_is_softplus():
     hyp, z, gt, perm = _small_instance(7)
     rep = full_backward(z.reshape(-1, 5), -1.3, np.zeros(3), hyp, loss_targets(hyp, gt, GAMMA), perm)
-    assert abs(rep.alpha - float(softplus(-1.3))) < 1e-15
+    # the ranking term scores alpha * entropy with alpha = softplus(a)
+    p = softmax_volume(z).reshape(-1, 5)
+    g = gt.reshape(-1)
+    h, _ = clamped_entropy_parts(p)
+    alpha = float(softplus(-1.3))
+    assert rep.value_u == ranking_loss_variants(np.abs(p @ hyp.values - g), alpha * h, perm, "hinge").value
 
 
 @pytest.mark.parametrize("readout", [None, np.linspace(0.2, 1.4, 5)], ids=["classification", "regression"])
@@ -584,10 +595,9 @@ def test_decode_parts_keep_the_oracle_bits_on_c_ordered_input(shape):
     hyp = linear_hypotheses(1.0, 10.0, shape[-1])
     gt = rng.uniform(0.5, 11.0, size=shape[:-1])
     gt.flat[0] = np.nan
-    valid = valid_mask(gt)
-    labels = _oracle_softmax(-GAMMA * np.abs(hyp.values - np.where(valid, gt, 1.0)[..., None]))
-    labels[~valid] = 0.0
-    assert soft_labels(hyp, gt, GAMMA).values.tobytes() == labels.tobytes()
+    gv = gt[valid_mask(gt)]  # masked first, as loss_targets does
+    labels = _oracle_softmax(-GAMMA * np.abs(hyp.values - gv[..., None]))
+    assert soft_labels(hyp, gv, GAMMA).tobytes() == labels.tobytes()
 
     binsfirst = _bins_first(z)
     assert binsfirst.strides[-1] == max(binsfirst.strides)
@@ -693,7 +703,11 @@ def test_full_backward_matches_oracle_step_bitwise(regression, ranking, invalid)
             else:
                 assert np.asarray(g).tobytes() == np.asarray(o).tobytes(), name
         assert rep.grad_z.shape == (targets.n, z.shape[-1])
-        assert rep.active == (True, targets.labels is not None, ranking is not None)
+        # a dropped term has value 0 and a still sigma
+        if targets.labels is None:
+            assert rep.value_p == 0.0 and rep.grad_sigma[1] == 0.0
+        if ranking is None:
+            assert rep.value_u == 0.0 and rep.grad_sigma[2] == 0.0
     assert floored
 
 

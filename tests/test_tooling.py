@@ -1,9 +1,11 @@
-"""Guards for the benchmark harness's view of the package.
+"""Guards for the benchmark harness's view of the package, and for dead code.
 
 ``uqbench/tracing.py`` wraps ``depthuq`` functions by name from outside
 the package and reads sample counts from fixed argument positions; a
 rename or a signature change inside ``depthuq`` would otherwise only
-surface in a traced benchmark run.
+surface in a traced benchmark run.  A definition in ``depthuq`` that
+neither the package nor the harness reads is API that only tests keep
+alive, and fails here.
 """
 
 import ast
@@ -17,7 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "uqbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "uqbench" / "tracing.py"
+SRC = ROOT / "src" / "depthuq"
+# called from outside the scanned code: the console script of pyproject.toml
+ENTRY_POINTS = {"cli.main"}
 
 
 def _traced_targets():
@@ -139,3 +145,65 @@ def test_tiny_ablate_calls_every_training_target(monkeypatch):
     base = toytrain.TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
     toytrain.ablate([0], base=base)
     assert wanted and [key for key in wanted if calls[key] == 0] == []
+
+
+def _definitions(tree, module):
+    """(qualified name, name, node) of each module-level function, class,
+    method and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield f"{module}.{name.id}", name.id, node
+
+
+def _reads(tree):
+    """(name, line) of each name, attribute and string the code reads.
+
+    Strings count: the tracer names its targets, and ``getattr`` its
+    fields, by string.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _overrides_a_base(module, qualified):
+    # a method a base class calls, such as an argparse parser's ``error``
+    _, cls, *method = qualified.split(".")
+    if not method:
+        return False
+    bases = getattr(importlib.import_module(f"depthuq.{module}"), cls).__mro__[1:]
+    return any(hasattr(base, method[0]) for base in bases)
+
+
+def test_every_src_definition_has_a_caller():
+    # names match by spelling alone, so a name shared with another
+    # definition passes; a read inside the definition itself does not count
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "uqbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    reads = [(path, name, line) for path, tree in trees.items() for name, line in _reads(tree)]
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualified, name, node in _definitions(trees[path], path.stem):
+            if name.startswith("__") and name.endswith("__") or qualified in ENTRY_POINTS:
+                continue
+            if any(
+                read == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, read, line in reads
+            ):
+                continue
+            if not _overrides_a_base(path.stem, qualified):
+                unread.append(qualified)
+    assert unread == [], f"defined in src/depthuq but read nowhere there or in uqbench: {unread}"

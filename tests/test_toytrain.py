@@ -340,7 +340,8 @@ def test_sigma_gradient_rule(tiny_data):
     perm = draw_permutation(targets.n, 5)
     report, grads = scene_gradients(m, rows, cfg, perm, targets)
     np.testing.assert_allclose(
-        grads["sigma"], 1.0 - report.values() * np.exp(-m.sigma), atol=1e-12
+        grads["sigma"], 1.0 - np.array([report.value_r, report.value_p, report.value_u]) * np.exp(-m.sigma),
+        atol=1e-12,
     )
     h = 1e-6
     for k in range(3):
@@ -464,7 +465,9 @@ def test_readout_backward_matches_regression_oracle(ranking, seed):
     assert got.value_u == value_u
     assert got.total == total
     assert got.grad_a == grad_a
-    assert got.active == (True, False, ranking is not None)
+    # the soft term is off, and so is the ranking term without a variant
+    assert got.value_p == 0.0 and got.grad_sigma[1] == 0.0
+    assert (got.value_u == 0.0 and got.grad_sigma[2] == 0.0) == (ranking is None)
     np.testing.assert_array_equal(got.grad_z, grad_z[targets.mask])
     np.testing.assert_array_equal(got.grad_readout, grad_readout)
     np.testing.assert_array_equal(got.grad_sigma, grad_sigma)
@@ -486,7 +489,7 @@ def test_readout_masks_invalid_gt():
     perm = draw_permutation(gt.size - 1, 3)
     targets = loss_targets(hyp, gt, None)
     rep = full_backward(z[targets.mask], a, sigma, hyp, targets, perm, readout=w_out)
-    assert rep.n_valid == gt.size - 1
+    assert targets.n == gt.size - 1
     assert np.isfinite(rep.total)
     assert np.all(np.isfinite(rep.grad_readout))
     keep = np.isfinite(gt)
@@ -693,7 +696,7 @@ def test_ablate_rows_and_thread_equivalence():
     rows = ablate([0], base=base)
     assert [r["config"] for r in rows] == [name for name, _, _ in ABLATION_ROWS]
     assert all(r["seed"] == 0 for r in rows)
-    assert all("scc" in r and "rmse" in r and "train_s" in r for r in rows)
+    assert all("scc" in r and "rmse" in r for r in rows)
 
 
 def test_ablate_starts_no_thread(monkeypatch):
@@ -706,28 +709,6 @@ def test_ablate_starts_no_thread(monkeypatch):
     base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
     rows = ablate([0], base=base)
     assert [r["config"] for r in rows] == [name for name, _, _ in ABLATION_ROWS]
-
-
-def test_ablate_train_s_times_train_alone(monkeypatch):
-    # a fake clock that only training and evaluation move: train_s must
-    # hold the seed's one training call's 1 s, not the evaluations' 100 s
-    # each after it
-    clock = [0.0]
-
-    def fake_train(runs, scenes):
-        clock[0] += 1.0
-        return [(model, []) for model, _ in runs]
-
-    def fake_evaluate(model, scenes):
-        clock[0] += 100.0
-        return {"scc": 0.5}
-
-    monkeypatch.setattr(depthuq.toytrain.time, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(depthuq.toytrain, "train", fake_train)
-    monkeypatch.setattr(depthuq.toytrain, "evaluate_model", fake_evaluate)
-    base = TrainConfig(epochs=1, train_scenes=2, eval_scenes=1, height=8, width=8)
-    rows = ablate([0, 1], base=base)
-    assert [r["train_s"] for r in rows] == [1.0, 1.0, 1.0, 1.0, None, 1.0] * 2
 
 
 def test_ablation_medians():
@@ -770,7 +751,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     want = full_backward(
         z, m.raw_scale, m.sigma, m.hypotheses, kept, perm, ranking=ranking,
     )
-    assert report.n_valid == want.n_valid == 63
+    assert targets.n == kept.n == 63
     assert report.total == want.total
     assert report.grad_a == want.grad_a
     assert report.grad_z.shape == (63, cfg.m)
@@ -974,7 +955,6 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
     assert [(r["config"], r["seed"]) for r in rows] == [
         (name, seed) for seed in seeds for name, _, _ in ABLATION_ROWS
     ]
-    assert [r["train_s"] is None for r in rows] == [r["config"] == "full_nomax" for r in rows]
     # every row equals its own configuration trained and evaluated directly
     for seed in seeds:
         train_scenes, eval_scenes = make_dataset(replace(base, seed=seed))
@@ -983,7 +963,7 @@ def test_ablate_trains_each_distinct_model_once(monkeypatch):
             [(model, _)] = original([(init_model(cfg), cfg)], train_scenes)
             (row,) = [r for r in rows if r["config"] == name and r["seed"] == seed]
             want = {"config": name, "seed": seed, **evaluate_model(model, eval_scenes)}
-            assert {k: v for k, v in row.items() if k != "train_s"} == want
+            assert row == want
 
 
 def test_ablate_shares_targets_and_permutations(monkeypatch):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthuq.discretize import softmax_volume
+from depthuq.discretize import linear_hypotheses
+from depthuq.losses import head_forward
+from depthuq.toytrain import TrainConfig, init_model
 from depthuq.uncertainty import (
-    UncertaintyScale,
     clamped_entropy,
     clamped_entropy_parts,
     combine_mean,
@@ -15,9 +16,10 @@ from depthuq.uncertainty import (
 )
 
 
-def _pseudo_uncertainty(z, scale):
+def _pseudo_uncertainty(z, a):
     # the regression head's uncertainty, as toytrain.forward computes it
-    return scale.alpha * clamped_entropy_parts(softmax_volume(z))[0]
+    hyp = linear_hypotheses(1.0, 2.0, z.shape[-1])
+    return head_forward(z, a, hyp, readout=np.ones(z.shape[-1]))[1]
 
 
 def test_clamped_entropy_is_the_value_of_the_parts():
@@ -69,14 +71,15 @@ def test_raw_entropy_rejects_non_finite(bad):
 def test_entropy_bounds(seed, m):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.full(m, 0.3), size=8)
-    scale = UncertaintyScale(float(rng.normal()))
-    u = scale.alpha * raw_entropy(p)
+    alpha = float(softplus(rng.normal()))
+    u = alpha * raw_entropy(p)
     assert np.all(u >= 0.0)
-    assert np.all(u <= scale.alpha * np.log(m) + 1e-12)
+    assert np.all(u <= alpha * np.log(m) + 1e-12)
 
 
 def test_scale_default_is_ln2():
-    assert abs(UncertaintyScale().alpha - np.log(2.0)) < 1e-15
+    # a fresh toy model's raw scale gives alpha = ln 2
+    assert abs(float(softplus(init_model(TrainConfig()).raw_scale)) - np.log(2.0)) < 1e-15
 
 
 def test_softplus_matches_reference():
@@ -105,20 +108,20 @@ def test_sigmoid_matches_masked_array_formula():
 
 
 def test_pseudo_uncertainty_constant_logits():
-    u = _pseudo_uncertainty(np.zeros(5), UncertaintyScale(10.0))
-    alpha = UncertaintyScale(10.0).alpha
+    u = _pseudo_uncertainty(np.zeros(5), 10.0)
+    alpha = float(softplus(10.0))
     assert abs(u - alpha * np.log(5.0)) < 1e-12
 
 
 def test_pseudo_uncertainty_dominant_logit():
-    u = _pseudo_uncertainty(np.array([100.0, 0.0, 0.0]), UncertaintyScale(0.0))
+    u = _pseudo_uncertainty(np.array([100.0, 0.0, 0.0]), 0.0)
     assert u < 1e-12
 
 
 def test_pseudo_uncertainty_closed_form():
     # softmax([0, ln3]) = [1/4, 3/4]; alpha chosen so softplus(a) = 1
     a = float(np.log(np.e - 1.0))
-    u = _pseudo_uncertainty(np.array([0.0, np.log(3.0)]), UncertaintyScale(a))
+    u = _pseudo_uncertainty(np.array([0.0, np.log(3.0)]), a)
     expect = -(0.25 * np.log(0.25) + 0.75 * np.log(0.75))
     assert abs(float(u) - expect) < 1e-12
     assert abs(float(u) - 0.5623351446188083) < 1e-12
@@ -126,8 +129,7 @@ def test_pseudo_uncertainty_closed_form():
 
 def test_pseudo_uncertainty_shift_invariance():
     z = np.array([0.4, -2.0, 1.1])
-    s = UncertaintyScale(0.7)
-    assert abs(_pseudo_uncertainty(z, s) - _pseudo_uncertainty(z + 55.0, s)) < 1e-12
+    assert abs(_pseudo_uncertainty(z, 0.7) - _pseudo_uncertainty(z + 55.0, 0.7)) < 1e-12
 
 
 def test_combine_single_is_identity():
