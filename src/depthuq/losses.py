@@ -56,6 +56,7 @@ L1 subgradients use sign(0) := 0, the hinge uses 0 at its kink.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,18 +247,23 @@ def auto_weighted_total(values, sigma, active=True):
 
     total = sum_i active_i * (v_i * exp(-sigma_i) + sigma_i)
     d/dsigma_i = -v_i * exp(-sigma_i) + 1 for active terms, else 0.
-    Raises NonFiniteLossError when the total is not finite.
+    Raises NonFiniteLossError when the total is not finite.  Past NumPy's
+    exp the terms are Python floats, summed in NumPy's order for fewer
+    than eight terms (left to right from 0.0), so the bits are NumPy's.
     """
     v = np.asarray(values, dtype=np.float64)
     sig = np.asarray(sigma, dtype=np.float64)
     if v.shape != sig.shape:
         raise ValueError(f"{v.size} values vs {sig.size} weights")
-    act = np.asarray(active, dtype=bool)
-    ew = np.exp(-sig)
-    total = float(((v * ew + sig) * act).sum())
-    if not np.isfinite(total):
+    act = np.full(v.shape, active, dtype=bool).tolist()
+    total = 0.0
+    grad = []
+    for vi, si, ei, on in zip(v.tolist(), sig.tolist(), np.exp(-sig).tolist(), act):
+        total += (vi * ei + si) * float(on)
+        grad.append(-vi * ei + 1.0 if on else 0.0)
+    if not math.isfinite(total):
         raise NonFiniteLossError(f"non-finite loss total (values {v}, sigmas {sig})")
-    return total, np.where(act, -v * ew + 1.0, 0.0)
+    return total, np.array(grad)
 
 
 def softmax_backward(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:

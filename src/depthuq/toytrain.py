@@ -139,10 +139,12 @@ class ToyModel:
     The classification head emits one logit per depth hypothesis; the
     regression head emits a latent vector read out by ``w_out`` (its
     softmax doubles as the pseudo probability for uncertainty).  The
-    readout picks the head: none for classification.  The network
-    weights (``w1``, ``b1``, ``w2``, ``w_out``) share one dtype, float32
-    or float64 (anything else becomes float64), and the forward and
-    backward run at it; ``sigma`` and ``raw_scale`` are float64.
+    readout picks the head: none for classification.  ``weights()``
+    names the network weights (``w1``, ``b1``, ``w2``, ``w_out``) for the
+    gradients, the descent step, the range checks and the checkpoint.
+    They share one dtype, float32 or float64 (anything else becomes
+    float64), and the forward and backward run at it; ``sigma`` and
+    ``raw_scale`` are float64.
     """
 
     hypotheses: DepthHypotheses
@@ -171,7 +173,7 @@ class ToyModel:
             self.w_out = float_array(self.w_out)
             if self.w_out.shape != (self.w2.shape[1],):
                 raise ValueError("latent readout length mismatch")
-        dtypes = {w.dtype.name for w in self._weights()}
+        dtypes = {w.dtype.name for w in self.weights().values()}
         if len(dtypes) != 1:
             raise ValueError(f"network weights mix dtypes {sorted(dtypes)}")
         if self.sigma.shape != (3,):
@@ -182,18 +184,15 @@ class ToyModel:
     def head(self) -> str:
         return "classification" if self.w_out is None else "regression"
 
-    def _weights(self) -> list:
-        """The network weights, which share one dtype."""
-        parts = [self.w1, self.b1, self.w2]
+    def weights(self) -> dict:
+        """The network weights by name, in layer order; they share one dtype."""
+        named = {"w1": self.w1, "b1": self.b1, "w2": self.w2}
         if self.w_out is not None:
-            parts.append(self.w_out)
-        return parts
-
-    def _parameters(self) -> list:
-        return [*self._weights(), self.sigma, np.atleast_1d(self.raw_scale)]
+            named["w_out"] = self.w_out
+        return named
 
     def check_finite(self):
-        if not all(np.all(np.isfinite(p)) for p in self._parameters()):
+        if not all(np.all(np.isfinite(p)) for p in [*self.weights().values(), self.sigma, self.raw_scale]):
             raise ValueError("non-finite model parameters")
 
     @property
@@ -333,7 +332,7 @@ def scene_gradients(
     perm: PairPermutation | None,
     targets: LossTargets,
 ):
-    """One scene's loss report and parameter gradients.
+    """One scene's loss report and network-weight gradients.
 
     ``features`` are the scene's valid feature rows,
     ``scene.features[targets.mask]`` for its ``losses.loss_targets``;
@@ -343,8 +342,10 @@ def scene_gradients(
     nothing itself.  ``forward``'s hidden layer and z on those rows,
     then the exact backward of the losses module: d(total)/d(z) for
     either head (plus the readout gradient of the regression head);
-    the chain rule through the two-layer net does the rest.  Training
-    and the finite-difference spot checks share this code path.
+    the chain rule through the two-layer net does the rest.  The
+    gradients are keyed like ``model.weights()``; the report holds
+    ``grad_a`` and ``grad_sigma``.  Training and the finite-difference
+    spot checks share this code path.
     """
     hid, z = _hidden_and_z(model, features)
     report = full_backward(
@@ -364,13 +365,7 @@ def scene_gradients(
     grad_pre = np.square(hid)
     np.subtract(1.0, grad_pre, out=grad_pre)
     grad_pre *= model.w2 @ gz
-    grads = {
-        "w1": features.T @ grad_pre.T,
-        "b1": grad_pre.sum(axis=1),
-        "w2": hid @ gz.T,
-        "a": report.grad_a,
-        "sigma": report.grad_sigma,
-    }
+    grads = {"w1": features.T @ grad_pre.T, "b1": grad_pre.sum(axis=1), "w2": hid @ gz.T}
     if report.grad_readout is not None:
         grads["w_out"] = report.grad_readout
     return report, grads
@@ -389,23 +384,23 @@ def _check_lockstep(runs):
             raise ValueError("runs trained together need models of one dtype and one hypothesis grid")
 
 
-def _descend(model: ToyModel, grads, lr: float, epoch: int):
-    """One gradient-descent update of ``model`` in place."""
-    # a float32 weight may overflow to inf here; the range check
-    # below turns that into TrainingDivergedError, not a warning
+def _descend(model: ToyModel, report, grads, lr: float, epoch: int):
+    """One gradient-descent update of ``model`` in place.
+
+    Each of its ``weights()`` steps on ``grads``; the raw scale and the
+    boxed sigmas step on ``report``'s ``grad_a`` and ``grad_sigma``.
+    """
+    # a float32 weight or a float64 sigma step may overflow to inf here;
+    # the range check below turns that into TrainingDivergedError
     with np.errstate(over="ignore"):
-        model.w1 -= lr * grads["w1"]
-        model.b1 -= lr * grads["b1"]
-        model.w2 -= lr * grads["w2"]
-        if "w_out" in grads:
-            model.w_out = model.w_out - lr * grads["w_out"]
-    model.raw_scale -= lr * grads["a"]
-    model.sigma = np.minimum(
-        np.maximum(model.sigma - lr * grads["sigma"], -SIGMA_BOUND), SIGMA_BOUND
-    )
+        for name, weight in model.weights().items():
+            weight -= lr * grads[name]
+        model.sigma = np.minimum(np.maximum(model.sigma - lr * report.grad_sigma, -SIGMA_BOUND), SIGMA_BOUND)
+    model.raw_scale -= lr * report.grad_a
     # checked before the next step decodes: a huge finite weight
     # overflows z to inf and the softmax to NaN
-    if not all(np.abs(p).max() <= _FLOAT32_MAX for p in model._parameters()):
+    in_range = all(np.abs(w).max() <= _FLOAT32_MAX for w in model.weights().values())
+    if not (in_range and all(abs(s) <= _FLOAT32_MAX for s in [model.raw_scale, *model.sigma.tolist()])):
         raise TrainingDivergedError(epoch, "a weight left the float32 range")
 
 
@@ -466,9 +461,9 @@ def train(runs, scenes):
                     report, grads = scene_gradients(model, scene_features, cfg, perm, targets)
                 except NonFiniteLossError as exc:
                     raise TrainingDivergedError(epoch) from exc
-                _descend(model, grads, lr, epoch)
+                _descend(model, report, grads, lr, epoch)
                 run_totals += (report.total, report.value_r, report.value_p, report.value_u)
-                run_gsig += grads["sigma"]
+                run_gsig += report.grad_sigma
             step += 1
         k = len(scenes)
         for (model, _), rows, run_totals, run_gsig in zip(runs, logs, totals, gsig):
@@ -600,10 +595,6 @@ def ablation_medians(rows, key: str = "scc"):
     return out
 
 
-# parameter arrays stored one .duv each; w_out only for the regression head
-_MODEL_GRIDS = ("w1", "b1", "w2", "sigma", "w_out")
-
-
 def save_model(model: ToyModel, directory) -> Path:
     """Grid bundle plus a key=value manifest, written for inspection.
 
@@ -613,11 +604,8 @@ def save_model(model: ToyModel, directory) -> Path:
     weight beyond float32 range writes nothing.
     """
     directory = Path(directory)
-    grids = {
-        directory / f"{name}.duv": getattr(model, name)
-        for name in _MODEL_GRIDS
-        if getattr(model, name) is not None
-    }
+    named = {**model.weights(), "sigma": model.sigma}
+    grids = {directory / f"{name}.duv": values for name, values in named.items()}
     for path, values in grids.items():
         grid_payload(path, values)
     directory.mkdir(parents=True, exist_ok=True)

@@ -739,22 +739,34 @@ def test_training_rejects_nonfinite_lr_and_gamma(tmp_path, capsys, subcommand, f
     assert not out.exists()
 
 
-def test_train_toy_writes_no_weight_beyond_float32(tmp_path, capsys):
+@pytest.mark.parametrize("head", ["classification", "regression"])
+def test_train_toy_writes_no_weight_beyond_float32(tmp_path, capsys, head):
     # every weight grid held only inf, and the run exited 0; training now
-    # stops at the step that leaves a weight beyond the float32 range
+    # stops at the step that leaves a weight beyond the float32 range.
+    # The regression head's sigma step overflowed float64 with a warning
     out = tmp_path / "out"
-    rc = cli.main([
-        "train-toy", "--seed", "0", "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
-        "--lr", "1e308", "--out-dir", str(out),
-    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([
+            "train-toy", "--seed", "0", "--head", head, "--epochs", "1", "--train-scenes", "1",
+            "--eval-scenes", "1", "--lr", "1e308", "--out-dir", str(out),
+        ])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: training diverged (a weight left the float32 range) in epoch 0\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["ablate", "demo-ause"])
-def test_training_stops_when_a_weight_leaves_float32(tmp_path, capsys, subcommand):
+# ablate trains the soft-label term, which needs the classification head
+@pytest.mark.parametrize(
+    "subcommand, head",
+    [
+        pytest.param("ablate", "classification", id="ablate"),
+        pytest.param("demo-ause", "classification", id="demo-ause"),
+        pytest.param("demo-ause", "regression", id="demo-ause-regression"),
+    ],
+)
+def test_training_stops_when_a_weight_leaves_float32(tmp_path, capsys, subcommand, head):
     # both exited 0 after an overflow RuntimeWarning from the softmax,
     # reporting every SCC as undefined
     out = tmp_path / "out.csv"
@@ -762,7 +774,7 @@ def test_training_stops_when_a_weight_leaves_float32(tmp_path, capsys, subcomman
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main([
-            subcommand, *extra, "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
+            subcommand, *extra, "--head", head, "--epochs", "1", "--train-scenes", "1", "--eval-scenes", "1",
             "--lr", "1e308", "--out", str(out),
         ])
     assert rc == 1

@@ -251,6 +251,25 @@ def test_auto_weighted_stationary_is_minimum():
     assert lo > mid and hi > mid
 
 
+_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(-1e6, 1e6) | _ZEROS, st.floats(-30.0, 30.0) | _ZEROS, st.booleans()), min_size=1, max_size=3
+))
+def test_auto_weighted_total_has_the_array_formula_bits(terms):
+    # the Python-float total and gradients against the NumPy array formula
+    # they replaced, bit for bit, inactive terms and signed zeros included
+    values, sigma, active = (np.array(column) for column in zip(*terms))
+    ew = np.exp(-sigma)
+    want_total = float(((values * ew + sigma) * active).sum())
+    want_grad = np.where(active, -values * ew + 1.0, 0.0)
+    total, grad = auto_weighted_total(values.tolist(), sigma, active)
+    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+    assert grad.dtype == np.float64 and grad.tobytes() == want_grad.tobytes()
+
+
 def test_auto_weighted_rejects_bad_input():
     with pytest.raises(ValueError):
         auto_weighted_total([1.0, 2.0], np.zeros(3))

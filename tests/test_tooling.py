@@ -45,6 +45,18 @@ def test_tracer_has_targets():
     assert all(module.startswith("depthuq.") for module, *_ in TARGETS)
 
 
+def _modules_after_cli_import():
+    """``sys.modules`` of a fresh interpreter that has imported this
+    checkout's ``depthuq.cli``."""
+    import depthuq
+
+    src = str(Path(depthuq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, depthuq.cli; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
 def test_cli_import_loads_every_traced_module():
     # ``Tracer.install`` reads ``sys.modules[module]`` for every target
     # once the worker has imported ``depthuq.cli`` and run one warm-up
@@ -53,18 +65,17 @@ def test_cli_import_loads_every_traced_module():
     # traced run; a module it leaves unloaded raises KeyError there.
     # Subcommand-lazy imports (ROADMAP item 14) need the tracer changed
     # first.
-    import depthuq
-
-    src = str(Path(depthuq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    modules = sorted({module for module, *_ in TARGETS})
-    code = f"import sys, depthuq.cli; print(' '.join(m for m in {modules!r} if m not in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    missing = out.stdout.split()
+    loaded = _modules_after_cli_import()
+    missing = sorted({module for module, *_ in TARGETS} - loaded)
     assert missing == [], (
         f"import depthuq.cli leaves {missing} unloaded; the tracer would raise KeyError "
         "(see ROADMAP item 14 before making imports lazy)"
     )
+
+
+def test_package_imports_no_scipy():
+    # the package runs on NumPy alone; scipy is an oracle for the tests
+    assert sorted(m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy") == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from depthuq.toytrain import (
     save_model,
     scene_gradients,
     train,
+    _descend,
     _hidden_and_z,
 )
 from depthuq.uncertainty import softplus
@@ -233,6 +235,14 @@ def test_model_weights_share_one_dtype():
         ToyModel(hyp, np.zeros((2, 3), f32), np.zeros(3, f32), np.zeros((3, 6), f32), np.zeros(6, f64))
 
 
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_weights_name_the_network_weights(head):
+    m = init_model(TrainConfig(head=head, include_soft=head == "classification"))
+    names = ["w1", "b1", "w2"] + (["w_out"] if head == "regression" else [])
+    assert list(m.weights()) == names
+    assert all(w is getattr(m, name) for name, w in m.weights().items())
+
+
 def test_model_validation():
     hyp = linear_hypotheses(1, 10, 4)
     hidden = dict(hypotheses=hyp, w1=np.zeros((2, 3)), b1=np.zeros(3))
@@ -338,9 +348,9 @@ def test_sigma_gradient_rule(tiny_data):
     targets = _targets(m, train_scenes[0], cfg)
     rows = _rows(train_scenes[0], targets)
     perm = draw_permutation(targets.n, 5)
-    report, grads = scene_gradients(m, rows, cfg, perm, targets)
+    report, _ = scene_gradients(m, rows, cfg, perm, targets)
     np.testing.assert_allclose(
-        grads["sigma"], 1.0 - np.array([report.value_r, report.value_p, report.value_u]) * np.exp(-m.sigma),
+        report.grad_sigma, 1.0 - np.array([report.value_r, report.value_p, report.value_u]) * np.exp(-m.sigma),
         atol=1e-12,
     )
     h = 1e-6
@@ -354,7 +364,7 @@ def test_sigma_gradient_rule(tiny_data):
         t_hi, _ = scene_gradients(m_hi, rows, cfg, perm, targets)
         t_lo, _ = scene_gradients(m_lo, rows, cfg, perm, targets)
         fd = (t_hi.total - t_lo.total) / (2 * h)
-        assert abs(grads["sigma"][k] - fd) < 1e-5
+        assert abs(report.grad_sigma[k] - fd) < 1e-5
 
 
 def test_network_gradients_match_fd(tiny_data):
@@ -431,8 +441,8 @@ def test_float32_step_tracks_the_float64_step(tiny_data, head):
     r64, g64 = scene_gradients(m64, _rows(scene, t64), cfg, perm, t64)
     assert g32["w1"].dtype == np.float32 and g64["w1"].dtype == np.float64
     assert r32.total == pytest.approx(r64.total, rel=1e-6, abs=0)
-    np.testing.assert_allclose(g32["sigma"], g64["sigma"], rtol=1e-6, atol=0)
-    assert g32["a"] == pytest.approx(g64["a"], rel=1e-3, abs=0)
+    np.testing.assert_allclose(r32.grad_sigma, r64.grad_sigma, rtol=1e-6, atol=0)
+    assert r32.grad_a == pytest.approx(r64.grad_a, rel=1e-3, abs=0)
     pairs = [(r32.grad_z, r64.grad_z)] + [(g32[k], g64[k]) for k in ("w1", "b1", "w2", "w_out") if k in g64]
     for got, want in pairs:
         np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT32_STEP_TOL * np.abs(want).max())
@@ -511,6 +521,23 @@ def test_regression_head_diverges_at_huge_lr(tiny_data):
             train([(m, cfg)], train_scenes)
     assert isinstance(exc.value.epoch, int)
     assert isinstance(exc.value, RuntimeError)
+
+
+def test_readout_step_past_float32_range_diverges(tiny_data):
+    # only w_out leaves the float32 range; the step overflows it to inf
+    # without a warning and raises with the step's epoch
+    cfg = TrainConfig(seed=0, head="regression", include_soft=False, ranking=None)
+    m = init_model(cfg)
+    targets = _targets(m, tiny_data[0][0], cfg)
+    report, grads = scene_gradients(m, _rows(tiny_data[0][0], targets), cfg, None, targets)
+    grads = {name: np.zeros_like(g) for name, g in grads.items()}
+    grads["w_out"][0] = -np.finfo(np.float32).max
+    m.w_out[0] = np.finfo(np.float32).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match=r"^training diverged \(a weight left the float32 range\) in epoch 3$"):
+            _descend(m, report, grads, 1.0, 3)
+    assert np.isinf(m.w_out[0]) and np.isfinite(np.delete(m.w_out, 0)).all()
 
 
 def test_regression_head_trains(tiny_data):
@@ -740,7 +767,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     m = init_model(cfg)
     targets = _targets(m, scene, cfg)
     perm = draw_permutation(targets.n, 11)
-    report, grads = scene_gradients(m, _rows(scene, targets), cfg, perm, targets)
+    report, _ = scene_gradients(m, _rows(scene, targets), cfg, perm, targets)
 
     # the 63 valid pixels dropped out by hand: their feature rows, bins-first
     # as the step holds them, and their GT vector
@@ -756,7 +783,7 @@ def test_pair_ranking_on_scene_with_invalid_gt(tiny_data, ranking):
     assert report.grad_a == want.grad_a
     assert report.grad_z.shape == (63, cfg.m)
     np.testing.assert_array_equal(report.grad_z, want.grad_z)
-    np.testing.assert_array_equal(grads["sigma"], want.grad_sigma)
+    np.testing.assert_array_equal(report.grad_sigma, want.grad_sigma)
 
     [(trained, logs)] = train([(m, cfg)], [scene, tiny_data[0][1]])
     assert len(logs) == 1 and np.isfinite(logs[0]["total"])
